@@ -277,7 +277,8 @@ def verify_certificate(
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization (hex for bytes, decimal strings for big integers)
+# JSON serialization (hex for bytes, decimal strings for big integers, groups
+# by their name in GROUPS)
 # ---------------------------------------------------------------------------
 
 def commitment_to_obj(h2: Commitment2) -> dict:
@@ -296,17 +297,9 @@ def commitment_from_obj(obj: dict, group: GroupParams | None) -> Commitment2:
         return HashOfKeyAndNotary(bytes.fromhex(obj["value"]))
     if tag == "group_power":
         if group is None:
-            raise ValueError("group parameters required for a group_power commitment")
+            raise ValueError("a group_power commitment needs a group name")
         return GroupPower(GroupElement(int(obj["value"]), group))
     raise ValueError(f"unknown commitment tag {tag!r}")
-
-
-def group_to_obj(group: GroupParams) -> dict:
-    return {"p": str(group.p), "q": str(group.q), "g": str(group.g)}
-
-
-def group_from_obj(obj: dict) -> GroupParams:
-    return GroupParams(p=int(obj["p"]), q=int(obj["q"]), g=int(obj["g"]))
 
 
 def certificate_to_json(cert: Certificate) -> str:
@@ -319,13 +312,13 @@ def certificate_to_json(cert: Certificate) -> str:
         "sigma": cert.sigma.hex(),
     }
     if cert.group is not None:
-        obj["group"] = group_to_obj(cert.group)
+        obj["group"] = crypto.group_name(cert.group)
     return json.dumps(obj, separators=(",", ":"))
 
 
 def certificate_from_json(text: str) -> Certificate:
     obj = json.loads(text)
-    group = group_from_obj(obj["group"]) if "group" in obj else None
+    group = crypto.group_by_name(obj["group"]) if "group" in obj else None
     return Certificate(
         h1=bytes.fromhex(obj["h1"]),
         h2=commitment_from_obj(obj["h2"], group),

@@ -200,6 +200,17 @@ class GroupElement:
         return self.value.to_bytes(self.params.element_len(), "big")
 
 
+def _in_group(value: int, params: GroupParams) -> GroupElement:
+    """Build an element without the membership check.
+
+    Only for values known to lie in the subgroup, such as powers of a member.
+    """
+    element = object.__new__(GroupElement)
+    object.__setattr__(element, "value", value)
+    object.__setattr__(element, "params", params)
+    return element
+
+
 @dataclass(frozen=True)
 class Scalar:
     """An exponent in [1, q-1]."""
@@ -222,9 +233,11 @@ def group_exp(
 ) -> GroupElement:
     """Modular exponentiation inside the subgroup.
 
-    The base may be a validated element or a raw integer (the generator,
-    typically); raw integers are membership-checked first. Integer exponents
-    are accepted so tests can exercise the identity exponent q.
+    The base may be a validated element or a raw integer; raw integers other
+    than the generator, which the group checked when it was built, are
+    membership-checked first. A power of a member stays in the subgroup, so
+    the result is not checked again. Integer exponents are accepted so tests
+    can exercise the identity exponent q.
     """
     if isinstance(base, GroupElement):
         if base.params != params:
@@ -232,12 +245,12 @@ def group_exp(
         base_value = base.value
     else:
         base_value = int(base)
-        if not params.contains(base_value):
+        if base_value != params.g and not params.contains(base_value):
             raise DomainError(f"base {base_value} is not in the subgroup")
     exp_value = exponent.value if isinstance(exponent, Scalar) else int(exponent)
     if exp_value < 1:
         raise ValueError("exponent must be positive")
-    return GroupElement(value=pow(base_value, exp_value, params.p), params=params)
+    return _in_group(pow(base_value, exp_value, params.p), params)
 
 
 def scalar_mul(a: Scalar, b: Scalar) -> Scalar:
@@ -312,3 +325,20 @@ GROUPS: dict[str, GroupParams] = {
     "test": TEST_GROUP,
     "modp2048": MODP_2048,
 }
+
+
+def group_name(params: GroupParams) -> str:
+    """The name a group travels under on the wire and in the event log."""
+    for name, known in GROUPS.items():
+        if known == params:
+            return name
+    raise ValueError("only groups named in GROUPS can be encoded")
+
+
+def group_by_name(name: object) -> GroupParams:
+    """Look up a group received from a peer; never builds one from peer data."""
+    if not isinstance(name, str):
+        raise ValueError(f"expected a group name, got {type(name).__name__}")
+    if name not in GROUPS:
+        raise ValueError(f"unknown group {name!r}; known: {sorted(GROUPS)}")
+    return GROUPS[name]

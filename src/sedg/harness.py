@@ -152,6 +152,8 @@ _CONFIG_KEYS = {
     "payload_hex",
     "payload_size",
 }
+_STRING_KEYS = ("variant", "group", "seller_policy", "buyer_policy", "payload_hex")
+_INTEGER_KEYS = ("price", "buyer_balance", "deadline_offset", "notary_fee", "seed", "payload_size")
 
 
 def config_from_dict(obj: dict) -> ScenarioConfig:
@@ -162,6 +164,13 @@ def config_from_dict(obj: dict) -> ScenarioConfig:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if "variant" not in obj:
         raise ConfigError("config requires a 'variant'")
+    for key in _STRING_KEYS:
+        if key in obj and not isinstance(obj[key], str):
+            raise ConfigError(f"{key} must be a string, not {obj[key]!r}")
+    for key in _INTEGER_KEYS:
+        # int() would truncate 1.9 and accept true as 1.
+        if isinstance(obj.get(key), (bool, float)):
+            raise ConfigError(f"{key} must be an integer, not {obj[key]!r}")
     payload = None
     if "payload_hex" in obj:
         try:

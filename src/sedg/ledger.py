@@ -387,13 +387,10 @@ def condition_to_obj(condition: Condition) -> dict:
             "notary": condition.notary.hex(),
             "fee": condition.fee,
         }
-    group = condition.group
     return {
         "type": "dlog_lock",
         "c": str(condition.c.value),
-        "p": str(group.p),
-        "q": str(group.q),
-        "g": str(group.g),
+        "group": crypto.group_name(condition.group),
     }
 
 
@@ -408,7 +405,7 @@ def condition_from_obj(obj: dict) -> Condition:
             fee=int(obj["fee"]),
         )
     if kind == "dlog_lock":
-        group = GroupParams(p=int(obj["p"]), q=int(obj["q"]), g=int(obj["g"]))
+        group = crypto.group_by_name(obj.get("group"))
         return DlogLock(c=GroupElement(int(obj["c"]), group))
     raise ValueError(f"unknown condition type {kind!r}")
 
@@ -422,13 +419,10 @@ def witness_to_obj(witness: Witness) -> dict:
             "x": witness.x.hex(),
             "notary_id": witness.notary_id.hex(),
         }
-    group = witness.x.params
     return {
         "type": "exponent",
         "x": str(witness.x.value),
-        "p": str(group.p),
-        "q": str(group.q),
-        "g": str(group.g),
+        "group": crypto.group_name(witness.x.params),
     }
 
 
@@ -442,7 +436,7 @@ def witness_from_obj(obj: dict) -> Witness:
             notary_id=bytes.fromhex(obj["notary_id"]),
         )
     if kind == "exponent":
-        group = GroupParams(p=int(obj["p"]), q=int(obj["q"]), g=int(obj["g"]))
+        group = crypto.group_by_name(obj.get("group"))
         return Exponent(x=Scalar(int(obj["x"]), group))
     raise ValueError(f"unknown witness type {kind!r}")
 
@@ -492,33 +486,37 @@ def event_from_json(line: str) -> LedgerEvent:
 
 
 def replay(lines: Iterable[str]) -> Ledger:
-    """Rebuild a ledger by re-executing a serialized event log.
+    """Rebuild a ledger by re-executing a serialized event log, and verify it.
 
-    The rebuilt ledger's own log is byte-identical to the input, which is
-    the strongest form of replay fidelity.
+    Each line must be exactly the event its re-execution appends, so an
+    edited payout, tick or id raises LedgerError at the first divergent line
+    and the rebuilt log is byte-identical to the input.
     """
     ledger = Ledger()
-    for line in lines:
-        event = event_from_json(line)
+    for number, line in enumerate(lines, 1):
+        logged = line.rstrip("\n")
+        event = event_from_json(logged)
+        before = len(ledger._events)
         if event.kind is EventKind.FUNDED:
             ledger.fund(event.account, event.amount)
         elif event.kind is EventKind.TIME_ADVANCED:
             ledger.advance_time(event.tick - ledger.current_tick)
         elif event.kind is EventKind.CONTRACT_PUBLISHED:
-            contract_id = ledger.publish_contract(
+            ledger.publish_contract(
                 payer=event.payer,
                 payee=event.payee,
                 amount=event.amount,
                 condition=event.condition,
                 deadline=event.deadline,
             )
-            if contract_id != event.contract_id:
-                raise LedgerError("replayed contract id diverged from the log")
         elif event.kind is EventKind.CLAIMED:
             ledger.claim(event.contract_id, event.witness)
         elif event.kind is EventKind.REFUNDED:
             payer = ledger.get_contract(event.contract_id).payer
             ledger.refund(event.contract_id, payer)
+        produced = [event_to_json(e) for e in ledger.read_events(before)]
+        if produced != [logged]:
+            raise LedgerError(f"log line {number} diverges from its re-execution")
     return ledger
 
 

@@ -156,14 +156,13 @@ def message_to_obj(message: ProtocolMessage) -> dict:
             "meta": message.meta,
         }
         if isinstance(message.h2, GroupPower):
-            obj["group"] = cert.group_to_obj(message.h2.element.params)
+            obj["group"] = crypto.group_name(message.h2.element.params)
         return obj
     if isinstance(message, Blind):
-        group = message.r.params
         return {
             "type": "blind",
             "r": str(message.r.value),
-            "group": cert.group_to_obj(group),
+            "group": crypto.group_name(message.r.params),
         }
     if isinstance(message, ContractRef):
         return {"type": "contract_ref", "contract_id": message.contract_id}
@@ -173,7 +172,7 @@ def message_to_obj(message: ProtocolMessage) -> dict:
 def message_from_obj(obj: dict) -> ProtocolMessage:
     kind = obj["type"]
     if kind == "offer":
-        group = cert.group_from_obj(obj["group"]) if "group" in obj else None
+        group = crypto.group_by_name(obj["group"]) if "group" in obj else None
         return Offer(
             variant=Variant(obj["variant"]),
             sigma=bytes.fromhex(obj["sigma"]),
@@ -189,8 +188,7 @@ def message_from_obj(obj: dict) -> ProtocolMessage:
             meta=obj.get("meta", ""),
         )
     if kind == "blind":
-        group = cert.group_from_obj(obj["group"])
-        return Blind(r=Scalar(int(obj["r"]), group))
+        return Blind(r=Scalar(int(obj["r"]), crypto.group_by_name(obj.get("group"))))
     if kind == "contract_ref":
         return ContractRef(contract_id=int(obj["contract_id"]))
     if kind == "abort":

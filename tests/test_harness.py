@@ -332,6 +332,25 @@ def test_config_from_dict_rejects_unknown_keys():
         config_from_dict({"variant": "v1", "payload_hex": "zz"})
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"payload_hex": 5},
+        {"price": 1.9},
+        {"price": True},
+        {"buyer_balance": 100.0},
+        {"seed": False},
+        {"payload_size": 32.5},
+        {"variant": 3},
+        {"group": ["test"]},
+    ],
+    ids=str,
+)
+def test_config_from_dict_rejects_wrongly_typed_values(overrides):
+    with pytest.raises(ConfigError):
+        config_from_dict({"variant": "v1", **overrides})
+
+
 def test_config_from_file(tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text(
@@ -413,6 +432,15 @@ def test_cli_explore_clean(tmp_path, capsys):
 
 def test_cli_config_error_exit_code(tmp_path, capsys):
     path = _write_config(tmp_path, notary_fee=60, variant="v2", price=60)
+    assert cli.main(["run", "--config", path]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides", [{"payload_hex": 5}, {"price": 1.9}, {"price": True}], ids=str
+)
+def test_cli_wrongly_typed_config_exits_2(tmp_path, capsys, overrides):
+    path = _write_config(tmp_path, **overrides)
     assert cli.main(["run", "--config", path]) == 2
     assert "config error" in capsys.readouterr().err
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -336,3 +337,36 @@ def test_replay_reconstructs_state_and_log_bytes():
     rebuilt = replay(lines)
     assert rebuilt.snapshot() == chain.snapshot()
     assert [event_to_json(e) for e in rebuilt.read_events(0)] == lines
+
+
+def _edited(lines, kind, **changes):
+    """The log with the first event of this kind rewritten, still canonical JSON."""
+    out, done = [], False
+    for line in lines:
+        obj = json.loads(line)
+        if not done and obj["kind"] == kind:
+            obj.update(changes)
+            done = True
+        out.append(json.dumps(obj, separators=(",", ":")))
+    assert done
+    return out
+
+
+def test_replay_rejects_an_edited_claim_payout():
+    lines = [event_to_json(e) for e in _busy_ledger().read_events(0)]
+    claimed = json.loads(next(line for line in lines if '"kind":"claimed"' in line))
+    payouts = [{**p, "amount": p["amount"] + 10} for p in claimed["payouts"]]
+    with pytest.raises(LedgerError, match="line 3"):
+        replay(_edited(lines, "claimed", payouts=payouts))
+
+
+def test_replay_rejects_an_edited_funded_tick():
+    lines = [event_to_json(e) for e in _busy_ledger().read_events(0)]
+    with pytest.raises(LedgerError, match="line 1"):
+        replay(_edited(lines, "funded", tick=5))
+
+
+def test_replay_rejects_a_time_advance_that_does_not_advance():
+    lines = [event_to_json(e) for e in _busy_ledger().read_events(0)]
+    with pytest.raises(LedgerError, match="line 9"):
+        replay(_edited(lines, "time_advanced", tick=0))

@@ -1,0 +1,199 @@
+"""Peer-supplied group data is checked once, at decode, and never trusted raw.
+
+Groups travel by their name in GROUPS. Decoders look the name up and never
+build group parameters from what a peer sent, and results of in-group
+arithmetic are not re-checked. The counts below shadow `pow` in the modules
+that call it, the same way the benchmark's tracer does.
+"""
+from __future__ import annotations
+
+import builtins
+import dataclasses
+import json
+import random
+
+import pytest
+
+from sedg import cert, crypto, ledger
+from sedg.crypto import MODP_2048, TEST_GROUP, DomainError
+from sedg.harness import World, make_config, run_scenario
+from sedg.ledger import condition_from_obj, witness_from_obj
+from sedg.protocol import (
+    AbortReason,
+    BuyerPolicy,
+    BuyerSession,
+    message_from_obj,
+    message_to_obj,
+)
+
+MODEXP_MIN_BITS = 1024
+LEGACY_TEST_GROUP = {"p": "23", "q": "11", "g": "2"}
+LEGACY_MODP_2048 = {"p": str(MODP_2048.p), "q": str(MODP_2048.q), "g": str(MODP_2048.g)}
+
+
+@pytest.fixture
+def pow_calls(monkeypatch):
+    """Every three-argument pow that crypto and ledger make, as (exp, mod)."""
+    calls: list[tuple[int, int]] = []
+
+    def counting_pow(base, exp, mod=None):
+        if mod is not None:
+            calls.append((exp, mod))
+        return builtins.pow(base, exp, mod)
+
+    monkeypatch.setattr(crypto, "pow", counting_pow, raising=False)
+    monkeypatch.setattr(ledger, "pow", counting_pow, raising=False)
+    return calls
+
+
+@pytest.fixture
+def groups_built(monkeypatch):
+    built: list[crypto.GroupParams] = []
+    original = crypto.GroupParams.__post_init__
+
+    def counting_post_init(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(crypto.GroupParams, "__post_init__", counting_post_init)
+    return built
+
+
+# ---------------------------------------------------------------------------
+# Modexp budget
+# ---------------------------------------------------------------------------
+
+def test_honest_modp2048_exchange_stays_within_five_modexps(pow_calls, groups_built):
+    # The essential five: the notary's g^k, the buyer's membership check on
+    # the received h2, the buyer's h2^r, the seller's recomputed h2^r, and
+    # the chain's g^x.
+    config = make_config("v3", price=60, buyer_balance=100, group_name="modp2048", seed=11)
+    report = run_scenario(config)
+    assert report.buyer_has_plaintext and report.seller_paid
+    full_size = [
+        (exp, mod) for exp, mod in pow_calls
+        if exp >= 1 and mod.bit_length() >= MODEXP_MIN_BITS
+    ]
+    assert 0 < len(full_size) <= 5
+    assert groups_built == []
+
+
+def test_group_exp_skips_rechecks_of_in_group_values(pow_calls):
+    k = crypto.Scalar(3, TEST_GROUP)
+    h = crypto.group_exp(TEST_GROUP, TEST_GROUP.g, k)  # generator: no check
+    crypto.group_exp(TEST_GROUP, h, k)  # validated element: no check
+    assert len(pow_calls) == 2
+    with pytest.raises(DomainError):
+        crypto.group_exp(TEST_GROUP, 5, k)  # any other raw base is checked
+
+
+# ---------------------------------------------------------------------------
+# Decoders reject unnamed groups before any exponentiation
+# ---------------------------------------------------------------------------
+
+def _v3_world() -> World:
+    return World(make_config("v3", price=60, buyer_balance=100, group_name="test", seed=5))
+
+
+def _offer_obj() -> dict:
+    return message_to_obj(_v3_world().seller.start())
+
+
+def _cert_obj() -> dict:
+    return json.loads(cert.certificate_to_json(_v3_world().package.certificate))
+
+
+def _with_group(obj: dict, group: object) -> dict:
+    return {**obj, "group": group}
+
+
+BAD_GROUPS = {
+    "unknown-name": "modp4096",
+    "legacy-test-params": LEGACY_TEST_GROUP,
+    "legacy-modp2048-params": LEGACY_MODP_2048,
+}
+
+
+@pytest.mark.parametrize("group", BAD_GROUPS.values(), ids=BAD_GROUPS.keys())
+def test_message_decoder_rejects_unnamed_groups(group, pow_calls, groups_built):
+    offer, blind = _offer_obj(), {"type": "blind", "r": "4", "group": "test"}
+    pow_calls.clear()
+    with pytest.raises(ValueError):
+        message_from_obj(_with_group(offer, group))
+    with pytest.raises(ValueError):
+        message_from_obj(_with_group(blind, group))
+    assert pow_calls == [] and groups_built == []
+
+
+@pytest.mark.parametrize("group", BAD_GROUPS.values(), ids=BAD_GROUPS.keys())
+def test_certificate_decoder_rejects_unnamed_groups(group, pow_calls, groups_built):
+    obj = _cert_obj()
+    pow_calls.clear()
+    with pytest.raises(ValueError):
+        cert.certificate_from_json(json.dumps(_with_group(obj, group)))
+    assert pow_calls == [] and groups_built == []
+
+
+@pytest.mark.parametrize("group", BAD_GROUPS.values(), ids=BAD_GROUPS.keys())
+def test_ledger_decoders_reject_unnamed_groups(group, pow_calls, groups_built):
+    with pytest.raises(ValueError):
+        condition_from_obj({"type": "dlog_lock", "c": "4", "group": group})
+    with pytest.raises(ValueError):
+        witness_from_obj({"type": "exponent", "x": "3", "group": group})
+    assert pow_calls == [] and groups_built == []
+
+
+def test_ledger_decoders_reject_the_old_inline_parameters(pow_calls, groups_built):
+    with pytest.raises(ValueError):
+        condition_from_obj({"type": "dlog_lock", "c": "4", **LEGACY_MODP_2048})
+    with pytest.raises(ValueError):
+        witness_from_obj({"type": "exponent", "x": "3", **LEGACY_MODP_2048})
+    assert pow_calls == [] and groups_built == []
+
+
+def test_named_groups_decode_to_the_registered_objects():
+    offer = message_from_obj(_offer_obj())
+    assert offer.h2.element.params is TEST_GROUP
+    blind = message_from_obj({"type": "blind", "r": "4", "group": "modp2048"})
+    assert blind.r.params is MODP_2048
+    condition = condition_from_obj({"type": "dlog_lock", "c": "4", "group": "test"})
+    assert condition.group is TEST_GROUP
+
+
+def test_wire_h2_outside_the_subgroup_fails_at_decode(pow_calls):
+    offer = _offer_obj()
+    # 5 generates all of Z_23*, so it has order 22 and is not in the order-11 subgroup.
+    offer["h2"] = {"tag": "group_power", "value": "5"}
+    pow_calls.clear()
+    with pytest.raises(DomainError):
+        message_from_obj(offer)
+    assert len(pow_calls) == 1  # the one membership check
+    with pytest.raises(DomainError):
+        condition_from_obj({"type": "dlog_lock", "c": "5", "group": "test"})
+
+
+# ---------------------------------------------------------------------------
+# Event log in the named-group format
+# ---------------------------------------------------------------------------
+
+def test_v3_event_log_names_its_group_and_replays_byte_for_byte(tmp_path):
+    config = make_config("v3", price=60, buyer_balance=100, group_name="modp2048", seed=12)
+    path = tmp_path / "events.jsonl"
+    report = run_scenario(config, log_path=str(path))
+    assert report.seller_paid
+    text = path.read_text()
+    assert '"group":"modp2048"' in text and '"p":' not in text
+    with open(path, encoding="utf-8") as fh:
+        rebuilt = ledger.replay(fh)
+    assert "".join(ledger.event_to_json(e) + "\n" for e in rebuilt.read_events(0)) == text
+
+
+
+def test_buyer_still_aborts_on_a_named_group_it_was_not_configured_for():
+    world = World(make_config("v3", group_name="modp2048", seed=5))
+    wire = message_to_obj(world.seller.start())
+    assert wire["group"] == "modp2048"
+    config = dataclasses.replace(world.buyer.config, group=TEST_GROUP)
+    buyer = BuyerSession(config, BuyerPolicy.HONEST, random.Random(0))
+    decision = buyer.on_offer(message_from_obj(wire), now=0)
+    assert decision.reason is AbortReason.GROUP_MISMATCH
