@@ -4,9 +4,17 @@ A World wires one seller, one buyer, and a pre-run notary setup onto a
 fresh ledger and an in-process net. Everything that can race is a
 scheduling option: message deliveries, the buyer's ledger wake-up, timer
 firings, and the placement of expiry itself. The default schedule always
-picks the first option (FIFO delivery, expiry last), while the explorer
-exhaustively enumerates every ordering up to a depth bound and evaluates
-the fairness invariants at every terminal state.
+picks the first option (FIFO delivery, expiry last); `drive` replays any
+other schedule given as option indices.
+
+`explore` checks every ordering up to a depth bound and evaluates the
+fairness invariants at every terminal state. It builds one world, walks
+the schedule tree depth-first, and checkpoints the world at each branch
+point (each layer copies its own mutable state) to restore it before the
+next alternative, so every tree node executes once and the notary setup
+runs once per exploration. `enumerate_schedules` is the generic stateless
+enumerator: it rebuilds and replays a simulation per schedule, and serves
+as the test oracle for `explore`.
 """
 from __future__ import annotations
 
@@ -15,7 +23,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Protocol, Sequence
 
-from . import cert, ledger, protocol, transport
+from . import cert, crypto, ledger, protocol, transport
 from .cert import PartyId, SellerData, Variant, notarize
 from .crypto import GROUPS, GroupParams, SigningKeyPair
 from .ledger import EventKind, Ledger, address_for, write_event_log
@@ -38,6 +46,12 @@ from .protocol import (
 
 _MAX_RUN_STEPS = 128
 
+# The offer carries the ciphertext hex-encoded in one frame. This bounds
+# everything else in that frame: envelope, ids, signature, a 2048-bit h2 in
+# decimal, and a price of up to the 4300 digits a JSON config can hold.
+_OFFER_FRAME_OVERHEAD = 64 * 1024
+MAX_PAYLOAD = (transport.MAX_FRAME - _OFFER_FRAME_OVERHEAD) // 2 - crypto.TAG_LEN
+
 NOTARY_ID = b"notary-1"
 SELLER_ID = b"seller-1"
 BUYER_ID = b"buyer-1"
@@ -49,6 +63,10 @@ class ConfigError(Exception):
 
 class DepthExceeded(Exception):
     pass
+
+
+class ScheduleError(Exception):
+    """A schedule names an option that is not open, or outlasts its run."""
 
 
 # ---------------------------------------------------------------------------
@@ -119,11 +137,11 @@ def make_config(
     if variant is Variant.V3 and group_name not in GROUPS:
         raise ConfigError(f"unknown group {group_name!r}; known: {sorted(GROUPS)}")
     if payload is None:
-        if payload_size < 1:
-            raise ConfigError("payload size must be at least 1 byte")
+        if not 1 <= payload_size <= MAX_PAYLOAD:
+            raise ConfigError(f"payload size must be between 1 and {MAX_PAYLOAD} bytes")
         payload = _rng(seed, "payload").randbytes(payload_size)
-    if not payload:
-        raise ConfigError("payload must be nonempty")
+    if not 1 <= len(payload) <= MAX_PAYLOAD:
+        raise ConfigError(f"payload must hold between 1 and {MAX_PAYLOAD} bytes")
 
     return ScenarioConfig(
         variant=variant,
@@ -339,6 +357,29 @@ class World:
         self._scan_chain()
         return label
 
+    def checkpoint(self) -> tuple:
+        """Capture everything a step can change, layer by layer."""
+        return (
+            self.ledger.checkpoint(),
+            self.net.checkpoint(),
+            self.seller.checkpoint(),
+            self.buyer.checkpoint(),
+            list(self.pending_wakes),
+            self.expired,
+            len(self.trace),
+            self._cursor,
+        )
+
+    def restore(self, saved: tuple) -> None:
+        """Return to a checkpoint; one checkpoint can be restored many times."""
+        chain, net, seller, buyer, wakes, self.expired, trace_len, self._cursor = saved
+        self.ledger.restore(chain)
+        self.net.restore(net)
+        self.seller.restore(seller)
+        self.buyer.restore(buyer)
+        self.pending_wakes = list(wakes)
+        del self.trace[trace_len:]
+
     def _actions(self) -> list[tuple[str, Callable[[], None]]]:
         actions: list[tuple[str, Callable[[], None]]] = []
         for i, env in enumerate(self.net.pending):
@@ -531,15 +572,28 @@ def drive(
     observer: Callable[[str], None] | None = None,
     max_steps: int = _MAX_RUN_STEPS,
 ) -> list[int]:
-    """Run to quiescence, following the schedule then always choosing 0."""
+    """Run to quiescence, following the schedule then always choosing 0.
+
+    Raises ScheduleError if the schedule picks an option that is not open
+    or has choices left when the run ends.
+    """
     taken: list[int] = []
     while True:
         labels = sim.options()
         if not labels:
+            if len(taken) < len(schedule):
+                raise ScheduleError(
+                    f"the run ended after {len(taken)} of the schedule's "
+                    f"{len(schedule)} choices"
+                )
             return taken
         if len(taken) >= max_steps:
             raise DepthExceeded(f"run exceeded {max_steps} scheduling choices")
         index = schedule[len(taken)] if len(taken) < len(schedule) else 0
+        if not 0 <= index < len(labels):
+            raise ScheduleError(
+                f"choice {len(taken)} is {index}, but {len(labels)} option(s) are open"
+            )
         label = labels[index]
         sim.step(index)
         taken.append(index)
@@ -602,9 +656,16 @@ def simulate(config: ScenarioConfig, schedule: Sequence[int] = ()) -> World:
 
 @dataclass(frozen=True)
 class Violation:
+    """A broken invariant and the schedule that reached it.
+
+    `schedule` holds the step labels; `choices` holds the option indices,
+    which `drive` (and `sedg run --schedule`) replays.
+    """
+
     schedule: tuple[str, ...]
     prop: str
     detail: str
+    choices: tuple[int, ...] = ()
 
 
 @dataclass
@@ -612,6 +673,7 @@ class ExplorationResult:
     schedules_explored: int
     violations: list[Violation] = field(default_factory=list)
     max_depth: int = 0
+    nodes_executed: int = 0
 
     @property
     def ok(self) -> bool:
@@ -713,22 +775,46 @@ def explore(
 ) -> ExplorationResult:
     """Exhaustively explore delivery orderings and expiry placement.
 
-    Returns every invariant violation with the schedule that produced it;
-    an empty violation list means every terminal state was fair.
+    Builds one world and walks the schedule tree depth-first, in the order
+    `enumerate_schedules` yields it. At every position with more than one
+    option it takes a checkpoint, and restores it before each alternative,
+    so every tree node executes exactly once. Returns every invariant
+    violation with the schedule that produced it; an empty violation list
+    means every terminal state was fair. Raises DepthExceeded if any run
+    needs more than `depth` choices.
     """
+    world = World(config, chain_factory() if chain_factory else None)
     result = ExplorationResult(schedules_explored=0)
-
-    def factory() -> World:
-        return World(config, chain_factory() if chain_factory else None)
-
-    for world, schedule in enumerate_schedules(factory, depth):
-        result.schedules_explored += 1
-        result.max_depth = max(result.max_depth, len(schedule))
-        for prop, detail in fairness_violations(world):
-            result.violations.append(
-                Violation(schedule=tuple(world.trace), prop=prop, detail=detail)
-            )
-    return result
+    choices: list[int] = []
+    # One entry per branch point on the current path, deepest last:
+    # (its position, its checkpoint, the alternatives still to run).
+    branches: list[tuple[int, tuple, list[int]]] = []
+    while True:
+        count = len(world.options())
+        if count:
+            if len(choices) >= depth:
+                raise DepthExceeded(f"a run exceeded the depth bound of {depth}")
+            if count > 1:
+                branches.append((len(choices), world.checkpoint(), list(range(1, count))))
+            index = 0
+        else:
+            result.schedules_explored += 1
+            result.max_depth = max(result.max_depth, len(choices))
+            for prop, detail in fairness_violations(world):
+                result.violations.append(
+                    Violation(tuple(world.trace), prop, detail, tuple(choices))
+                )
+            if not branches:
+                return result
+            position, saved, alternatives = branches[-1]
+            index = alternatives.pop()  # highest first, as the enumerator's stack pops
+            if not alternatives:
+                branches.pop()
+            world.restore(saved)
+            del choices[position:]
+        world.step(index)
+        choices.append(index)
+        result.nodes_executed += 1
 
 
 # ---------------------------------------------------------------------------

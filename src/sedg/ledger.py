@@ -372,6 +372,27 @@ class Ledger:
             "events": [event_to_json(e) for e in self._events],
         }
 
+    def checkpoint(self) -> tuple:
+        """Capture the mutable state for a later `restore`.
+
+        The log is append-only, so its length stands for it. Contracts are
+        mutable and are copied here and again on every restore.
+        """
+        contracts = {cid: replace(c) for cid, c in self._contracts.items()}
+        return (
+            dict(self._balances),
+            contracts,
+            len(self._events),
+            self._tick,
+            self._next_contract_id,
+        )
+
+    def restore(self, saved: tuple) -> None:
+        balances, contracts, event_count, self._tick, self._next_contract_id = saved
+        self._balances = dict(balances)
+        self._contracts = {cid: replace(c) for cid, c in contracts.items()}
+        del self._events[event_count:]
+
 
 # ---------------------------------------------------------------------------
 # JSON-lines event log and replay

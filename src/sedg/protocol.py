@@ -245,7 +245,26 @@ class AbortDecision:
 BuyerDecision = Union[PublishPlan, AbortDecision, None]
 
 
-class BuyerSession:
+class _Session:
+    """Checkpointing shared by both sessions.
+
+    Handlers rebind fields and never mutate a field's value in place; the
+    rng is the one exception. So a shallow copy of the fields plus the rng
+    state is a full checkpoint.
+    """
+
+    rng: random.Random
+
+    def checkpoint(self) -> tuple:
+        return dict(vars(self)), self.rng.getstate()
+
+    def restore(self, saved: tuple) -> None:
+        fields, rng_state = saved
+        vars(self).update(fields)
+        self.rng.setstate(rng_state)
+
+
+class BuyerSession(_Session):
     """The paying side: verify the offer, escrow the price, recover the key."""
 
     def __init__(self, config: BuyerConfig, policy: BuyerPolicy, rng: random.Random) -> None:
@@ -415,7 +434,7 @@ class ClaimRequest:
     witness: Witness
 
 
-class SellerSession:
+class SellerSession(_Session):
     """The selling side: make the offer, then claim by publishing the witness."""
 
     def __init__(

@@ -119,6 +119,21 @@ class InProcessNet:
         self._inboxes.setdefault(envelope.recipient, []).append(envelope)
         return envelope
 
+    def checkpoint(self) -> tuple:
+        """Capture pending envelopes, inboxes and nonces for a later `restore`."""
+        return (
+            list(self.pending),
+            {party: list(inbox) for party, inbox in self._inboxes.items()},
+            {party: dict(ep._nonces) for party, ep in self._endpoints.items()},
+        )
+
+    def restore(self, saved: tuple) -> None:
+        pending, inboxes, nonces = saved
+        self.pending = list(pending)
+        self._inboxes = {party: list(inbox) for party, inbox in inboxes.items()}
+        for party, endpoint in self._endpoints.items():
+            endpoint._nonces = dict(nonces[party])
+
     def _enqueue(self, envelope: Envelope) -> None:
         self.pending.append(envelope)
 

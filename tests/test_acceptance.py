@@ -102,7 +102,7 @@ def test_acceptance_2_fairness_exploration():
     _ok(
         2,
         f"zero violations over {schedules} schedules, "
-        f"60 policy pairs x 3 variants, {elapsed:.1f}s",
+        f"20 policy pairs x 3 variants, {elapsed:.1f}s",
     )
 
 

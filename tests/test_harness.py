@@ -1,19 +1,27 @@
 from __future__ import annotations
 
+import itertools
 import json
+from collections import Counter
 from math import factorial
 
 import pytest
 
-from sedg import cli
+from sedg import cli, crypto, harness, transport
+from sedg.cert import GroupPower, PartyId, Variant
 from sedg.harness import (
+    MAX_PAYLOAD,
     ConfigError,
     DepthExceeded,
+    ExplorationResult,
     ScenarioConfig,
+    ScheduleError,
+    Violation,
     World,
     config_from_dict,
     config_from_file,
     demo,
+    drive,
     emit_report,
     enumerate_schedules,
     explore,
@@ -23,7 +31,14 @@ from sedg.harness import (
     simulate,
 )
 from sedg.ledger import ContractState, Ledger
-from sedg.protocol import BuyerPolicy, SellerPolicy, BuyerState, SellerState
+from sedg.protocol import (
+    BuyerPolicy,
+    BuyerState,
+    Offer,
+    SellerPolicy,
+    SellerState,
+    message_to_obj,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +308,175 @@ def test_double_settlement_is_detected():
 
 
 # ---------------------------------------------------------------------------
+# The checkpointing explorer against the enumerator oracle
+# ---------------------------------------------------------------------------
+
+def _grid_configs():
+    """The acceptance-2 grid: 3 variants x 20 policy pairs on the test group."""
+    for variant in ("v1", "v2", "v3"):
+        for seller_policy, buyer_policy in itertools.product(SellerPolicy, BuyerPolicy):
+            yield make_config(
+                variant,
+                price=100,
+                buyer_balance=150,
+                notary_fee=10 if variant == "v2" else None,
+                seed=11,
+                seller_policy=seller_policy,
+                buyer_policy=buyer_policy,
+            )
+
+
+def _oracle(config, chain_factory=None, depth=12):
+    """What explore must report, from the stateless enumerator."""
+    schedules, max_depth, violations = 0, 0, []
+
+    def factory():
+        return World(config, chain_factory() if chain_factory else None)
+
+    for world, schedule in enumerate_schedules(factory, depth):
+        schedules += 1
+        max_depth = max(max_depth, len(schedule))
+        violations += [
+            (tuple(world.trace), prop, detail, schedule)
+            for prop, detail in fairness_violations(world)
+        ]
+    return schedules, max_depth, violations
+
+
+@pytest.mark.parametrize(
+    "chain_factory",
+    [None, AcceptAnyWitnessLedger, DoubleSettleLedger],
+    ids=["honest-chain", "accept-any-witness", "double-settle"],
+)
+def test_explore_matches_the_enumerator_oracle(chain_factory):
+    found = 0
+    for config in _grid_configs():
+        result = explore(config, depth=12, chain_factory=chain_factory)
+        got = (
+            result.schedules_explored,
+            result.max_depth,
+            [(v.schedule, v.prop, v.detail, v.choices) for v in result.violations],
+        )
+        name = f"{config.variant.value} {config.seller_policy.value} x {config.buyer_policy.value}"
+        assert got == _oracle(config, chain_factory), name
+        found += len(result.violations)
+    # the faulty chain must give the comparison violations to agree on
+    assert (found > 0) == (chain_factory is AcceptAnyWitnessLedger)
+
+
+def _branchy_v3_config():
+    return make_config(
+        "v3",
+        price=100,
+        buyer_balance=150,
+        seed=11,
+        seller_policy="withhold_key",
+        buyer_policy="refund_eagerly",
+    )
+
+
+def test_explore_executes_each_tree_node_once(monkeypatch):
+    config = _branchy_v3_config()
+    runs = list(enumerate_schedules(lambda: World(config), depth=12))
+    prefixes = {schedule[:k] for _, schedule in runs for k in range(1, len(schedule) + 1)}
+    calls = Counter()
+    terminals = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(World, "step", counting("step", World.step))
+    monkeypatch.setattr(World, "__init__", counting("world", World.__init__))
+    monkeypatch.setattr(harness, "notarize", counting("notarize", harness.notarize))
+    check = harness.fairness_violations
+    monkeypatch.setattr(
+        harness,
+        "fairness_violations",
+        lambda world: terminals.append(tuple(world.trace)) or check(world),
+    )
+    result = explore(config, depth=12)
+    # the terminal states come in the enumerator's order
+    assert terminals == [tuple(world.trace) for world, _ in runs]
+    assert result.schedules_explored == 12
+    assert calls["step"] == result.nodes_executed == len(prefixes)
+    assert calls["world"] == 1
+    assert calls["notarize"] == 1
+
+
+def _world_state(world):
+    """Everything a step may change, compared by value."""
+    return (
+        world.ledger.snapshot(),
+        dict(vars(world.seller)),
+        world.seller.rng.getstate(),
+        dict(vars(world.buyer)),
+        world.buyer.rng.getstate(),
+        list(world.net.pending),
+        {party: list(inbox) for party, inbox in world.net._inboxes.items()},
+        {party: dict(ep._nonces) for party, ep in world.net._endpoints.items()},
+        list(world.pending_wakes),
+        world.expired,
+        list(world.trace),
+        world._cursor,
+    )
+
+
+def test_checkpoint_step_restore_round_trip_at_every_node():
+    config = _branchy_v3_config()
+    prefixes = {
+        schedule[:k]
+        for _, schedule in enumerate_schedules(lambda: World(config), depth=12)
+        for k in range(len(schedule))
+    }
+    for prefix in sorted(prefixes):
+        world = World(config)
+        for index in prefix:
+            world.step(index)
+        before = _world_state(world)
+        saved = world.checkpoint()
+        for index in range(len(world.options())):
+            world.step(index)
+            world.restore(saved)
+            assert _world_state(world) == before, (prefix, index)
+
+
+def test_violations_replay_by_index():
+    replayed = 0
+    for variant in ("v1", "v2", "v3"):
+        for buyer_policy in BuyerPolicy:
+            config = make_config(
+                variant,
+                price=60,
+                buyer_balance=100,
+                seller_policy=SellerPolicy.CLAIM_WRONG_WITNESS,
+                buyer_policy=buyer_policy,
+                seed=8,
+            )
+            result = explore(config, depth=12, chain_factory=AcceptAnyWitnessLedger)
+            for violation in result.violations:
+                world = World(config, AcceptAnyWitnessLedger())
+                assert drive(world, violation.choices) == list(violation.choices)
+                assert tuple(world.trace) == violation.schedule
+                assert (violation.prop, violation.detail) in fairness_violations(world)
+                replayed += 1
+    assert replayed > 0
+
+
+def test_drive_rejects_unusable_schedules():
+    config = make_config("v1", price=60, buyer_balance=100, seed=42)
+    with pytest.raises(ScheduleError):
+        drive(World(config), [5])
+    with pytest.raises(ScheduleError):
+        drive(World(config), [-1])
+    with pytest.raises(ScheduleError):
+        drive(World(config), [0] * 20)  # outlasts the run
+
+
+# ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
 
@@ -313,6 +497,35 @@ def test_config_validation_errors():
         make_config("v1", deadline_offset=0)
     with pytest.raises(ConfigError):
         make_config("v1", seller_policy="bribe_the_notary")
+
+
+def test_payload_bounded_by_the_offer_frame():
+    with pytest.raises(ConfigError):
+        make_config("v1", payload_size=MAX_PAYLOAD + 1)
+    with pytest.raises(ConfigError):
+        make_config("v1", payload=bytes(MAX_PAYLOAD + 1))
+    assert len(make_config("v1", payload=bytes(MAX_PAYLOAD)).payload) == MAX_PAYLOAD
+
+
+def test_largest_payload_offer_fits_one_frame():
+    # Worst case for everything beside the ciphertext: a 2048-bit h2 and a
+    # price of the 4300 digits a JSON config can hold.
+    group = crypto.GROUPS["modp2048"]
+    offer = Offer(
+        variant=Variant.V3,
+        sigma=bytes(64),
+        ciphertext=crypto.Ciphertext(
+            nonce=bytes(crypto.NONCE_LEN), body=bytes(MAX_PAYLOAD + crypto.TAG_LEN)
+        ),
+        h1=bytes(32),
+        h2=GroupPower(crypto.GroupElement(pow(group.g, group.q - 1, group.p), group)),
+        seller_id=PartyId(bytes(64)),
+        notary_id=PartyId(bytes(64)),
+        price=10**4299,
+        meta="scenario",
+    )
+    envelope = transport.Envelope(bytes(64), bytes(64), 2**63, message_to_obj(offer))
+    assert len(transport.frame_encode(envelope)) <= transport.MAX_FRAME + 4
 
 
 def test_config_defaults():
@@ -428,6 +641,74 @@ def test_cli_explore_clean(tmp_path, capsys):
     path = _write_config(tmp_path)
     assert cli.main(["explore", "--config", path, "--depth", "12"]) == 0
     assert "0 violation(s)" in capsys.readouterr().out
+
+
+def test_cli_oversized_payload_exits_2(tmp_path, capsys):
+    path = _write_config(tmp_path, payload_size=9_000_000)
+    assert cli.main(["explore", "--config", path]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_cli_unwritable_out_exits_2(tmp_path, capsys):
+    path = _write_config(tmp_path)
+    out = tmp_path / "no-such-dir" / "events.jsonl"
+    assert cli.main(["run", "--config", path, "--out", str(out)]) == 2
+    assert "cannot write the event log" in capsys.readouterr().err
+
+
+def test_cli_run_replays_a_schedule(tmp_path, capsys):
+    path = _write_config(tmp_path, seed=42)
+    assert cli.main(["run", "--config", path, "--schedule", "0,1"]) == 0
+    assert "buyer:  refunded" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("schedule", ["5", "0,-1", "0,0,0,0,0,0,0,0,0,0"])
+def test_cli_unusable_schedule_exits_2(tmp_path, capsys, schedule):
+    path = _write_config(tmp_path)
+    assert cli.main(["run", "--config", path, "--schedule", schedule]) == 2
+    assert "error" in capsys.readouterr().err
+
+
+def test_cli_malformed_schedule_is_a_usage_error(tmp_path, capsys):
+    path = _write_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--config", path, "--schedule", "a,b"])
+    assert exc.value.code == 2
+
+
+def test_cli_explore_json(tmp_path, capsys):
+    path = _write_config(tmp_path)
+    assert cli.main(["explore", "--config", path, "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    expected = explore(config_from_file(path), depth=12)
+    assert report["schedules"] == expected.schedules_explored
+    assert report["nodes_executed"] == expected.nodes_executed
+    assert report["max_depth"] == expected.max_depth
+    assert report["violations"] == []
+    assert report["wall_s"] >= 0
+
+
+def _rigged_explore(monkeypatch):
+    rigged = ExplorationResult(schedules_explored=1)
+    rigged.violations.append(
+        Violation(
+            schedule=("deliver:offer:seller->buyer", "expire", "timers"),
+            prop="atomicity",
+            detail="forced for the test",
+            choices=(0, 2, 1),
+        )
+    )
+    monkeypatch.setattr(harness, "explore", lambda config, depth: rigged)
+
+
+def test_cli_explore_prints_replayable_choices(tmp_path, capsys, monkeypatch):
+    _rigged_explore(monkeypatch)
+    assert cli.main(["explore", "--config", _write_config(tmp_path)]) == 1
+    assert "replay: --schedule 0,2,1" in capsys.readouterr().out
+    assert cli.main(["explore", "--config", _write_config(tmp_path), "--json"]) == 1
+    (violation,) = json.loads(capsys.readouterr().out)["violations"]
+    assert violation["choices"] == [0, 2, 1]
+    assert violation["prop"] == "atomicity"
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):
