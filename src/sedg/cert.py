@@ -4,10 +4,13 @@ The notary validates seller data, encrypts it under a fresh key, commits to
 ciphertext and key, signs the commitments together with the seller identity,
 and hands the whole package to the seller. Buyers later verify such
 certificates against a static registry of trusted notary keys.
+
+A certificate carries nothing that can be derived: its variant and, for the
+dlog variant, its group both follow from the commitment `h2`. Its fields
+reach the buyer inside an offer, encoded by `codec`.
 """
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -127,11 +130,15 @@ class Certificate:
     seller_id: PartyId
     notary_id: PartyId
     sigma: bytes
-    group: GroupParams | None = None
 
     @property
     def variant(self) -> Variant:
         return commitment_variant(self.h2)
+
+    @property
+    def group(self) -> GroupParams | None:
+        """The dlog variant's group, which its commitment names; else None."""
+        return self.h2.element.params if isinstance(self.h2, GroupPower) else None
 
 
 @dataclass(frozen=True)
@@ -152,14 +159,6 @@ def signing_payload(variant: Variant, h1: bytes, h2: Commitment2, seller_id: Par
     return crypto.canonical_encode(
         [variant.value.encode("ascii"), h1, encode_commitment(h2), seller_id.id]
     )
-
-
-def package_is_consistent(package: CertificatePackage) -> bool:
-    """Internal consistency: h1 binds the ciphertext and the key opens h2."""
-    cert = package.certificate
-    if crypto.sha256(package.ciphertext.encoded()) != cert.h1:
-        return False
-    return commitment_opens(cert.h2, package.key, cert.notary_id.id)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +227,6 @@ def notarize(
         seller_id=data.seller,
         notary_id=notary_id,
         sigma=sigma,
-        group=group if variant is Variant.V3 else None,
     )
     return CertificatePackage(key=key, ciphertext=ciphertext, certificate=certificate)
 
@@ -274,56 +272,3 @@ def verify_certificate(
     if cert.seller_id.id != claimed_seller.id:
         return VerificationResult(False, RejectReason.SELLER_MISMATCH)
     return VerificationResult(True)
-
-
-# ---------------------------------------------------------------------------
-# JSON serialization (hex for bytes, decimal strings for big integers, groups
-# by their name in GROUPS)
-# ---------------------------------------------------------------------------
-
-def commitment_to_obj(h2: Commitment2) -> dict:
-    if isinstance(h2, HashOfKey):
-        return {"tag": "hash_of_key", "value": h2.digest.hex()}
-    if isinstance(h2, HashOfKeyAndNotary):
-        return {"tag": "hash_of_key_and_notary", "value": h2.digest.hex()}
-    return {"tag": "group_power", "value": str(h2.element.value)}
-
-
-def commitment_from_obj(obj: dict, group: GroupParams | None) -> Commitment2:
-    tag = obj["tag"]
-    if tag == "hash_of_key":
-        return HashOfKey(bytes.fromhex(obj["value"]))
-    if tag == "hash_of_key_and_notary":
-        return HashOfKeyAndNotary(bytes.fromhex(obj["value"]))
-    if tag == "group_power":
-        if group is None:
-            raise ValueError("a group_power commitment needs a group name")
-        return GroupPower(GroupElement(int(obj["value"]), group))
-    raise ValueError(f"unknown commitment tag {tag!r}")
-
-
-def certificate_to_json(cert: Certificate) -> str:
-    obj = {
-        "variant": cert.variant.value,
-        "h1": cert.h1.hex(),
-        "h2": commitment_to_obj(cert.h2),
-        "seller_id": cert.seller_id.id.hex(),
-        "notary_id": cert.notary_id.id.hex(),
-        "sigma": cert.sigma.hex(),
-    }
-    if cert.group is not None:
-        obj["group"] = crypto.group_name(cert.group)
-    return json.dumps(obj, separators=(",", ":"))
-
-
-def certificate_from_json(text: str) -> Certificate:
-    obj = json.loads(text)
-    group = crypto.group_by_name(obj["group"]) if "group" in obj else None
-    return Certificate(
-        h1=bytes.fromhex(obj["h1"]),
-        h2=commitment_from_obj(obj["h2"], group),
-        seller_id=PartyId(bytes.fromhex(obj["seller_id"])),
-        notary_id=PartyId(bytes.fromhex(obj["notary_id"])),
-        sigma=bytes.fromhex(obj["sigma"]),
-        group=group,
-    )

@@ -34,8 +34,12 @@ class AuthenticationFailure(Exception):
     """Decryption rejected: wrong key, wrong nonce, or tampered ciphertext."""
 
 
-class DomainError(Exception):
-    """A group operand is outside the prime-order subgroup."""
+class DomainError(ValueError):
+    """A group operand is outside the prime-order subgroup.
+
+    A `ValueError`, so a decoder that rejects bad input with `ValueError`
+    keeps that contract when the bad input is an element.
+    """
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,13 @@ as the test oracle for `explore`.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Protocol, Sequence
 
-from . import cert, crypto, ledger, protocol, transport
+from . import cert, codec, crypto, ledger, protocol, transport
 from .cert import PartyId, SellerData, Variant, notarize
 from .crypto import GROUPS, GroupParams, SigningKeyPair
 from .ledger import EventKind, Ledger, address_for, write_event_log
@@ -157,59 +158,42 @@ def make_config(
     )
 
 
-_CONFIG_KEYS = {
-    "variant",
-    "price",
-    "buyer_balance",
-    "deadline_offset",
-    "notary_fee",
-    "group",
-    "seller_policy",
-    "buyer_policy",
-    "seed",
-    "payload_hex",
-    "payload_size",
-}
-_STRING_KEYS = ("variant", "group", "seller_policy", "buyer_policy", "payload_hex")
-_INTEGER_KEYS = ("price", "buyer_balance", "deadline_offset", "notary_fee", "seed", "payload_size")
+@dataclass(frozen=True)
+class ScenarioFile:
+    """The keys a scenario JSON file may hold: `make_config`'s arguments.
+
+    `codec` decodes it, so unknown keys, a float or bool where an integer
+    belongs, and bad hex are rejected as on the wire.
+    """
+
+    variant: str
+    price: int = 60
+    buyer_balance: int | None = None
+    deadline_offset: int = 100
+    notary_fee: int | None = None
+    group: str = "test"
+    seller_policy: str = "honest"
+    buyer_policy: str = "honest"
+    seed: int = 0
+    payload_hex: bytes | None = None
+    payload_size: int = 32
 
 
-def config_from_dict(obj: dict) -> ScenarioConfig:
-    if not isinstance(obj, dict):
-        raise ConfigError("config must be a JSON object")
-    unknown = set(obj) - _CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if "variant" not in obj:
-        raise ConfigError("config requires a 'variant'")
-    for key in _STRING_KEYS:
-        if key in obj and not isinstance(obj[key], str):
-            raise ConfigError(f"{key} must be a string, not {obj[key]!r}")
-    for key in _INTEGER_KEYS:
-        # int() would truncate 1.9 and accept true as 1.
-        if isinstance(obj.get(key), (bool, float)):
-            raise ConfigError(f"{key} must be an integer, not {obj[key]!r}")
-    payload = None
-    if "payload_hex" in obj:
-        try:
-            payload = bytes.fromhex(obj["payload_hex"])
-        except ValueError as exc:
-            raise ConfigError(f"bad payload_hex: {exc}") from exc
+def config_from_dict(obj: object) -> ScenarioConfig:
     try:
+        file = codec.decoder(ScenarioFile)(obj)
         return make_config(
-            obj["variant"],
-            price=int(obj.get("price", 60)),
-            buyer_balance=(
-                int(obj["buyer_balance"]) if "buyer_balance" in obj else None
-            ),
-            deadline_offset=int(obj.get("deadline_offset", 100)),
-            notary_fee=int(obj["notary_fee"]) if "notary_fee" in obj else None,
-            group_name=obj.get("group", "test"),
-            seller_policy=obj.get("seller_policy", "honest"),
-            buyer_policy=obj.get("buyer_policy", "honest"),
-            seed=int(obj.get("seed", 0)),
-            payload=payload,
-            payload_size=int(obj.get("payload_size", 32)),
+            file.variant,
+            price=file.price,
+            buyer_balance=file.buyer_balance,
+            deadline_offset=file.deadline_offset,
+            notary_fee=file.notary_fee,
+            group_name=file.group,
+            seller_policy=file.seller_policy,
+            buyer_policy=file.buyer_policy,
+            seed=file.seed,
+            payload=file.payload_hex,
+            payload_size=file.payload_size,
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -221,7 +205,7 @@ def config_from_file(path: str) -> ScenarioConfig:
             obj = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deep is not valid either
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return config_from_dict(obj)
 
@@ -238,23 +222,7 @@ def _rng(seed: int, role: str) -> random.Random:
 def emit_report(report: ScenarioReport, fmt: str = "json") -> bytes:
     """Render a report with a stable field order, as JSON or plain text."""
     if fmt == "json":
-        obj = {
-            "variant": report.variant,
-            "seed": report.seed,
-            "seller_state": report.seller_state,
-            "buyer_state": report.buyer_state,
-            "buyer_has_plaintext": report.buyer_has_plaintext,
-            "seller_paid": report.seller_paid,
-            "notary_paid": report.notary_paid,
-            "buyer_refunded": report.buyer_refunded,
-            "buyer_decrypt_failed": report.buyer_decrypt_failed,
-            "abort_reason": report.abort_reason,
-            "balances": {k: report.balances[k] for k in ("buyer", "seller", "notary")},
-            "price": report.price,
-            "event_count": report.event_count,
-            "event_log_path": report.event_log_path,
-        }
-        return json.dumps(obj, separators=(",", ":")).encode("utf-8")
+        return codec.dumps(dataclasses.asdict(report)).encode("utf-8")
     if fmt == "text":
         lines = [
             f"scenario: {report.variant}  seed={report.seed}  price={report.price}",

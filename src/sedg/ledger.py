@@ -4,6 +4,10 @@ A single serialized state machine. Every operation either completes
 atomically or raises and leaves no trace. The append-only event log is what
 "on-chain" means here: all parties can read it, including published
 witnesses. Time is a logical tick counter advanced explicitly.
+
+The log is written as JSON lines, one event per line, in the format `codec`
+derives from `LedgerEvent`; `replay` rebuilds a ledger from such a log and
+verifies every line against its re-execution.
 """
 from __future__ import annotations
 
@@ -12,7 +16,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Union
 
-from . import crypto
+from . import codec, crypto
 from .crypto import GroupElement, GroupParams, Scalar
 
 ADDRESS_LEN = 32
@@ -398,112 +402,26 @@ class Ledger:
 # JSON-lines event log and replay
 # ---------------------------------------------------------------------------
 
-def condition_to_obj(condition: Condition) -> dict:
-    if isinstance(condition, HashLock):
-        return {"type": "hash_lock", "h2": condition.h2.hex()}
-    if isinstance(condition, NotaryHashLock):
-        return {
-            "type": "notary_hash_lock",
-            "h2": condition.h2.hex(),
-            "notary": condition.notary.hex(),
-            "fee": condition.fee,
-        }
-    return {
-        "type": "dlog_lock",
-        "c": str(condition.c.value),
-        "group": crypto.group_name(condition.group),
-    }
-
-
-def condition_from_obj(obj: dict) -> Condition:
-    kind = obj["type"]
-    if kind == "hash_lock":
-        return HashLock(h2=bytes.fromhex(obj["h2"]))
-    if kind == "notary_hash_lock":
-        return NotaryHashLock(
-            h2=bytes.fromhex(obj["h2"]),
-            notary=bytes.fromhex(obj["notary"]),
-            fee=int(obj["fee"]),
-        )
-    if kind == "dlog_lock":
-        group = crypto.group_by_name(obj.get("group"))
-        return DlogLock(c=GroupElement(int(obj["c"]), group))
-    raise ValueError(f"unknown condition type {kind!r}")
-
-
-def witness_to_obj(witness: Witness) -> dict:
-    if isinstance(witness, Preimage):
-        return {"type": "preimage", "x": witness.x.hex()}
-    if isinstance(witness, PreimageWithNotary):
-        return {
-            "type": "preimage_with_notary",
-            "x": witness.x.hex(),
-            "notary_id": witness.notary_id.hex(),
-        }
-    return {
-        "type": "exponent",
-        "x": str(witness.x.value),
-        "group": crypto.group_name(witness.x.params),
-    }
-
-
-def witness_from_obj(obj: dict) -> Witness:
-    kind = obj["type"]
-    if kind == "preimage":
-        return Preimage(x=bytes.fromhex(obj["x"]))
-    if kind == "preimage_with_notary":
-        return PreimageWithNotary(
-            x=bytes.fromhex(obj["x"]),
-            notary_id=bytes.fromhex(obj["notary_id"]),
-        )
-    if kind == "exponent":
-        group = crypto.group_by_name(obj.get("group"))
-        return Exponent(x=Scalar(int(obj["x"]), group))
-    raise ValueError(f"unknown witness type {kind!r}")
-
-
 def event_to_json(event: LedgerEvent) -> str:
-    obj: dict = {"seq": event.seq, "tick": event.tick, "kind": event.kind.value}
-    if event.contract_id is not None:
-        obj["contract_id"] = event.contract_id
-    if event.account is not None:
-        obj["account"] = event.account.hex()
-    if event.amount is not None:
-        obj["amount"] = event.amount
-    if event.payer is not None:
-        obj["payer"] = event.payer.hex()
-    if event.payee is not None:
-        obj["payee"] = event.payee.hex()
-    if event.deadline is not None:
-        obj["deadline"] = event.deadline
-    if event.condition is not None:
-        obj["condition"] = condition_to_obj(event.condition)
-    if event.witness is not None:
-        obj["witness"] = witness_to_obj(event.witness)
-    if event.payouts:
-        obj["payouts"] = [{"to": p.to.hex(), "amount": p.amount} for p in event.payouts]
-    return json.dumps(obj, separators=(",", ":"))
+    return codec.dumps(_encode_event(event))
 
 
 def event_from_json(line: str) -> LedgerEvent:
-    obj = json.loads(line)
-    return LedgerEvent(
-        seq=int(obj["seq"]),
-        tick=int(obj["tick"]),
-        kind=EventKind(obj["kind"]),
-        contract_id=obj.get("contract_id"),
-        account=bytes.fromhex(obj["account"]) if "account" in obj else None,
-        amount=obj.get("amount"),
-        payer=bytes.fromhex(obj["payer"]) if "payer" in obj else None,
-        payee=bytes.fromhex(obj["payee"]) if "payee" in obj else None,
-        deadline=obj.get("deadline"),
-        condition=condition_from_obj(obj["condition"]) if "condition" in obj else None,
-        witness=witness_from_obj(obj["witness"]) if "witness" in obj else None,
-        payouts=tuple(
-            Payout(to=bytes.fromhex(p["to"]), amount=int(p["amount"]))
-            for p in obj.get("payouts", ())
-        ),
-    )
+    """Decode one log line; raises ValueError on anything malformed."""
+    return _decode_event(json.loads(line))
+
+
+_encode_event = codec.encoder(LedgerEvent)
+_decode_event = codec.decoder(LedgerEvent)
+
+# The fields `replay` re-executes each kind of event from.
+_REPLAYED_FIELDS = {
+    EventKind.FUNDED: ("account", "amount"),
+    EventKind.CONTRACT_PUBLISHED: ("payer", "payee", "amount", "condition", "deadline"),
+    EventKind.CLAIMED: ("contract_id", "witness"),
+    EventKind.REFUNDED: ("contract_id",),
+    EventKind.TIME_ADVANCED: (),
+}
 
 
 def replay(lines: Iterable[str]) -> Ledger:
@@ -511,30 +429,43 @@ def replay(lines: Iterable[str]) -> Ledger:
 
     Each line must be exactly the event its re-execution appends, so an
     edited payout, tick or id raises LedgerError at the first divergent line
-    and the rebuilt log is byte-identical to the input.
+    and the rebuilt log is byte-identical to the input. A line that does not
+    decode, lacks a field its kind needs, or cannot be re-executed raises
+    LedgerError naming its number too.
     """
     ledger = Ledger()
     for number, line in enumerate(lines, 1):
         logged = line.rstrip("\n")
-        event = event_from_json(logged)
-        before = len(ledger._events)
-        if event.kind is EventKind.FUNDED:
-            ledger.fund(event.account, event.amount)
-        elif event.kind is EventKind.TIME_ADVANCED:
-            ledger.advance_time(event.tick - ledger.current_tick)
-        elif event.kind is EventKind.CONTRACT_PUBLISHED:
-            ledger.publish_contract(
-                payer=event.payer,
-                payee=event.payee,
-                amount=event.amount,
-                condition=event.condition,
-                deadline=event.deadline,
+        try:
+            event = event_from_json(logged)
+        except (ValueError, RecursionError) as exc:
+            raise LedgerError(f"log line {number} cannot be decoded: {exc}") from exc
+        missing = [name for name in _REPLAYED_FIELDS[event.kind] if getattr(event, name) is None]
+        if missing:
+            raise LedgerError(
+                f"log line {number}: a {event.kind.value} event needs {', '.join(missing)}"
             )
-        elif event.kind is EventKind.CLAIMED:
-            ledger.claim(event.contract_id, event.witness)
-        elif event.kind is EventKind.REFUNDED:
-            payer = ledger.get_contract(event.contract_id).payer
-            ledger.refund(event.contract_id, payer)
+        before = len(ledger._events)
+        try:
+            if event.kind is EventKind.FUNDED:
+                ledger.fund(event.account, event.amount)
+            elif event.kind is EventKind.TIME_ADVANCED:
+                ledger.advance_time(event.tick - ledger.current_tick)
+            elif event.kind is EventKind.CONTRACT_PUBLISHED:
+                ledger.publish_contract(
+                    payer=event.payer,
+                    payee=event.payee,
+                    amount=event.amount,
+                    condition=event.condition,
+                    deadline=event.deadline,
+                )
+            elif event.kind is EventKind.CLAIMED:
+                ledger.claim(event.contract_id, event.witness)
+            else:
+                payer = ledger.get_contract(event.contract_id).payer
+                ledger.refund(event.contract_id, payer)
+        except LedgerError as exc:
+            raise LedgerError(f"log line {number} cannot be re-executed: {exc}") from exc
         produced = [event_to_json(e) for e in ledger.read_events(before)]
         if produced != [logged]:
             raise LedgerError(f"log line {number} diverges from its re-execution")

@@ -15,9 +15,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Union
+from typing import ClassVar, Mapping, Union
 
-from . import cert, crypto, ledger
+from . import cert, codec, crypto, ledger
 from .cert import (
     Certificate,
     CertificatePackage,
@@ -91,23 +91,18 @@ class AbortReason(Enum):
     INSUFFICIENT_FUNDS = "insufficient_funds"
 
 
-_REJECT_TO_ABORT = {
-    cert.RejectReason.UNKNOWN_NOTARY: AbortReason.UNKNOWN_NOTARY,
-    cert.RejectReason.BAD_SIGNATURE: AbortReason.BAD_SIGNATURE,
-    cert.RejectReason.CIPHERTEXT_MISMATCH: AbortReason.CIPHERTEXT_MISMATCH,
-    cert.RejectReason.SELLER_MISMATCH: AbortReason.SELLER_MISMATCH,
-}
-
-
 # ---------------------------------------------------------------------------
 # Off-chain messages
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Offer:
-    """Everything the buyer needs to verify the certificate and decide to pay."""
+    """Everything the buyer needs to verify the certificate and decide to pay.
 
-    variant: Variant
+    The variant is not a field: it is `commitment_variant(h2)`, so an offer
+    cannot claim one flavour while committing in another.
+    """
+
     sigma: bytes
     ciphertext: Ciphertext
     h1: bytes
@@ -132,6 +127,8 @@ class ContractRef:
 
 @dataclass(frozen=True)
 class AbortMessage:
+    wire_tag: ClassVar[str] = "abort"
+
     reason: str
 
 
@@ -139,61 +136,16 @@ ProtocolMessage = Union[Offer, Blind, ContractRef, AbortMessage]
 
 
 def message_to_obj(message: ProtocolMessage) -> dict:
-    if isinstance(message, Offer):
-        obj = {
-            "type": "offer",
-            "variant": message.variant.value,
-            "sigma": message.sigma.hex(),
-            "ciphertext": {
-                "nonce": message.ciphertext.nonce.hex(),
-                "body": message.ciphertext.body.hex(),
-            },
-            "h1": message.h1.hex(),
-            "h2": cert.commitment_to_obj(message.h2),
-            "seller_id": message.seller_id.id.hex(),
-            "notary_id": message.notary_id.id.hex(),
-            "price": message.price,
-            "meta": message.meta,
-        }
-        if isinstance(message.h2, GroupPower):
-            obj["group"] = crypto.group_name(message.h2.element.params)
-        return obj
-    if isinstance(message, Blind):
-        return {
-            "type": "blind",
-            "r": str(message.r.value),
-            "group": crypto.group_name(message.r.params),
-        }
-    if isinstance(message, ContractRef):
-        return {"type": "contract_ref", "contract_id": message.contract_id}
-    return {"type": "abort", "reason": message.reason}
+    return _encode_message(message)
 
 
-def message_from_obj(obj: dict) -> ProtocolMessage:
-    kind = obj["type"]
-    if kind == "offer":
-        group = crypto.group_by_name(obj["group"]) if "group" in obj else None
-        return Offer(
-            variant=Variant(obj["variant"]),
-            sigma=bytes.fromhex(obj["sigma"]),
-            ciphertext=Ciphertext(
-                nonce=bytes.fromhex(obj["ciphertext"]["nonce"]),
-                body=bytes.fromhex(obj["ciphertext"]["body"]),
-            ),
-            h1=bytes.fromhex(obj["h1"]),
-            h2=cert.commitment_from_obj(obj["h2"], group),
-            seller_id=PartyId(bytes.fromhex(obj["seller_id"])),
-            notary_id=PartyId(bytes.fromhex(obj["notary_id"])),
-            price=int(obj["price"]),
-            meta=obj.get("meta", ""),
-        )
-    if kind == "blind":
-        return Blind(r=Scalar(int(obj["r"]), crypto.group_by_name(obj.get("group"))))
-    if kind == "contract_ref":
-        return ContractRef(contract_id=int(obj["contract_id"]))
-    if kind == "abort":
-        return AbortMessage(reason=obj["reason"])
-    raise ValueError(f"unknown message type {kind!r}")
+def message_from_obj(obj: object) -> ProtocolMessage:
+    """Decode a peer's message; raises ValueError on anything malformed."""
+    return _decode_message(obj)
+
+
+_encode_message = codec.encoder(ProtocolMessage)
+_decode_message = codec.decoder(ProtocolMessage)
 
 
 # ---------------------------------------------------------------------------
@@ -292,12 +244,7 @@ class BuyerSession(_Session):
 
         if offer.price != self.config.price:
             return self._abort(AbortReason.PRICE_MISMATCH)
-        # The commitment type is what the condition will be built from, so a
-        # lying variant field must not be able to downgrade the session.
-        if (
-            offer.variant is not self.config.variant
-            or cert.commitment_variant(offer.h2) is not self.config.variant
-        ):
+        if cert.commitment_variant(offer.h2) is not self.config.variant:
             return self._abort(AbortReason.VARIANT_MISMATCH)
         certificate = Certificate(
             h1=offer.h1,
@@ -305,13 +252,13 @@ class BuyerSession(_Session):
             seller_id=offer.seller_id,
             notary_id=offer.notary_id,
             sigma=offer.sigma,
-            group=offer.h2.element.params if isinstance(offer.h2, GroupPower) else None,
         )
         verdict = cert.verify_certificate(
             certificate, self.config.trusted_notaries, self.config.seller, offer.ciphertext
         )
         if not verdict:
-            return self._abort(_REJECT_TO_ABORT[verdict.reason])
+            # Every certificate rejection has the abort reason of the same value.
+            return self._abort(AbortReason(verdict.reason.value))
         if isinstance(offer.h2, GroupPower) and offer.h2.element.params != self.config.group:
             return self._abort(AbortReason.GROUP_MISMATCH)
         self.state = BuyerState.VERIFIED
@@ -476,7 +423,6 @@ class SellerSession(_Session):
             h2 = self._mismatched_h2()
         self.state = SellerState.OFFER_SENT
         return Offer(
-            variant=self.variant,
             sigma=certificate.sigma,
             ciphertext=ciphertext,
             h1=certificate.h1,

@@ -8,7 +8,7 @@ from math import factorial
 import pytest
 
 from sedg import cli, crypto, harness, transport
-from sedg.cert import GroupPower, PartyId, Variant
+from sedg.cert import GroupPower, PartyId
 from sedg.harness import (
     MAX_PAYLOAD,
     ConfigError,
@@ -417,7 +417,6 @@ def _world_state(world):
         world.buyer.rng.getstate(),
         list(world.net.pending),
         {party: list(inbox) for party, inbox in world.net._inboxes.items()},
-        {party: dict(ep._nonces) for party, ep in world.net._endpoints.items()},
         list(world.pending_wakes),
         world.expired,
         list(world.trace),
@@ -512,7 +511,6 @@ def test_largest_payload_offer_fits_one_frame():
     # price of the 4300 digits a JSON config can hold.
     group = crypto.GROUPS["modp2048"]
     offer = Offer(
-        variant=Variant.V3,
         sigma=bytes(64),
         ciphertext=crypto.Ciphertext(
             nonce=bytes(crypto.NONCE_LEN), body=bytes(MAX_PAYLOAD + crypto.TAG_LEN)
@@ -524,7 +522,7 @@ def test_largest_payload_offer_fits_one_frame():
         price=10**4299,
         meta="scenario",
     )
-    envelope = transport.Envelope(bytes(64), bytes(64), 2**63, message_to_obj(offer))
+    envelope = transport.Envelope(bytes(64), bytes(64), message_to_obj(offer))
     assert len(transport.frame_encode(envelope)) <= transport.MAX_FRAME + 4
 
 
@@ -585,6 +583,9 @@ def test_config_from_file(tmp_path):
         config_from_file(str(tmp_path / "missing.json"))
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
+    with pytest.raises(ConfigError):
+        config_from_file(str(bad))
+    bad.write_text("[" * 100_000)  # used to escape as a RecursionError traceback
     with pytest.raises(ConfigError):
         config_from_file(str(bad))
 

@@ -4,7 +4,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sedg import crypto
@@ -370,3 +370,67 @@ def test_replay_rejects_a_time_advance_that_does_not_advance():
     lines = [event_to_json(e) for e in _busy_ledger().read_events(0)]
     with pytest.raises(LedgerError, match="line 9"):
         replay(_edited(lines, "time_advanced", tick=0))
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        pytest.param("{}", id="empty-object"),  # used to raise KeyError
+        pytest.param("[]", id="array"),  # used to raise TypeError
+        pytest.param("not json", id="not-json"),
+        pytest.param("[" * 100_000, id="deep-nesting"),
+        pytest.param(  # used to raise TypeError from Ledger.fund
+            '{"seq":1,"tick":0,"kind":"funded","account":"aa","amount":"5"}', id="string-amount"
+        ),
+        pytest.param(
+            '{"seq":1,"tick":0,"kind":"funded","account":"aa","amount":5.0}', id="float-amount"
+        ),
+        pytest.param('{"seq":1,"tick":0,"kind":"funded","account":"aa"}', id="no-amount"),
+        pytest.param('{"seq":1,"tick":0,"kind":"refunded"}', id="no-contract-id"),
+        pytest.param(
+            '{"seq":1,"tick":0,"kind":"claimed","contract_id":9,'
+            '"witness":{"type":"preimage","x":"00"}}',
+            id="unknown-contract",
+        ),
+    ],
+)
+def test_replay_names_the_line_it_cannot_use(line):
+    first = event_to_json(_busy_ledger().read_events(0)[0])
+    with pytest.raises(LedgerError, match="line 2"):
+        replay([first, line])
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _edited_logs(draw):
+    """A valid log prefix, then one line that is junk or an edited event."""
+    lines = [event_to_json(e) for e in _busy_ledger().read_events(0)]
+    cut = draw(st.integers(0, len(lines) - 1))
+    obj = json.loads(lines[cut])
+    edit = draw(st.sampled_from(["junk", "replace", "delete"]))
+    if edit == "junk":
+        return lines[:cut] + [draw(st.text(max_size=40))]
+    key = draw(st.sampled_from(sorted(obj) + ["nonce", "group"]))
+    if edit == "replace":
+        obj[key] = draw(JSON_VALUES)
+    else:
+        obj.pop(key, None)
+    return lines[:cut] + [json.dumps(obj, separators=(",", ":"))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_edited_logs())
+@example(["{}"])
+@example(["[]"])
+def test_replay_raises_only_ledger_error(lines):
+    try:
+        replay(lines)
+    except LedgerError:
+        pass

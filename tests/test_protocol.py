@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import ScriptedRng
 from sedg import crypto
@@ -14,6 +17,7 @@ from sedg.cert import (
     PartyId,
     SellerData,
     Variant,
+    commitment_variant,
     notarize,
     signing_payload,
 )
@@ -162,14 +166,13 @@ def test_variant_mismatch_aborts():
 
 
 def test_buyer_rejects_variant_downgrade():
-    import dataclasses
-
-    # An offer whose variant field claims the dlog flavour but whose
-    # commitment is a plain hash must not downgrade the session.
-    honest = make_seller(Variant.V1).start()
-    lying = dataclasses.replace(honest, variant=Variant.V3)
-    buyer = make_buyer(Variant.V3)
-    decision = buyer.on_offer(lying, now=0)
+    # An offer that claims the dlog flavour beside a plain-hash commitment
+    # cannot even be decoded: the variant is derived from h2, not carried.
+    honest = message_to_obj(make_seller(Variant.V1).start())
+    with pytest.raises(ValueError, match="variant"):
+        message_from_obj({**honest, "variant": "v3"})
+    # What the commitment says is what a dlog buyer checks, and refuses.
+    decision = make_buyer(Variant.V3).on_offer(message_from_obj(honest), now=0)
     assert decision.reason is AbortReason.VARIANT_MISMATCH
 
 
@@ -452,7 +455,7 @@ def test_offer_json_round_trip_all_variants():
         offer = make_seller(variant).start()
         recovered = message_from_obj(message_to_obj(offer))
         assert isinstance(recovered, Offer)
-        assert recovered.variant == offer.variant
+        assert commitment_variant(recovered.h2) is variant
         assert recovered.sigma == offer.sigma
         assert recovered.ciphertext == offer.ciphertext
         assert recovered.h1 == offer.h1
@@ -470,3 +473,52 @@ def test_small_message_json_round_trips():
     assert message_from_obj(message_to_obj(abort)) == abort
     with pytest.raises(ValueError):
         message_from_obj({"type": "mystery"})
+
+
+@pytest.mark.parametrize("price", [60.9, 60.0, True, "60", None], ids=repr)
+def test_offer_price_must_be_a_json_integer(price):
+    # int() used to turn 60.9 into the agreed price of 60, and true into 1.
+    wire = message_to_obj(make_seller(Variant.V1).start())
+    with pytest.raises(ValueError):
+        message_from_obj({**wire, "price": price})
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+# Objects shaped like messages, so decoding gets past the first checks.
+HEX = st.binary(max_size=16).map(bytes.hex)
+GROUP_VALUES = st.fixed_dictionaries(
+    {"group": st.sampled_from(["test", "modp4096"]), "value": st.integers(-2, 30)}
+)
+NEAR_VALUES = JSON_VALUES | HEX | GROUP_VALUES | st.fixed_dictionaries(
+    {"type": st.sampled_from(["group_power", "hash_of_key"])},
+    optional={"digest": HEX, "element": GROUP_VALUES | JSON_VALUES},
+)
+NEAR_MISSES = st.fixed_dictionaries(
+    {"type": st.sampled_from(["offer", "blind", "contract_ref", "abort", "mystery"])},
+    optional={key: NEAR_VALUES for key in (
+        "sigma", "ciphertext", "h1", "h2", "seller_id", "notary_id", "price", "meta",
+        "r", "contract_id", "reason",
+    )},
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_VALUES | NEAR_MISSES)
+@example({})  # used to raise KeyError
+@example([])  # used to raise TypeError
+@example(  # an element outside the subgroup: DomainError, which is a ValueError
+    {**message_to_obj(make_seller(Variant.V3).start()),
+     "h2": {"type": "group_power", "element": {"group": "test", "value": 5}}}
+)
+def test_message_decoder_raises_only_value_error(obj):
+    try:
+        message = message_from_obj(obj)
+    except ValueError:
+        return
+    # Whatever decodes is a message that encodes back to the same data.
+    assert message_from_obj(json.loads(json.dumps(message_to_obj(message)))) == message

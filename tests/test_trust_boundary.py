@@ -14,10 +14,11 @@ import random
 
 import pytest
 
-from sedg import cert, crypto, ledger
+from sedg import codec, crypto, ledger
+from sedg.cert import Certificate
 from sedg.crypto import MODP_2048, TEST_GROUP, DomainError
 from sedg.harness import World, make_config, run_scenario
-from sedg.ledger import condition_from_obj, witness_from_obj
+from sedg.ledger import Condition, Witness
 from sedg.protocol import (
     AbortReason,
     BuyerPolicy,
@@ -29,6 +30,9 @@ from sedg.protocol import (
 MODEXP_MIN_BITS = 1024
 LEGACY_TEST_GROUP = {"p": "23", "q": "11", "g": "2"}
 LEGACY_MODP_2048 = {"p": str(MODP_2048.p), "q": str(MODP_2048.q), "g": str(MODP_2048.g)}
+
+condition_from_obj = codec.decoder(Condition)
+witness_from_obj = codec.decoder(Witness)
 
 
 @pytest.fixture
@@ -100,11 +104,15 @@ def _offer_obj() -> dict:
 
 
 def _cert_obj() -> dict:
-    return json.loads(cert.certificate_to_json(_v3_world().package.certificate))
+    return codec.encoder(Certificate)(_v3_world().package.certificate)
 
 
 def _with_group(obj: dict, group: object) -> dict:
-    return {**obj, "group": group}
+    """The offer, blind or certificate with its element's group replaced."""
+    if "r" in obj:
+        return {**obj, "r": {**obj["r"], "group": group}}
+    element = obj["h2"]["element"]
+    return {**obj, "h2": {**obj["h2"], "element": {**element, "group": group}}}
 
 
 BAD_GROUPS = {
@@ -116,7 +124,7 @@ BAD_GROUPS = {
 
 @pytest.mark.parametrize("group", BAD_GROUPS.values(), ids=BAD_GROUPS.keys())
 def test_message_decoder_rejects_unnamed_groups(group, pow_calls, groups_built):
-    offer, blind = _offer_obj(), {"type": "blind", "r": "4", "group": "test"}
+    offer, blind = _offer_obj(), {"type": "blind", "r": {"group": "test", "value": 4}}
     pow_calls.clear()
     with pytest.raises(ValueError):
         message_from_obj(_with_group(offer, group))
@@ -130,46 +138,48 @@ def test_certificate_decoder_rejects_unnamed_groups(group, pow_calls, groups_bui
     obj = _cert_obj()
     pow_calls.clear()
     with pytest.raises(ValueError):
-        cert.certificate_from_json(json.dumps(_with_group(obj, group)))
+        codec.decoder(Certificate)(json.loads(json.dumps(_with_group(obj, group))))
     assert pow_calls == [] and groups_built == []
 
 
 @pytest.mark.parametrize("group", BAD_GROUPS.values(), ids=BAD_GROUPS.keys())
 def test_ledger_decoders_reject_unnamed_groups(group, pow_calls, groups_built):
     with pytest.raises(ValueError):
-        condition_from_obj({"type": "dlog_lock", "c": "4", "group": group})
+        condition_from_obj({"type": "dlog_lock", "c": {"group": group, "value": 4}})
     with pytest.raises(ValueError):
-        witness_from_obj({"type": "exponent", "x": "3", "group": group})
+        witness_from_obj({"type": "exponent", "x": {"group": group, "value": 3}})
     assert pow_calls == [] and groups_built == []
 
 
 def test_ledger_decoders_reject_the_old_inline_parameters(pow_calls, groups_built):
     with pytest.raises(ValueError):
-        condition_from_obj({"type": "dlog_lock", "c": "4", **LEGACY_MODP_2048})
+        condition_from_obj({"type": "dlog_lock", "c": {"value": 4, **LEGACY_MODP_2048}})
     with pytest.raises(ValueError):
-        witness_from_obj({"type": "exponent", "x": "3", **LEGACY_MODP_2048})
+        witness_from_obj({"type": "exponent", "x": {"value": 3, **LEGACY_MODP_2048}})
+    with pytest.raises(ValueError):
+        condition_from_obj({"type": "dlog_lock", "c": 4, **LEGACY_MODP_2048})
     assert pow_calls == [] and groups_built == []
 
 
 def test_named_groups_decode_to_the_registered_objects():
     offer = message_from_obj(_offer_obj())
     assert offer.h2.element.params is TEST_GROUP
-    blind = message_from_obj({"type": "blind", "r": "4", "group": "modp2048"})
+    blind = message_from_obj({"type": "blind", "r": {"group": "modp2048", "value": 4}})
     assert blind.r.params is MODP_2048
-    condition = condition_from_obj({"type": "dlog_lock", "c": "4", "group": "test"})
+    condition = condition_from_obj({"type": "dlog_lock", "c": {"group": "test", "value": 4}})
     assert condition.group is TEST_GROUP
 
 
 def test_wire_h2_outside_the_subgroup_fails_at_decode(pow_calls):
     offer = _offer_obj()
     # 5 generates all of Z_23*, so it has order 22 and is not in the order-11 subgroup.
-    offer["h2"] = {"tag": "group_power", "value": "5"}
+    offer["h2"] = {"type": "group_power", "element": {"group": "test", "value": 5}}
     pow_calls.clear()
     with pytest.raises(DomainError):
         message_from_obj(offer)
     assert len(pow_calls) == 1  # the one membership check
     with pytest.raises(DomainError):
-        condition_from_obj({"type": "dlog_lock", "c": "5", "group": "test"})
+        condition_from_obj({"type": "dlog_lock", "c": {"group": "test", "value": 5}})
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +202,7 @@ def test_v3_event_log_names_its_group_and_replays_byte_for_byte(tmp_path):
 def test_buyer_still_aborts_on_a_named_group_it_was_not_configured_for():
     world = World(make_config("v3", group_name="modp2048", seed=5))
     wire = message_to_obj(world.seller.start())
-    assert wire["group"] == "modp2048"
+    assert wire["h2"]["element"]["group"] == "modp2048"
     config = dataclasses.replace(world.buyer.config, group=TEST_GROUP)
     buyer = BuyerSession(config, BuyerPolicy.HONEST, random.Random(0))
     decision = buyer.on_offer(message_from_obj(wire), now=0)
