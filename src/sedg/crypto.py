@@ -11,6 +11,7 @@ import hashlib
 import random
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Union
 
 from cryptography.exceptions import InvalidTag
@@ -162,21 +163,25 @@ def verify(public: bytes, message: bytes, signature: bytes) -> bool:
 
 @dataclass(frozen=True)
 class GroupParams:
-    """The order-q subgroup of Z_p* generated by g, with q dividing p-1."""
+    """The order-q subgroup of Z_p* for a safe prime p = 2q+1, generated by g.
+
+    That subgroup is exactly the quadratic residues mod p, so membership is a
+    Legendre-symbol test and needs no exponentiation. p and q are taken to be
+    prime, as they are in every registered group (the tests check them);
+    only p = 2q+1 and the generator are checked here.
+    """
 
     p: int
     q: int
     g: int
 
     def __post_init__(self) -> None:
-        if self.p <= 3 or self.q <= 1:
-            raise ValueError("modulus and subgroup order must exceed trivial sizes")
-        if (self.p - 1) % self.q != 0:
-            raise ValueError("q must divide p-1")
-        if not 1 < self.g < self.p:
-            raise ValueError("generator out of range")
-        if pow(self.g, self.q, self.p) != 1:
-            raise ValueError("generator does not have order dividing q")
+        if self.q <= 1:
+            raise ValueError("subgroup order must exceed trivial sizes")
+        if self.p != 2 * self.q + 1:
+            raise ValueError("p must be the safe prime 2q+1")
+        if self.g == 1 or not self.contains(self.g):
+            raise ValueError("generator is not a quadratic residue other than 1")
 
     def element_len(self) -> int:
         return (self.p.bit_length() + 7) // 8
@@ -185,8 +190,70 @@ class GroupParams:
         return (self.q.bit_length() + 7) // 8
 
     def contains(self, value: int) -> bool:
-        """Membership in the order-q subgroup."""
-        return 1 <= value < self.p and pow(value, self.q, self.p) == 1
+        """Membership in the order-q subgroup: the Legendre symbol (value/p) is 1."""
+        return 1 <= value < self.p and _jacobi(value, self.p) == 1
+
+    @cached_property
+    def _generator_table(self) -> tuple[int, tuple[int, ...]]:
+        """The digit width w and g^(2^(w*i)) for each w-bit digit of an exponent below q.
+
+        `_generator_power` does about one multiplication per digit and two per
+        digit value, so w minimises their sum. Built on first use, with
+        squarings only: importing the module exponentiates nothing.
+        """
+        bits = self.q.bit_length()
+        width = min(range(1, bits.bit_length() + 1), key=lambda w: -(-bits // w) + 2 ** (w + 1))
+        powers, power = [], self.g
+        for _ in range(-(-bits // width)):
+            powers.append(power)
+            for _ in range(width):
+                power = power * power % self.p
+        return width, tuple(powers)
+
+    def _generator_power(self, exponent: int) -> int:
+        """g^exponent mod p by the fixed-base bucket method (Yao; Brickell et al. 1992).
+
+        Write exponent mod q in base 2^w as the digits d_i. Then g^exponent
+        is the product over each digit value d of B_d^d, where B_d multiplies
+        the table entries whose digit is d; a running product taken from the
+        top value down yields every B_d^d at once.
+        """
+        width, powers = self._generator_table
+        p, mask = self.p, (1 << width) - 1
+        rest = exponent % self.q
+        buckets: list[int | None] = [None] * (mask + 1)
+        for power in powers:
+            if not rest:
+                break
+            digit, rest = rest & mask, rest >> width
+            if digit:
+                held = buckets[digit]
+                buckets[digit] = power if held is None else held * power % p
+        result = running = 1
+        for held in reversed(buckets[1:]):
+            if held is not None:
+                running = running * held % p
+            result = result * running % p
+        return result
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0, by reciprocity: no exponentiation.
+
+    For a prime n it is the Legendre symbol, 1 exactly for the nonzero
+    quadratic residues mod n.
+    """
+    a %= n
+    sign = 1
+    while a:
+        twos = (a & -a).bit_length() - 1
+        a >>= twos
+        if twos & 1 and n & 7 in (3, 5):  # (2/n) = -1 for n = 3, 5 mod 8
+            sign = -sign
+        if a & n & 2:  # a = n = 3 mod 4: swapping them flips the sign
+            sign = -sign
+        a, n = n % a, a
+    return sign if n == 1 else 0
 
 
 @dataclass(frozen=True)
@@ -240,8 +307,9 @@ def group_exp(
     The base may be a validated element or a raw integer; raw integers other
     than the generator, which the group checked when it was built, are
     membership-checked first. A power of a member stays in the subgroup, so
-    the result is not checked again. Integer exponents are accepted so tests
-    can exercise the identity exponent q.
+    the result is not checked again. Powers of the generator come from the
+    group's precomputed table, every other base from builtin `pow`. Integer
+    exponents are accepted so tests can exercise the identity exponent q.
     """
     if isinstance(base, GroupElement):
         if base.params != params:
@@ -254,6 +322,8 @@ def group_exp(
     exp_value = exponent.value if isinstance(exponent, Scalar) else int(exponent)
     if exp_value < 1:
         raise ValueError("exponent must be positive")
+    if base_value == params.g:
+        return _in_group(params._generator_power(exp_value), params)
     return _in_group(pow(base_value, exp_value, params.p), params)
 
 
@@ -308,7 +378,7 @@ TEST_GROUP = GroupParams(p=23, q=11, g=2)
 
 # 2048-bit MODP group (RFC 3526 group 14). p is a safe prime, so squaring
 # the standard generator 2 yields a generator of the prime-order subgroup
-# of order q = (p-1)/2.
+# of order q = (p-1)/2, the quadratic residues.
 _MODP_2048_P = int(
     "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD1"
     "29024E088A67CC74020BBEA63B139B22514A08798E3404DD"

@@ -205,7 +205,9 @@ def config_from_file(path: str) -> ScenarioConfig:
             obj = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:  # too deep is not valid either
+    # ValueError covers bad JSON, bytes that are not UTF-8, and integers past
+    # Python's digit limit; too deep is not valid either.
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return config_from_dict(obj)
 
@@ -358,7 +360,7 @@ class World:
             actions.append((label, lambda i=i: self._deliver(i)))
         for j, wake in enumerate(self.pending_wakes):
             actions.append((wake, lambda j=j: self._fire_wake(j)))
-        if not self.expired and self.ledger.open_contracts():
+        if not self.expired and self.ledger.has_open_contract():
             actions.append(("expire", self._expire))
         return actions
 

@@ -146,7 +146,7 @@ def evaluate_condition(condition: Condition, witness: Witness) -> bool:
         return digest == condition.h2
     assert isinstance(witness, Exponent)
     group = condition.group
-    return pow(group.g, witness.x.value, group.p) == condition.c.value
+    return crypto.group_exp(group, group.g, witness.x).value == condition.c.value
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +231,9 @@ class Ledger:
 
     def open_contracts(self) -> list[EscrowContract]:
         return [replace(c) for c in self._contracts.values() if c.state is ContractState.OPEN]
+
+    def has_open_contract(self) -> bool:
+        return any(c.state is ContractState.OPEN for c in self._contracts.values())
 
     def read_events(self, from_seq: int = 0) -> list[LedgerEvent]:
         return self._events[from_seq:]

@@ -508,8 +508,8 @@ class SellerSession(_Session):
             raise ContractMismatch("blinding scalar from a different group")
         exponent = crypto.scalar_from_key(self.package.key, group)
         x = crypto.scalar_mul(exponent, blind)
-        expected = crypto.group_exp(group, certificate.h2.element, blind)
-        if contract.condition.c != expected:
+        # h2 = g^k and g has order q, so the buyer's h2^r is g^(k*r mod q) = g^x.
+        if contract.condition.c != crypto.group_exp(group, group.g, x):
             raise ContractMismatch("contract condition was not blinded from this offer")
         return ledger.Exponent(x=x)
 

@@ -262,8 +262,30 @@ def test_exponent_homomorphism_exhaustive():
             assert lhs.value == slow_pow(g, (k * r) % q, p)
 
 
+def _probable_prime(n: int) -> bool:
+    """Miller-Rabin with the first eight prime bases."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def test_modp2048_group_invariants():
     assert MODP_2048.p.bit_length() == 2048
+    # GroupParams checks p = 2q+1 but takes primality on trust; check it here.
+    assert MODP_2048.p == 2 * MODP_2048.q + 1
+    assert _probable_prime(MODP_2048.p) and _probable_prime(MODP_2048.q)
+    assert not _probable_prime(MODP_2048.p + 2)
     assert (MODP_2048.p - 1) % MODP_2048.q == 0
     assert pow(MODP_2048.g, MODP_2048.q, MODP_2048.p) == 1
     assert MODP_2048.g != 1
@@ -276,6 +298,54 @@ def test_group_params_validation():
         GroupParams(p=23, q=7, g=2)  # 7 does not divide 22
     with pytest.raises(ValueError):
         GroupParams(p=23, q=11, g=5)  # 5 has order 22, not 11
+    # p must be the safe prime 2q+1, and g a quadratic residue other than 1.
+    big = MODP_2048
+    for p, q, g in [
+        (67, 11, 9),  # 9 has order 11 mod 67, but 67 != 2*11 + 1
+        (big.p + 2, big.q, big.g),
+        (23, 11, 1),
+        (23, 11, 22),  # -1 is a non-residue, since 23 = 3 mod 4
+        (big.p, big.q, big.p - 1),
+        (big.p, big.q, big.p - big.g),
+    ]:
+        with pytest.raises(ValueError):
+            GroupParams(p=p, q=q, g=g)
+
+
+def _euler(value: int, group: GroupParams) -> bool:
+    """Euler's criterion: value is a nonzero residue iff value^q = 1 mod p."""
+    return 1 <= value < group.p and pow(value, group.q, group.p) == 1
+
+
+def test_contains_matches_euler_on_every_value_of_the_test_group():
+    for value in range(-1, TEST_GROUP.p + 2):
+        assert TEST_GROUP.contains(value) == _euler(value, TEST_GROUP), value
+
+
+def test_contains_matches_euler_on_modp2048():
+    rng = random.Random(22)
+    p = MODP_2048.p
+    members = [pow(MODP_2048.g, rng.randrange(1, MODP_2048.q), p) for _ in range(4)]
+    for member in members:
+        assert MODP_2048.contains(member) and _euler(member, MODP_2048)
+        # p = 3 mod 4, so -1 is a non-residue and so is -member.
+        assert not MODP_2048.contains(p - member) and not _euler(p - member, MODP_2048)
+    for value in (0, 1, p - 1, p):
+        assert MODP_2048.contains(value) == _euler(value, MODP_2048), value
+
+
+def _exponents(group: GroupParams) -> list[int]:
+    rng = random.Random(group.p.bit_length())
+    q = group.q
+    return [1, q - 1, q, q + 1, 2 * q + 3, rng.getrandbits(256), rng.randrange(1, q)]
+
+
+@pytest.mark.parametrize("group", [TEST_GROUP, MODP_2048], ids=["test", "modp2048"])
+def test_powers_of_g_match_builtin_pow(group):
+    for exponent in _exponents(group):
+        out = group_exp(group, group.g, exponent)
+        assert out.value == pow(group.g, exponent, group.p), exponent
+        assert out == group_exp(group, GroupElement(group.g, group), exponent)
 
 
 # ---------------------------------------------------------------------------

@@ -727,6 +727,19 @@ def test_cli_wrongly_typed_config_exits_2(tmp_path, capsys, overrides):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [b'{"variant": "v1", "price": 1\xff}', b'{"price": ' + b"9" * 5000 + b"}"],
+    ids=["not-utf8", "integer-past-the-digit-limit"],
+)
+def test_cli_unparsable_config_exits_2(tmp_path, capsys, raw):
+    path = tmp_path / "config.json"
+    path.write_bytes(raw)
+    for command in ("run", "explore"):
+        assert cli.main([command, "--config", str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+
 def test_cli_explore_violation_exit_code(tmp_path, capsys, monkeypatch):
     from sedg import harness as harness_module
     from sedg.harness import ExplorationResult, Violation

@@ -3,7 +3,8 @@
 Groups travel by their name in GROUPS. Decoders look the name up and never
 build group parameters from what a peer sent, and results of in-group
 arithmetic are not re-checked. The counts below shadow `pow` in the modules
-that call it, the same way the benchmark's tracer does.
+that call it, the same way the benchmark's tracer does, and wrap
+`GroupParams.contains`, the one membership check.
 """
 from __future__ import annotations
 
@@ -51,6 +52,20 @@ def pow_calls(monkeypatch):
 
 
 @pytest.fixture
+def membership_checks(monkeypatch):
+    """Every value `GroupParams.contains` is asked about."""
+    checked: list[int] = []
+    original = crypto.GroupParams.contains
+
+    def counting_contains(self, value):
+        checked.append(value)
+        return original(self, value)
+
+    monkeypatch.setattr(crypto.GroupParams, "contains", counting_contains)
+    return checked
+
+
+@pytest.fixture
 def groups_built(monkeypatch):
     built: list[crypto.GroupParams] = []
     original = crypto.GroupParams.__post_init__
@@ -67,10 +82,13 @@ def groups_built(monkeypatch):
 # Modexp budget
 # ---------------------------------------------------------------------------
 
-def test_honest_modp2048_exchange_stays_within_five_modexps(pow_calls, groups_built):
-    # The essential five: the notary's g^k, the buyer's membership check on
-    # the received h2, the buyer's h2^r, the seller's recomputed h2^r, and
-    # the chain's g^x.
+def test_honest_modp2048_exchange_does_one_general_modexp(
+    pow_calls, membership_checks, groups_built
+):
+    # The buyer's h2^r is the only power of a base other than g. The
+    # notary's g^k, the seller's g^(k*r) and the chain's g^x come from the
+    # generator table, and the buyer's check of the received h2 is a
+    # Legendre symbol.
     config = make_config("v3", price=60, buyer_balance=100, group_name="modp2048", seed=11)
     report = run_scenario(config)
     assert report.buyer_has_plaintext and report.seller_paid
@@ -78,15 +96,18 @@ def test_honest_modp2048_exchange_stays_within_five_modexps(pow_calls, groups_bu
         (exp, mod) for exp, mod in pow_calls
         if exp >= 1 and mod.bit_length() >= MODEXP_MIN_BITS
     ]
-    assert 0 < len(full_size) <= 5
+    assert len(full_size) == 1
+    assert len(membership_checks) == 1
     assert groups_built == []
 
 
-def test_group_exp_skips_rechecks_of_in_group_values(pow_calls):
+def test_group_exp_skips_rechecks_of_in_group_values(membership_checks):
     k = crypto.Scalar(3, TEST_GROUP)
     h = crypto.group_exp(TEST_GROUP, TEST_GROUP.g, k)  # generator: no check
     crypto.group_exp(TEST_GROUP, h, k)  # validated element: no check
-    assert len(pow_calls) == 2
+    assert membership_checks == []
+    crypto.group_exp(TEST_GROUP, h.value, k)  # a raw base other than g: one check
+    assert membership_checks == [h.value]
     with pytest.raises(DomainError):
         crypto.group_exp(TEST_GROUP, 5, k)  # any other raw base is checked
 
@@ -170,14 +191,14 @@ def test_named_groups_decode_to_the_registered_objects():
     assert condition.group is TEST_GROUP
 
 
-def test_wire_h2_outside_the_subgroup_fails_at_decode(pow_calls):
+def test_wire_h2_outside_the_subgroup_fails_at_decode(membership_checks):
     offer = _offer_obj()
     # 5 generates all of Z_23*, so it has order 22 and is not in the order-11 subgroup.
     offer["h2"] = {"type": "group_power", "element": {"group": "test", "value": 5}}
-    pow_calls.clear()
+    membership_checks.clear()
     with pytest.raises(DomainError):
         message_from_obj(offer)
-    assert len(pow_calls) == 1  # the one membership check
+    assert membership_checks == [5]  # the one membership check
     with pytest.raises(DomainError):
         condition_from_obj({"type": "dlog_lock", "c": {"group": "test", "value": 5}})
 
