@@ -32,7 +32,6 @@ from .harness import (
     explore,
     make_config,
     run_scenario,
-    simulate,
 )
 from .ledger import Ledger, address_for
 from .protocol import BuyerPolicy, BuyerSession, SellerPolicy, SellerSession
@@ -62,7 +61,6 @@ __all__ = [
     "explore",
     "make_config",
     "run_scenario",
-    "simulate",
     "Ledger",
     "address_for",
     "BuyerPolicy",

@@ -220,7 +220,7 @@ def notarize(
     nonce = rng.randbytes(crypto.NONCE_LEN)
     ciphertext = crypto.encrypt(enc_key, data.payload, nonce)
     h1 = crypto.sha256(ciphertext.encoded())
-    sigma = crypto.sign(notary_keys.seed, signing_payload(variant, h1, h2, data.seller))
+    sigma = crypto.sign(notary_keys, signing_payload(variant, h1, h2, data.seller))
     certificate = Certificate(
         h1=h1,
         h2=h2,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import random
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence, Union
 
@@ -121,28 +121,30 @@ def _check_key(key: bytes) -> None:
 
 @dataclass(frozen=True)
 class SigningKeyPair:
-    """Ed25519 key pair: 32-byte secret seed and 32-byte verification key."""
+    """Ed25519 key pair: 32-byte secret seed and 32-byte verification key.
+
+    The pair keeps the key loaded from the seed, so signing derives nothing.
+    """
 
     seed: bytes
     public: bytes
+    private: Ed25519PrivateKey = field(repr=False, compare=False)
 
     @classmethod
     def from_seed(cls, seed: bytes) -> "SigningKeyPair":
         if len(seed) != SEED_LEN:
             raise ValueError(f"seed must be {SEED_LEN} bytes")
-        public = Ed25519PrivateKey.from_private_bytes(seed).public_key().public_bytes_raw()
-        return cls(seed=seed, public=public)
+        private = Ed25519PrivateKey.from_private_bytes(seed)
+        return cls(seed=seed, public=private.public_key().public_bytes_raw(), private=private)
 
     @classmethod
     def generate(cls, rng: random.Random) -> "SigningKeyPair":
         return cls.from_seed(rng.randbytes(SEED_LEN))
 
 
-def sign(seed: bytes, message: bytes) -> bytes:
+def sign(keys: SigningKeyPair, message: bytes) -> bytes:
     """Deterministic 64-byte signature over the exact message bytes."""
-    if len(seed) != SEED_LEN:
-        raise ValueError(f"seed must be {SEED_LEN} bytes")
-    return Ed25519PrivateKey.from_private_bytes(seed).sign(message)
+    return keys.private.sign(message)
 
 
 def verify(public: bytes, message: bytes, signature: bytes) -> bool:

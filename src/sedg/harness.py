@@ -8,21 +8,24 @@ picks the first option (FIFO delivery, expiry last); `drive` replays any
 other schedule given as option indices.
 
 `explore` checks every ordering up to a depth bound and evaluates the
-fairness invariants at every terminal state. It builds one world, walks
-the schedule tree depth-first, and checkpoints the world at each branch
-point (each layer copies its own mutable state) to restore it before the
-next alternative, so every tree node executes once and the notary setup
-runs once per exploration. `enumerate_schedules` is the generic stateless
-enumerator: it rebuilds and replays a simulation per schedule, and serves
-as the test oracle for `explore`.
+fairness invariants at every terminal state, in one pass over the event
+log. It builds one world, walks the schedule tree depth-first, and
+checkpoints the world at each branch point to restore it before the next
+alternative, so every tree node executes once and the notary setup runs
+once per exploration. Checkpoints are shallow: ledger records are
+immutable, sessions hold no random-number state, and the ledger keeps the
+log's encoded lines, so each layer copies only a few small containers. A
+world builds its action list once per node and drops it on every step and
+restore.
 """
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Protocol, Sequence
+from typing import Callable, Sequence
 
 from . import cert, codec, crypto, ledger, protocol, transport
 from .cert import PartyId, SellerData, Variant, notarize
@@ -52,6 +55,11 @@ _MAX_RUN_STEPS = 128
 # decimal, and a price of up to the 4300 digits a JSON config can hold.
 _OFFER_FRAME_OVERHEAD = 64 * 1024
 MAX_PAYLOAD = (transport.MAX_FRAME - _OFFER_FRAME_OVERHEAD) // 2 - crypto.TAG_LEN
+
+# Ticks stay far below the digits an int may have in the event log's JSON
+# (at least 640 under any interpreter setting), so the expiry tick,
+# deadline + 1, always encodes.
+MAX_DEADLINE_OFFSET = 2**63 - 1
 
 NOTARY_ID = b"notary-1"
 SELLER_ID = b"seller-1"
@@ -129,8 +137,10 @@ def make_config(
         buyer_balance = price
     if buyer_balance < 0:
         raise ConfigError("buyer balance cannot be negative")
-    if deadline_offset < 1:
-        raise ConfigError("deadline offset must be at least 1 tick")
+    if not 1 <= deadline_offset <= MAX_DEADLINE_OFFSET:
+        raise ConfigError(
+            f"deadline offset must be between 1 and {MAX_DEADLINE_OFFSET} ticks"
+        )
     if notary_fee is None:
         notary_fee = price // 10 if variant is Variant.V2 else 0
     if variant is Variant.V2 and not 0 < notary_fee < price:
@@ -250,6 +260,21 @@ def emit_report(report: ScenarioReport, fmt: str = "json") -> bytes:
 # The simulated world
 # ---------------------------------------------------------------------------
 
+@dataclass
+class _LogFacts:
+    """Facts about one run's event log, gathered by `World._read_log`."""
+
+    event_count: int = 0
+    funded: int = 0
+    amounts: dict[int, int] = field(default_factory=dict)  # every published contract
+    buyer_contracts: list[int] = field(default_factory=list)  # those the buyer paid into
+    seller_claims: list[int] = field(default_factory=list)  # one id per claim paying the seller
+    settlements: dict[int, int] = field(default_factory=dict)  # claims plus refunds per id
+    seller_paid: bool = False
+    notary_paid: bool = False
+    buyer_refunded: bool = False
+
+
 class World:
     """One scenario instance: ledger, net, sessions, and the pending-event set."""
 
@@ -283,7 +308,7 @@ class World:
             address=self.seller_addr,
             price=config.price,
             policy=config.seller_policy,
-            rng=_rng(config.seed, "seller"),
+            new_rng=functools.partial(_rng, config.seed, "seller"),
             meta="scenario",
         )
         self.buyer = BuyerSession(
@@ -298,7 +323,7 @@ class World:
                 group=group,
             ),
             policy=config.buyer_policy,
-            rng=_rng(config.seed, "buyer"),
+            new_rng=functools.partial(_rng, config.seed, "buyer"),
         )
 
         self.net = transport.InProcessNet()
@@ -308,6 +333,7 @@ class World:
         self.expired = False
         self.trace: list[str] = []
         self._cursor = len(self.ledger.read_events(0))
+        self._action_cache: list[tuple[str, Callable[[], None]]] | None = None
 
         offer = self.seller.start()
         self._send(self._seller_ep, BUYER_ID, offer)
@@ -315,13 +341,14 @@ class World:
     # -- scheduling surface -------------------------------------------------
 
     def options(self) -> list[str]:
-        return [label for label, _ in self._actions()]
+        return [label for label, _ in self._open_actions()]
 
     def step(self, index: int) -> str:
-        actions = self._actions()
+        actions = self._open_actions()
         if not 0 <= index < len(actions):
             raise IndexError(f"schedule index {index} out of range ({len(actions)} options)")
         label, action = actions[index]
+        self._action_cache = None
         action()
         self.trace.append(label)
         self._scan_chain()
@@ -349,6 +376,13 @@ class World:
         self.buyer.restore(buyer)
         self.pending_wakes = list(wakes)
         del self.trace[trace_len:]
+        self._action_cache = None
+
+    def _open_actions(self) -> list[tuple[str, Callable[[], None]]]:
+        """The actions open at this node, built once until a step or restore."""
+        if self._action_cache is None:
+            self._action_cache = self._actions()
+        return self._action_cache
 
     def _actions(self) -> list[tuple[str, Callable[[], None]]]:
         actions: list[tuple[str, Callable[[], None]]] = []
@@ -479,36 +513,45 @@ class World:
 
     # -- reporting ------------------------------------------------------------
 
-    def report(self, log_path: str | None = None) -> ScenarioReport:
+    def _read_log(self) -> _LogFacts:
+        """Gather what the report and the invariants read, in one pass over the log."""
+        facts = _LogFacts()
         events = self.ledger.read_events(0)
-        buyer_contracts = {
-            e.contract_id
-            for e in events
-            if e.kind is EventKind.CONTRACT_PUBLISHED and e.payer == self.buyer_addr
-        }
-        seller_paid = any(
-            e.kind is EventKind.CLAIMED
-            and any(p.to == self.seller_addr and p.amount > 0 for p in e.payouts)
-            for e in events
-        )
-        notary_paid = any(
-            e.kind is EventKind.CLAIMED
-            and any(p.to == self.notary_addr and p.amount > 0 for p in e.payouts)
-            for e in events
-        )
-        buyer_refunded = any(
-            e.kind is EventKind.REFUNDED and e.contract_id in buyer_contracts
-            for e in events
-        )
+        facts.event_count = len(events)
+        for e in events:
+            kind = e.kind
+            if kind is EventKind.FUNDED:
+                facts.funded += e.amount
+            elif kind is EventKind.CONTRACT_PUBLISHED:
+                facts.amounts[e.contract_id] = e.amount
+                if e.payer == self.buyer_addr:
+                    facts.buyer_contracts.append(e.contract_id)
+            elif kind is EventKind.CLAIMED or kind is EventKind.REFUNDED:
+                facts.settlements[e.contract_id] = facts.settlements.get(e.contract_id, 0) + 1
+                if kind is EventKind.REFUNDED and e.contract_id in facts.buyer_contracts:
+                    facts.buyer_refunded = True
+                to_seller = False
+                for p in e.payouts:
+                    if p.to == self.seller_addr:
+                        to_seller = True
+                        facts.seller_paid = facts.seller_paid or p.amount > 0
+                    if p.to == self.notary_addr:
+                        facts.notary_paid = facts.notary_paid or p.amount > 0
+                if to_seller:
+                    facts.seller_claims.append(e.contract_id)
+        return facts
+
+    def report(self, log_path: str | None = None) -> ScenarioReport:
+        facts = self._read_log()
         return ScenarioReport(
             variant=self.config.variant.value,
             seed=self.config.seed,
             seller_state=self.seller.state.value,
             buyer_state=self.buyer.state.value,
             buyer_has_plaintext=self.buyer.state is BuyerState.SETTLED,
-            seller_paid=seller_paid,
-            notary_paid=notary_paid,
-            buyer_refunded=buyer_refunded,
+            seller_paid=facts.seller_paid,
+            notary_paid=facts.notary_paid,
+            buyer_refunded=facts.buyer_refunded,
             buyer_decrypt_failed=self.buyer.decrypt_failed,
             abort_reason=(
                 self.buyer.abort_reason.value if self.buyer.abort_reason else None
@@ -519,7 +562,7 @@ class World:
                 "notary": self.ledger.get_balance(self.notary_addr),
             },
             price=self.config.price,
-            event_count=len(events),
+            event_count=facts.event_count,
             event_log_path=log_path,
         )
 
@@ -528,16 +571,8 @@ class World:
 # Driving and exploring
 # ---------------------------------------------------------------------------
 
-class Simulation(Protocol):
-    """Anything the schedule enumerator can drive."""
-
-    def options(self) -> Sequence[str]: ...
-
-    def step(self, index: int) -> object: ...
-
-
 def drive(
-    sim: Simulation,
+    world: World,
     schedule: Sequence[int] = (),
     observer: Callable[[str], None] | None = None,
     max_steps: int = _MAX_RUN_STEPS,
@@ -549,7 +584,7 @@ def drive(
     """
     taken: list[int] = []
     while True:
-        labels = sim.options()
+        labels = world.options()
         if not labels:
             if len(taken) < len(schedule):
                 raise ScheduleError(
@@ -565,41 +600,10 @@ def drive(
                 f"choice {len(taken)} is {index}, but {len(labels)} option(s) are open"
             )
         label = labels[index]
-        sim.step(index)
+        world.step(index)
         taken.append(index)
         if observer is not None:
             observer(label)
-
-
-def enumerate_schedules(
-    make_sim: Callable[[], Simulation],
-    depth: int,
-) -> Iterator[tuple[Simulation, tuple[int, ...]]]:
-    """Yield every complete schedule exactly once (depth-first, deterministic).
-
-    Each yielded simulation has been run to quiescence along its schedule.
-    Raises DepthExceeded if any run needs more choices than the bound.
-    """
-    stack: list[tuple[int, ...]] = [()]
-    while stack:
-        prefix = stack.pop()
-        sim = make_sim()
-        counts: list[int] = []
-        schedule: list[int] = []
-        while True:
-            opts = sim.options()
-            if not opts:
-                break
-            if len(counts) >= depth:
-                raise DepthExceeded(f"a run exceeded the depth bound of {depth}")
-            index = prefix[len(counts)] if len(counts) < len(prefix) else 0
-            counts.append(len(opts))
-            schedule.append(index)
-            sim.step(index)
-        for pos in range(len(prefix), len(counts)):
-            for alt in range(1, counts[pos]):
-                stack.append(tuple(schedule[:pos]) + (alt,))
-        yield sim, tuple(schedule)
 
 
 def run_scenario(
@@ -615,13 +619,6 @@ def run_scenario(
     if log_path is not None:
         write_event_log(world.ledger.read_events(0), log_path)
     return world.report(log_path)
-
-
-def simulate(config: ScenarioConfig, schedule: Sequence[int] = ()) -> World:
-    """Like run_scenario but hands back the whole world for inspection."""
-    world = World(config, None)
-    drive(world, schedule)
-    return world
 
 
 @dataclass(frozen=True)
@@ -651,87 +648,63 @@ class ExplorationResult:
 
 
 def fairness_violations(world: World) -> list[tuple[str, str]]:
-    """Evaluate the exchange invariants at one terminal state."""
-    report = world.report()
-    config = world.config
-    events = world.ledger.read_events(0)
-    out: list[tuple[str, str]] = []
+    """Evaluate the exchange invariants at one terminal state.
 
-    if report.buyer_has_plaintext != report.seller_paid:
+    One pass over the event log gathers every fact the invariants read.
+    """
+    config = world.config
+    facts = world._read_log()
+    seller_paid, notary_paid = facts.seller_paid, facts.notary_paid
+    out: list[tuple[str, str]] = []
+    has_plaintext = world.buyer.state is BuyerState.SETTLED
+    if has_plaintext != seller_paid:
         out.append(
-            (
-                "atomicity",
-                f"buyer_has_plaintext={report.buyer_has_plaintext} but "
-                f"seller_paid={report.seller_paid}",
-            )
+            ("atomicity", f"buyer_has_plaintext={has_plaintext} but seller_paid={seller_paid}")
         )
-    if config.variant is Variant.V2 and report.notary_paid != report.seller_paid:
+    if config.variant is Variant.V2 and notary_paid != seller_paid:
         out.append(
-            (
-                "notary-split",
-                f"notary_paid={report.notary_paid} but seller_paid={report.seller_paid}",
-            )
+            ("notary-split", f"notary_paid={notary_paid} but seller_paid={seller_paid}")
         )
 
     if config.buyer_policy is BuyerPolicy.HONEST:
-        balance = report.balances["buyer"]
-        expected = (
-            config.buyer_balance - config.price
-            if report.buyer_has_plaintext
-            else config.buyer_balance
-        )
+        balance = world.ledger.get_balance(world.buyer_addr)
+        expected = config.buyer_balance - config.price if has_plaintext else config.buyer_balance
         if balance != expected:
             out.append(
                 (
                     "honest-buyer-no-loss",
                     f"buyer balance {balance}, expected {expected} "
-                    f"(plaintext={report.buyer_has_plaintext})",
+                    f"(plaintext={has_plaintext})",
                 )
             )
 
     if config.seller_policy is SellerPolicy.HONEST:
-        amounts = {
-            e.contract_id: e.amount
-            for e in events
-            if e.kind is EventKind.CONTRACT_PUBLISHED
-        }
-        for e in events:
-            if e.kind is EventKind.CLAIMED and any(
-                p.to == world.seller_addr for p in e.payouts
-            ):
-                if amounts.get(e.contract_id) != config.price:
-                    out.append(
-                        (
-                            "honest-seller-no-loss",
-                            f"seller claimed contract {e.contract_id} worth "
-                            f"{amounts.get(e.contract_id)} != price {config.price}",
-                        )
+        for cid in facts.seller_claims:
+            if facts.amounts.get(cid) != config.price:
+                out.append(
+                    (
+                        "honest-seller-no-loss",
+                        f"seller claimed contract {cid} worth "
+                        f"{facts.amounts.get(cid)} != price {config.price}",
                     )
+                )
 
-    if world.buyer.state is BuyerState.ABORTED:
-        published = [
-            e
-            for e in events
-            if e.kind is EventKind.CONTRACT_PUBLISHED and e.payer == world.buyer_addr
-        ]
-        if published:
-            out.append(
-                ("abort-before-pay", f"aborted buyer published {len(published)} contract(s)")
+    if world.buyer.state is BuyerState.ABORTED and facts.buyer_contracts:
+        out.append(
+            (
+                "abort-before-pay",
+                f"aborted buyer published {len(facts.buyer_contracts)} contract(s)",
             )
+        )
 
-    funded = sum(e.amount for e in events if e.kind is EventKind.FUNDED)
     snapshot = world.ledger.snapshot()
     total = sum(snapshot["balances"].values()) + sum(
         c.amount for c in world.ledger.open_contracts()
     )
-    if total != funded:
-        out.append(("conservation", f"balances+escrow {total} != funded {funded}"))
+    if total != facts.funded:
+        out.append(("conservation", f"balances+escrow {total} != funded {facts.funded}"))
 
-    settlements: dict[int, int] = {}
-    for e in events:
-        if e.kind in (EventKind.CLAIMED, EventKind.REFUNDED):
-            settlements[e.contract_id] = settlements.get(e.contract_id, 0) + 1
-    for cid, count in settlements.items():
+    for cid, count in facts.settlements.items():
         if count > 1:
             out.append(("single-settlement", f"contract {cid} settled {count} times"))
 
@@ -745,10 +718,11 @@ def explore(
 ) -> ExplorationResult:
     """Exhaustively explore delivery orderings and expiry placement.
 
-    Builds one world and walks the schedule tree depth-first, in the order
-    `enumerate_schedules` yields it. At every position with more than one
-    option it takes a checkpoint, and restores it before each alternative,
-    so every tree node executes exactly once. Returns every invariant
+    Builds one world and walks the schedule tree depth-first: the first
+    option first, then, at the deepest open branch point, its highest
+    remaining alternative. At every position with more than one option it
+    takes a checkpoint, and restores it before each alternative, so every
+    tree node executes exactly once. Returns every invariant
     violation with the schedule that produced it; an empty violation list
     means every terminal state was fair. Raises DepthExceeded if any run
     needs more than `depth` choices.

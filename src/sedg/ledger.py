@@ -7,7 +7,13 @@ witnesses. Time is a logical tick counter advanced explicitly.
 
 The log is written as JSON lines, one event per line, in the format `codec`
 derives from `LedgerEvent`; `replay` rebuilds a ledger from such a log and
-verifies every line against its re-execution.
+verifies every line against its re-execution. The ledger keeps each line
+once `snapshot` has encoded it, so a snapshot encodes only the events
+appended since the previous one.
+
+Records are immutable: a contract's state change stores a replaced
+`EscrowContract`, so reads hand out the stored records and a checkpoint
+copies the dicts that hold them, never the records.
 """
 from __future__ import annotations
 
@@ -159,7 +165,7 @@ class ContractState(Enum):
     REFUNDED = "refunded"
 
 
-@dataclass
+@dataclass(frozen=True)
 class EscrowContract:
     id: int
     payer: bytes
@@ -213,6 +219,7 @@ class Ledger:
         self._balances: dict[bytes, int] = {}
         self._contracts: dict[int, EscrowContract] = {}
         self._events: list[LedgerEvent] = []
+        self._lines: list[str] = []  # event_to_json of the first len(_lines) events
         self._tick = 0
         self._next_contract_id = 1
 
@@ -227,10 +234,10 @@ class Ledger:
         contract = self._contracts.get(contract_id)
         if contract is None:
             raise UnknownContract(f"no contract {contract_id}")
-        return replace(contract)
+        return contract
 
     def open_contracts(self) -> list[EscrowContract]:
-        return [replace(c) for c in self._contracts.values() if c.state is ContractState.OPEN]
+        return [c for c in self._contracts.values() if c.state is ContractState.OPEN]
 
     def has_open_contract(self) -> bool:
         return any(c.state is ContractState.OPEN for c in self._contracts.values())
@@ -317,7 +324,7 @@ class Ledger:
             )
         else:
             payouts = (Payout(to=contract.payee, amount=contract.amount),)
-        contract.state = ContractState.CLAIMED
+        self._contracts[contract_id] = replace(contract, state=ContractState.CLAIMED)
         for payout in payouts:
             self._balances[payout.to] = self.get_balance(payout.to) + payout.amount
         return self._append(
@@ -338,7 +345,7 @@ class Ledger:
         if caller != contract.payer:
             raise NotPayer("only the payer may reclaim an expired escrow")
 
-        contract.state = ContractState.REFUNDED
+        self._contracts[contract_id] = replace(contract, state=ContractState.REFUNDED)
         self._balances[contract.payer] = self.get_balance(contract.payer) + contract.amount
         return self._append(EventKind.REFUNDED, contract_id=contract_id)
 
@@ -368,6 +375,7 @@ class Ledger:
 
     def snapshot(self) -> dict:
         """Full-state view used for replay and no-op equality checks."""
+        self._lines.extend(event_to_json(e) for e in self._events[len(self._lines):])
         return {
             "tick": self._tick,
             "next_contract_id": self._next_contract_id,
@@ -376,19 +384,19 @@ class Ledger:
                 cid: (c.payer, c.payee, c.amount, c.condition, c.deadline, c.state)
                 for cid, c in sorted(self._contracts.items())
             },
-            "events": [event_to_json(e) for e in self._events],
+            "events": list(self._lines),
         }
 
     def checkpoint(self) -> tuple:
         """Capture the mutable state for a later `restore`.
 
-        The log is append-only, so its length stands for it. Contracts are
-        mutable and are copied here and again on every restore.
+        The log and its encoded lines are append-only, so the log's length
+        stands for both. Contracts are immutable, so copying the dict that
+        holds them is enough.
         """
-        contracts = {cid: replace(c) for cid, c in self._contracts.items()}
         return (
             dict(self._balances),
-            contracts,
+            dict(self._contracts),
             len(self._events),
             self._tick,
             self._next_contract_id,
@@ -397,8 +405,9 @@ class Ledger:
     def restore(self, saved: tuple) -> None:
         balances, contracts, event_count, self._tick, self._next_contract_id = saved
         self._balances = dict(balances)
-        self._contracts = {cid: replace(c) for cid, c in contracts.items()}
+        self._contracts = dict(contracts)
         del self._events[event_count:]
+        del self._lines[event_count:]
 
 
 # ---------------------------------------------------------------------------

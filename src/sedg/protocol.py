@@ -9,13 +9,20 @@ runner and under exhaustive adversarial scheduling.
 Deviation policies model the classic failure modes of an unprotected trade:
 a buyer who never pays or underpays, a seller who withholds the key, claims
 with garbage, or ships corrupted goods.
+
+Sessions hold no random-number state. Each is given a function that builds
+its random stream (the harness seeds it from the scenario seed and the
+role), and every handler that needs randomness builds a fresh stream once
+per call. In any run the harness drives, a handler that draws runs at most
+once per session, so its values do not depend on the schedule, and a
+checkpoint of a session is a shallow copy of its fields.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import ClassVar, Mapping, Union
+from typing import Callable, ClassVar, Mapping, Union
 
 from . import cert, codec, crypto, ledger
 from .cert import (
@@ -197,32 +204,31 @@ class AbortDecision:
 BuyerDecision = Union[PublishPlan, AbortDecision, None]
 
 
+RngFactory = Callable[[], random.Random]
+
+
 class _Session:
     """Checkpointing shared by both sessions.
 
-    Handlers rebind fields and never mutate a field's value in place; the
-    rng is the one exception. So a shallow copy of the fields plus the rng
-    state is a full checkpoint.
+    Handlers rebind fields and never mutate a field's value in place, and
+    no field holds random-number state, so a shallow copy of the fields is
+    a full checkpoint.
     """
 
-    rng: random.Random
+    def checkpoint(self) -> dict:
+        return dict(vars(self))
 
-    def checkpoint(self) -> tuple:
-        return dict(vars(self)), self.rng.getstate()
-
-    def restore(self, saved: tuple) -> None:
-        fields, rng_state = saved
-        vars(self).update(fields)
-        self.rng.setstate(rng_state)
+    def restore(self, saved: dict) -> None:
+        vars(self).update(saved)
 
 
 class BuyerSession(_Session):
     """The paying side: verify the offer, escrow the price, recover the key."""
 
-    def __init__(self, config: BuyerConfig, policy: BuyerPolicy, rng: random.Random) -> None:
+    def __init__(self, config: BuyerConfig, policy: BuyerPolicy, new_rng: RngFactory) -> None:
         self.config = config
         self.policy = policy
-        self.rng = rng
+        self.new_rng = new_rng
         self.state = BuyerState.INIT
         self.offer: Offer | None = None
         self.contract_id: int | None = None
@@ -282,7 +288,7 @@ class BuyerSession(_Session):
                 fee=self.config.notary_fee,
             )
         else:
-            blind = crypto.draw_scalar(self.rng, self.config.group)
+            blind = crypto.draw_scalar(self.new_rng(), self.config.group)
             self.blind = blind
             c = crypto.group_exp(self.config.group, offer.h2.element, blind)
             condition = DlogLock(c=c)
@@ -390,14 +396,14 @@ class SellerSession(_Session):
         address: bytes,
         price: int,
         policy: SellerPolicy,
-        rng: random.Random,
+        new_rng: RngFactory,
         meta: str = "",
     ) -> None:
         self.package = package
         self.address = address
         self.price = price
         self.policy = policy
-        self.rng = rng
+        self.new_rng = new_rng
         self.meta = meta
         self.variant = package.certificate.variant
         self.state = SellerState.INIT
@@ -534,26 +540,28 @@ class SellerSession(_Session):
 
     def _mismatched_h2(self) -> Commitment2:
         certificate = self.package.certificate
+        rng = self.new_rng()
         if self.variant is Variant.V3:
             group = certificate.group
             while True:
-                wrong = crypto.group_exp(group, group.g, crypto.draw_scalar(self.rng, group))
+                wrong = crypto.group_exp(group, group.g, crypto.draw_scalar(rng, group))
                 if wrong != certificate.h2.element:
                     return GroupPower(wrong)
-        garbage = crypto.sha256(self.rng.randbytes(32))
+        garbage = crypto.sha256(rng.randbytes(32))
         if self.variant is Variant.V1:
             return HashOfKey(garbage)
         return HashOfKeyAndNotary(garbage)
 
     def _garbage_witness(self, condition: Condition) -> Witness:
+        rng = self.new_rng()
         if isinstance(condition, HashLock):
             while True:
-                x = self.rng.randbytes(crypto.KEY_LEN)
+                x = rng.randbytes(crypto.KEY_LEN)
                 if x != self.package.key:
                     return ledger.Preimage(x=x)
         if isinstance(condition, NotaryHashLock):
             while True:
-                x = self.rng.randbytes(crypto.KEY_LEN)
+                x = rng.randbytes(crypto.KEY_LEN)
                 if x != self.package.key:
                     return ledger.PreimageWithNotary(
                         x=x, notary_id=self.package.certificate.notary_id.id
@@ -565,6 +573,6 @@ class SellerSession(_Session):
             if exponent is not None:
                 honest = crypto.scalar_mul(exponent, self.blind)
         while True:
-            x = crypto.draw_scalar(self.rng, group)
+            x = crypto.draw_scalar(rng, group)
             if honest is None or x != honest:
                 return ledger.Exponent(x=x)

@@ -16,12 +16,13 @@ from sedg import crypto
 from sedg.cert import PartyId, SellerData, Variant, notarize, verify_certificate
 from sedg.crypto import TEST_GROUP, Scalar, SigningKeyPair, scalar_draw_len
 from sedg.harness import (
+    World,
     demo,
     demo_config,
+    drive,
     explore,
     make_config,
     run_scenario,
-    simulate,
 )
 from sedg.ledger import (
     ContractState,
@@ -59,7 +60,8 @@ def test_acceptance_1_happy_paths():
         assert report.buyer_has_plaintext and report.seller_paid
 
         config = demo_config(variant)
-        world = simulate(config)
+        world = World(config)
+        drive(world)
         assert world.buyer.plaintext == config.payload
 
         if variant == "v2":
@@ -151,7 +153,9 @@ def _forced_dlog_exchange(k: int, r: int):
     chain = Ledger()
     buyer_addr, seller_addr = address_for(b"b"), address_for(b"s")
     chain.fund(buyer_addr, 100)
-    seller = SellerSession(package, seller_addr, 60, SellerPolicy.HONEST, random.Random(1))
+    seller = SellerSession(
+        package, seller_addr, 60, SellerPolicy.HONEST, lambda: random.Random(1)
+    )
     buyer = BuyerSession(
         BuyerConfig(
             address=buyer_addr,
@@ -163,7 +167,7 @@ def _forced_dlog_exchange(k: int, r: int):
             group=TEST_GROUP,
         ),
         BuyerPolicy.HONEST,
-        ScriptedRng([(r - 1).to_bytes(scalar_draw_len(TEST_GROUP), "big")]),
+        lambda: ScriptedRng([(r - 1).to_bytes(scalar_draw_len(TEST_GROUP), "big")]),
     )
     plan = buyer.on_offer(seller.start(), now=0)
     assert plan.blind.value == r
@@ -304,7 +308,8 @@ def test_acceptance_7_wire_determinism(tmp_path):
     assert log_a.read_bytes() == log_b.read_bytes()
 
     # replay reconstructs the ledger exactly, including its own log bytes
-    world = simulate(config)
+    world = World(config)
+    drive(world)
     lines = [event_to_json(e) for e in world.ledger.read_events(0)]
     assert "\n".join(lines) + "\n" == log_a.read_text()
     rebuilt = replay(lines)
@@ -313,7 +318,8 @@ def test_acceptance_7_wire_determinism(tmp_path):
 
     # a second variant with a settled claim, for witness-bearing events
     config2 = make_config("v3", price=60, buyer_balance=100, group_name="test", seed=778)
-    world2 = simulate(config2)
+    world2 = World(config2)
+    drive(world2)
     lines2 = [event_to_json(e) for e in world2.ledger.read_events(0)]
     rebuilt2 = replay(lines2)
     assert rebuilt2.snapshot() == world2.ledger.snapshot()

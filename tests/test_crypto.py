@@ -154,17 +154,17 @@ def test_ciphertext_shape_validation():
 def test_sign_verify_round_trip():
     pair = SigningKeyPair.generate(random.Random(10))
     message = b"statement to certify"
-    signature = sign(pair.seed, message)
+    signature = sign(pair, message)
     assert len(signature) == 64
     assert verify(pair.public, message, signature)
     # deterministic
-    assert sign(pair.seed, message) == signature
+    assert sign(pair, message) == signature
 
 
 def test_verify_rejects_other_message_and_key():
     pair = SigningKeyPair.generate(random.Random(11))
     other = SigningKeyPair.generate(random.Random(12))
-    signature = sign(pair.seed, b"m")
+    signature = sign(pair, b"m")
     assert not verify(pair.public, b"m'", signature)
     assert not verify(other.public, b"m", signature)
 
@@ -172,7 +172,7 @@ def test_verify_rejects_other_message_and_key():
 def test_verify_rejects_sampled_single_bit_mutations():
     pair = SigningKeyPair.generate(random.Random(13))
     message = random.Random(13).randbytes(64)
-    signature = sign(pair.seed, message)
+    signature = sign(pair, message)
     rng = random.Random(14)
     for _ in range(60):
         bit = rng.randrange(len(message) * 8)

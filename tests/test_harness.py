@@ -1,15 +1,19 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 from collections import Counter
 from math import factorial
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sedg import cli, crypto, harness, transport
 from sedg.cert import GroupPower, PartyId
 from sedg.harness import (
+    MAX_DEADLINE_OFFSET,
     MAX_PAYLOAD,
     ConfigError,
     DepthExceeded,
@@ -23,14 +27,12 @@ from sedg.harness import (
     demo,
     drive,
     emit_report,
-    enumerate_schedules,
     explore,
     fairness_violations,
     make_config,
     run_scenario,
-    simulate,
 )
-from sedg.ledger import ContractState, Ledger
+from sedg.ledger import ContractState, Ledger, event_to_json
 from sedg.protocol import (
     BuyerPolicy,
     BuyerState,
@@ -78,14 +80,16 @@ def test_v2_fee_split():
 def test_v3_settles_on_both_groups():
     for group in ("test", "modp2048"):
         config = make_config("v3", price=60, buyer_balance=100, group_name=group, seed=3)
-        world = simulate(config)
+        world = World(config)
+        drive(world)
         assert world.buyer.state is BuyerState.SETTLED
         assert world.buyer.plaintext == config.payload
 
 
 def test_plaintext_soundness():
     config = make_config("v1", price=60, buyer_balance=100, seed=9, payload=b"exact bytes")
-    world = simulate(config)
+    world = World(config)
+    drive(world)
     assert world.report().buyer_has_plaintext
     assert world.buyer.plaintext == b"exact bytes"
 
@@ -94,7 +98,8 @@ def test_corrupt_seller_aborts_before_any_payment():
     config = make_config(
         "v1", price=60, buyer_balance=100, seller_policy="send_corrupt_ciphertext", seed=5
     )
-    world = simulate(config)
+    world = World(config)
+    drive(world)
     assert world.buyer.state is BuyerState.ABORTED
     assert world.report().abort_reason == "ciphertext_mismatch"
     assert world.ledger.read_events(0)[-1].kind.value != "contract_published"
@@ -103,7 +108,8 @@ def test_corrupt_seller_aborts_before_any_payment():
 
 def test_underfunded_buyer_aborts_without_losing_anything():
     config = make_config("v1", price=60, buyer_balance=10, seed=13)
-    world = simulate(config)
+    world = World(config)
+    drive(world)
     assert world.buyer.state is BuyerState.ABORTED
     assert world.report().abort_reason == "insufficient_funds"
     assert world.report().balances["buyer"] == 10
@@ -114,7 +120,8 @@ def test_adversarial_schedule_expiry_before_claim():
     # Forcing expiry between contract publication and the seller's wake-up:
     # the seller declines the stale contract and the buyer reclaims escrow.
     config = make_config("v1", price=60, buyer_balance=100, seed=42)
-    world = simulate(config, schedule=[0, 1])
+    world = World(config)
+    drive(world, [0, 1])
     assert world.buyer.state is BuyerState.REFUNDED
     assert world.seller.state is SellerState.EXPIRED
     assert world.ledger.get_balance(world.buyer_addr) == 100
@@ -122,8 +129,6 @@ def test_adversarial_schedule_expiry_before_claim():
 
 
 def test_run_scenario_is_deterministic(tmp_path):
-    import dataclasses
-
     config = make_config("v2", price=100, buyer_balance=150, notary_fee=10, seed=77)
     log_a, log_b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     report_a = run_scenario(config, log_path=str(log_a))
@@ -164,6 +169,35 @@ def test_report_rejects_unknown_format():
 # ---------------------------------------------------------------------------
 # The explorer core
 # ---------------------------------------------------------------------------
+
+def enumerate_schedules(make_sim, depth):
+    """Yield every complete schedule exactly once (depth-first, deterministic).
+
+    The stateless oracle for `explore`: it builds a fresh simulation (anything
+    with `options()` and `step(index)`) per schedule and replays the prefix.
+    Each yielded simulation has been run to quiescence along its schedule.
+    Raises DepthExceeded if any run needs more choices than the bound.
+    """
+    stack = [()]
+    while stack:
+        prefix = stack.pop()
+        sim = make_sim()
+        counts, schedule = [], []
+        while True:
+            opts = sim.options()
+            if not opts:
+                break
+            if len(counts) >= depth:
+                raise DepthExceeded(f"a run exceeded the depth bound of {depth}")
+            index = prefix[len(counts)] if len(counts) < len(prefix) else 0
+            counts.append(len(opts))
+            schedule.append(index)
+            sim.step(index)
+        for pos in range(len(prefix), len(counts)):
+            for alt in range(1, counts[pos]):
+                stack.append(tuple(schedule[:pos]) + (alt,))
+        yield sim, tuple(schedule)
+
 
 class ToyChannels:
     """FIFO channels; one scheduling option per nonempty channel.
@@ -296,12 +330,13 @@ def test_double_settlement_ledger_fixture_allows_the_bug():
 
 def test_double_settlement_is_detected():
     config = make_config("v1", price=60, buyer_balance=100, seed=8)
-    world = simulate(config)
+    world = World(config)
+    drive(world)
     # sabotage the settled contract and push a second settlement through
-    contract = world.ledger._contracts[1]
-    contract.state = ContractState.OPEN
-    world.ledger.advance_time(500)
-    world.ledger.refund(1, world.buyer_addr)
+    chain = world.ledger
+    chain._contracts[1] = dataclasses.replace(chain._contracts[1], state=ContractState.OPEN)
+    chain.advance_time(500)
+    chain.refund(1, world.buyer_addr)
     props = {p for p, _ in fairness_violations(world)}
     assert "single-settlement" in props
     assert "conservation" in props
@@ -375,6 +410,19 @@ def _branchy_v3_config():
     )
 
 
+def _terminal(world):
+    """A terminal state: its schedule, its log, and both sessions' outcomes."""
+    return (
+        tuple(world.trace),
+        tuple(world.ledger.snapshot()["events"]),
+        world.seller.state,
+        world.seller.outcome,
+        world.buyer.state,
+        world.buyer.abort_reason,
+        world.buyer.decrypt_failed,
+    )
+
+
 def test_explore_executes_each_tree_node_once(monkeypatch):
     config = _branchy_v3_config()
     runs = list(enumerate_schedules(lambda: World(config), depth=12))
@@ -396,11 +444,11 @@ def test_explore_executes_each_tree_node_once(monkeypatch):
     monkeypatch.setattr(
         harness,
         "fairness_violations",
-        lambda world: terminals.append(tuple(world.trace)) or check(world),
+        lambda world: terminals.append(_terminal(world)) or check(world),
     )
     result = explore(config, depth=12)
     # the terminal states come in the enumerator's order
-    assert terminals == [tuple(world.trace) for world, _ in runs]
+    assert terminals == [_terminal(world) for world, _ in runs]
     assert result.schedules_explored == 12
     assert calls["step"] == result.nodes_executed == len(prefixes)
     assert calls["world"] == 1
@@ -409,12 +457,14 @@ def test_explore_executes_each_tree_node_once(monkeypatch):
 
 def _world_state(world):
     """Everything a step may change, compared by value."""
+    snapshot = world.ledger.snapshot()
+    # the ledger's kept lines are exactly a fresh encoding of its log
+    assert snapshot["events"] == [event_to_json(e) for e in world.ledger.read_events(0)]
     return (
-        world.ledger.snapshot(),
+        snapshot,
         dict(vars(world.seller)),
-        world.seller.rng.getstate(),
         dict(vars(world.buyer)),
-        world.buyer.rng.getstate(),
+        world.options(),
         list(world.net.pending),
         {party: list(inbox) for party, inbox in world.net._inboxes.items()},
         list(world.pending_wakes),
@@ -439,8 +489,36 @@ def test_checkpoint_step_restore_round_trip_at_every_node():
         saved = world.checkpoint()
         for index in range(len(world.options())):
             world.step(index)
+            _world_state(world)  # encodes the step's events and lists its options
             world.restore(saved)
             assert _world_state(world) == before, (prefix, index)
+
+
+@pytest.mark.parametrize("variant", ["v1", "v2", "v3"])
+def test_each_branch_draws_what_a_fresh_world_draws(monkeypatch, variant):
+    # Randomness drawn after a branch point (the garbage witness) must not
+    # depend on the branches explored before it.
+    config = make_config(
+        variant,
+        price=100,
+        buyer_balance=150,
+        notary_fee=10 if variant == "v2" else None,
+        seed=11,
+        seller_policy="claim_wrong_witness",
+    )
+    terminals = []
+    check = harness.fairness_violations
+    monkeypatch.setattr(
+        harness,
+        "fairness_violations",
+        lambda world: terminals.append(_terminal(world)) or check(world),
+    )
+    explore(config, depth=12, chain_factory=AcceptAnyWitnessLedger)
+    oracle = enumerate_schedules(lambda: World(config, AcceptAnyWitnessLedger()), 12)
+    expected = [_terminal(world) for world, _ in oracle]
+    assert terminals == expected
+    # the claims publish the drawn witnesses, so the logs tell the draws apart
+    assert len({t[1] for t in expected}) > 1
 
 
 def test_violations_replay_by_index():
@@ -494,6 +572,9 @@ def test_config_validation_errors():
         make_config("v1", payload=b"")
     with pytest.raises(ConfigError):
         make_config("v1", deadline_offset=0)
+    with pytest.raises(ConfigError):
+        make_config("v1", deadline_offset=MAX_DEADLINE_OFFSET + 1)
+    assert make_config("v1", deadline_offset=MAX_DEADLINE_OFFSET).deadline_offset == 2**63 - 1
     with pytest.raises(ConfigError):
         make_config("v1", seller_policy="bribe_the_notary")
 
@@ -560,6 +641,48 @@ def test_config_from_dict_rejects_unknown_keys():
 def test_config_from_dict_rejects_wrongly_typed_values(overrides):
     with pytest.raises(ConfigError):
         config_from_dict({"variant": "v1", **overrides})
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+# Near misses: every key a scenario file may hold, with plausible values,
+# integers from tiny to past Python's 4300-digit limit, and wrong types.
+HUGE_INTS = st.integers(0, 5000).flatmap(
+    lambda digits: st.sampled_from([10**digits - 1, 10**digits, -(10**digits)])
+)
+INT_VALUES = st.integers(-3, 300) | HUGE_INTS | st.sampled_from([2**63 - 1, 2**63])
+NEAR_VALUES = INT_VALUES | st.booleans() | st.floats() | JSON_VALUES
+CONFIG_NEAR_MISSES = st.fixed_dictionaries(
+    {"variant": st.sampled_from(["v1", "v2", "v3", "v9"]) | NEAR_VALUES},
+    optional={
+        **{key: NEAR_VALUES for key in (
+            "price", "buyer_balance", "deadline_offset", "notary_fee", "seed", "payload_size",
+        )},
+        "group": st.sampled_from(["test", "modp2048", "modp4096"]) | NEAR_VALUES,
+        "seller_policy": st.sampled_from([p.value for p in SellerPolicy]) | NEAR_VALUES,
+        "buyer_policy": st.sampled_from([p.value for p in BuyerPolicy]) | NEAR_VALUES,
+        "payload_hex": st.binary(max_size=8).map(bytes.hex) | NEAR_VALUES,
+        "bribe": NEAR_VALUES,
+    },
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES | CONFIG_NEAR_MISSES)
+@example({"variant": "v1", "deadline_offset": 10**4300 - 1})  # its expiry tick did not encode
+@example({"variant": "v1", "seed": 10**4300})  # past the digit limit as a string
+@example({"variant": "v3", "payload_size": 2**63})
+def test_config_from_dict_raises_only_config_error(obj):
+    try:
+        config = config_from_dict(obj)
+    except ConfigError:
+        return
+    assert isinstance(config, ScenarioConfig)
+    assert 1 <= config.deadline_offset <= MAX_DEADLINE_OFFSET
 
 
 def test_config_from_file(tmp_path):
@@ -738,6 +861,23 @@ def test_cli_unparsable_config_exits_2(tmp_path, capsys, raw):
     for command in ("run", "explore"):
         assert cli.main([command, "--config", str(path)]) == 2
         assert "config error" in capsys.readouterr().err
+
+
+def test_cli_oversized_deadline_offset_exits_2(tmp_path, capsys):
+    # Its expiry tick, deadline + 1, used to break the event log's JSON
+    # encoding with a ValueError traceback and exit 1.
+    path = tmp_path / "config.json"
+    path.write_text(
+        '{"variant":"v1","seller_policy":"withhold_key","deadline_offset":' + "9" * 4300 + "}"
+    )
+    out = tmp_path / "events.jsonl"
+    for argv in (
+        ["explore", "--config", str(path)],
+        ["run", "--config", str(path), "--out", str(out)],
+    ):
+        assert cli.main(argv) == 2
+        assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_explore_violation_exit_code(tmp_path, capsys, monkeypatch):

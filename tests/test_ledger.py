@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 
@@ -106,6 +107,25 @@ def test_claim_hash_lock():
     assert chain.get_contract(cid).state is ContractState.CLAIMED
     assert event.witness == Preimage(KEY)
     assert [(p.to, p.amount) for p in event.payouts] == [(B, 60)]
+
+
+def test_a_contract_read_before_settlement_is_unchanged_by_it():
+    chain = Ledger()
+    chain.fund(A, 100)
+    cid = chain.publish_contract(A, B, 60, _hash_lock(), deadline=10)
+    read, opens = chain.get_contract(cid), chain.open_contracts()
+    saved = chain.checkpoint()
+    chain.claim(cid, Preimage(KEY))
+    assert chain.get_contract(cid).state is ContractState.CLAIMED
+    chain.restore(saved)
+    chain.advance_time(11)
+    chain.refund(cid, A)
+    assert chain.get_contract(cid).state is ContractState.REFUNDED
+    assert read.state is ContractState.OPEN and opens == [read]
+    chain.restore(saved)
+    assert chain.get_contract(cid) == read
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        read.state = ContractState.CLAIMED
 
 
 def test_claim_notary_split_is_one_atomic_event():
@@ -243,7 +263,7 @@ def run_random_ops(seed: int, ops: int = 20) -> None:
 
     Conservation: balances plus open escrow always equal the amount funded.
     Single settlement: no contract is ever settled twice.
-    `has_open_contract` agrees with the copying `open_contracts`.
+    `has_open_contract` agrees with `open_contracts`.
     """
     rng = random.Random(seed)
     chain = Ledger()

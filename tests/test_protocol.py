@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import json
 import random
 
@@ -82,16 +83,16 @@ def make_package(variant, *, k=None, payload=PAYLOAD):
 
 def make_seller(variant, policy=SellerPolicy.HONEST, *, k=None, price=PRICE):
     package = make_package(variant, k=k)
-    return SellerSession(package, SELLER_ADDR, price, policy, random.Random(3))
+    return SellerSession(package, SELLER_ADDR, price, policy, lambda: random.Random(3))
 
 
 def make_buyer(variant, policy=BuyerPolicy.HONEST, *, r=None, price=PRICE, fee=10):
-    rng: random.Random
     if r is not None:
         # raw % (q-1) + 1 == r  <=>  raw == r-1 for r-1 < q-1
-        rng = ScriptedRng([(r - 1).to_bytes(scalar_draw_len(TEST_GROUP), "big")])
+        raw = (r - 1).to_bytes(scalar_draw_len(TEST_GROUP), "big")
+        new_rng = functools.partial(ScriptedRng, [raw])
     else:
-        rng = random.Random(4)
+        new_rng = functools.partial(random.Random, 4)
     return BuyerSession(
         BuyerConfig(
             address=BUYER_ADDR,
@@ -104,7 +105,7 @@ def make_buyer(variant, policy=BuyerPolicy.HONEST, *, r=None, price=PRICE, fee=1
             group=TEST_GROUP if variant is Variant.V3 else None,
         ),
         policy,
-        rng,
+        new_rng,
     )
 
 
@@ -188,7 +189,9 @@ def test_buyer_rejects_unexpected_group_parameters():
         random.Random(77),
         group=MODP_2048,
     )
-    seller = SellerSession(package, SELLER_ADDR, PRICE, SellerPolicy.HONEST, random.Random(3))
+    seller = SellerSession(
+        package, SELLER_ADDR, PRICE, SellerPolicy.HONEST, lambda: random.Random(3)
+    )
     buyer = make_buyer(Variant.V3)  # configured for the test group
     decision = buyer.on_offer(seller.start(), now=0)
     assert decision.reason is AbortReason.GROUP_MISMATCH
@@ -423,13 +426,15 @@ def test_decrypt_failure_marks_session_without_settling():
     ciphertext = crypto.encrypt(actual, PAYLOAD, nonce)
     h1 = crypto.sha256(ciphertext.encoded())
     h2 = HashOfKey(crypto.sha256(committed))
-    sigma = crypto.sign(NOTARY_KEYS.seed, signing_payload(Variant.V1, h1, h2, SELLER))
+    sigma = crypto.sign(NOTARY_KEYS, signing_payload(Variant.V1, h1, h2, SELLER))
     package = CertificatePackage(
         key=committed,
         ciphertext=ciphertext,
         certificate=Certificate(h1, h2, SELLER, NOTARY, sigma),
     )
-    seller = SellerSession(package, SELLER_ADDR, PRICE, SellerPolicy.HONEST, random.Random(3))
+    seller = SellerSession(
+        package, SELLER_ADDR, PRICE, SellerPolicy.HONEST, lambda: random.Random(3)
+    )
     buyer = make_buyer(Variant.V1)
     plan = buyer.on_offer(seller.start(), now=0)
     assert isinstance(plan, PublishPlan)  # the certificate itself verifies

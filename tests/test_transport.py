@@ -146,7 +146,9 @@ def test_full_dlog_exchange_over_the_in_process_net():
     chain = Ledger()
     seller_addr, buyer_addr = address_for(b"s"), address_for(b"b")
     chain.fund(buyer_addr, 100)
-    seller = SellerSession(package, seller_addr, 60, SellerPolicy.HONEST, random.Random(52))
+    seller = SellerSession(
+        package, seller_addr, 60, SellerPolicy.HONEST, lambda: random.Random(52)
+    )
     buyer = BuyerSession(
         BuyerConfig(
             address=buyer_addr,
@@ -158,7 +160,7 @@ def test_full_dlog_exchange_over_the_in_process_net():
             group=TEST_GROUP,
         ),
         BuyerPolicy.HONEST,
-        random.Random(53),
+        lambda: random.Random(53),
     )
 
     net = InProcessNet()

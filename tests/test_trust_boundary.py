@@ -225,6 +225,6 @@ def test_buyer_still_aborts_on_a_named_group_it_was_not_configured_for():
     wire = message_to_obj(world.seller.start())
     assert wire["h2"]["element"]["group"] == "modp2048"
     config = dataclasses.replace(world.buyer.config, group=TEST_GROUP)
-    buyer = BuyerSession(config, BuyerPolicy.HONEST, random.Random(0))
+    buyer = BuyerSession(config, BuyerPolicy.HONEST, lambda: random.Random(0))
     decision = buyer.on_offer(message_from_obj(wire), now=0)
     assert decision.reason is AbortReason.GROUP_MISMATCH
