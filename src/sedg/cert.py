@@ -219,7 +219,7 @@ def notarize(
 
     nonce = rng.randbytes(crypto.NONCE_LEN)
     ciphertext = crypto.encrypt(enc_key, data.payload, nonce)
-    h1 = crypto.sha256(ciphertext.encoded())
+    h1 = ciphertext.digest()
     sigma = crypto.sign(notary_keys, signing_payload(variant, h1, h2, data.seller))
     certificate = Certificate(
         h1=h1,
@@ -267,7 +267,7 @@ def verify_certificate(
     payload = signing_payload(cert.variant, cert.h1, cert.h2, cert.seller_id)
     if not crypto.verify(public, payload, cert.sigma):
         return VerificationResult(False, RejectReason.BAD_SIGNATURE)
-    if crypto.sha256(ciphertext.encoded()) != cert.h1:
+    if ciphertext.digest() != cert.h1:
         return VerificationResult(False, RejectReason.CIPHERTEXT_MISMATCH)
     if cert.seller_id.id != claimed_seller.id:
         return VerificationResult(False, RejectReason.SELLER_MISMATCH)

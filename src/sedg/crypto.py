@@ -91,6 +91,12 @@ class Ciphertext:
     def encoded(self) -> bytes:
         return self.nonce + self.body
 
+    def digest(self) -> bytes:
+        """`sha256(self.encoded())`, hashed in place: the nonce, then the body."""
+        h = hashlib.sha256(self.nonce)
+        h.update(self.body)
+        return h.digest()
+
 
 def encrypt(key: bytes, plaintext: bytes, nonce: bytes) -> Ciphertext:
     """Authenticated encryption (ChaCha20-Poly1305) under a 32-byte key."""

@@ -61,6 +61,12 @@ MAX_PAYLOAD = (transport.MAX_FRAME - _OFFER_FRAME_OVERHEAD) // 2 - crypto.TAG_LE
 # deadline + 1, always encodes.
 MAX_DEADLINE_OFFSET = 2**63 - 1
 
+# Price, balance, fee and seed have at most the 4300 digits a JSON config
+# can hold (CPython's default `int_max_str_digits`). No amount the ledger
+# derives exceeds the price or the balance, so every one encodes in the
+# event log, and the seed encodes in each rng stream's seed string.
+MAX_CONFIG_INT = 10**4300 - 1
+
 NOTARY_ID = b"notary-1"
 SELLER_ID = b"seller-1"
 BUYER_ID = b"buyer-1"
@@ -131,18 +137,22 @@ def make_config(
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    if price < 1:
-        raise ConfigError("price must be at least 1 token")
+    if not 1 <= price <= MAX_CONFIG_INT:
+        raise ConfigError("price must be between 1 and 10^4300 - 1 tokens")
     if buyer_balance is None:
         buyer_balance = price
-    if buyer_balance < 0:
-        raise ConfigError("buyer balance cannot be negative")
+    if not 0 <= buyer_balance <= MAX_CONFIG_INT:
+        raise ConfigError("buyer balance must be between 0 and 10^4300 - 1 tokens")
+    if abs(seed) > MAX_CONFIG_INT:
+        raise ConfigError("seed must have at most 4300 digits")
     if not 1 <= deadline_offset <= MAX_DEADLINE_OFFSET:
         raise ConfigError(
             f"deadline offset must be between 1 and {MAX_DEADLINE_OFFSET} ticks"
         )
     if notary_fee is None:
         notary_fee = price // 10 if variant is Variant.V2 else 0
+    if abs(notary_fee) > MAX_CONFIG_INT:
+        raise ConfigError("notary fee must have at most 4300 digits")
     if variant is Variant.V2 and not 0 < notary_fee < price:
         raise ConfigError("the notary fee must be positive and below the price")
     if variant is Variant.V3 and group_name not in GROUPS:
@@ -301,7 +311,8 @@ class World:
             _rng(config.seed, "notary"),
             group=group,
         )
-        self.ledger.fund(self.buyer_addr, config.buyer_balance)
+        if config.buyer_balance:  # the ledger funds positive amounts only
+            self.ledger.fund(self.buyer_addr, config.buyer_balance)
 
         self.seller = SellerSession(
             package=self.package,

@@ -134,6 +134,13 @@ def test_tamper_rejection_sampled_bit_positions():
 
 
 @settings(max_examples=50, deadline=None)
+@given(st.binary(min_size=12, max_size=12), st.binary(min_size=16, max_size=2048))
+def test_ciphertext_digest_is_the_hash_of_its_encoding(nonce, body):
+    ciphertext = Ciphertext(nonce=nonce, body=body)
+    assert ciphertext.digest() == crypto.sha256(ciphertext.encoded())
+
+
+@settings(max_examples=50, deadline=None)
 @given(st.binary(min_size=0, max_size=2048))
 def test_round_trip_property(message):
     key, _, nonce = _kmn(8)

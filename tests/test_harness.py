@@ -685,6 +685,37 @@ def test_config_from_dict_raises_only_config_error(obj):
     assert 1 <= config.deadline_offset <= MAX_DEADLINE_OFFSET
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    variant=st.sampled_from(["v1", "v2", "v3"]),
+    price=INT_VALUES,
+    buyer_balance=st.none() | INT_VALUES,
+    notary_fee=st.none() | INT_VALUES,
+    seed=INT_VALUES,
+)
+@example("v1", 10**4300, 10**4300, None, 0)  # their amounts did not encode
+@example("v1", 60, None, None, 10**4300)  # nor did the seed's rng string
+@example("v2", 10**4300 - 1, 10**4300 - 1, 10**4300 - 2, -(10**4300 - 1))
+def test_every_config_make_config_accepts_runs_to_a_report(
+    variant, price, buyer_balance, notary_fee, seed
+):
+    try:
+        config = make_config(
+            variant,
+            price=price,
+            buyer_balance=buyer_balance,
+            notary_fee=notary_fee,
+            seed=seed,
+            payload=b"x",
+        )
+    except ConfigError:
+        return
+    report = run_scenario(config)
+    assert report.seed == seed
+    for fmt in ("json", "text"):
+        assert emit_report(report, fmt)
+
+
 def test_config_from_file(tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text(

@@ -2,14 +2,17 @@ from __future__ import annotations
 
 import json
 import random
+import string
+import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sedg import codec
 from sedg.transport import (
     MAX_FRAME,
+    SPLICE_MIN,
     Envelope,
     FrameTooLarge,
     InProcessNet,
@@ -49,6 +52,84 @@ def test_frame_prefix_is_big_endian_length():
     data = frame_encode(_envelope())
     length = int.from_bytes(data[:4], "big")
     assert length == len(data) - 4
+
+
+def _old_frame_encode(envelope: Envelope) -> bytes:
+    """The frame as written before long strings were spliced in: the oracle."""
+    payload = codec.dumps(codec.encoder(Envelope)(envelope)).encode("utf-8")
+    return struct.pack(">I", len(payload)) + payload
+
+
+def _long_string(seed: int, length: int, alphabet: str) -> str:
+    return "".join(random.Random(seed).choices(alphabet, k=length))
+
+
+LONG_LENGTHS = st.sampled_from([SPLICE_MIN - 1, SPLICE_MIN, SPLICE_MIN + 1]) | st.integers(
+    SPLICE_MIN, 2 * SPLICE_MIN
+)
+LONG_ALNUM = st.builds(
+    _long_string,
+    st.integers(0, 2**32),
+    LONG_LENGTHS,
+    st.sampled_from(["0123456789abcdef", string.ascii_letters + string.digits]),
+)
+# One character that JSON escapes (past ASCII, as \uXXXX) or that is no
+# letter or digit, in an otherwise spliceable string.
+NEEDS_ESCAPE = st.sampled_from(
+    ['"', "\\", "\n", "\x00", "\x1f", "\x7f", "-", " ", "\xe9", "\u2028", "\U0001f600"]
+)
+LONG_ESCAPED = st.builds(
+    lambda text, char, at: text[:at] + char + text[at:],
+    LONG_ALNUM,
+    NEEDS_ESCAPE,
+    st.integers(0, 2 * SPLICE_MIN),
+)
+# Strings an encoder might use as internal markers or splice points.
+MARKER_LIKE = st.sampled_from(
+    ['"', "", "{}", ":", ",", '","', "\\u0000", "\x00", "__splice__", "0" * 8]
+)
+STRINGS = st.text(max_size=8) | MARKER_LIKE | LONG_ALNUM | LONG_ESCAPED
+# JSON turns these keys into strings, so a dict holding one is written whole.
+KEYS = st.text(max_size=8) | MARKER_LIKE | LONG_ALNUM | st.integers() | st.booleans() | st.none()
+PLAIN_DATA = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | STRINGS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(KEYS, inner, max_size=4),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.text(max_size=8) | MARKER_LIKE, PLAIN_DATA, max_size=4))
+@example({"ciphertext": {"nonce": "00" * 12, "body": "ab" * SPLICE_MIN}})
+@example({"a": "ab" * SPLICE_MIN, "b": {"c": "cd" * SPLICE_MIN, "d": {}}, "e": [1, {"f": "x"}]})
+@example({"a": "ab" * SPLICE_MIN + '"'})
+@example({"a": {1: "ab" * SPLICE_MIN, "1": "cd" * SPLICE_MIN}})
+def test_frame_is_byte_identical_to_the_plain_json_frame(body):
+    env = _envelope(body)
+    assert frame_encode(env) == _old_frame_encode(env)
+
+
+def _sized_envelope(size: int, spliced: bool) -> Envelope:
+    """An envelope whose frame payload is `size` bytes. A long string in a
+    dict is spliced; one inside a list is written by `codec.dumps`."""
+
+    def body(length: int) -> dict:
+        text = "a" * length
+        return {"data": text} if spliced else {"data": [text]}
+
+    overhead = len(frame_encode(_envelope(body(SPLICE_MIN)))) - 4 - SPLICE_MIN
+    return _envelope(body(size - overhead))
+
+
+@pytest.mark.parametrize("spliced", [True, False], ids=["spliced", "plain"])
+def test_frame_size_limit_is_exact(spliced):
+    at_limit = _sized_envelope(MAX_FRAME, spliced)
+    frame = frame_encode(at_limit)
+    assert len(frame) == MAX_FRAME + 4
+    assert frame == _old_frame_encode(at_limit)
+    del frame
+    with pytest.raises(FrameTooLarge):
+        frame_encode(_sized_envelope(MAX_FRAME + 1, spliced))
 
 
 def test_oversized_frame_rejected():
