@@ -3,7 +3,8 @@
 Values are encoded from their type annotations, dataclasses from their field
 definitions, so the format is written down once:
 
-- bytes are lowercase hex; a string stays a string;
+- bytes are lowercase hex, and decoding rejects any other spelling; a
+  string stays a string;
 - ints are JSON integers, and a bool or a float is rejected;
 - an enum travels by its value, and a `PartyId` by its id;
 - a `GroupElement` or `Scalar` is `{"group": name, "value": int}`; decoding
@@ -22,6 +23,7 @@ Each type's encoder and decoder are built once, on first use.
 """
 from __future__ import annotations
 
+import binascii
 import dataclasses
 import enum
 import functools
@@ -77,9 +79,12 @@ _PLAIN = {kind: _plain(kind) for kind in (int, str, dict)}
 
 
 def _decode_hex(obj: Any) -> bytes:
+    """Lowercase hex only, so each byte string has one encoding."""
     if type(obj) is not str:
         raise ValueError(f"expected a hex string, got {obj!r:.60}")
-    return bytes.fromhex(obj)
+    if any(digit in obj for digit in "ABCDEF"):
+        raise ValueError(f"hex must be lowercase, got {obj!r:.60}")
+    return binascii.unhexlify(obj)
 
 
 def _encode_group_value(value: GroupElement | Scalar) -> dict:

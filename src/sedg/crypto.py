@@ -176,7 +176,9 @@ class GroupParams:
     That subgroup is exactly the quadratic residues mod p, so membership is a
     Legendre-symbol test and needs no exponentiation. p and q are taken to be
     prime, as they are in every registered group (the tests check them);
-    only p = 2q+1 and the generator are checked here.
+    only p = 2q+1 and the generator are checked here. Powers of g come from
+    OpenSSL for a modulus size it accepts (512 to 10000 bits), else from
+    builtin `pow`.
     """
 
     p: int
@@ -202,47 +204,52 @@ class GroupParams:
         return 1 <= value < self.p and _jacobi(value, self.p) == 1
 
     @cached_property
-    def _generator_table(self) -> tuple[int, tuple[int, ...]]:
-        """The digit width w and g^(2^(w*i)) for each w-bit digit of an exponent below q.
+    def _dh_key_head(self) -> bytes | None:
+        """A PKCS#8 X9.42 DH private key in this group, in DER, up to its private value.
 
-        `_generator_power` does about one multiplication per digit and two per
-        digit value, so w minimises their sum. Built on first use, with
-        squarings only: importing the module exponentiates nothing.
+        None for a modulus size OpenSSL refuses. Built from the group alone.
         """
-        bits = self.q.bit_length()
-        width = min(range(1, bits.bit_length() + 1), key=lambda w: -(-bits // w) + 2 ** (w + 1))
-        powers, power = [], self.g
-        for _ in range(-(-bits // width)):
-            powers.append(power)
-            for _ in range(width):
-                power = power * power % self.p
-        return width, tuple(powers)
+        if self.p.bit_length() not in _OPENSSL_DH_BITS:
+            return None
+        params = _der_int(self.p) + _der_int(self.g) + _der_int(self.q)
+        return _der_int(0) + _der(0x30, _DHX_OID + _der(0x30, params))
 
     def _generator_power(self, exponent: int) -> int:
-        """g^exponent mod p by the fixed-base bucket method (Yao; Brickell et al. 1992).
+        """g^exponent mod p, which OpenSSL derives when it loads a DH private key.
 
-        Write exponent mod q in base 2^w as the digits d_i. Then g^exponent
-        is the product over each digit value d of B_d^d, where B_d multiplies
-        the table entries whose digit is d; a running product taken from the
-        top value down yields every B_d^d at once.
+        Loading skips the parameter check (about 400 ms) that building a key
+        from numbers runs, and checks no range, so the exponent is reduced here.
         """
-        width, powers = self._generator_table
-        p, mask = self.p, (1 << width) - 1
-        rest = exponent % self.q
-        buckets: list[int | None] = [None] * (mask + 1)
-        for power in powers:
-            if not rest:
-                break
-            digit, rest = rest & mask, rest >> width
-            if digit:
-                held = buckets[digit]
-                buckets[digit] = power if held is None else held * power % p
-        result = running = 1
-        for held in reversed(buckets[1:]):
-            if held is not None:
-                running = running * held % p
-            result = result * running % p
-        return result
+        exponent %= self.q
+        head = self._dh_key_head
+        if head is None or not exponent:
+            return pow(self.g, exponent, self.p)
+        # Imported on first use: the import takes about 29 ms that a run on a
+        # small group would pay for nothing.
+        from cryptography.hazmat.primitives.serialization import load_der_private_key
+
+        key = load_der_private_key(_der(0x30, head + _der(0x04, _der_int(exponent))), None)
+        return key.public_key().public_numbers().y
+
+
+# The modulus sizes in bits OpenSSL's Diffie-Hellman accepts
+# (DH_MIN_MODULUS_BITS to OPENSSL_DH_MAX_MODULUS_BITS).
+_OPENSSL_DH_BITS = range(512, 10001)
+_DHX_OID = bytes.fromhex("06072a8648ce3e0201")  # dhpublicnumber, 1.2.840.10046.2.1
+
+
+def _der(tag: int, body: bytes) -> bytes:
+    """One DER value: the tag, the length in short or long form, the body."""
+    size = len(body)
+    if size < 0x80:
+        return bytes((tag, size)) + body
+    length = size.to_bytes((size.bit_length() + 7) // 8, "big")
+    return bytes((tag, 0x80 | len(length))) + length + body
+
+
+def _der_int(value: int) -> bytes:
+    """A DER INTEGER for value >= 0; the byte count leaves the sign bit clear."""
+    return _der(0x02, value.to_bytes(value.bit_length() // 8 + 1, "big"))
 
 
 def _jacobi(a: int, n: int) -> int:
@@ -315,9 +322,10 @@ def group_exp(
     The base may be a validated element or a raw integer; raw integers other
     than the generator, which the group checked when it was built, are
     membership-checked first. A power of a member stays in the subgroup, so
-    the result is not checked again. Powers of the generator come from the
-    group's precomputed table, every other base from builtin `pow`. Integer
-    exponents are accepted so tests can exercise the identity exponent q.
+    the result is not checked again. Powers of the generator come from
+    OpenSSL where the group allows (see `GroupParams`), every other base from
+    builtin `pow`. Integer exponents are accepted so tests can exercise the
+    identity exponent q.
     """
     if isinstance(base, GroupElement):
         if base.params != params:

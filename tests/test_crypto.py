@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+from cryptography.hazmat.primitives import serialization
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -344,15 +348,84 @@ def test_contains_matches_euler_on_modp2048():
 def _exponents(group: GroupParams) -> list[int]:
     rng = random.Random(group.p.bit_length())
     q = group.q
-    return [1, q - 1, q, q + 1, 2 * q + 3, rng.getrandbits(256), rng.randrange(1, q)]
+    return [1, 2, q - 1, q, q + 1, 2 * q + 3, rng.getrandbits(256), rng.randrange(1, q)]
 
 
 @pytest.mark.parametrize("group", [TEST_GROUP, MODP_2048], ids=["test", "modp2048"])
 def test_powers_of_g_match_builtin_pow(group):
     for exponent in _exponents(group):
         out = group_exp(group, group.g, exponent)
-        assert out.value == pow(group.g, exponent, group.p), exponent
+        assert out.value == pow(group.g, exponent % group.q, group.p), exponent
         assert out == group_exp(group, GroupElement(group.g, group), exponent)
+
+
+# Each oracle pow on modp2048 takes about 35 ms.
+@settings(max_examples=6, deadline=None)
+@given(st.integers(1, 2 * MODP_2048.p) | st.integers(1, 2**300))
+def test_openssl_powers_of_g_match_builtin_pow(exponent):
+    g, p, q = MODP_2048.g, MODP_2048.p, MODP_2048.q
+    assert group_exp(MODP_2048, g, exponent).value == pow(g, exponent % q, p)
+
+
+def _refuse_der(data, password):
+    raise AssertionError("this group's powers of g must not reach OpenSSL")
+
+
+def test_test_group_powers_of_g_use_builtin_pow(monkeypatch):
+    monkeypatch.setattr(serialization, "load_der_private_key", _refuse_der)
+    g, p, q = TEST_GROUP.g, TEST_GROUP.p, TEST_GROUP.q
+    for exponent in range(1, 2 * q + 3):
+        assert group_exp(TEST_GROUP, g, exponent).value == pow(g, exponent, p), exponent
+
+
+def _group_of_bits(bits: int) -> GroupParams:
+    """A group shaped like a safe-prime group, with a modulus of the given size.
+
+    q is not prime, so the order of g = 4 need not be q; these tests only
+    compare g^(e mod q), which is defined all the same.
+    """
+    q = (1 << (bits - 2)) + 1
+    return GroupParams(p=2 * q + 1, q=q, g=4)
+
+
+@pytest.mark.parametrize(
+    "bits, by_openssl", [(511, False), (512, True), (10000, True), (10001, False)]
+)
+def test_powers_of_g_reach_openssl_for_the_modulus_sizes_it_accepts(
+    monkeypatch, bits, by_openssl
+):
+    group = _group_of_bits(bits)
+    assert group.p.bit_length() == bits
+    loaded, load = [], serialization.load_der_private_key
+
+    def counting_load(data, password):
+        loaded.append(data)
+        return load(data, password)
+
+    monkeypatch.setattr(serialization, "load_der_private_key", counting_load)
+    for exponent in (1, 2, 3**100, group.q, group.q + 5):
+        out = group_exp(group, group.g, exponent).value
+        assert out == pow(group.g, exponent % group.q, group.p), exponent
+    assert len(loaded) == (4 if by_openssl else 0)  # the exponent q is 0 mod q
+
+
+def test_serialization_is_imported_by_the_first_large_group_power():
+    # Importing it takes tens of milliseconds that a small-group run never needs.
+    code = "\n".join([
+        "import sys",
+        "import sedg",
+        "from sedg import crypto, harness",
+        "harness.run_scenario(harness.make_config('v3', group_name='test', seed=3))",
+        "name = 'cryptography.hazmat.primitives.serialization'",
+        "assert name not in sys.modules, 'imported by a test-group run'",
+        "crypto.group_exp(crypto.MODP_2048, crypto.MODP_2048.g, 3)",
+        "assert name in sys.modules, 'not imported by a modp2048 power'",
+    ])
+    src = os.path.dirname(os.path.dirname(crypto.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": path}
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -881,6 +881,15 @@ def test_cli_wrongly_typed_config_exits_2(tmp_path, capsys, overrides):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("payload_hex", ["00FF", "00 ff", " 00ff"])
+def test_cli_non_canonical_payload_hex_exits_2(tmp_path, capsys, payload_hex):
+    # Bytes are lowercase hex with nothing between the digits, so each
+    # payload has one spelling in a scenario file.
+    path = _write_config(tmp_path, payload_hex=payload_hex)
+    assert cli.main(["run", "--config", path]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "raw",
     [b'{"variant": "v1", "price": 1\xff}', b'{"price": ' + b"9" * 5000 + b"}"],

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import ScriptedRng
-from sedg import crypto
+from sedg import codec, crypto
 from sedg.cert import (
     Certificate,
     CertificatePackage,
@@ -527,3 +527,19 @@ def test_message_decoder_raises_only_value_error(obj):
         return
     # Whatever decodes is a message that encodes back to the same data.
     assert message_from_obj(json.loads(json.dumps(message_to_obj(message)))) == message
+
+
+HEXISH = st.text(alphabet="0123456789abcdefABCDEF \t\n\x00\u00e9")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text() | HEXISH | st.binary(max_size=16).map(bytes.hex))
+@example(" ab cd ")  # bytes.fromhex skipped the spaces
+@example("ab\tcd")
+@example("AB")
+def test_bytes_decode_only_from_their_one_lowercase_hex(text):
+    try:
+        value = codec.decoder(bytes)(text)
+    except ValueError:
+        return
+    assert value.hex() == text

@@ -85,10 +85,9 @@ def groups_built(monkeypatch):
 def test_honest_modp2048_exchange_does_one_general_modexp(
     pow_calls, membership_checks, groups_built
 ):
-    # The buyer's h2^r is the only power of a base other than g. The
-    # notary's g^k, the seller's g^(k*r) and the chain's g^x come from the
-    # generator table, and the buyer's check of the received h2 is a
-    # Legendre symbol.
+    # The buyer's h2^r is the only power of a base other than g. OpenSSL
+    # computes the notary's g^k, the seller's g^(k*r) and the chain's g^x,
+    # and the buyer's check of the received h2 is a Legendre symbol.
     config = make_config("v3", price=60, buyer_balance=100, group_name="modp2048", seed=11)
     report = run_scenario(config)
     assert report.buyer_has_plaintext and report.seller_paid
