@@ -1,11 +1,13 @@
 """Scenario runner and bounded interleaving explorer.
 
 A World wires one seller, one buyer, and a pre-run notary setup onto a
-fresh ledger and an in-process net. Everything that can race is a
-scheduling option: message deliveries, the buyer's ledger wake-up, timer
-firings, and the placement of expiry itself. The default schedule always
-picks the first option (FIFO delivery, expiry last); `drive` replays any
-other schedule given as option indices.
+fresh ledger and an in-process net. The sessions act on the ledger
+themselves; the world routes their messages and owns what no party
+controls. Everything that can race is a scheduling option: message
+deliveries, the buyer's ledger wake-up, timer firings, and the placement
+of expiry itself. The default schedule always picks the first option
+(FIFO delivery, expiry last); `drive` replays any other schedule given as
+option indices.
 
 `explore` checks every ordering up to a depth bound and evaluates the
 fairness invariants at every terminal state, in one pass over the event
@@ -13,10 +15,10 @@ log. It builds one world, walks the schedule tree depth-first, and
 checkpoints the world at each branch point to restore it before the next
 alternative, so every tree node executes once and the notary setup runs
 once per exploration. Checkpoints are shallow: ledger records are
-immutable, sessions hold no random-number state, and the ledger keeps the
-log's encoded lines, so each layer copies only a few small containers. A
-world builds its action list once per node and drops it on every step and
-restore.
+immutable, sessions hold neither random-number state nor the ledger, and
+the ledger keeps the log's encoded lines, so each layer copies only a few
+small containers. A world builds its action list once per node and drops
+it on every step and restore.
 """
 from __future__ import annotations
 
@@ -27,14 +29,12 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from . import cert, codec, crypto, ledger, protocol, transport
+from . import cert, codec, crypto, protocol, transport
 from .cert import PartyId, SellerData, Variant, notarize
 from .crypto import GROUPS, GroupParams, SigningKeyPair
 from .ledger import EventKind, Ledger, address_for, write_event_log
 from .protocol import (
-    AbortDecision,
     AbortMessage,
-    AbortReason,
     Blind,
     BuyerConfig,
     BuyerPolicy,
@@ -42,7 +42,6 @@ from .protocol import (
     BuyerState,
     ContractRef,
     Offer,
-    PublishPlan,
     ScenarioReport,
     SellerPolicy,
     SellerSession,
@@ -417,22 +416,22 @@ class World:
     def _deliver(self, index: int) -> None:
         envelope = self.net.deliver(index)
         endpoint = self._buyer_ep if envelope.recipient == BUYER_ID else self._seller_ep
-        received = endpoint.recv()
-        message = protocol.message_from_obj(received.body)
-        if received.recipient == BUYER_ID:
-            self._handle_buyer_message(message)
-        else:
-            self._handle_seller_message(message)
+        message = protocol.message_from_obj(endpoint.recv().body)
+        if isinstance(message, Offer):
+            for reply in self.buyer.on_offer(message, self.ledger):
+                self._send(self._buyer_ep, SELLER_ID, reply)
+        elif isinstance(message, ContractRef):
+            self.seller.on_contract(message.contract_id, self.ledger)
+        elif isinstance(message, Blind):
+            self.seller.on_blind(message.r, self.ledger)
+        elif isinstance(message, AbortMessage):
+            self.seller.on_abort(message.reason)
 
     def _fire_wake(self, index: int) -> None:
         wake = self.pending_wakes.pop(index)
-        if wake == "notify:buyer":
-            self._wake_buyer(process_claims=True)
-        elif wake == "timers":
-            self._wake_buyer(process_claims=False)
-            self.seller.on_timer(self.ledger.current_tick)
-        else:
-            raise AssertionError(f"unknown wake {wake!r}")
+        self.buyer.on_wake(self.ledger, read_claim=wake == "notify:buyer")
+        if wake == "timers":
+            self.seller.on_timer()
 
     def _expire(self) -> None:
         opens = self.ledger.open_contracts()
@@ -440,24 +439,6 @@ class World:
         self.ledger.advance_time(target - self.ledger.current_tick)
         self.expired = True
         self.pending_wakes.append("timers")
-
-    def _wake_buyer(self, process_claims: bool) -> None:
-        now = self.ledger.current_tick
-        refund_id = self.buyer.check_timeout(now, self.ledger)
-        if refund_id is not None:
-            try:
-                self.ledger.refund(refund_id, self.buyer_addr)
-                self.buyer.note_refunded()
-            except ledger.LedgerError:
-                pass
-        if process_claims and self.buyer.contract_id is not None:
-            for event in self.ledger.read_events(0):
-                if (
-                    event.kind is EventKind.CLAIMED
-                    and event.contract_id == self.buyer.contract_id
-                ):
-                    self.buyer.on_claim(event)
-                    break
 
     def _scan_chain(self) -> None:
         events = self.ledger.read_events(self._cursor)
@@ -468,59 +449,6 @@ class World:
                 and event.contract_id == self.buyer.contract_id
             ):
                 self.pending_wakes.append("notify:buyer")
-
-    # -- message handling ---------------------------------------------------
-
-    def _handle_buyer_message(self, message: protocol.ProtocolMessage) -> None:
-        if not isinstance(message, Offer):
-            return
-        now = self.ledger.current_tick
-        decision = self.buyer.on_offer(message, now)
-        if isinstance(decision, AbortDecision):
-            self._send(self._buyer_ep, SELLER_ID, AbortMessage(decision.reason.value))
-            return
-        if not isinstance(decision, PublishPlan):
-            return
-        if decision.blind is not None:
-            self._send(self._buyer_ep, SELLER_ID, Blind(decision.blind))
-        try:
-            contract_id = self.ledger.publish_contract(
-                payer=self.buyer_addr,
-                payee=decision.payee,
-                amount=decision.amount,
-                condition=decision.condition,
-                deadline=decision.deadline,
-            )
-        except ledger.InsufficientFunds:
-            self.buyer.note_publish_failed(AbortReason.INSUFFICIENT_FUNDS)
-            self._send(
-                self._buyer_ep, SELLER_ID, AbortMessage(AbortReason.INSUFFICIENT_FUNDS.value)
-            )
-            return
-        self.buyer.note_contract(contract_id)
-        self._send(self._buyer_ep, SELLER_ID, ContractRef(contract_id))
-
-    def _handle_seller_message(self, message: protocol.ProtocolMessage) -> None:
-        now = self.ledger.current_tick
-        if isinstance(message, ContractRef):
-            try:
-                contract = self.ledger.get_contract(message.contract_id)
-            except ledger.UnknownContract:
-                return
-            self._submit_claim(self.seller.on_contract(contract, now))
-        elif isinstance(message, Blind):
-            self._submit_claim(self.seller.on_blind(message.r, now))
-        elif isinstance(message, AbortMessage):
-            self.seller.on_abort(message.reason)
-
-    def _submit_claim(self, request: protocol.ClaimRequest | None) -> None:
-        if request is None:
-            return
-        try:
-            self.ledger.claim(request.contract_id, request.witness)
-            self.seller.note_claimed()
-        except ledger.LedgerError as exc:
-            self.seller.note_claim_failed(str(exc))
 
     # -- reporting ------------------------------------------------------------
 
@@ -582,12 +510,7 @@ class World:
 # Driving and exploring
 # ---------------------------------------------------------------------------
 
-def drive(
-    world: World,
-    schedule: Sequence[int] = (),
-    observer: Callable[[str], None] | None = None,
-    max_steps: int = _MAX_RUN_STEPS,
-) -> list[int]:
+def drive(world: World, schedule: Sequence[int] = ()) -> list[int]:
     """Run to quiescence, following the schedule then always choosing 0.
 
     Raises ScheduleError if the schedule picks an option that is not open
@@ -595,38 +518,33 @@ def drive(
     """
     taken: list[int] = []
     while True:
-        labels = world.options()
-        if not labels:
+        count = len(world.options())
+        if not count:
             if len(taken) < len(schedule):
                 raise ScheduleError(
                     f"the run ended after {len(taken)} of the schedule's "
                     f"{len(schedule)} choices"
                 )
             return taken
-        if len(taken) >= max_steps:
-            raise DepthExceeded(f"run exceeded {max_steps} scheduling choices")
+        if len(taken) >= _MAX_RUN_STEPS:
+            raise DepthExceeded(f"run exceeded {_MAX_RUN_STEPS} scheduling choices")
         index = schedule[len(taken)] if len(taken) < len(schedule) else 0
-        if not 0 <= index < len(labels):
+        if not 0 <= index < count:
             raise ScheduleError(
-                f"choice {len(taken)} is {index}, but {len(labels)} option(s) are open"
+                f"choice {len(taken)} is {index}, but {count} option(s) are open"
             )
-        label = labels[index]
         world.step(index)
         taken.append(index)
-        if observer is not None:
-            observer(label)
 
 
 def run_scenario(
     config: ScenarioConfig,
     schedule: Sequence[int] = (),
     log_path: str | None = None,
-    observer: Callable[[str], None] | None = None,
-    chain: Ledger | None = None,
 ) -> ScenarioReport:
     """Run one scenario to quiescence; deterministic given the config's seed."""
-    world = World(config, chain)
-    drive(world, schedule, observer)
+    world = World(config)
+    drive(world, schedule)
     if log_path is not None:
         write_event_log(world.ledger.read_events(0), log_path)
     return world.report(log_path)
@@ -823,10 +741,9 @@ def demo(variant: Variant | str, printer: Callable[[str], None] = print) -> Scen
     printer(f"setup: h1 = {world.package.certificate.h1.hex()[:16]}…, h2 = {h2_desc}")
     printer(f"setup: buyer funded with {config.buyer_balance} tokens")
 
-    def narrate(label: str) -> None:
+    drive(world)
+    for label in world.trace:
         printer(f"step: {_DEMO_NARRATIVE.get(label, label)}")
-
-    drive(world, observer=narrate)
     report = world.report()
     printer(
         "result: balances "

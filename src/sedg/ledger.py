@@ -26,7 +26,6 @@ from . import codec, crypto
 from .crypto import GroupElement, GroupParams, Scalar
 
 ADDRESS_LEN = 32
-DEFAULT_DEADLINE_OFFSET = 100
 
 
 def address_for(party_id: bytes) -> bytes:
@@ -259,7 +258,7 @@ class Ledger:
         payee: bytes,
         amount: int,
         condition: Condition,
-        deadline: int | None = None,
+        deadline: int,
     ) -> int:
         """Escrow `amount` from the payer under a claim condition."""
         if amount <= 0:
@@ -267,8 +266,6 @@ class Ledger:
         if isinstance(condition, NotaryHashLock):
             if condition.fee < 0 or condition.fee > amount:
                 raise LedgerError("notary fee must be within the contract amount")
-        if deadline is None:
-            deadline = self._tick + DEFAULT_DEADLINE_OFFSET
         if deadline <= self._tick:
             raise PastDeadline(f"deadline {deadline} is not after tick {self._tick}")
         if self.get_balance(payer) < amount:

@@ -1,9 +1,10 @@
 """Seller and buyer state machines for the transaction phase.
 
-Sessions are pure decision-makers: handlers consume one message or wake-up
-and return the action to take (a message to send, a contract to publish, a
-claim to submit). A driver executes those actions against the transport and
-the ledger, so the same session code runs under the deterministic scenario
+Sessions act on the chain they are handed: each handler consumes one
+message or wake-up, performs its own ledger operations (the buyer publishes
+and refunds, the seller claims), and returns the messages to send. The
+harness owns what neither party controls: delivery order, wake-ups and
+expiry. So the same session code runs under the deterministic scenario
 runner and under exhaustive adversarial scheduling.
 
 Deviation policies model the classic failure modes of an unprotected trade:
@@ -14,8 +15,9 @@ Sessions hold no random-number state. Each is given a function that builds
 its random stream (the harness seeds it from the scenario seed and the
 role), and every handler that needs randomness builds a fresh stream once
 per call. In any run the harness drives, a handler that draws runs at most
-once per session, so its values do not depend on the schedule, and a
-checkpoint of a session is a shallow copy of its fields.
+once per session, so its values do not depend on the schedule. Nor do
+sessions keep the chain: it is an argument of every handler that touches
+it. So a checkpoint of a session is a shallow copy of its fields.
 """
 from __future__ import annotations
 
@@ -40,7 +42,9 @@ from .ledger import (
     Condition,
     DlogLock,
     EscrowContract,
+    EventKind,
     HashLock,
+    Ledger,
     LedgerEvent,
     NotaryHashLock,
     Witness,
@@ -185,25 +189,6 @@ class BuyerConfig:
     group: GroupParams | None = None
 
 
-@dataclass(frozen=True)
-class PublishPlan:
-    """A contract the buyer wants on-chain, plus the blind to send first (dlog)."""
-
-    condition: Condition
-    amount: int
-    deadline: int
-    payee: bytes
-    blind: Scalar | None = None
-
-
-@dataclass(frozen=True)
-class AbortDecision:
-    reason: AbortReason
-
-
-BuyerDecision = Union[PublishPlan, AbortDecision, None]
-
-
 RngFactory = Callable[[], random.Random]
 
 
@@ -211,8 +196,8 @@ class _Session:
     """Checkpointing shared by both sessions.
 
     Handlers rebind fields and never mutate a field's value in place, and
-    no field holds random-number state, so a shallow copy of the fields is
-    a full checkpoint.
+    no field holds random-number state or the chain, so a shallow copy of
+    the fields is a full checkpoint.
     """
 
     def checkpoint(self) -> dict:
@@ -241,10 +226,14 @@ class BuyerSession(_Session):
     def terminal(self) -> bool:
         return self.state in BUYER_TERMINAL
 
-    def on_offer(self, offer: Offer, now: int) -> BuyerDecision:
-        """Verify and, unless policy or verification says otherwise, plan payment."""
+    def on_offer(self, offer: Offer, chain: Ledger) -> list[ProtocolMessage]:
+        """Verify and, unless policy or verification says otherwise, escrow the price.
+
+        Returns the replies to send, in order: the blind first for a dlog
+        offer, then the contract reference or the abort.
+        """
         if self.state is not BuyerState.INIT:
-            return None
+            return []
         self.state = BuyerState.OFFER_RECEIVED
         self.offer = offer
 
@@ -270,14 +259,14 @@ class BuyerSession(_Session):
         self.state = BuyerState.VERIFIED
 
         if self.policy is BuyerPolicy.NEVER_PUBLISH_CONTRACT:
-            return None
+            return []
 
         amount = self.config.price
         if self.policy is BuyerPolicy.PUBLISH_UNDERPRICED_CONTRACT:
             # Stay above the notary fee so the deviant contract is still legal.
             amount = max(self.config.notary_fee + 1, self.config.price // 2)
 
-        blind: Scalar | None = None
+        replies: list[ProtocolMessage] = []
         condition: Condition
         if isinstance(offer.h2, HashOfKey):
             condition = HashLock(h2=offer.h2.digest)
@@ -288,26 +277,24 @@ class BuyerSession(_Session):
                 fee=self.config.notary_fee,
             )
         else:
-            blind = crypto.draw_scalar(self.new_rng(), self.config.group)
-            self.blind = blind
-            c = crypto.group_exp(self.config.group, offer.h2.element, blind)
+            self.blind = crypto.draw_scalar(self.new_rng(), self.config.group)
+            c = crypto.group_exp(self.config.group, offer.h2.element, self.blind)
             condition = DlogLock(c=c)
             self.state = BuyerState.BLINDED
+            replies.append(Blind(self.blind))
 
-        return PublishPlan(
-            condition=condition,
-            amount=amount,
-            deadline=now + self.config.deadline_offset,
-            payee=address_for(offer.seller_id.id),
-            blind=blind,
-        )
-
-    def note_contract(self, contract_id: int) -> None:
-        self.contract_id = contract_id
+        try:
+            self.contract_id = chain.publish_contract(
+                payer=self.config.address,
+                payee=address_for(offer.seller_id.id),
+                amount=amount,
+                condition=condition,
+                deadline=chain.current_tick + self.config.deadline_offset,
+            )
+        except ledger.InsufficientFunds:
+            return replies + self._abort(AbortReason.INSUFFICIENT_FUNDS)
         self.state = BuyerState.CONTRACT_PUBLISHED
-
-    def note_publish_failed(self, reason: AbortReason) -> None:
-        self._abort(reason)
+        return replies + [ContractRef(self.contract_id)]
 
     def on_claim(self, event: LedgerEvent) -> bytes | None:
         """Recover the key from the published witness and decrypt.
@@ -335,7 +322,7 @@ class BuyerSession(_Session):
         self.state = BuyerState.SETTLED
         return self.plaintext
 
-    def check_timeout(self, now: int, chain: ledger.Ledger) -> int | None:
+    def check_timeout(self, chain: Ledger) -> int | None:
         """Contract id to refund, or None.
 
         Honest buyers wait for strict expiry; an eager buyer fires on every
@@ -348,17 +335,33 @@ class BuyerSession(_Session):
             return None
         if self.policy is BuyerPolicy.REFUND_EAGERLY:
             return self.contract_id
-        if now > contract.deadline:
+        if chain.current_tick > contract.deadline:
             return self.contract_id
         return None
 
-    def note_refunded(self) -> None:
-        self.state = BuyerState.REFUNDED
+    def on_wake(self, chain: Ledger, read_claim: bool) -> None:
+        """Refund what `check_timeout` names, then, if asked, read the claim.
 
-    def _abort(self, reason: AbortReason) -> AbortDecision:
+        A refund the ledger rejects (an eager one before expiry) changes
+        nothing; the buyer tries again on its next wake-up.
+        """
+        refund_id = self.check_timeout(chain)
+        if refund_id is not None:
+            try:
+                chain.refund(refund_id, self.config.address)
+                self.state = BuyerState.REFUNDED
+            except ledger.LedgerError:
+                pass
+        if read_claim and self.contract_id is not None:
+            for event in chain.read_events(0):
+                if event.kind is EventKind.CLAIMED and event.contract_id == self.contract_id:
+                    self.on_claim(event)
+                    break
+
+    def _abort(self, reason: AbortReason) -> list[ProtocolMessage]:
         self.state = BuyerState.ABORTED
         self.abort_reason = reason
-        return AbortDecision(reason)
+        return [AbortMessage(reason.value)]
 
 
 # ---------------------------------------------------------------------------
@@ -379,12 +382,6 @@ SELLER_TERMINAL = frozenset({SellerState.CLAIMED, SellerState.EXPIRED})
 
 class ContractMismatch(Exception):
     """The published contract does not pay the agreed terms; decline to claim."""
-
-
-@dataclass(frozen=True)
-class ClaimRequest:
-    contract_id: int
-    witness: Witness
 
 
 class SellerSession(_Session):
@@ -439,41 +436,39 @@ class SellerSession(_Session):
             meta=self.meta,
         )
 
-    def on_blind(self, r: Scalar, now: int) -> ClaimRequest | None:
+    def on_blind(self, r: Scalar, chain: Ledger) -> None:
         if self.terminal:
-            return None
+            return
         self.blind = r
         if self.contract is not None:
-            return self._decide_claim(now)
-        if self.state is SellerState.OFFER_SENT:
+            self._claim(chain)
+        elif self.state is SellerState.OFFER_SENT:
             self.state = SellerState.AWAITING_CONTRACT
-        return None
 
-    def on_contract(self, contract: EscrowContract, now: int) -> ClaimRequest | None:
+    def on_contract(self, contract_id: int, chain: Ledger) -> None:
+        """Read the referenced contract and claim it, or wait for the blind (dlog)."""
+        try:
+            contract = chain.get_contract(contract_id)
+        except ledger.UnknownContract:
+            return
         if self.terminal or self.claim_attempted:
-            return None
+            return
         self.contract = contract
         if self.variant is Variant.V3 and self.blind is None:
             self.state = SellerState.AWAITING_BLIND
-            return None
-        return self._decide_claim(now)
+            return
+        self._claim(chain)
 
     def on_abort(self, reason: str) -> None:
         if not self.terminal:
             self.state = SellerState.EXPIRED
             self.outcome = f"counterparty aborted: {reason}"
 
-    def on_timer(self, now: int) -> None:
+    def on_timer(self) -> None:
         if not self.terminal:
             self.state = SellerState.EXPIRED
             if not self.outcome:
                 self.outcome = "deadline passed without settlement"
-
-    def note_claimed(self) -> None:
-        self.state = SellerState.CLAIMED
-
-    def note_claim_failed(self, detail: str) -> None:
-        self.outcome = f"claim rejected: {detail}"
 
     def build_witness(self, contract: EscrowContract, blind: Scalar | None = None) -> Witness:
         """The honest witness for a matching contract.
@@ -519,24 +514,30 @@ class SellerSession(_Session):
             raise ContractMismatch("contract condition was not blinded from this offer")
         return ledger.Exponent(x=x)
 
-    def _decide_claim(self, now: int) -> ClaimRequest | None:
+    def _claim(self, chain: Ledger) -> None:
+        """Claim the stored contract, deciding on the record read at delivery."""
         contract = self.contract
         if self.policy is SellerPolicy.WITHHOLD_KEY:
             self.outcome = "withheld the key"
-            return None
+            return
         if self.policy is SellerPolicy.CLAIM_WRONG_WITNESS:
-            self.claim_attempted = True
-            return ClaimRequest(contract.id, self._garbage_witness(contract.condition))
-        if now > contract.deadline:
+            witness = self._garbage_witness(contract.condition)
+        elif chain.current_tick > contract.deadline:
             self.outcome = "contract already expired"
-            return None
-        try:
-            witness = self.build_witness(contract, self.blind)
-        except ContractMismatch as exc:
-            self.outcome = f"declined: {exc}"
-            return None
+            return
+        else:
+            try:
+                witness = self.build_witness(contract, self.blind)
+            except ContractMismatch as exc:
+                self.outcome = f"declined: {exc}"
+                return
         self.claim_attempted = True
-        return ClaimRequest(contract.id, witness)
+        try:
+            chain.claim(contract.id, witness)
+        except ledger.LedgerError as exc:
+            self.outcome = f"claim rejected: {exc}"
+            return
+        self.state = SellerState.CLAIMED
 
     def _mismatched_h2(self) -> Commitment2:
         certificate = self.package.certificate

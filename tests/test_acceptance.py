@@ -169,17 +169,13 @@ def _forced_dlog_exchange(k: int, r: int):
         BuyerPolicy.HONEST,
         lambda: ScriptedRng([(r - 1).to_bytes(scalar_draw_len(TEST_GROUP), "big")]),
     )
-    plan = buyer.on_offer(seller.start(), now=0)
-    assert plan.blind.value == r
-    contract_id = chain.publish_contract(
-        buyer_addr, plan.payee, plan.amount, plan.condition, plan.deadline
-    )
-    buyer.note_contract(contract_id)
-    seller.on_blind(plan.blind, now=0)
-    request = seller.on_contract(chain.get_contract(contract_id), now=0)
-    event = chain.claim(request.contract_id, request.witness)
+    blind, ref = buyer.on_offer(seller.start(), chain)
+    assert blind.r.value == r
+    seller.on_blind(blind.r, chain)
+    seller.on_contract(ref.contract_id, chain)
+    event = chain.read_events(0)[-1]
     assert buyer.on_claim(event) == payload
-    return plan.condition.c.value, event.witness.x.value
+    return chain.get_contract(ref.contract_id).condition.c.value, event.witness.x.value
 
 
 def test_acceptance_4_unlinkability_surrogate():

@@ -78,7 +78,7 @@ def test_publish_insufficient_funds_is_a_no_op():
     chain.fund(A, 10)
     before = chain.snapshot()
     with pytest.raises(InsufficientFunds):
-        chain.publish_contract(A, B, 60, _hash_lock())
+        chain.publish_contract(A, B, 60, _hash_lock(), deadline=100)
     assert chain.snapshot() == before
 
 
@@ -88,14 +88,6 @@ def test_publish_deadline_boundary():
     chain.advance_time(5)
     with pytest.raises(PastDeadline):
         chain.publish_contract(A, B, 60, _hash_lock(), deadline=5)
-
-
-def test_publish_default_deadline_is_hundred_ticks_out():
-    chain = Ledger()
-    chain.fund(A, 100)
-    chain.advance_time(7)
-    cid = chain.publish_contract(A, B, 60, _hash_lock())
-    assert chain.get_contract(cid).deadline == 107
 
 
 def test_claim_hash_lock():

@@ -22,21 +22,20 @@ from sedg.cert import (
     notarize,
     signing_payload,
 )
-from sedg.crypto import TEST_GROUP, Scalar, SigningKeyPair, scalar_draw_len
+from sedg.crypto import MODP_2048, TEST_GROUP, Scalar, SigningKeyPair, scalar_draw_len
 from sedg.ledger import (
     ContractState,
     DlogLock,
+    EventKind,
     HashLock,
     Ledger,
     NotaryHashLock,
     Preimage,
     PreimageWithNotary,
     Exponent,
-    WrongWitness,
     address_for,
 )
 from sedg.protocol import (
-    AbortDecision,
     AbortMessage,
     AbortReason,
     Blind,
@@ -47,7 +46,6 @@ from sedg.protocol import (
     ContractMismatch,
     ContractRef,
     Offer,
-    PublishPlan,
     SellerPolicy,
     SellerSession,
     SellerState,
@@ -109,6 +107,21 @@ def make_buyer(variant, policy=BuyerPolicy.HONEST, *, r=None, price=PRICE, fee=1
     )
 
 
+def funded_chain(balance=200):
+    chain = Ledger()
+    chain.fund(BUYER_ADDR, balance)
+    return chain
+
+
+def deliver_to_seller(seller, replies, chain):
+    """Hand the buyer's replies to the seller in send order, as the harness does."""
+    for reply in replies:
+        if isinstance(reply, Blind):
+            seller.on_blind(reply.r, chain)
+        elif isinstance(reply, ContractRef):
+            seller.on_contract(reply.contract_id, chain)
+
+
 # ---------------------------------------------------------------------------
 # Offers
 # ---------------------------------------------------------------------------
@@ -118,21 +131,23 @@ def test_honest_offer_passes_buyer_verification():
     buyer = make_buyer(Variant.V1)
     offer = seller.start()
     assert seller.state is SellerState.OFFER_SENT
-    plan = buyer.on_offer(offer, now=0)
-    assert isinstance(plan, PublishPlan)
-    assert plan.condition == HashLock(h2=offer.h2.digest)
-    assert plan.amount == PRICE
-    assert plan.deadline == 100
-    assert plan.payee == SELLER_ADDR
-    assert buyer.state is BuyerState.VERIFIED
+    chain = funded_chain()
+    assert buyer.on_offer(offer, chain) == [ContractRef(buyer.contract_id)]
+    contract = chain.get_contract(buyer.contract_id)
+    assert contract.condition == HashLock(h2=offer.h2.digest)
+    assert contract.amount == PRICE
+    assert contract.deadline == 100
+    assert contract.payee == SELLER_ADDR
+    assert contract.payer == BUYER_ADDR
+    assert buyer.state is BuyerState.CONTRACT_PUBLISHED
 
 
 def test_corrupt_ciphertext_offer_aborts_with_mismatch():
     seller = make_seller(Variant.V1, SellerPolicy.SEND_CORRUPT_CIPHERTEXT)
     buyer = make_buyer(Variant.V1)
-    decision = buyer.on_offer(seller.start(), now=0)
-    assert isinstance(decision, AbortDecision)
-    assert decision.reason is AbortReason.CIPHERTEXT_MISMATCH
+    replies = buyer.on_offer(seller.start(), funded_chain())
+    assert replies == [AbortMessage(AbortReason.CIPHERTEXT_MISMATCH.value)]
+    assert buyer.abort_reason is AbortReason.CIPHERTEXT_MISMATCH
     assert buyer.state is BuyerState.ABORTED
 
 
@@ -140,9 +155,9 @@ def test_mismatched_h2_offer_aborts_with_bad_signature():
     for variant in (Variant.V1, Variant.V2, Variant.V3):
         seller = make_seller(variant, SellerPolicy.SEND_MISMATCHED_H2)
         buyer = make_buyer(variant)
-        decision = buyer.on_offer(seller.start(), now=0)
-        assert isinstance(decision, AbortDecision)
-        assert decision.reason is AbortReason.BAD_SIGNATURE
+        replies = buyer.on_offer(seller.start(), funded_chain())
+        assert replies == [AbortMessage(AbortReason.BAD_SIGNATURE.value)]
+        assert buyer.abort_reason is AbortReason.BAD_SIGNATURE
 
 
 def test_honest_v3_offer_carries_group_parameters():
@@ -155,15 +170,15 @@ def test_honest_v3_offer_carries_group_parameters():
 def test_price_mismatch_aborts():
     seller = make_seller(Variant.V1, price=PRICE + 1)
     buyer = make_buyer(Variant.V1)
-    decision = buyer.on_offer(seller.start(), now=0)
-    assert decision.reason is AbortReason.PRICE_MISMATCH
+    buyer.on_offer(seller.start(), funded_chain())
+    assert buyer.abort_reason is AbortReason.PRICE_MISMATCH
 
 
 def test_variant_mismatch_aborts():
     seller = make_seller(Variant.V2)
     buyer = make_buyer(Variant.V1)
-    decision = buyer.on_offer(seller.start(), now=0)
-    assert decision.reason is AbortReason.VARIANT_MISMATCH
+    buyer.on_offer(seller.start(), funded_chain())
+    assert buyer.abort_reason is AbortReason.VARIANT_MISMATCH
 
 
 def test_buyer_rejects_variant_downgrade():
@@ -173,14 +188,13 @@ def test_buyer_rejects_variant_downgrade():
     with pytest.raises(ValueError, match="variant"):
         message_from_obj({**honest, "variant": "v3"})
     # What the commitment says is what a dlog buyer checks, and refuses.
-    decision = make_buyer(Variant.V3).on_offer(message_from_obj(honest), now=0)
-    assert decision.reason is AbortReason.VARIANT_MISMATCH
+    buyer = make_buyer(Variant.V3)
+    buyer.on_offer(message_from_obj(honest), funded_chain())
+    assert buyer.abort_reason is AbortReason.VARIANT_MISMATCH
 
 
-def test_buyer_rejects_unexpected_group_parameters():
-    # A validly signed offer over a group the buyer is not configured for.
-    from sedg.crypto import MODP_2048
-
+def make_modp2048_seller():
+    """A v3 seller whose validly signed offer is over the 2048-bit group."""
     package = notarize(
         NOTARY_KEYS,
         NOTARY,
@@ -189,17 +203,77 @@ def test_buyer_rejects_unexpected_group_parameters():
         random.Random(77),
         group=MODP_2048,
     )
-    seller = SellerSession(
+    return SellerSession(
         package, SELLER_ADDR, PRICE, SellerPolicy.HONEST, lambda: random.Random(3)
     )
+
+
+def test_buyer_rejects_unexpected_group_parameters():
+    # A validly signed offer over a group the buyer is not configured for.
+    seller = make_modp2048_seller()
     buyer = make_buyer(Variant.V3)  # configured for the test group
-    decision = buyer.on_offer(seller.start(), now=0)
-    assert decision.reason is AbortReason.GROUP_MISMATCH
+    buyer.on_offer(seller.start(), funded_chain())
+    assert buyer.abort_reason is AbortReason.GROUP_MISMATCH
+
+
+REFUSED_OFFERS = [
+    pytest.param(
+        AbortReason.PRICE_MISMATCH,
+        lambda: (make_seller(Variant.V1, price=PRICE + 1), make_buyer(Variant.V1)),
+        id="price_mismatch",
+    ),
+    pytest.param(
+        AbortReason.VARIANT_MISMATCH,
+        lambda: (make_seller(Variant.V2), make_buyer(Variant.V1)),
+        id="variant_mismatch",
+    ),
+    pytest.param(
+        AbortReason.BAD_SIGNATURE,
+        lambda: (make_seller(Variant.V3, SellerPolicy.SEND_MISMATCHED_H2), make_buyer(Variant.V3)),
+        id="bad_signature",
+    ),
+    pytest.param(
+        AbortReason.CIPHERTEXT_MISMATCH,
+        lambda: (
+            make_seller(Variant.V3, SellerPolicy.SEND_CORRUPT_CIPHERTEXT),
+            make_buyer(Variant.V3),
+        ),
+        id="ciphertext_mismatch",
+    ),
+    pytest.param(
+        AbortReason.GROUP_MISMATCH,
+        lambda: (make_modp2048_seller(), make_buyer(Variant.V3)),
+        id="group_mismatch",
+    ),
+]
+
+
+@pytest.mark.parametrize("reason, make_pair", REFUSED_OFFERS)
+def test_aborting_buyer_never_touches_the_chain(reason, make_pair):
+    seller, buyer = make_pair()
+    chain = funded_chain()
+    before = chain.snapshot()
+    assert buyer.on_offer(seller.start(), chain) == [AbortMessage(reason.value)]
+    assert chain.snapshot() == before
+    assert buyer.abort_reason is reason
+
+
+@pytest.mark.parametrize("variant", [Variant.V1, Variant.V3], ids=["v1", "v3"])
+def test_underfunded_buyer_aborts_without_a_contract(variant):
+    seller = make_seller(variant)
+    buyer = make_buyer(variant)
+    chain = funded_chain(PRICE - 1)
+    replies = buyer.on_offer(seller.start(), chain)
+    abort = AbortMessage(AbortReason.INSUFFICIENT_FUNDS.value)
+    # A dlog buyer sends its blind before it tries to publish.
+    assert replies == ([Blind(buyer.blind), abort] if variant is Variant.V3 else [abort])
+    assert chain.get_balance(BUYER_ADDR) == PRICE - 1
+    assert not [e for e in chain.read_events(0) if e.kind is EventKind.CONTRACT_PUBLISHED]
+    assert buyer.contract_id is None
+    assert buyer.state is BuyerState.ABORTED
 
 
 def test_seller_declines_blind_from_wrong_group():
-    from sedg.crypto import MODP_2048
-
     seller = make_seller(Variant.V3, k=3)
     c = crypto.group_exp(TEST_GROUP, seller.package.certificate.h2.element, 4)
     _, contract = _open_contract(DlogLock(c))
@@ -211,26 +285,32 @@ def test_v3_buyer_blinds_the_commitment():
     # h2 = g^3 = 8 and forced r = 4 gives c = 8^4 mod 23 = 2.
     seller = make_seller(Variant.V3, k=3)
     buyer = make_buyer(Variant.V3, r=4)
-    plan = buyer.on_offer(seller.start(), now=0)
-    assert isinstance(plan, PublishPlan)
-    assert plan.blind.value == 4
-    assert isinstance(plan.condition, DlogLock)
-    assert plan.condition.c.value == 2
-    assert buyer.state is BuyerState.BLINDED
+    chain = funded_chain()
+    replies = buyer.on_offer(seller.start(), chain)
+    assert replies == [Blind(Scalar(4, TEST_GROUP)), ContractRef(buyer.contract_id)]
+    assert buyer.blind.value == 4
+    condition = chain.get_contract(buyer.contract_id).condition
+    assert isinstance(condition, DlogLock)
+    assert condition.c.value == 2
+    assert buyer.state is BuyerState.CONTRACT_PUBLISHED
 
 
 def test_never_publish_policy_stops_after_verification():
     seller = make_seller(Variant.V1)
     buyer = make_buyer(Variant.V1, BuyerPolicy.NEVER_PUBLISH_CONTRACT)
-    assert buyer.on_offer(seller.start(), now=0) is None
+    chain = funded_chain()
+    before = chain.snapshot()
+    assert buyer.on_offer(seller.start(), chain) == []
+    assert chain.snapshot() == before
     assert buyer.state is BuyerState.VERIFIED
 
 
 def test_underpriced_policy_halves_the_amount():
     seller = make_seller(Variant.V1)
     buyer = make_buyer(Variant.V1, BuyerPolicy.PUBLISH_UNDERPRICED_CONTRACT)
-    plan = buyer.on_offer(seller.start(), now=0)
-    assert plan.amount == PRICE // 2
+    chain = funded_chain()
+    buyer.on_offer(seller.start(), chain)
+    assert chain.get_contract(buyer.contract_id).amount == PRICE // 2
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +318,7 @@ def test_underpriced_policy_halves_the_amount():
 # ---------------------------------------------------------------------------
 
 def _open_contract(condition, amount=PRICE, payee=SELLER_ADDR, deadline=100):
-    chain = Ledger()
-    chain.fund(BUYER_ADDR, 200)
+    chain = funded_chain()
     cid = chain.publish_contract(BUYER_ADDR, payee, amount, condition, deadline)
     return chain, chain.get_contract(cid)
 
@@ -309,28 +388,46 @@ def test_build_witness_rejects_misblinded_condition():
 def test_seller_claims_once_at_most():
     seller = make_seller(Variant.V1)
     h2 = seller.package.certificate.h2.digest
-    _, contract = _open_contract(HashLock(h2))
-    first = seller.on_contract(contract, now=0)
-    assert first is not None
-    assert seller.on_contract(contract, now=0) is None
+    chain, contract = _open_contract(HashLock(h2))
+    seller.on_contract(contract.id, chain)
+    assert seller.state is SellerState.CLAIMED
+    seller.on_contract(contract.id, chain)
+    claims = [e for e in chain.read_events(0) if e.kind is EventKind.CLAIMED]
+    assert [e.contract_id for e in claims] == [contract.id]
+
+
+def test_seller_ignores_an_unknown_contract():
+    seller = make_seller(Variant.V1)
+    seller.start()
+    chain = funded_chain()
+    before = chain.snapshot()
+    seller.on_contract(7, chain)
+    assert chain.snapshot() == before
+    assert seller.state is SellerState.OFFER_SENT
+    assert seller.contract is None
 
 
 def test_withhold_key_policy_never_claims():
     seller = make_seller(Variant.V1, SellerPolicy.WITHHOLD_KEY)
     h2 = seller.package.certificate.h2.digest
-    _, contract = _open_contract(HashLock(h2))
-    assert seller.on_contract(contract, now=0) is None
+    chain, contract = _open_contract(HashLock(h2))
+    before = chain.snapshot()
+    seller.on_contract(contract.id, chain)
+    assert chain.snapshot() == before
+    assert not seller.claim_attempted
+    assert seller.outcome == "withheld the key"
 
 
 def test_wrong_witness_policy_is_rejected_by_the_chain():
     seller = make_seller(Variant.V1, SellerPolicy.CLAIM_WRONG_WITNESS)
     h2 = seller.package.certificate.h2.digest
     chain, contract = _open_contract(HashLock(h2))
-    request = seller.on_contract(contract, now=0)
-    assert request is not None
     before = chain.snapshot()
-    with pytest.raises(WrongWitness):
-        chain.claim(request.contract_id, request.witness)
+    seller.on_contract(contract.id, chain)
+    assert seller.claim_attempted
+    # The ledger's WrongWitness, as the seller records it.
+    assert seller.outcome == "claim rejected: the witness does not satisfy the condition"
+    assert seller.state is not SellerState.CLAIMED
     assert chain.snapshot() == before
     assert chain.get_contract(contract.id).state is ContractState.OPEN
 
@@ -342,18 +439,10 @@ def test_wrong_witness_policy_is_rejected_by_the_chain():
 def _settled_exchange(variant, *, k=None, r=None):
     seller = make_seller(variant, k=k)
     buyer = make_buyer(variant, r=r)
-    offer = seller.start()
-    plan = buyer.on_offer(offer, now=0)
-    chain = Ledger()
-    chain.fund(BUYER_ADDR, 200)
-    cid = chain.publish_contract(
-        BUYER_ADDR, plan.payee, plan.amount, plan.condition, plan.deadline
-    )
-    buyer.note_contract(cid)
-    if plan.blind is not None:
-        seller.on_blind(plan.blind, now=0)
-    request = seller.on_contract(chain.get_contract(cid), now=0)
-    event = chain.claim(request.contract_id, request.witness)
+    chain = funded_chain()
+    deliver_to_seller(seller, buyer.on_offer(seller.start(), chain), chain)
+    event = chain.read_events(0)[-1]
+    assert event.kind is EventKind.CLAIMED
     return seller, buyer, chain, event
 
 
@@ -377,45 +466,51 @@ def test_buyer_recovers_scalar_key_v3():
     assert recovered.value == 3
 
 
+def test_wake_reads_the_claim_only_when_asked():
+    _, buyer, chain, _ = _settled_exchange(Variant.V1)
+    buyer.on_wake(chain, read_claim=False)
+    assert buyer.state is BuyerState.CONTRACT_PUBLISHED
+    buyer.on_wake(chain, read_claim=True)
+    assert buyer.plaintext == PAYLOAD
+    assert buyer.state is BuyerState.SETTLED
+
+
 def test_check_timeout_boundaries():
     seller = make_seller(Variant.V1)
     buyer = make_buyer(Variant.V1)
-    plan = buyer.on_offer(seller.start(), now=0)
-    chain = Ledger()
-    chain.fund(BUYER_ADDR, 200)
-    cid = chain.publish_contract(
-        BUYER_ADDR, plan.payee, plan.amount, plan.condition, plan.deadline
-    )
-    buyer.note_contract(cid)
-    assert buyer.check_timeout(0, chain) is None
-    chain.advance_time(plan.deadline)
-    assert buyer.check_timeout(chain.current_tick, chain) is None  # exactly at deadline
+    chain = funded_chain()
+    buyer.on_offer(seller.start(), chain)
+    cid = buyer.contract_id
+    assert buyer.check_timeout(chain) is None
+    chain.advance_time(chain.get_contract(cid).deadline)
+    assert buyer.check_timeout(chain) is None  # exactly at deadline
     chain.advance_time(1)
-    assert buyer.check_timeout(chain.current_tick, chain) == cid
-    chain.refund(cid, BUYER_ADDR)
-    buyer.note_refunded()
+    assert buyer.check_timeout(chain) == cid
+    buyer.on_wake(chain, read_claim=False)
     assert buyer.state is BuyerState.REFUNDED
-    assert buyer.check_timeout(chain.current_tick, chain) is None
+    assert chain.get_contract(cid).state is ContractState.REFUNDED
+    assert chain.get_balance(BUYER_ADDR) == 200
+    assert buyer.check_timeout(chain) is None
 
 
 def test_eager_refund_policy_fires_before_expiry():
     seller = make_seller(Variant.V1)
     buyer = make_buyer(Variant.V1, BuyerPolicy.REFUND_EAGERLY)
-    plan = buyer.on_offer(seller.start(), now=0)
-    chain = Ledger()
-    chain.fund(BUYER_ADDR, 200)
-    cid = chain.publish_contract(
-        BUYER_ADDR, plan.payee, plan.amount, plan.condition, plan.deadline
-    )
-    buyer.note_contract(cid)
-    assert buyer.check_timeout(0, chain) == cid  # the ledger will say NotExpired
+    chain = funded_chain()
+    buyer.on_offer(seller.start(), chain)
+    cid = buyer.contract_id
+    assert buyer.check_timeout(chain) == cid
+    before = chain.snapshot()
+    buyer.on_wake(chain, read_claim=False)  # the ledger says NotExpired
+    assert chain.snapshot() == before
+    assert buyer.state is BuyerState.CONTRACT_PUBLISHED
 
 
 def test_check_timeout_ignores_settled_contracts():
     _, buyer, chain, event = _settled_exchange(Variant.V1)
     buyer.on_claim(event)
     chain.advance_time(500)
-    assert buyer.check_timeout(chain.current_tick, chain) is None
+    assert buyer.check_timeout(chain) is None
 
 
 def test_decrypt_failure_marks_session_without_settling():
@@ -436,16 +531,12 @@ def test_decrypt_failure_marks_session_without_settling():
         package, SELLER_ADDR, PRICE, SellerPolicy.HONEST, lambda: random.Random(3)
     )
     buyer = make_buyer(Variant.V1)
-    plan = buyer.on_offer(seller.start(), now=0)
-    assert isinstance(plan, PublishPlan)  # the certificate itself verifies
-    chain = Ledger()
-    chain.fund(BUYER_ADDR, 200)
-    cid = chain.publish_contract(
-        BUYER_ADDR, plan.payee, plan.amount, plan.condition, plan.deadline
-    )
-    buyer.note_contract(cid)
-    request = seller.on_contract(chain.get_contract(cid), now=0)
-    event = chain.claim(request.contract_id, request.witness)
+    chain = funded_chain()
+    replies = buyer.on_offer(seller.start(), chain)
+    assert replies == [ContractRef(buyer.contract_id)]  # the certificate itself verifies
+    deliver_to_seller(seller, replies, chain)
+    assert seller.state is SellerState.CLAIMED
+    event = chain.read_events(0)[-1]
     assert buyer.on_claim(event) is None
     assert buyer.decrypt_failed
     assert buyer.state is not BuyerState.SETTLED

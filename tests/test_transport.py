@@ -249,23 +249,16 @@ def test_full_dlog_exchange_over_the_in_process_net():
     seller_ep.send(b"b", message_to_obj(seller.start()))
     net.deliver(0)
     offer = message_from_obj(buyer_ep.recv().body)
-    plan = buyer.on_offer(offer, now=0)
-    from sedg.protocol import Blind, ContractRef
-
-    buyer_ep.send(b"s", message_to_obj(Blind(plan.blind)))
-    cid = chain.publish_contract(
-        buyer_addr, plan.payee, plan.amount, plan.condition, plan.deadline
-    )
-    buyer.note_contract(cid)
-    buyer_ep.send(b"s", message_to_obj(ContractRef(cid)))
+    for reply in buyer.on_offer(offer, chain):
+        buyer_ep.send(b"s", message_to_obj(reply))
 
     net.deliver(0)
     net.deliver(0)
     blind_msg = message_from_obj(seller_ep.recv().body)
-    seller.on_blind(blind_msg.r, now=0)
+    seller.on_blind(blind_msg.r, chain)
     ref_msg = message_from_obj(seller_ep.recv().body)
-    request = seller.on_contract(chain.get_contract(ref_msg.contract_id), now=0)
-    event = chain.claim(request.contract_id, request.witness)
+    seller.on_contract(ref_msg.contract_id, chain)
+    event = chain.read_events(0)[-1]
 
     assert buyer.on_claim(event) == payload
     assert chain.get_balance(seller_addr) == 60

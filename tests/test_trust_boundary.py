@@ -225,5 +225,7 @@ def test_buyer_still_aborts_on_a_named_group_it_was_not_configured_for():
     assert wire["h2"]["element"]["group"] == "modp2048"
     config = dataclasses.replace(world.buyer.config, group=TEST_GROUP)
     buyer = BuyerSession(config, BuyerPolicy.HONEST, lambda: random.Random(0))
-    decision = buyer.on_offer(message_from_obj(wire), now=0)
-    assert decision.reason is AbortReason.GROUP_MISMATCH
+    chain = ledger.Ledger()
+    buyer.on_offer(message_from_obj(wire), chain)
+    assert buyer.abort_reason is AbortReason.GROUP_MISMATCH
+    assert chain.snapshot() == ledger.Ledger().snapshot()
