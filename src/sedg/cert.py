@@ -6,8 +6,8 @@ and hands the whole package to the seller. Buyers later verify such
 certificates against a static registry of trusted notary keys.
 
 A certificate carries nothing that can be derived: its variant and, for the
-dlog variant, its group both follow from the commitment `h2`. Its fields
-reach the buyer inside an offer, encoded by `codec`.
+dlog variant, its group both follow from the commitment `h2`. The seller
+forwards it whole inside an offer, encoded by `codec`.
 """
 from __future__ import annotations
 
@@ -48,14 +48,13 @@ class PartyId:
 
 @dataclass(frozen=True)
 class SellerData:
-    """Raw payload offered for sale, plus the seller identity and free-form meta.
+    """Raw payload offered for sale, plus the seller identity.
 
     An empty payload is representable so the validation predicate can reject it.
     """
 
     payload: bytes
     seller: PartyId
-    meta: str = ""
 
 
 # ---------------------------------------------------------------------------

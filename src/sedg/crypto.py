@@ -21,12 +21,10 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 )
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
-DIGEST_LEN = 32
 KEY_LEN = 32
 NONCE_LEN = 12
 TAG_LEN = 16
 SEED_LEN = 32
-SIGNATURE_LEN = 64
 
 _KDF_LABEL = b"sedg3-kdf"
 

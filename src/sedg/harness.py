@@ -305,7 +305,7 @@ class World:
         self.package = notarize(
             self.notary_keys,
             self.notary_id,
-            SellerData(payload=config.payload, seller=self.seller_id, meta="scenario"),
+            SellerData(payload=config.payload, seller=self.seller_id),
             config.variant,
             _rng(config.seed, "notary"),
             group=group,
@@ -319,7 +319,6 @@ class World:
             price=config.price,
             policy=config.seller_policy,
             new_rng=functools.partial(_rng, config.seed, "seller"),
-            meta="scenario",
         )
         self.buyer = BuyerSession(
             config=BuyerConfig(

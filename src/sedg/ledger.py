@@ -25,8 +25,6 @@ from typing import Iterable, Union
 from . import codec, crypto
 from .crypto import GroupElement, GroupParams, Scalar
 
-ADDRESS_LEN = 32
-
 
 def address_for(party_id: bytes) -> bytes:
     """Deterministic account address for a party identity."""

@@ -22,7 +22,7 @@ it. So a checkpoint of a session is a shallow copy of its fields.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, ClassVar, Mapping, Union
 
@@ -108,20 +108,17 @@ class AbortReason(Enum):
 
 @dataclass(frozen=True)
 class Offer:
-    """Everything the buyer needs to verify the certificate and decide to pay.
+    """The notary's certificate, the ciphertext it binds, and the asking price.
 
-    The variant is not a field: it is `commitment_variant(h2)`, so an offer
-    cannot claim one flavour while committing in another.
+    The seller forwards the certificate the notary signed, and the buyer
+    verifies exactly what it received. The variant is the certificate's:
+    it follows from the commitment `h2`, so an offer cannot claim one
+    flavour while committing in another.
     """
 
-    sigma: bytes
+    certificate: Certificate
     ciphertext: Ciphertext
-    h1: bytes
-    h2: Commitment2
-    seller_id: PartyId
-    notary_id: PartyId
     price: int
-    meta: str = ""
 
 
 @dataclass(frozen=True)
@@ -165,9 +162,7 @@ _decode_message = codec.decoder(ProtocolMessage)
 
 class BuyerState(Enum):
     INIT = "init"
-    OFFER_RECEIVED = "offer_received"
     VERIFIED = "verified"
-    BLINDED = "blinded"
     CONTRACT_PUBLISHED = "contract_published"
     SETTLED = "settled"
     REFUNDED = "refunded"
@@ -234,27 +229,21 @@ class BuyerSession(_Session):
         """
         if self.state is not BuyerState.INIT:
             return []
-        self.state = BuyerState.OFFER_RECEIVED
         self.offer = offer
+        certificate = offer.certificate
+        h2 = certificate.h2
 
         if offer.price != self.config.price:
             return self._abort(AbortReason.PRICE_MISMATCH)
-        if cert.commitment_variant(offer.h2) is not self.config.variant:
+        if certificate.variant is not self.config.variant:
             return self._abort(AbortReason.VARIANT_MISMATCH)
-        certificate = Certificate(
-            h1=offer.h1,
-            h2=offer.h2,
-            seller_id=offer.seller_id,
-            notary_id=offer.notary_id,
-            sigma=offer.sigma,
-        )
         verdict = cert.verify_certificate(
             certificate, self.config.trusted_notaries, self.config.seller, offer.ciphertext
         )
         if not verdict:
             # Every certificate rejection has the abort reason of the same value.
             return self._abort(AbortReason(verdict.reason.value))
-        if isinstance(offer.h2, GroupPower) and offer.h2.element.params != self.config.group:
+        if isinstance(h2, GroupPower) and h2.element.params != self.config.group:
             return self._abort(AbortReason.GROUP_MISMATCH)
         self.state = BuyerState.VERIFIED
 
@@ -268,25 +257,24 @@ class BuyerSession(_Session):
 
         replies: list[ProtocolMessage] = []
         condition: Condition
-        if isinstance(offer.h2, HashOfKey):
-            condition = HashLock(h2=offer.h2.digest)
-        elif isinstance(offer.h2, HashOfKeyAndNotary):
+        if isinstance(h2, HashOfKey):
+            condition = HashLock(h2=h2.digest)
+        elif isinstance(h2, HashOfKeyAndNotary):
             condition = NotaryHashLock(
-                h2=offer.h2.digest,
-                notary=address_for(offer.notary_id.id),
+                h2=h2.digest,
+                notary=address_for(certificate.notary_id.id),
                 fee=self.config.notary_fee,
             )
         else:
             self.blind = crypto.draw_scalar(self.new_rng(), self.config.group)
-            c = crypto.group_exp(self.config.group, offer.h2.element, self.blind)
+            c = crypto.group_exp(self.config.group, h2.element, self.blind)
             condition = DlogLock(c=c)
-            self.state = BuyerState.BLINDED
             replies.append(Blind(self.blind))
 
         try:
             self.contract_id = chain.publish_contract(
                 payer=self.config.address,
-                payee=address_for(offer.seller_id.id),
+                payee=address_for(certificate.seller_id.id),
                 amount=amount,
                 condition=condition,
                 deadline=chain.current_tick + self.config.deadline_offset,
@@ -394,14 +382,12 @@ class SellerSession(_Session):
         price: int,
         policy: SellerPolicy,
         new_rng: RngFactory,
-        meta: str = "",
     ) -> None:
         self.package = package
         self.address = address
         self.price = price
         self.policy = policy
         self.new_rng = new_rng
-        self.meta = meta
         self.variant = package.certificate.variant
         self.state = SellerState.INIT
         self.blind: Scalar | None = None
@@ -417,24 +403,14 @@ class SellerSession(_Session):
         """Produce the offer, faithful or corrupted according to policy."""
         certificate = self.package.certificate
         ciphertext = self.package.ciphertext
-        h2 = certificate.h2
         if self.policy is SellerPolicy.SEND_CORRUPT_CIPHERTEXT:
             body = bytearray(ciphertext.body)
             body[0] ^= 0x01
             ciphertext = Ciphertext(nonce=ciphertext.nonce, body=bytes(body))
         elif self.policy is SellerPolicy.SEND_MISMATCHED_H2:
-            h2 = self._mismatched_h2()
+            certificate = replace(certificate, h2=self._mismatched_h2())
         self.state = SellerState.OFFER_SENT
-        return Offer(
-            sigma=certificate.sigma,
-            ciphertext=ciphertext,
-            h1=certificate.h1,
-            h2=h2,
-            seller_id=certificate.seller_id,
-            notary_id=certificate.notary_id,
-            price=self.price,
-            meta=self.meta,
-        )
+        return Offer(certificate, ciphertext, self.price)
 
     def on_blind(self, r: Scalar, chain: Ledger) -> None:
         if self.terminal:

@@ -27,7 +27,6 @@ from sedg.harness import (
 from sedg.ledger import (
     ContractState,
     Ledger,
-    LedgerError,
     address_for,
     event_to_json,
     replay,

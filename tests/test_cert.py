@@ -10,7 +10,6 @@ from helpers import ScriptedRng
 from sedg import codec, crypto
 from sedg.cert import (
     Certificate,
-    CertificatePackage,
     GroupPower,
     HashOfKey,
     HashOfKeyAndNotary,
@@ -40,7 +39,7 @@ def seller():
 
 def _notarize(notary, seller, variant, rng=None, payload=b"hello", group=None):
     keys, notary_id = notary
-    data = SellerData(payload=payload, seller=seller, meta="credit card history")
+    data = SellerData(payload=payload, seller=seller)
     if variant is Variant.V3 and group is None:
         group = TEST_GROUP
     return notarize(keys, notary_id, data, variant, rng or random.Random(0), group=group)

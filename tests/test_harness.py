@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sedg import cli, crypto, harness, transport
-from sedg.cert import GroupPower, PartyId
+from sedg.cert import Certificate, GroupPower, PartyId
 from sedg.harness import (
     MAX_DEADLINE_OFFSET,
     MAX_PAYLOAD,
@@ -588,20 +588,21 @@ def test_payload_bounded_by_the_offer_frame():
 
 
 def test_largest_payload_offer_fits_one_frame():
-    # Worst case for everything beside the ciphertext: a 2048-bit h2 and a
-    # price of the 4300 digits a JSON config can hold.
+    # Worst case for everything beside the ciphertext: 64-byte ids, a 2048-bit
+    # h2 and a price of the 4300 digits a JSON config can hold.
     group = crypto.GROUPS["modp2048"]
     offer = Offer(
-        sigma=bytes(64),
+        certificate=Certificate(
+            h1=bytes(32),
+            h2=GroupPower(crypto.GroupElement(pow(group.g, group.q - 1, group.p), group)),
+            seller_id=PartyId(bytes(64)),
+            notary_id=PartyId(bytes(64)),
+            sigma=bytes(64),
+        ),
         ciphertext=crypto.Ciphertext(
             nonce=bytes(crypto.NONCE_LEN), body=bytes(MAX_PAYLOAD + crypto.TAG_LEN)
         ),
-        h1=bytes(32),
-        h2=GroupPower(crypto.GroupElement(pow(group.g, group.q - 1, group.p), group)),
-        seller_id=PartyId(bytes(64)),
-        notary_id=PartyId(bytes(64)),
         price=10**4299,
-        meta="scenario",
     )
     envelope = transport.Envelope(bytes(64), bytes(64), message_to_obj(offer))
     assert len(transport.frame_encode(envelope)) <= transport.MAX_FRAME + 4

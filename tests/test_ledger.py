@@ -31,7 +31,6 @@ from sedg.ledger import (
     VariantMismatch,
     WrongWitness,
     address_for,
-    evaluate_condition,
     event_from_json,
     event_to_json,
     replay,

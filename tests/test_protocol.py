@@ -32,7 +32,6 @@ from sedg.ledger import (
     NotaryHashLock,
     Preimage,
     PreimageWithNotary,
-    Exponent,
     address_for,
 )
 from sedg.protocol import (
@@ -134,7 +133,7 @@ def test_honest_offer_passes_buyer_verification():
     chain = funded_chain()
     assert buyer.on_offer(offer, chain) == [ContractRef(buyer.contract_id)]
     contract = chain.get_contract(buyer.contract_id)
-    assert contract.condition == HashLock(h2=offer.h2.digest)
+    assert contract.condition == HashLock(h2=offer.certificate.h2.digest)
     assert contract.amount == PRICE
     assert contract.deadline == 100
     assert contract.payee == SELLER_ADDR
@@ -163,8 +162,8 @@ def test_mismatched_h2_offer_aborts_with_bad_signature():
 def test_honest_v3_offer_carries_group_parameters():
     seller = make_seller(Variant.V3)
     offer = seller.start()
-    assert isinstance(offer.h2, GroupPower)
-    assert offer.h2.element.params == TEST_GROUP
+    assert isinstance(offer.certificate.h2, GroupPower)
+    assert offer.certificate.h2.element.params == TEST_GROUP
 
 
 def test_price_mismatch_aborts():
@@ -182,11 +181,13 @@ def test_variant_mismatch_aborts():
 
 
 def test_buyer_rejects_variant_downgrade():
-    # An offer that claims the dlog flavour beside a plain-hash commitment
-    # cannot even be decoded: the variant is derived from h2, not carried.
+    # An offer or certificate that claims the dlog flavour beside a plain-hash
+    # commitment cannot even be decoded: the variant is derived from h2, not carried.
     honest = message_to_obj(make_seller(Variant.V1).start())
     with pytest.raises(ValueError, match="variant"):
         message_from_obj({**honest, "variant": "v3"})
+    with pytest.raises(ValueError, match="unknown keys for a Certificate: .'variant'"):
+        message_from_obj({**honest, "certificate": {**honest["certificate"], "variant": "v3"}})
     # What the commitment says is what a dlog buyer checks, and refuses.
     buyer = make_buyer(Variant.V3)
     buyer.on_offer(message_from_obj(honest), funded_chain())
@@ -551,12 +552,13 @@ def test_offer_json_round_trip_all_variants():
         offer = make_seller(variant).start()
         recovered = message_from_obj(message_to_obj(offer))
         assert isinstance(recovered, Offer)
-        assert commitment_variant(recovered.h2) is variant
-        assert recovered.sigma == offer.sigma
+        certificate, sent = recovered.certificate, offer.certificate
+        assert commitment_variant(certificate.h2) is variant
+        assert certificate.sigma == sent.sigma
         assert recovered.ciphertext == offer.ciphertext
-        assert recovered.h1 == offer.h1
-        assert recovered.h2 == offer.h2
-        assert recovered.seller_id.id == offer.seller_id.id
+        assert certificate.h1 == sent.h1
+        assert certificate.h2 == sent.h2
+        assert certificate.seller_id.id == sent.seller_id.id
         assert recovered.price == offer.price
 
 
@@ -569,6 +571,27 @@ def test_small_message_json_round_trips():
     assert message_from_obj(message_to_obj(abort)) == abort
     with pytest.raises(ValueError):
         message_from_obj({"type": "mystery"})
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_flat_offer_of_the_old_format_is_rejected(variant):
+    # The certificate's fields used to sit beside the ciphertext, with a
+    # free-form meta string; a peer still sending that shape is refused
+    # whole, with or without a nested certificate next to the flat copies.
+    wire = message_to_obj(make_seller(variant).start())
+    flat = {key: value for key, value in wire.items() if key != "certificate"}
+    flat.update(wire["certificate"])
+    for obj in ({**flat, "meta": "scenario"}, flat, {**wire, **wire["certificate"]}):
+        with pytest.raises(ValueError):
+            message_from_obj(obj)
+
+
+def test_certificate_in_an_offer_carries_no_group():
+    # The group follows from h2; even a group that agrees with it is refused.
+    wire = message_to_obj(make_seller(Variant.V3).start())
+    certificate = {**wire["certificate"], "group": "test"}
+    with pytest.raises(ValueError, match="unknown keys for a Certificate: .'group'"):
+        message_from_obj({**wire, "certificate": certificate})
 
 
 @pytest.mark.parametrize("price", [60.9, 60.0, True, "60", None], ids=repr)
@@ -594,13 +617,18 @@ NEAR_VALUES = JSON_VALUES | HEX | GROUP_VALUES | st.fixed_dictionaries(
     {"type": st.sampled_from(["group_power", "hash_of_key"])},
     optional={"digest": HEX, "element": GROUP_VALUES | JSON_VALUES},
 )
+NEAR_CERTIFICATES = st.fixed_dictionaries(
+    {},
+    optional={key: NEAR_VALUES for key in ("h1", "h2", "seller_id", "notary_id", "sigma")},
+)
 NEAR_MISSES = st.fixed_dictionaries(
     {"type": st.sampled_from(["offer", "blind", "contract_ref", "abort", "mystery"])},
-    optional={key: NEAR_VALUES for key in (
-        "sigma", "ciphertext", "h1", "h2", "seller_id", "notary_id", "price", "meta",
-        "r", "contract_id", "reason",
-    )},
+    optional={
+        "certificate": NEAR_CERTIFICATES | NEAR_VALUES,
+        **{key: NEAR_VALUES for key in ("ciphertext", "price", "r", "contract_id", "reason")},
+    },
 )
+V3_OFFER = message_to_obj(make_seller(Variant.V3).start())
 
 
 @settings(max_examples=200, deadline=None)
@@ -608,8 +636,10 @@ NEAR_MISSES = st.fixed_dictionaries(
 @example({})  # used to raise KeyError
 @example([])  # used to raise TypeError
 @example(  # an element outside the subgroup: DomainError, which is a ValueError
-    {**message_to_obj(make_seller(Variant.V3).start()),
-     "h2": {"type": "group_power", "element": {"group": "test", "value": 5}}}
+    {**V3_OFFER, "certificate": {
+        **V3_OFFER["certificate"],
+        "h2": {"type": "group_power", "element": {"group": "test", "value": 5}},
+    }}
 )
 def test_message_decoder_raises_only_value_error(obj):
     try:

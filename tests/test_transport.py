@@ -198,7 +198,6 @@ def test_oversized_send_rejected_in_process():
 def test_full_dlog_exchange_over_the_in_process_net():
     # The complete off-chain conversation of a blinded exchange, with every
     # message encoded, framed and delivered by the net; no harness involved.
-    from sedg import crypto
     from sedg.cert import PartyId, SellerData, Variant, notarize
     from sedg.crypto import TEST_GROUP, SigningKeyPair
     from sedg.ledger import Ledger, address_for

@@ -131,6 +131,8 @@ def _with_group(obj: dict, group: object) -> dict:
     """The offer, blind or certificate with its element's group replaced."""
     if "r" in obj:
         return {**obj, "r": {**obj["r"], "group": group}}
+    if "certificate" in obj:
+        return {**obj, "certificate": _with_group(obj["certificate"], group)}
     element = obj["h2"]["element"]
     return {**obj, "h2": {**obj["h2"], "element": {**element, "group": group}}}
 
@@ -183,7 +185,7 @@ def test_ledger_decoders_reject_the_old_inline_parameters(pow_calls, groups_buil
 
 def test_named_groups_decode_to_the_registered_objects():
     offer = message_from_obj(_offer_obj())
-    assert offer.h2.element.params is TEST_GROUP
+    assert offer.certificate.h2.element.params is TEST_GROUP
     blind = message_from_obj({"type": "blind", "r": {"group": "modp2048", "value": 4}})
     assert blind.r.params is MODP_2048
     condition = condition_from_obj({"type": "dlog_lock", "c": {"group": "test", "value": 4}})
@@ -193,7 +195,7 @@ def test_named_groups_decode_to_the_registered_objects():
 def test_wire_h2_outside_the_subgroup_fails_at_decode(membership_checks):
     offer = _offer_obj()
     # 5 generates all of Z_23*, so it has order 22 and is not in the order-11 subgroup.
-    offer["h2"] = {"type": "group_power", "element": {"group": "test", "value": 5}}
+    offer["certificate"]["h2"] = {"type": "group_power", "element": {"group": "test", "value": 5}}
     membership_checks.clear()
     with pytest.raises(DomainError):
         message_from_obj(offer)
@@ -222,7 +224,7 @@ def test_v3_event_log_names_its_group_and_replays_byte_for_byte(tmp_path):
 def test_buyer_still_aborts_on_a_named_group_it_was_not_configured_for():
     world = World(make_config("v3", group_name="modp2048", seed=5))
     wire = message_to_obj(world.seller.start())
-    assert wire["h2"]["element"]["group"] == "modp2048"
+    assert wire["certificate"]["h2"]["element"]["group"] == "modp2048"
     config = dataclasses.replace(world.buyer.config, group=TEST_GROUP)
     buyer = BuyerSession(config, BuyerPolicy.HONEST, lambda: random.Random(0))
     chain = ledger.Ledger()
