@@ -102,20 +102,6 @@ def encode_commitment(h2: Commitment2) -> bytes:
     return h2.digest
 
 
-def commitment_opens(h2: Commitment2, key: bytes, notary_id: bytes | None = None) -> bool:
-    """Whether the key opens the commitment (per variant)."""
-    if isinstance(h2, HashOfKey):
-        return crypto.sha256(key) == h2.digest
-    if isinstance(h2, HashOfKeyAndNotary):
-        if notary_id is None:
-            return False
-        return crypto.sha256(crypto.canonical_encode([key, notary_id])) == h2.digest
-    exponent = crypto.scalar_from_key(key, h2.element.params)
-    if exponent is None:
-        return False
-    return crypto.group_exp(h2.element.params, h2.element.params.g, exponent) == h2.element
-
-
 # ---------------------------------------------------------------------------
 # Certificates
 # ---------------------------------------------------------------------------

@@ -62,6 +62,11 @@ def _tag(cls: type) -> str:
     return getattr(cls, "wire_tag", None) or re.sub(r"(?<!^)(?=[A-Z])", "_", cls.__name__).lower()
 
 
+def _a(cls: type) -> str:
+    """The class name after its article: "a Certificate", "an Offer"."""
+    return ("an " if cls.__name__[0] in "AEIOU" else "a ") + cls.__name__
+
+
 def _same(value: Any) -> Any:
     return value
 
@@ -94,7 +99,7 @@ def _encode_group_value(value: GroupElement | Scalar) -> dict:
 def _group_value_decoder(cls: type) -> Decoder:
     def decode(obj: Any) -> Any:
         if type(obj) is not dict or obj.keys() != {"group", "value"}:
-            raise ValueError(f"a {cls.__name__} is an object with just a group and a value")
+            raise ValueError(f"{_a(cls)} is an object with just a group and a value")
         return cls(_PLAIN[int](obj["value"]), crypto.group_by_name(obj["group"]))
 
     return decode
@@ -107,7 +112,7 @@ def _enum_decoder(cls: type) -> Decoder:
         try:
             return by_value[obj]
         except (KeyError, TypeError):
-            raise ValueError(f"{obj!r:.60} is not a {cls.__name__}") from None
+            raise ValueError(f"{obj!r:.60} is not {_a(cls)}") from None
 
     return decode
 
@@ -186,7 +191,7 @@ def _dataclass_codec(cls: type, tag: str | None) -> tuple[Encoder, Decoder]:
 
     def decode(obj: Any) -> Any:
         if type(obj) is not dict:
-            raise ValueError(f"expected an object for a {cls.__name__}, got {obj!r:.60}")
+            raise ValueError(f"expected an object for {_a(cls)}, got {obj!r:.60}")
         kwargs = {}
         for name, _, decode_field, default in fields:
             if name in obj:
@@ -196,10 +201,10 @@ def _dataclass_codec(cls: type, tag: str | None) -> tuple[Encoder, Decoder]:
                     exc.args = (f"{name}: {exc}",)
                     raise
             elif default is dataclasses.MISSING:
-                raise ValueError(f"a {cls.__name__} needs {name!r}")
+                raise ValueError(f"{_a(cls)} needs {name!r}")
         if len(kwargs) + bool(tag) != len(obj):
             unknown = sorted(str(key) for key in obj if key not in known)
-            raise ValueError(f"unknown keys for a {cls.__name__}: {unknown}")
+            raise ValueError(f"unknown keys for {_a(cls)}: {unknown}")
         return cls(**kwargs)
 
     return encode, decode

@@ -150,8 +150,8 @@ def make_config(
         )
     if notary_fee is None:
         notary_fee = price // 10 if variant is Variant.V2 else 0
-    if abs(notary_fee) > MAX_CONFIG_INT:
-        raise ConfigError("notary fee must have at most 4300 digits")
+    if not 0 <= notary_fee <= MAX_CONFIG_INT:
+        raise ConfigError("notary fee must be between 0 and 10^4300 - 1 tokens")
     if variant is Variant.V2 and not 0 < notary_fee < price:
         raise ConfigError("the notary fee must be positive and below the price")
     if variant is Variant.V3 and group_name not in GROUPS:
@@ -275,9 +275,9 @@ class _LogFacts:
 
     event_count: int = 0
     funded: int = 0
-    amounts: dict[int, int] = field(default_factory=dict)  # every published contract
-    buyer_contracts: list[int] = field(default_factory=list)  # those the buyer paid into
-    seller_claims: list[int] = field(default_factory=list)  # one id per claim paying the seller
+    buyer_contracts: list[int] = field(default_factory=list)  # contracts the buyer paid into
+    # (contract id, amount credited to the seller), one per claim paying the seller
+    seller_claims: list[tuple[int, int]] = field(default_factory=list)
     settlements: dict[int, int] = field(default_factory=dict)  # claims plus refunds per id
     seller_paid: bool = False
     notary_paid: bool = False
@@ -317,6 +317,7 @@ class World:
             package=self.package,
             address=self.seller_addr,
             price=config.price,
+            notary_fee=config.notary_fee,
             policy=config.seller_policy,
             new_rng=functools.partial(_rng, config.seed, "seller"),
         )
@@ -461,22 +462,19 @@ class World:
             if kind is EventKind.FUNDED:
                 facts.funded += e.amount
             elif kind is EventKind.CONTRACT_PUBLISHED:
-                facts.amounts[e.contract_id] = e.amount
                 if e.payer == self.buyer_addr:
                     facts.buyer_contracts.append(e.contract_id)
             elif kind is EventKind.CLAIMED or kind is EventKind.REFUNDED:
                 facts.settlements[e.contract_id] = facts.settlements.get(e.contract_id, 0) + 1
                 if kind is EventKind.REFUNDED and e.contract_id in facts.buyer_contracts:
                     facts.buyer_refunded = True
-                to_seller = False
+                to_seller = [p.amount for p in e.payouts if p.to == self.seller_addr]
+                if to_seller:
+                    facts.seller_claims.append((e.contract_id, sum(to_seller)))
+                    facts.seller_paid = facts.seller_paid or any(to_seller)
                 for p in e.payouts:
-                    if p.to == self.seller_addr:
-                        to_seller = True
-                        facts.seller_paid = facts.seller_paid or p.amount > 0
                     if p.to == self.notary_addr:
                         facts.notary_paid = facts.notary_paid or p.amount > 0
-                if to_seller:
-                    facts.seller_claims.append(e.contract_id)
         return facts
 
     def report(self, log_path: str | None = None) -> ScenarioReport:
@@ -607,13 +605,13 @@ def fairness_violations(world: World) -> list[tuple[str, str]]:
             )
 
     if config.seller_policy is SellerPolicy.HONEST:
-        for cid in facts.seller_claims:
-            if facts.amounts.get(cid) != config.price:
+        due = config.price - config.notary_fee if config.variant is Variant.V2 else config.price
+        for cid, credited in facts.seller_claims:
+            if credited != due:
                 out.append(
                     (
                         "honest-seller-no-loss",
-                        f"seller claimed contract {cid} worth "
-                        f"{facts.amounts.get(cid)} != price {config.price}",
+                        f"seller claimed contract {cid} crediting it {credited} != {due}",
                     )
                 )
 

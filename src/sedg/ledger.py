@@ -205,6 +205,17 @@ class LedgerEvent:
     payouts: tuple[Payout, ...] = ()
 
 
+def contract_payouts(contract: EscrowContract) -> tuple[Payout, ...]:
+    """Who a claim on the contract credits, and how much."""
+    condition = contract.condition
+    if isinstance(condition, NotaryHashLock):
+        return (
+            Payout(to=contract.payee, amount=contract.amount - condition.fee),
+            Payout(to=condition.notary, amount=condition.fee),
+        )
+    return (Payout(to=contract.payee, amount=contract.amount),)
+
+
 # ---------------------------------------------------------------------------
 # The ledger itself
 # ---------------------------------------------------------------------------
@@ -218,7 +229,6 @@ class Ledger:
         self._events: list[LedgerEvent] = []
         self._lines: list[str] = []  # event_to_json of the first len(_lines) events
         self._tick = 0
-        self._next_contract_id = 1
 
     @property
     def current_tick(self) -> int:
@@ -269,8 +279,7 @@ class Ledger:
         if self.get_balance(payer) < amount:
             raise InsufficientFunds(f"balance {self.get_balance(payer)} < {amount}")
 
-        contract_id = self._next_contract_id
-        self._next_contract_id += 1
+        contract_id = len(self._contracts) + 1  # contracts are never removed
         self._balances[payer] -= amount
         self._contracts[contract_id] = EscrowContract(
             id=contract_id,
@@ -291,12 +300,10 @@ class Ledger:
         )
         return contract_id
 
-    def claim(self, contract_id: int, witness: Witness) -> LedgerEvent:
-        """Settle a contract by exhibiting a satisfying witness.
+    def check_claim(self, contract_id: int, witness: Witness) -> EscrowContract:
+        """The claim rule: the contract `claim` would settle, or its LedgerError.
 
-        The witness becomes public in the settlement event; for the
-        notary-split variant, payee and notary are credited in the same
-        atomic settlement.
+        Changes nothing, so a seller can ask before it reveals its key.
         """
         contract = self._contracts.get(contract_id)
         if contract is None:
@@ -310,15 +317,17 @@ class Ledger:
             )
         if not self._condition_holds(contract.condition, witness):
             raise WrongWitness("the witness does not satisfy the condition")
+        return contract
 
-        if isinstance(contract.condition, NotaryHashLock):
-            fee = contract.condition.fee
-            payouts = (
-                Payout(to=contract.payee, amount=contract.amount - fee),
-                Payout(to=contract.condition.notary, amount=fee),
-            )
-        else:
-            payouts = (Payout(to=contract.payee, amount=contract.amount),)
+    def claim(self, contract_id: int, witness: Witness) -> LedgerEvent:
+        """Settle a contract by exhibiting a witness `check_claim` accepts.
+
+        The witness becomes public in the settlement event; for the
+        notary-split variant, payee and notary are credited in the same
+        atomic settlement.
+        """
+        contract = self.check_claim(contract_id, witness)
+        payouts = contract_payouts(contract)
         self._contracts[contract_id] = replace(contract, state=ContractState.CLAIMED)
         for payout in payouts:
             self._balances[payout.to] = self.get_balance(payout.to) + payout.amount
@@ -373,7 +382,7 @@ class Ledger:
         self._lines.extend(event_to_json(e) for e in self._events[len(self._lines):])
         return {
             "tick": self._tick,
-            "next_contract_id": self._next_contract_id,
+            "next_contract_id": len(self._contracts) + 1,
             "balances": {k.hex(): v for k, v in sorted(self._balances.items())},
             "contracts": {
                 cid: (c.payer, c.payee, c.amount, c.condition, c.deadline, c.state)
@@ -394,11 +403,10 @@ class Ledger:
             dict(self._contracts),
             len(self._events),
             self._tick,
-            self._next_contract_id,
         )
 
     def restore(self, saved: tuple) -> None:
-        balances, contracts, event_count, self._tick, self._next_contract_id = saved
+        balances, contracts, event_count, self._tick = saved
         self._balances = dict(balances)
         self._contracts = dict(contracts)
         del self._events[event_count:]

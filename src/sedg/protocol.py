@@ -41,7 +41,6 @@ from .crypto import Ciphertext, GroupParams, Scalar
 from .ledger import (
     Condition,
     DlogLock,
-    EscrowContract,
     EventKind,
     HashLock,
     Ledger,
@@ -380,18 +379,20 @@ class SellerSession(_Session):
         package: CertificatePackage,
         address: bytes,
         price: int,
+        notary_fee: int,
         policy: SellerPolicy,
         new_rng: RngFactory,
     ) -> None:
         self.package = package
         self.address = address
         self.price = price
+        self.notary_fee = notary_fee
         self.policy = policy
         self.new_rng = new_rng
         self.variant = package.certificate.variant
         self.state = SellerState.INIT
         self.blind: Scalar | None = None
-        self.contract: EscrowContract | None = None
+        self.contract_id: int | None = None
         self.claim_attempted = False
         self.outcome = ""
 
@@ -416,7 +417,7 @@ class SellerSession(_Session):
         if self.terminal:
             return
         self.blind = r
-        if self.contract is not None:
+        if self.contract_id is not None:
             self._claim(chain)
         elif self.state is SellerState.OFFER_SENT:
             self.state = SellerState.AWAITING_CONTRACT
@@ -424,12 +425,12 @@ class SellerSession(_Session):
     def on_contract(self, contract_id: int, chain: Ledger) -> None:
         """Read the referenced contract and claim it, or wait for the blind (dlog)."""
         try:
-            contract = chain.get_contract(contract_id)
+            chain.get_contract(contract_id)
         except ledger.UnknownContract:
             return
         if self.terminal or self.claim_attempted:
             return
-        self.contract = contract
+        self.contract_id = contract_id
         if self.variant is Variant.V3 and self.blind is None:
             self.state = SellerState.AWAITING_BLIND
             return
@@ -446,70 +447,60 @@ class SellerSession(_Session):
             if not self.outcome:
                 self.outcome = "deadline passed without settlement"
 
-    def build_witness(self, contract: EscrowContract, blind: Scalar | None = None) -> Witness:
-        """The honest witness for a matching contract.
+    def build_witness(
+        self, chain: Ledger, contract_id: int, blind: Scalar | None = None
+    ) -> Witness:
+        """The honest witness, once the chain shows a claim on the contract would pay.
 
-        Raises ContractMismatch when the contract's payee, amount, state, or
-        condition diverge from the agreed terms, so underpriced or
-        mis-targeted contracts never tempt an honest seller into revealing.
+        Raises ContractMismatch unless the contract pays the agreed split (for
+        v2, the price less the fee to the certifying notary) and
+        `chain.check_claim` accepts the witness.
         """
-        if contract.payee != self.address:
-            raise ContractMismatch("contract does not pay this seller")
-        if contract.amount != self.price:
-            raise ContractMismatch(
-                f"contract amount {contract.amount} differs from agreed price {self.price}"
-            )
-        if contract.state is not ledger.ContractState.OPEN:
-            raise ContractMismatch("contract is no longer open")
         certificate = self.package.certificate
-        if self.variant is Variant.V1:
-            if not isinstance(contract.condition, HashLock):
-                raise ContractMismatch("expected a hash-lock condition")
-            if contract.condition.h2 != certificate.h2.digest:
-                raise ContractMismatch("condition digest does not match the certificate")
-            return ledger.Preimage(x=self.package.key)
+        agreed = (ledger.Payout(self.address, self.price),)
         if self.variant is Variant.V2:
-            if not isinstance(contract.condition, NotaryHashLock):
-                raise ContractMismatch("expected a notary-split condition")
-            if contract.condition.h2 != certificate.h2.digest:
-                raise ContractMismatch("condition digest does not match the certificate")
-            return ledger.PreimageWithNotary(
-                x=self.package.key, notary_id=certificate.notary_id.id
+            agreed = (
+                ledger.Payout(self.address, self.price - self.notary_fee),
+                ledger.Payout(address_for(certificate.notary_id.id), self.notary_fee),
             )
-        if not isinstance(contract.condition, DlogLock):
-            raise ContractMismatch("expected a discrete-log condition")
-        if blind is None:
-            raise ContractMismatch("no blinding scalar received yet")
-        group = certificate.group
-        if blind.params != group:
-            raise ContractMismatch("blinding scalar from a different group")
-        exponent = crypto.scalar_from_key(self.package.key, group)
-        x = crypto.scalar_mul(exponent, blind)
-        # h2 = g^k and g has order q, so the buyer's h2^r is g^(k*r mod q) = g^x.
-        if contract.condition.c != crypto.group_exp(group, group.g, x):
-            raise ContractMismatch("contract condition was not blinded from this offer")
-        return ledger.Exponent(x=x)
+        try:
+            # Compared first, so a contract that underpays costs no exponentiation.
+            if ledger.contract_payouts(chain.get_contract(contract_id)) != agreed:
+                raise ContractMismatch("contract does not pay the agreed split")
+            if self.variant is Variant.V1:
+                witness: Witness = ledger.Preimage(self.package.key)
+            elif self.variant is Variant.V2:
+                witness = ledger.PreimageWithNotary(self.package.key, certificate.notary_id.id)
+            else:
+                if blind is None:
+                    raise ContractMismatch("no blinding scalar received yet")
+                group = certificate.group
+                if blind.params != group:
+                    raise ContractMismatch("blinding scalar from a different group")
+                exponent = crypto.scalar_from_key(self.package.key, group)
+                # h2 = g^k and g has order q, so the buyer's h2^r is g^(k*r mod q) = g^x.
+                witness = ledger.Exponent(crypto.scalar_mul(exponent, blind))
+            chain.check_claim(contract_id, witness)
+        except ledger.LedgerError as exc:
+            raise ContractMismatch(str(exc)) from exc
+        return witness
 
     def _claim(self, chain: Ledger) -> None:
-        """Claim the stored contract, deciding on the record read at delivery."""
-        contract = self.contract
+        """Claim the stored contract, deciding on the chain's state at delivery."""
         if self.policy is SellerPolicy.WITHHOLD_KEY:
             self.outcome = "withheld the key"
             return
         if self.policy is SellerPolicy.CLAIM_WRONG_WITNESS:
-            witness = self._garbage_witness(contract.condition)
-        elif chain.current_tick > contract.deadline:
-            self.outcome = "contract already expired"
-            return
+            witness = self._garbage_witness(chain.get_contract(self.contract_id).condition)
         else:
             try:
-                witness = self.build_witness(contract, self.blind)
+                witness = self.build_witness(chain, self.contract_id, self.blind)
             except ContractMismatch as exc:
                 self.outcome = f"declined: {exc}"
                 return
         self.claim_attempted = True
         try:
-            chain.claim(contract.id, witness)
+            chain.claim(self.contract_id, witness)
         except ledger.LedgerError as exc:
             self.outcome = f"claim rejected: {exc}"
             return

@@ -153,7 +153,7 @@ def _forced_dlog_exchange(k: int, r: int):
     buyer_addr, seller_addr = address_for(b"b"), address_for(b"s")
     chain.fund(buyer_addr, 100)
     seller = SellerSession(
-        package, seller_addr, 60, SellerPolicy.HONEST, lambda: random.Random(1)
+        package, seller_addr, 60, 0, SellerPolicy.HONEST, lambda: random.Random(1)
     )
     buyer = BuyerSession(
         BuyerConfig(

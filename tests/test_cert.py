@@ -18,12 +18,21 @@ from sedg.cert import (
     SellerData,
     ValidationRejected,
     Variant,
-    commitment_opens,
     notarize,
     validate_data,
     verify_certificate,
 )
 from sedg.crypto import TEST_GROUP, Ciphertext, SigningKeyPair
+from sedg.ledger import (
+    DlogLock,
+    Exponent,
+    HashLock,
+    NotaryHashLock,
+    Preimage,
+    PreimageWithNotary,
+    address_for,
+    evaluate_condition,
+)
 
 
 @pytest.fixture
@@ -110,7 +119,8 @@ def test_notarize_v3_forced_scalar(notary, seller):
     assert cert.group == TEST_GROUP
     assert TEST_GROUP.contains(cert.h2.element.value)
     assert crypto.sha256(package.ciphertext.encoded()) == cert.h1
-    assert commitment_opens(cert.h2, package.key)
+    exponent = crypto.scalar_from_key(package.key, TEST_GROUP)
+    assert evaluate_condition(DlogLock(cert.h2.element), Exponent(exponent))
 
 
 def test_notarize_v3_resamples_zero_scalar(notary, seller):
@@ -142,11 +152,16 @@ def test_commitment_opens(notary, seller):
     v1 = _notarize(notary, seller, Variant.V1)
     v2 = _notarize(notary, seller, Variant.V2)
     v3 = _notarize(notary, seller, Variant.V3)
-    assert commitment_opens(v1.certificate.h2, v1.key)
-    assert not commitment_opens(v1.certificate.h2, bytes(32))
-    assert commitment_opens(v2.certificate.h2, v2.key, b"notary-1")
-    assert not commitment_opens(v2.certificate.h2, v2.key, b"notary-2")
-    assert commitment_opens(v3.certificate.h2, v3.key)
+    # Each key opens its commitment by the ledger's claim predicate, applied
+    # to the lock a buyer would publish without blinding.
+    v1_lock = HashLock(v1.certificate.h2.digest)
+    assert evaluate_condition(v1_lock, Preimage(v1.key))
+    assert not evaluate_condition(v1_lock, Preimage(bytes(32)))
+    v2_lock = NotaryHashLock(v2.certificate.h2.digest, notary=address_for(b"notary-1"), fee=0)
+    assert evaluate_condition(v2_lock, PreimageWithNotary(v2.key, b"notary-1"))
+    assert not evaluate_condition(v2_lock, PreimageWithNotary(v2.key, b"notary-2"))
+    v3_lock = DlogLock(v3.certificate.h2.element)
+    assert evaluate_condition(v3_lock, Exponent(crypto.scalar_from_key(v3.key, TEST_GROUP)))
 
 
 # ---------------------------------------------------------------------------

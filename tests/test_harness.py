@@ -342,6 +342,26 @@ def test_double_settlement_is_detected():
     assert "conservation" in props
 
 
+def test_fee_skimming_claim_is_an_honest_seller_loss():
+    # A v2 contract at the full price whose fee of 99 goes to the buyer: the
+    # honest witness opens it, and the seller is credited 1 instead of 90.
+    from sedg.ledger import NotaryHashLock, PreimageWithNotary
+
+    config = make_config("v2", price=100, buyer_balance=150, notary_fee=10, seed=7)
+    world = World(config)
+    chain = world.ledger
+    lock = NotaryHashLock(
+        h2=world.package.certificate.h2.digest, notary=world.buyer_addr, fee=99
+    )
+    cid = chain.publish_contract(world.buyer_addr, world.seller_addr, 100, lock, deadline=100)
+    chain.claim(cid, PreimageWithNotary(world.package.key, world.notary_id.id))
+    assert chain.get_balance(world.seller_addr) == 1
+    violations = dict(fairness_violations(world))
+    assert violations["honest-seller-no-loss"] == (
+        f"seller claimed contract {cid} crediting it 1 != 90"
+    )
+
+
 # ---------------------------------------------------------------------------
 # The checkpointing explorer against the enumerator oracle
 # ---------------------------------------------------------------------------
@@ -566,6 +586,9 @@ def test_config_validation_errors():
         make_config("v2", price=100, notary_fee=100)
     with pytest.raises(ConfigError):
         make_config("v2", price=100, notary_fee=0)
+    for variant in ("v1", "v2", "v3"):
+        with pytest.raises(ConfigError):
+            make_config(variant, notary_fee=-1)
     with pytest.raises(ConfigError):
         make_config("v3", group_name="nonsense")
     with pytest.raises(ConfigError):
@@ -693,12 +716,15 @@ def test_config_from_dict_raises_only_config_error(obj):
     buyer_balance=st.none() | INT_VALUES,
     notary_fee=st.none() | INT_VALUES,
     seed=INT_VALUES,
+    buyer_policy=st.sampled_from(BuyerPolicy),
 )
-@example("v1", 10**4300, 10**4300, None, 0)  # their amounts did not encode
-@example("v1", 60, None, None, 10**4300)  # nor did the seed's rng string
-@example("v2", 10**4300 - 1, 10**4300 - 1, 10**4300 - 2, -(10**4300 - 1))
+@example("v1", 10**4300, 10**4300, None, 0, BuyerPolicy.HONEST)  # their amounts did not encode
+@example("v1", 60, None, None, 10**4300, BuyerPolicy.HONEST)  # nor did the seed's rng string
+@example("v2", 10**4300 - 1, 10**4300 - 1, 10**4300 - 2, -(10**4300 - 1), BuyerPolicy.HONEST)
+# A negative fee made the underpriced contract's amount 0, which the ledger refused.
+@example("v1", 1, None, -1, 0, BuyerPolicy.PUBLISH_UNDERPRICED_CONTRACT)
 def test_every_config_make_config_accepts_runs_to_a_report(
-    variant, price, buyer_balance, notary_fee, seed
+    variant, price, buyer_balance, notary_fee, seed, buyer_policy
 ):
     try:
         config = make_config(
@@ -707,6 +733,7 @@ def test_every_config_make_config_accepts_runs_to_a_report(
             buyer_balance=buyer_balance,
             notary_fee=notary_fee,
             seed=seed,
+            buyer_policy=buyer_policy,
             payload=b"x",
         )
     except ConfigError:
@@ -880,6 +907,17 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     path = _write_config(tmp_path, notary_fee=60, variant="v2", price=60)
     assert cli.main(["run", "--config", path]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_negative_notary_fee_exits_2(tmp_path, capsys):
+    # The underpriced contract's amount used to come out 0, and the ledger's
+    # refusal escaped as a traceback with exit 1.
+    path = _write_config(
+        tmp_path, price=1, notary_fee=-1, buyer_policy="publish_underpriced_contract"
+    )
+    for command in ("run", "explore"):
+        assert cli.main([command, "--config", path]) == 2
+        assert "config error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

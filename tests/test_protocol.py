@@ -78,9 +78,10 @@ def make_package(variant, *, k=None, payload=PAYLOAD):
     )
 
 
-def make_seller(variant, policy=SellerPolicy.HONEST, *, k=None, price=PRICE):
+def make_seller(variant, policy=SellerPolicy.HONEST, *, k=None, price=PRICE, fee=10):
     package = make_package(variant, k=k)
-    return SellerSession(package, SELLER_ADDR, price, policy, lambda: random.Random(3))
+    fee = fee if variant is Variant.V2 else 0
+    return SellerSession(package, SELLER_ADDR, price, fee, policy, lambda: random.Random(3))
 
 
 def make_buyer(variant, policy=BuyerPolicy.HONEST, *, r=None, price=PRICE, fee=10):
@@ -205,7 +206,7 @@ def make_modp2048_seller():
         group=MODP_2048,
     )
     return SellerSession(
-        package, SELLER_ADDR, PRICE, SellerPolicy.HONEST, lambda: random.Random(3)
+        package, SELLER_ADDR, PRICE, 0, SellerPolicy.HONEST, lambda: random.Random(3)
     )
 
 
@@ -277,9 +278,9 @@ def test_underfunded_buyer_aborts_without_a_contract(variant):
 def test_seller_declines_blind_from_wrong_group():
     seller = make_seller(Variant.V3, k=3)
     c = crypto.group_exp(TEST_GROUP, seller.package.certificate.h2.element, 4)
-    _, contract = _open_contract(DlogLock(c))
+    chain, contract = _open_contract(DlogLock(c))
     with pytest.raises(ContractMismatch):
-        seller.build_witness(contract, blind=Scalar(4, MODP_2048))
+        seller.build_witness(chain, contract.id, blind=Scalar(4, MODP_2048))
 
 
 def test_v3_buyer_blinds_the_commitment():
@@ -328,7 +329,7 @@ def test_build_witness_v1():
     seller = make_seller(Variant.V1)
     h2 = seller.package.certificate.h2.digest
     chain, contract = _open_contract(HashLock(h2))
-    witness = seller.build_witness(contract)
+    witness = seller.build_witness(chain, contract.id)
     assert witness == Preimage(seller.package.key)
     assert crypto.sha256(witness.x) == h2
     chain.claim(contract.id, witness)
@@ -340,7 +341,7 @@ def test_build_witness_v2():
     chain, contract = _open_contract(
         NotaryHashLock(h2=h2, notary=address_for(NOTARY.id), fee=10)
     )
-    witness = seller.build_witness(contract)
+    witness = seller.build_witness(chain, contract.id)
     assert witness == PreimageWithNotary(seller.package.key, NOTARY.id)
     chain.claim(contract.id, witness)
 
@@ -350,7 +351,7 @@ def test_build_witness_v3_forced_values():
     seller = make_seller(Variant.V3, k=3)
     c = crypto.group_exp(TEST_GROUP, seller.package.certificate.h2.element, 4)
     chain, contract = _open_contract(DlogLock(c))
-    witness = seller.build_witness(contract, blind=Scalar(4, TEST_GROUP))
+    witness = seller.build_witness(chain, contract.id, blind=Scalar(4, TEST_GROUP))
     assert witness.x.value == 1
     chain.claim(contract.id, witness)
 
@@ -358,32 +359,51 @@ def test_build_witness_v3_forced_values():
 def test_build_witness_rejects_underpayment():
     seller = make_seller(Variant.V1)
     h2 = seller.package.certificate.h2.digest
-    _, contract = _open_contract(HashLock(h2), amount=PRICE - 1)
+    chain, contract = _open_contract(HashLock(h2), amount=PRICE - 1)
     with pytest.raises(ContractMismatch):
-        seller.build_witness(contract)
+        seller.build_witness(chain, contract.id)
 
 
 def test_build_witness_rejects_wrong_payee():
     seller = make_seller(Variant.V1)
     h2 = seller.package.certificate.h2.digest
-    _, contract = _open_contract(HashLock(h2), payee=address_for(b"mallory"))
+    chain, contract = _open_contract(HashLock(h2), payee=address_for(b"mallory"))
     with pytest.raises(ContractMismatch):
-        seller.build_witness(contract)
+        seller.build_witness(chain, contract.id)
 
 
 def test_build_witness_rejects_foreign_commitment():
     seller = make_seller(Variant.V1)
-    _, contract = _open_contract(HashLock(crypto.sha256(b"not ours")))
+    chain, contract = _open_contract(HashLock(crypto.sha256(b"not ours")))
     with pytest.raises(ContractMismatch):
-        seller.build_witness(contract)
+        seller.build_witness(chain, contract.id)
 
 
 def test_build_witness_rejects_misblinded_condition():
     seller = make_seller(Variant.V3, k=3)
     wrong_c = crypto.group_exp(TEST_GROUP, TEST_GROUP.g, 7)
-    _, contract = _open_contract(DlogLock(wrong_c))
+    chain, contract = _open_contract(DlogLock(wrong_c))
     with pytest.raises(ContractMismatch):
-        seller.build_witness(contract, blind=Scalar(4, TEST_GROUP))
+        seller.build_witness(chain, contract.id, blind=Scalar(4, TEST_GROUP))
+
+
+@pytest.mark.parametrize(
+    "notary, fee",
+    [(BUYER_ADDR, 10), (address_for(NOTARY.id), PRICE - 1)],
+    ids=["fee_redirected_to_buyer", "fee_inflated"],
+)
+def test_v2_seller_declines_a_contract_that_skims_the_split(notary, fee):
+    # The price is right and the lock opens with the honest witness, but the
+    # claim would not pay the seller price - fee and the notary its fee.
+    seller = make_seller(Variant.V2)
+    h2 = seller.package.certificate.h2.digest
+    chain, contract = _open_contract(NotaryHashLock(h2=h2, notary=notary, fee=fee))
+    with pytest.raises(ContractMismatch):
+        seller.build_witness(chain, contract.id)
+    before = chain.snapshot()
+    seller.on_contract(contract.id, chain)
+    assert chain.snapshot() == before
+    assert not seller.claim_attempted
 
 
 def test_seller_claims_once_at_most():
@@ -405,7 +425,7 @@ def test_seller_ignores_an_unknown_contract():
     seller.on_contract(7, chain)
     assert chain.snapshot() == before
     assert seller.state is SellerState.OFFER_SENT
-    assert seller.contract is None
+    assert seller.contract_id is None
 
 
 def test_withhold_key_policy_never_claims():
@@ -529,7 +549,7 @@ def test_decrypt_failure_marks_session_without_settling():
         certificate=Certificate(h1, h2, SELLER, NOTARY, sigma),
     )
     seller = SellerSession(
-        package, SELLER_ADDR, PRICE, SellerPolicy.HONEST, lambda: random.Random(3)
+        package, SELLER_ADDR, PRICE, 0, SellerPolicy.HONEST, lambda: random.Random(3)
     )
     buyer = make_buyer(Variant.V1)
     chain = funded_chain()
@@ -584,6 +604,13 @@ def test_flat_offer_of_the_old_format_is_rejected(variant):
     for obj in ({**flat, "meta": "scenario"}, flat, {**wire, **wire["certificate"]}):
         with pytest.raises(ValueError):
             message_from_obj(obj)
+
+
+def test_decode_errors_pick_the_article_from_the_class_name():
+    wire = message_to_obj(make_seller(Variant.V1).start())
+    del wire["certificate"]
+    with pytest.raises(ValueError, match="an Offer needs 'certificate'"):
+        message_from_obj(wire)
 
 
 def test_certificate_in_an_offer_carries_no_group():

@@ -227,7 +227,7 @@ def test_full_dlog_exchange_over_the_in_process_net():
     seller_addr, buyer_addr = address_for(b"s"), address_for(b"b")
     chain.fund(buyer_addr, 100)
     seller = SellerSession(
-        package, seller_addr, 60, SellerPolicy.HONEST, lambda: random.Random(52)
+        package, seller_addr, 60, 0, SellerPolicy.HONEST, lambda: random.Random(52)
     )
     buyer = BuyerSession(
         BuyerConfig(
