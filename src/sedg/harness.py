@@ -123,7 +123,7 @@ def make_config(
 
     Missing payloads are generated deterministically from the seed; the
     notary fee defaults to 10% of the price (rounded down) for the
-    notary-split variant and zero otherwise.
+    notary-split variant, and the other variants take none.
     """
     try:
         variant = Variant(variant) if isinstance(variant, str) else variant
@@ -154,6 +154,8 @@ def make_config(
         raise ConfigError("notary fee must be between 0 and 10^4300 - 1 tokens")
     if variant is Variant.V2 and not 0 < notary_fee < price:
         raise ConfigError("the notary fee must be positive and below the price")
+    if variant is not Variant.V2 and notary_fee:
+        raise ConfigError("only the notary-split variant v2 has a notary fee")
     if variant is Variant.V3 and group_name not in GROUPS:
         raise ConfigError(f"unknown group {group_name!r}; known: {sorted(GROUPS)}")
     if payload is None:
@@ -605,7 +607,7 @@ def fairness_violations(world: World) -> list[tuple[str, str]]:
             )
 
     if config.seller_policy is SellerPolicy.HONEST:
-        due = config.price - config.notary_fee if config.variant is Variant.V2 else config.price
+        due = config.price - config.notary_fee
         for cid, credited in facts.seller_claims:
             if credited != due:
                 out.append(

@@ -84,10 +84,12 @@ class HashLock:
 
 @dataclass(frozen=True)
 class NotaryHashLock:
-    """Pay payee and notary together on (x, n) with sha256(encode([x, n])) = h2."""
+    """Pay payee and notary together on (x, n) with sha256(encode([x, n])) = h2.
+
+    The fee goes to `address_for(n)`: h2 binds the notary, so no field names it.
+    """
 
     h2: bytes
-    notary: bytes
     fee: int
 
 
@@ -205,13 +207,18 @@ class LedgerEvent:
     payouts: tuple[Payout, ...] = ()
 
 
-def contract_payouts(contract: EscrowContract) -> tuple[Payout, ...]:
-    """Who a claim on the contract credits, and how much."""
+def claim_payouts(contract: EscrowContract, witness: Witness) -> tuple[Payout, ...]:
+    """Who a claim on the contract with this witness credits, and how much.
+
+    A witness of another variant opens nothing, so it credits no one.
+    """
     condition = contract.condition
+    if not witness_matches_variant(condition, witness):
+        return ()
     if isinstance(condition, NotaryHashLock):
         return (
             Payout(to=contract.payee, amount=contract.amount - condition.fee),
-            Payout(to=condition.notary, amount=condition.fee),
+            Payout(to=address_for(witness.notary_id), amount=condition.fee),
         )
     return (Payout(to=contract.payee, amount=contract.amount),)
 
@@ -323,11 +330,11 @@ class Ledger:
         """Settle a contract by exhibiting a witness `check_claim` accepts.
 
         The witness becomes public in the settlement event; for the
-        notary-split variant, payee and notary are credited in the same
-        atomic settlement.
+        notary-split variant, the payee and the notary the witness names are
+        credited in the same atomic settlement.
         """
         contract = self.check_claim(contract_id, witness)
-        payouts = contract_payouts(contract)
+        payouts = claim_payouts(contract, witness)
         self._contracts[contract_id] = replace(contract, state=ContractState.CLAIMED)
         for payout in payouts:
             self._balances[payout.to] = self.get_balance(payout.to) + payout.amount

@@ -168,9 +168,6 @@ class BuyerState(Enum):
     ABORTED = "aborted"
 
 
-BUYER_TERMINAL = frozenset({BuyerState.SETTLED, BuyerState.REFUNDED, BuyerState.ABORTED})
-
-
 @dataclass
 class BuyerConfig:
     address: bytes
@@ -216,10 +213,6 @@ class BuyerSession(_Session):
         self.decrypt_failed = False
         self.abort_reason: AbortReason | None = None
 
-    @property
-    def terminal(self) -> bool:
-        return self.state in BUYER_TERMINAL
-
     def on_offer(self, offer: Offer, chain: Ledger) -> list[ProtocolMessage]:
         """Verify and, unless policy or verification says otherwise, escrow the price.
 
@@ -259,11 +252,7 @@ class BuyerSession(_Session):
         if isinstance(h2, HashOfKey):
             condition = HashLock(h2=h2.digest)
         elif isinstance(h2, HashOfKeyAndNotary):
-            condition = NotaryHashLock(
-                h2=h2.digest,
-                notary=address_for(certificate.notary_id.id),
-                fee=self.config.notary_fee,
-            )
+            condition = NotaryHashLock(h2=h2.digest, fee=self.config.notary_fee)
         else:
             self.blind = crypto.draw_scalar(self.new_rng(), self.config.group)
             c = crypto.group_exp(self.config.group, h2.element, self.blind)
@@ -452,52 +441,55 @@ class SellerSession(_Session):
     ) -> Witness:
         """The honest witness, once the chain shows a claim on the contract would pay.
 
-        Raises ContractMismatch unless the contract pays the agreed split (for
-        v2, the price less the fee to the certifying notary) and
-        `chain.check_claim` accepts the witness.
+        Raises ContractMismatch unless a claim with the witness pays the agreed
+        split (for v2, the price less the fee, and the fee to the notary the
+        witness names) and `chain.check_claim` accepts the witness.
         """
-        certificate = self.package.certificate
+        witness = self._honest_witness(blind)
         agreed = (ledger.Payout(self.address, self.price),)
         if self.variant is Variant.V2:
             agreed = (
                 ledger.Payout(self.address, self.price - self.notary_fee),
-                ledger.Payout(address_for(certificate.notary_id.id), self.notary_fee),
+                ledger.Payout(address_for(witness.notary_id), self.notary_fee),
             )
         try:
             # Compared first, so a contract that underpays costs no exponentiation.
-            if ledger.contract_payouts(chain.get_contract(contract_id)) != agreed:
+            if ledger.claim_payouts(chain.get_contract(contract_id), witness) != agreed:
                 raise ContractMismatch("contract does not pay the agreed split")
-            if self.variant is Variant.V1:
-                witness: Witness = ledger.Preimage(self.package.key)
-            elif self.variant is Variant.V2:
-                witness = ledger.PreimageWithNotary(self.package.key, certificate.notary_id.id)
-            else:
-                if blind is None:
-                    raise ContractMismatch("no blinding scalar received yet")
-                group = certificate.group
-                if blind.params != group:
-                    raise ContractMismatch("blinding scalar from a different group")
-                exponent = crypto.scalar_from_key(self.package.key, group)
-                # h2 = g^k and g has order q, so the buyer's h2^r is g^(k*r mod q) = g^x.
-                witness = ledger.Exponent(crypto.scalar_mul(exponent, blind))
             chain.check_claim(contract_id, witness)
         except ledger.LedgerError as exc:
             raise ContractMismatch(str(exc)) from exc
         return witness
+
+    def _honest_witness(self, blind: Scalar | None) -> Witness:
+        """The witness that opens the certificate's commitment (v3: blinded by `blind`)."""
+        certificate = self.package.certificate
+        if self.variant is Variant.V1:
+            return ledger.Preimage(self.package.key)
+        if self.variant is Variant.V2:
+            return ledger.PreimageWithNotary(self.package.key, certificate.notary_id.id)
+        if blind is None:
+            raise ContractMismatch("no blinding scalar received yet")
+        group = certificate.group
+        if blind.params != group:
+            raise ContractMismatch("blinding scalar from a different group")
+        exponent = crypto.scalar_from_key(self.package.key, group)
+        # h2 = g^k and g has order q, so the buyer's h2^r is g^(k*r mod q) = g^x.
+        return ledger.Exponent(crypto.scalar_mul(exponent, blind))
 
     def _claim(self, chain: Ledger) -> None:
         """Claim the stored contract, deciding on the chain's state at delivery."""
         if self.policy is SellerPolicy.WITHHOLD_KEY:
             self.outcome = "withheld the key"
             return
-        if self.policy is SellerPolicy.CLAIM_WRONG_WITNESS:
-            witness = self._garbage_witness(chain.get_contract(self.contract_id).condition)
-        else:
-            try:
+        try:
+            if self.policy is SellerPolicy.CLAIM_WRONG_WITNESS:
+                witness = self._garbage_witness()
+            else:
                 witness = self.build_witness(chain, self.contract_id, self.blind)
-            except ContractMismatch as exc:
-                self.outcome = f"declined: {exc}"
-                return
+        except ContractMismatch as exc:
+            self.outcome = f"declined: {exc}"
+            return
         self.claim_attempted = True
         try:
             chain.claim(self.contract_id, witness)
@@ -520,27 +512,14 @@ class SellerSession(_Session):
             return HashOfKey(garbage)
         return HashOfKeyAndNotary(garbage)
 
-    def _garbage_witness(self, condition: Condition) -> Witness:
+    def _garbage_witness(self) -> Witness:
+        """The honest witness with a fresh `x` in place of the true one."""
+        honest = self._honest_witness(self.blind)
         rng = self.new_rng()
-        if isinstance(condition, HashLock):
-            while True:
-                x = rng.randbytes(crypto.KEY_LEN)
-                if x != self.package.key:
-                    return ledger.Preimage(x=x)
-        if isinstance(condition, NotaryHashLock):
-            while True:
-                x = rng.randbytes(crypto.KEY_LEN)
-                if x != self.package.key:
-                    return ledger.PreimageWithNotary(
-                        x=x, notary_id=self.package.certificate.notary_id.id
-                    )
-        group = condition.group
-        honest: Scalar | None = None
-        if self.blind is not None:
-            exponent = crypto.scalar_from_key(self.package.key, group)
-            if exponent is not None:
-                honest = crypto.scalar_mul(exponent, self.blind)
         while True:
-            x = crypto.draw_scalar(rng, group)
-            if honest is None or x != honest:
-                return ledger.Exponent(x=x)
+            if isinstance(honest, ledger.Exponent):
+                x = crypto.draw_scalar(rng, honest.x.params)
+            else:
+                x = rng.randbytes(crypto.KEY_LEN)
+            if x != honest.x:
+                return replace(honest, x=x)

@@ -30,7 +30,6 @@ from sedg.ledger import (
     NotaryHashLock,
     Preimage,
     PreimageWithNotary,
-    address_for,
     evaluate_condition,
 )
 
@@ -157,7 +156,7 @@ def test_commitment_opens(notary, seller):
     v1_lock = HashLock(v1.certificate.h2.digest)
     assert evaluate_condition(v1_lock, Preimage(v1.key))
     assert not evaluate_condition(v1_lock, Preimage(bytes(32)))
-    v2_lock = NotaryHashLock(v2.certificate.h2.digest, notary=address_for(b"notary-1"), fee=0)
+    v2_lock = NotaryHashLock(v2.certificate.h2.digest, fee=0)
     assert evaluate_condition(v2_lock, PreimageWithNotary(v2.key, b"notary-1"))
     assert not evaluate_condition(v2_lock, PreimageWithNotary(v2.key, b"notary-2"))
     v3_lock = DlogLock(v3.certificate.h2.element)

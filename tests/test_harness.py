@@ -343,19 +343,18 @@ def test_double_settlement_is_detected():
 
 
 def test_fee_skimming_claim_is_an_honest_seller_loss():
-    # A v2 contract at the full price whose fee of 99 goes to the buyer: the
+    # A v2 contract at the full price with a fee of 99 to the notary: the
     # honest witness opens it, and the seller is credited 1 instead of 90.
     from sedg.ledger import NotaryHashLock, PreimageWithNotary
 
     config = make_config("v2", price=100, buyer_balance=150, notary_fee=10, seed=7)
     world = World(config)
     chain = world.ledger
-    lock = NotaryHashLock(
-        h2=world.package.certificate.h2.digest, notary=world.buyer_addr, fee=99
-    )
+    lock = NotaryHashLock(h2=world.package.certificate.h2.digest, fee=99)
     cid = chain.publish_contract(world.buyer_addr, world.seller_addr, 100, lock, deadline=100)
     chain.claim(cid, PreimageWithNotary(world.package.key, world.notary_id.id))
     assert chain.get_balance(world.seller_addr) == 1
+    assert chain.get_balance(world.notary_addr) == 99
     violations = dict(fairness_violations(world))
     assert violations["honest-seller-no-loss"] == (
         f"seller claimed contract {cid} crediting it 1 != 90"
@@ -589,6 +588,11 @@ def test_config_validation_errors():
     for variant in ("v1", "v2", "v3"):
         with pytest.raises(ConfigError):
             make_config(variant, notary_fee=-1)
+    for variant in ("v1", "v3"):
+        with pytest.raises(ConfigError, match="only the notary-split variant"):
+            make_config(variant, notary_fee=1)
+        assert make_config(variant, notary_fee=0).notary_fee == 0
+        assert make_config(variant, notary_fee=None).notary_fee == 0
     with pytest.raises(ConfigError):
         make_config("v3", group_name="nonsense")
     with pytest.raises(ConfigError):
@@ -723,6 +727,8 @@ def test_config_from_dict_raises_only_config_error(obj):
 @example("v2", 10**4300 - 1, 10**4300 - 1, 10**4300 - 2, -(10**4300 - 1), BuyerPolicy.HONEST)
 # A negative fee made the underpriced contract's amount 0, which the ledger refused.
 @example("v1", 1, None, -1, 0, BuyerPolicy.PUBLISH_UNDERPRICED_CONTRACT)
+# A v1 fee above the price made the "underpriced" contract 101 for a price of 60.
+@example("v1", 60, 200, 100, 0, BuyerPolicy.PUBLISH_UNDERPRICED_CONTRACT)
 def test_every_config_make_config_accepts_runs_to_a_report(
     variant, price, buyer_balance, notary_fee, seed, buyer_policy
 ):
@@ -918,6 +924,15 @@ def test_cli_negative_notary_fee_exits_2(tmp_path, capsys):
     for command in ("run", "explore"):
         assert cli.main([command, "--config", path]) == 2
         assert "config error" in capsys.readouterr().err
+
+
+def test_cli_notary_fee_outside_v2_exits_2(tmp_path, capsys):
+    # Only v2 pays a notary; a v1 fee used to push the underpriced contract
+    # above the price.
+    path = _write_config(tmp_path, notary_fee=100, buyer_policy="publish_underpriced_contract")
+    for command in ("run", "explore"):
+        assert cli.main([command, "--config", path]) == 2
+        assert "only the notary-split variant" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

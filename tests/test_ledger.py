@@ -38,7 +38,7 @@ from sedg.ledger import (
 
 A = address_for(b"payer")
 B = address_for(b"payee")
-N = address_for(b"notary")
+N = address_for(b"notary-1")
 
 KEY = random.Random(0).randbytes(32)
 
@@ -121,9 +121,7 @@ def test_a_contract_read_before_settlement_is_unchanged_by_it():
 
 def test_claim_notary_split_is_one_atomic_event():
     condition = NotaryHashLock(
-        h2=crypto.sha256(crypto.canonical_encode([KEY, b"notary-1"])),
-        notary=N,
-        fee=10,
+        h2=crypto.sha256(crypto.canonical_encode([KEY, b"notary-1"])), fee=10
     )
     chain = Ledger()
     chain.fund(A, 100)
@@ -133,6 +131,20 @@ def test_claim_notary_split_is_one_atomic_event():
     assert chain.get_balance(N) == 10
     assert sum(p.amount for p in event.payouts) == 100
     assert len(event.payouts) == 2
+
+
+def test_notary_split_pays_the_fee_to_the_notary_the_witness_names():
+    # h2 binds the notary, so a lock over notary-2 pays notary-2, whatever
+    # the payer might have wished.
+    condition = NotaryHashLock(h2=crypto.sha256(crypto.canonical_encode([KEY, b"notary-2"])), fee=7)
+    chain = Ledger()
+    chain.fund(A, 100)
+    cid = chain.publish_contract(A, B, 100, condition, deadline=100)
+    event = chain.claim(cid, PreimageWithNotary(KEY, b"notary-2"))
+    notary_2 = address_for(b"notary-2")
+    assert [(p.to, p.amount) for p in event.payouts] == [(B, 93), (notary_2, 7)]
+    assert chain.get_balance(notary_2) == 7
+    assert chain.get_balance(N) == 0
 
 
 def test_claim_dlog_lock():
@@ -324,9 +336,7 @@ def _busy_ledger() -> Ledger:
     chain.fund(A, 300)
     c1 = chain.publish_contract(A, B, 60, _hash_lock(), deadline=50)
     chain.claim(c1, Preimage(KEY))
-    split = NotaryHashLock(
-        h2=crypto.sha256(crypto.canonical_encode([KEY, b"notary-1"])), notary=N, fee=5
-    )
+    split = NotaryHashLock(h2=crypto.sha256(crypto.canonical_encode([KEY, b"notary-1"])), fee=5)
     c2 = chain.publish_contract(A, B, 50, split, deadline=60)
     chain.claim(c2, PreimageWithNotary(KEY, b"notary-1"))
     c3 = chain.publish_contract(A, B, 40, DlogLock(GroupElement(2, TEST_GROUP)), deadline=70)
@@ -371,6 +381,20 @@ def test_replay_rejects_an_edited_claim_payout():
     payouts = [{**p, "amount": p["amount"] + 10} for p in claimed["payouts"]]
     with pytest.raises(LedgerError, match="line 3"):
         replay(_edited(lines, "claimed", payouts=payouts))
+
+
+def test_replay_rejects_a_lock_that_names_its_notary():
+    # The log format before the lock lost its `notary` field: replaying such
+    # a log fails at the first lock that still carries one.
+    chain = Ledger()
+    chain.fund(A, 100)
+    lock = NotaryHashLock(h2=crypto.sha256(crypto.canonical_encode([KEY, b"notary-1"])), fee=5)
+    chain.publish_contract(A, B, 50, lock, deadline=60)
+    funded, published = [event_to_json(e) for e in chain.read_events(0)]
+    old = published.replace(',"fee":5', f',"notary":"{N.hex()}","fee":5')
+    assert old != published
+    with pytest.raises(LedgerError, match="line 2 .*unknown keys"):
+        replay([funded, old])
 
 
 def test_replay_rejects_an_edited_funded_tick():

@@ -338,9 +338,7 @@ def test_build_witness_v1():
 def test_build_witness_v2():
     seller = make_seller(Variant.V2)
     h2 = seller.package.certificate.h2.digest
-    chain, contract = _open_contract(
-        NotaryHashLock(h2=h2, notary=address_for(NOTARY.id), fee=10)
-    )
+    chain, contract = _open_contract(NotaryHashLock(h2=h2, fee=10))
     witness = seller.build_witness(chain, contract.id)
     assert witness == PreimageWithNotary(seller.package.key, NOTARY.id)
     chain.claim(contract.id, witness)
@@ -387,23 +385,46 @@ def test_build_witness_rejects_misblinded_condition():
         seller.build_witness(chain, contract.id, blind=Scalar(4, TEST_GROUP))
 
 
-@pytest.mark.parametrize(
-    "notary, fee",
-    [(BUYER_ADDR, 10), (address_for(NOTARY.id), PRICE - 1)],
-    ids=["fee_redirected_to_buyer", "fee_inflated"],
-)
-def test_v2_seller_declines_a_contract_that_skims_the_split(notary, fee):
+@pytest.mark.parametrize("fee", [PRICE - 1], ids=["fee_inflated"])
+def test_v2_seller_declines_a_contract_that_skims_the_split(fee):
     # The price is right and the lock opens with the honest witness, but the
     # claim would not pay the seller price - fee and the notary its fee.
     seller = make_seller(Variant.V2)
     h2 = seller.package.certificate.h2.digest
-    chain, contract = _open_contract(NotaryHashLock(h2=h2, notary=notary, fee=fee))
+    chain, contract = _open_contract(NotaryHashLock(h2=h2, fee=fee))
     with pytest.raises(ContractMismatch):
         seller.build_witness(chain, contract.id)
     before = chain.snapshot()
     seller.on_contract(contract.id, chain)
     assert chain.snapshot() == before
     assert not seller.claim_attempted
+
+
+def _v2_lock(key):
+    return NotaryHashLock(crypto.sha256(crypto.canonical_encode([key, NOTARY.id])), fee=0)
+
+
+def _v1_lock(key):
+    return HashLock(crypto.sha256(key))
+
+
+@pytest.mark.parametrize(
+    "variant, lock",
+    [(Variant.V1, _v2_lock), (Variant.V2, _v1_lock), (Variant.V3, _v2_lock)],
+    ids=["v1_seller_v2_lock", "v2_seller_v1_lock", "v3_seller_v2_lock"],
+)
+def test_seller_declines_a_lock_of_another_variant(variant, lock):
+    # The payout rule runs before the claim rule's variant test, so it must
+    # decline a witness that cannot open the lock, not trip over it.
+    seller = make_seller(variant, k=3)
+    seller.blind = Scalar(4, TEST_GROUP)
+    chain, contract = _open_contract(lock(seller.package.key))
+    with pytest.raises(ContractMismatch, match="agreed split"):
+        seller.build_witness(chain, contract.id, seller.blind)
+    before = chain.snapshot()
+    seller.on_contract(contract.id, chain)
+    assert chain.snapshot() == before
+    assert seller.outcome == "declined: contract does not pay the agreed split"
 
 
 def test_seller_claims_once_at_most():
