@@ -125,12 +125,13 @@ def _check_key(key: bytes) -> None:
 
 @dataclass(frozen=True)
 class SigningKeyPair:
-    """Ed25519 key pair: 32-byte secret seed and 32-byte verification key.
+    """Ed25519 key pair: the key loaded from a 32-byte secret seed, and its
+    32-byte verification key.
 
-    The pair keeps the key loaded from the seed, so signing derives nothing.
+    Signing derives nothing from the seed, and the pair keeps no copy of it,
+    so its repr shows only the public key.
     """
 
-    seed: bytes
     public: bytes
     private: Ed25519PrivateKey = field(repr=False, compare=False)
 
@@ -139,7 +140,7 @@ class SigningKeyPair:
         if len(seed) != SEED_LEN:
             raise ValueError(f"seed must be {SEED_LEN} bytes")
         private = Ed25519PrivateKey.from_private_bytes(seed)
-        return cls(seed=seed, public=private.public_key().public_bytes_raw(), private=private)
+        return cls(public=private.public_key().public_bytes_raw(), private=private)
 
     @classmethod
     def generate(cls, rng: random.Random) -> "SigningKeyPair":

@@ -1,19 +1,21 @@
 """Scenario runner and bounded interleaving explorer.
 
 A World wires one seller, one buyer, and a pre-run notary setup onto a
-fresh ledger and an in-process net. The sessions act on the ledger
-themselves; the world routes their messages and owns what no party
-controls. Everything that can race is a scheduling option: message
-deliveries, the buyer's ledger wake-up, timer firings, and the placement
-of expiry itself. The default schedule always picks the first option
-(FIFO delivery, expiry last); `drive` replays any other schedule given as
-option indices.
+fresh ledger and an in-process net. The notary's signing key, like its id,
+is fixed per process; each world still has its certificate notarized with
+that key, and its buyer verifies the certificate against its registry. The
+sessions act on the ledger themselves; the world routes their messages
+and owns what no party controls. Everything that can race is a scheduling
+option: message deliveries, the buyer's ledger wake-up, timer firings, and
+the placement of expiry itself. The default schedule always picks the
+first option (FIFO delivery, expiry last); `drive` replays any other
+schedule given as option indices.
 
 `explore` checks every ordering up to a depth bound and evaluates the
 fairness invariants at every terminal state, in one pass over the event
 log. It builds one world, walks the schedule tree depth-first, and
 checkpoints the world at each branch point to restore it before the next
-alternative, so every tree node executes once and the notary setup runs
+alternative, so every tree node executes once and the notary certifies
 once per exploration. Checkpoints are shallow: ledger records are
 immutable, sessions hold neither random-number state nor the ledger, and
 the ledger keeps the log's encoded lines, so each layer copies only a few
@@ -69,6 +71,18 @@ MAX_CONFIG_INT = 10**4300 - 1
 NOTARY_ID = b"notary-1"
 SELLER_ID = b"seller-1"
 BUYER_ID = b"buyer-1"
+
+# The notary is one long-lived, registered party, so its key is derived
+# once, at import, not per world.
+NOTARY_KEYS = SigningKeyPair.from_seed(
+    crypto.sha256(crypto.canonical_encode([b"sedg-notary-key", NOTARY_ID]))
+)
+NOTARY = PartyId(NOTARY_ID, NOTARY_KEYS.public)
+SELLER = PartyId(SELLER_ID)
+NOTARY_ADDR = address_for(NOTARY_ID)
+SELLER_ADDR = address_for(SELLER_ID)
+BUYER_ADDR = address_for(BUYER_ID)
+_ROLES = {SELLER_ID: "seller", BUYER_ID: "buyer", NOTARY_ID: "notary"}
 
 
 class ConfigError(Exception):
@@ -156,6 +170,8 @@ def make_config(
         raise ConfigError("the notary fee must be positive and below the price")
     if variant is not Variant.V2 and notary_fee:
         raise ConfigError("only the notary-split variant v2 has a notary fee")
+    if buyer_policy is BuyerPolicy.PUBLISH_UNDERPRICED_CONTRACT and price < 2:
+        raise ConfigError("an underpriced contract needs a price of at least 2 tokens")
     if variant is Variant.V3 and group_name not in GROUPS:
         raise ConfigError(f"unknown group {group_name!r}; known: {sorted(GROUPS)}")
     if payload is None:
@@ -293,31 +309,21 @@ class World:
         self.config = config
         self.ledger = chain if chain is not None else Ledger()
 
-        self.notary_keys = SigningKeyPair.generate(_rng(config.seed, "notary-keys"))
-        self.notary_id = PartyId(NOTARY_ID, self.notary_keys.public)
-        self.seller_id = PartyId(SELLER_ID)
-        self.buyer_id = PartyId(BUYER_ID)
-        self.seller_addr = address_for(SELLER_ID)
-        self.buyer_addr = address_for(BUYER_ID)
-        self.notary_addr = address_for(NOTARY_ID)
-        self._roles = {SELLER_ID: "seller", BUYER_ID: "buyer", NOTARY_ID: "notary"}
-        registry = {NOTARY_ID: self.notary_keys.public}
-
         group = config.group if config.variant is Variant.V3 else None
         self.package = notarize(
-            self.notary_keys,
-            self.notary_id,
-            SellerData(payload=config.payload, seller=self.seller_id),
+            NOTARY_KEYS,
+            NOTARY,
+            SellerData(payload=config.payload, seller=SELLER),
             config.variant,
             _rng(config.seed, "notary"),
             group=group,
         )
         if config.buyer_balance:  # the ledger funds positive amounts only
-            self.ledger.fund(self.buyer_addr, config.buyer_balance)
+            self.ledger.fund(BUYER_ADDR, config.buyer_balance)
 
         self.seller = SellerSession(
             package=self.package,
-            address=self.seller_addr,
+            address=SELLER_ADDR,
             price=config.price,
             notary_fee=config.notary_fee,
             policy=config.seller_policy,
@@ -325,11 +331,11 @@ class World:
         )
         self.buyer = BuyerSession(
             config=BuyerConfig(
-                address=self.buyer_addr,
-                seller=self.seller_id,
+                address=BUYER_ADDR,
+                seller=SELLER,
                 price=config.price,
                 deadline_offset=config.deadline_offset,
-                trusted_notaries=registry,
+                trusted_notaries={NOTARY_ID: NOTARY_KEYS.public},
                 variant=config.variant,
                 notary_fee=config.notary_fee,
                 group=group,
@@ -401,7 +407,7 @@ class World:
         for i, env in enumerate(self.net.pending):
             label = (
                 f"deliver:{env.body['type']}:"
-                f"{self._roles[env.sender]}->{self._roles[env.recipient]}"
+                f"{_ROLES[env.sender]}->{_ROLES[env.recipient]}"
             )
             actions.append((label, lambda i=i: self._deliver(i)))
         for j, wake in enumerate(self.pending_wakes):
@@ -464,18 +470,18 @@ class World:
             if kind is EventKind.FUNDED:
                 facts.funded += e.amount
             elif kind is EventKind.CONTRACT_PUBLISHED:
-                if e.payer == self.buyer_addr:
+                if e.payer == BUYER_ADDR:
                     facts.buyer_contracts.append(e.contract_id)
             elif kind is EventKind.CLAIMED or kind is EventKind.REFUNDED:
                 facts.settlements[e.contract_id] = facts.settlements.get(e.contract_id, 0) + 1
                 if kind is EventKind.REFUNDED and e.contract_id in facts.buyer_contracts:
                     facts.buyer_refunded = True
-                to_seller = [p.amount for p in e.payouts if p.to == self.seller_addr]
+                to_seller = [p.amount for p in e.payouts if p.to == SELLER_ADDR]
                 if to_seller:
                     facts.seller_claims.append((e.contract_id, sum(to_seller)))
                     facts.seller_paid = facts.seller_paid or any(to_seller)
                 for p in e.payouts:
-                    if p.to == self.notary_addr:
+                    if p.to == NOTARY_ADDR:
                         facts.notary_paid = facts.notary_paid or p.amount > 0
         return facts
 
@@ -495,9 +501,9 @@ class World:
                 self.buyer.abort_reason.value if self.buyer.abort_reason else None
             ),
             balances={
-                "buyer": self.ledger.get_balance(self.buyer_addr),
-                "seller": self.ledger.get_balance(self.seller_addr),
-                "notary": self.ledger.get_balance(self.notary_addr),
+                "buyer": self.ledger.get_balance(BUYER_ADDR),
+                "seller": self.ledger.get_balance(SELLER_ADDR),
+                "notary": self.ledger.get_balance(NOTARY_ADDR),
             },
             price=self.config.price,
             event_count=facts.event_count,
@@ -595,7 +601,7 @@ def fairness_violations(world: World) -> list[tuple[str, str]]:
         )
 
     if config.buyer_policy is BuyerPolicy.HONEST:
-        balance = world.ledger.get_balance(world.buyer_addr)
+        balance = world.ledger.get_balance(BUYER_ADDR)
         expected = config.buyer_balance - config.price if has_plaintext else config.buyer_balance
         if balance != expected:
             out.append(

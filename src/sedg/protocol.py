@@ -244,8 +244,11 @@ class BuyerSession(_Session):
 
         amount = self.config.price
         if self.policy is BuyerPolicy.PUBLISH_UNDERPRICED_CONTRACT:
-            # Stay above the notary fee so the deviant contract is still legal.
-            amount = max(self.config.notary_fee + 1, self.config.price // 2)
+            # Half the price, raised above the notary fee where the price
+            # leaves room, but always below the price: legal and underpriced.
+            amount = min(
+                self.config.price - 1, max(self.config.notary_fee + 1, self.config.price // 2)
+            )
 
         replies: list[ProtocolMessage] = []
         condition: Condition

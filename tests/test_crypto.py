@@ -172,6 +172,13 @@ def test_sign_verify_round_trip():
     assert sign(pair, message) == signature
 
 
+def test_key_pair_repr_hides_the_seed():
+    seed = bytes(range(32))
+    pair = SigningKeyPair.from_seed(seed)
+    assert repr(seed)[2:-1] not in repr(pair)  # the seed's bytes, as a repr prints them
+    assert repr(pair) == f"SigningKeyPair(public={pair.public!r})"
+
+
 def test_verify_rejects_other_message_and_key():
     pair = SigningKeyPair.generate(random.Random(11))
     other = SigningKeyPair.generate(random.Random(12))

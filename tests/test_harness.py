@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sedg import cli, crypto, harness, transport
-from sedg.cert import Certificate, GroupPower, PartyId
+from sedg.cert import Certificate, GroupPower, PartyId, verify_certificate
 from sedg.harness import (
     MAX_DEADLINE_OFFSET,
     MAX_PAYLOAD,
@@ -124,8 +124,38 @@ def test_adversarial_schedule_expiry_before_claim():
     drive(world, [0, 1])
     assert world.buyer.state is BuyerState.REFUNDED
     assert world.seller.state is SellerState.EXPIRED
-    assert world.ledger.get_balance(world.buyer_addr) == 100
+    assert world.ledger.get_balance(harness.BUYER_ADDR) == 100
     assert fairness_violations(world) == []
+
+
+def test_worlds_of_any_seed_share_the_one_notary_key():
+    # The notary is one registered party: a certificate notarized in one
+    # world verifies against another world's buyer registry.
+    first = World(make_config("v1", seed=1))
+    second = World(make_config("v1", seed=2))
+    registry = second.buyer.config.trusted_notaries
+    assert first.buyer.config.trusted_notaries == registry
+    assert first.package.certificate.notary_id == second.package.certificate.notary_id
+    assert first.package.certificate != second.package.certificate
+    result = verify_certificate(
+        first.package.certificate, registry, harness.SELLER, first.package.ciphertext
+    )
+    assert result.ok
+
+
+def test_building_a_world_loads_no_signing_key(monkeypatch):
+    loads = []
+    from_seed = vars(crypto.SigningKeyPair)["from_seed"].__func__
+
+    def counting(cls, seed):
+        loads.append(seed)
+        return from_seed(cls, seed)
+
+    monkeypatch.setattr(crypto.SigningKeyPair, "from_seed", classmethod(counting))
+    for variant in ("v1", "v2", "v3"):
+        report = run_scenario(make_config(variant, price=100, seed=5))
+        assert report.seller_paid and report.buyer_has_plaintext
+    assert loads == []
 
 
 def test_run_scenario_is_deterministic(tmp_path):
@@ -336,7 +366,7 @@ def test_double_settlement_is_detected():
     chain = world.ledger
     chain._contracts[1] = dataclasses.replace(chain._contracts[1], state=ContractState.OPEN)
     chain.advance_time(500)
-    chain.refund(1, world.buyer_addr)
+    chain.refund(1, harness.BUYER_ADDR)
     props = {p for p, _ in fairness_violations(world)}
     assert "single-settlement" in props
     assert "conservation" in props
@@ -351,10 +381,12 @@ def test_fee_skimming_claim_is_an_honest_seller_loss():
     world = World(config)
     chain = world.ledger
     lock = NotaryHashLock(h2=world.package.certificate.h2.digest, fee=99)
-    cid = chain.publish_contract(world.buyer_addr, world.seller_addr, 100, lock, deadline=100)
-    chain.claim(cid, PreimageWithNotary(world.package.key, world.notary_id.id))
-    assert chain.get_balance(world.seller_addr) == 1
-    assert chain.get_balance(world.notary_addr) == 99
+    cid = chain.publish_contract(
+        harness.BUYER_ADDR, harness.SELLER_ADDR, 100, lock, deadline=100
+    )
+    chain.claim(cid, PreimageWithNotary(world.package.key, harness.NOTARY_ID))
+    assert chain.get_balance(harness.SELLER_ADDR) == 1
+    assert chain.get_balance(harness.NOTARY_ADDR) == 99
     violations = dict(fairness_violations(world))
     assert violations["honest-seller-no-loss"] == (
         f"seller claimed contract {cid} crediting it 1 != 90"
@@ -729,6 +761,10 @@ def test_config_from_dict_raises_only_config_error(obj):
 @example("v1", 1, None, -1, 0, BuyerPolicy.PUBLISH_UNDERPRICED_CONTRACT)
 # A v1 fee above the price made the "underpriced" contract 101 for a price of 60.
 @example("v1", 60, 200, 100, 0, BuyerPolicy.PUBLISH_UNDERPRICED_CONTRACT)
+# The "underpriced" contract was the full price: a price of 1 leaves no
+# smaller positive amount, and a v2 fee of price - 1 left only the price.
+@example("v1", 1, None, None, 0, BuyerPolicy.PUBLISH_UNDERPRICED_CONTRACT)
+@example("v2", 2, None, 1, 0, BuyerPolicy.PUBLISH_UNDERPRICED_CONTRACT)
 def test_every_config_make_config_accepts_runs_to_a_report(
     variant, price, buyer_balance, notary_fee, seed, buyer_policy
 ):
@@ -746,6 +782,8 @@ def test_every_config_make_config_accepts_runs_to_a_report(
         return
     report = run_scenario(config)
     assert report.seed == seed
+    if buyer_policy is BuyerPolicy.PUBLISH_UNDERPRICED_CONTRACT:
+        assert not report.seller_paid
     for fmt in ("json", "text"):
         assert emit_report(report, fmt)
 
@@ -924,6 +962,14 @@ def test_cli_negative_notary_fee_exits_2(tmp_path, capsys):
     for command in ("run", "explore"):
         assert cli.main([command, "--config", path]) == 2
         assert "config error" in capsys.readouterr().err
+
+
+def test_cli_underpriced_contract_below_price_2_exits_2(tmp_path, capsys):
+    # No positive amount is below a price of 1.
+    path = _write_config(tmp_path, price=1, buyer_policy="publish_underpriced_contract")
+    for command in ("run", "explore"):
+        assert cli.main([command, "--config", path]) == 2
+        assert "price of at least 2" in capsys.readouterr().err
 
 
 def test_cli_notary_fee_outside_v2_exits_2(tmp_path, capsys):
