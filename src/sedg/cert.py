@@ -227,33 +227,25 @@ class RejectReason(Enum):
     SELLER_MISMATCH = "seller_mismatch"
 
 
-@dataclass(frozen=True)
-class VerificationResult:
-    ok: bool
-    reason: RejectReason | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 def verify_certificate(
     cert: Certificate,
     trusted_notaries: Mapping[bytes, bytes],
     claimed_seller: PartyId,
     ciphertext: Ciphertext,
-) -> VerificationResult:
+) -> RejectReason | None:
     """Check notary trust, signature, ciphertext binding, and seller identity.
 
-    Never raises; failures carry the first reason in that order.
+    Never raises; returns None for a valid certificate, else the first
+    failure's reason in that order.
     """
     public = trusted_notaries.get(cert.notary_id.id)
     if public is None:
-        return VerificationResult(False, RejectReason.UNKNOWN_NOTARY)
+        return RejectReason.UNKNOWN_NOTARY
     payload = signing_payload(cert.variant, cert.h1, cert.h2, cert.seller_id)
     if not crypto.verify(public, payload, cert.sigma):
-        return VerificationResult(False, RejectReason.BAD_SIGNATURE)
+        return RejectReason.BAD_SIGNATURE
     if ciphertext.digest() != cert.h1:
-        return VerificationResult(False, RejectReason.CIPHERTEXT_MISMATCH)
+        return RejectReason.CIPHERTEXT_MISMATCH
     if cert.seller_id.id != claimed_seller.id:
-        return VerificationResult(False, RejectReason.SELLER_MISMATCH)
-    return VerificationResult(True)
+        return RejectReason.SELLER_MISMATCH
+    return None

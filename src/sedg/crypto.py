@@ -142,10 +142,6 @@ class SigningKeyPair:
         private = Ed25519PrivateKey.from_private_bytes(seed)
         return cls(public=private.public_key().public_bytes_raw(), private=private)
 
-    @classmethod
-    def generate(cls, rng: random.Random) -> "SigningKeyPair":
-        return cls.from_seed(rng.randbytes(SEED_LEN))
-
 
 def sign(keys: SigningKeyPair, message: bytes) -> bytes:
     """Deterministic 64-byte signature over the exact message bytes."""

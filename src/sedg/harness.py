@@ -7,9 +7,12 @@ that key, and its buyer verifies the certificate against its registry. The
 sessions act on the ledger themselves; the world routes their messages
 and owns what no party controls. Everything that can race is a scheduling
 option: message deliveries, the buyer's ledger wake-up, timer firings, and
-the placement of expiry itself. The default schedule always picks the
-first option (FIFO delivery, expiry last); `drive` replays any other
-schedule given as option indices.
+the placement of expiry itself. The world alone decides what woke the
+buyer: a `notify:buyer` wake carries the claim event the world found on the
+chain, for `on_claim`; a `timers` wake calls both parties' `on_timer`, and
+the ledger decides whether the buyer's refund is due. The default schedule
+always picks the first option (FIFO delivery, expiry last); `drive`
+replays any other schedule given as option indices.
 
 `explore` checks every ordering up to a depth bound and evaluates the
 fairness invariants at every terminal state, in one pass over the event
@@ -34,7 +37,7 @@ from typing import Callable, Sequence
 from . import cert, codec, crypto, protocol, transport
 from .cert import PartyId, SellerData, Variant, notarize
 from .crypto import GROUPS, GroupParams, SigningKeyPair
-from .ledger import EventKind, Ledger, address_for, write_event_log
+from .ledger import EventKind, Ledger, LedgerEvent, address_for, write_event_log
 from .protocol import (
     AbortMessage,
     Blind,
@@ -347,7 +350,8 @@ class World:
         self.net = transport.InProcessNet()
         self._seller_ep = self.net.endpoint(SELLER_ID)
         self._buyer_ep = self.net.endpoint(BUYER_ID)
-        self.pending_wakes: list[str] = []
+        # (label, the claim event for a notify:buyer wake or None for timers)
+        self.pending_wakes: list[tuple[str, LedgerEvent | None]] = []
         self.expired = False
         self.trace: list[str] = []
         self._cursor = len(self.ledger.read_events(0))
@@ -410,8 +414,8 @@ class World:
                 f"{_ROLES[env.sender]}->{_ROLES[env.recipient]}"
             )
             actions.append((label, lambda i=i: self._deliver(i)))
-        for j, wake in enumerate(self.pending_wakes):
-            actions.append((wake, lambda j=j: self._fire_wake(j)))
+        for j, (label, _) in enumerate(self.pending_wakes):
+            actions.append((label, lambda j=j: self._fire_wake(j)))
         if not self.expired and self.ledger.has_open_contract():
             actions.append(("expire", self._expire))
         return actions
@@ -436,9 +440,11 @@ class World:
             self.seller.on_abort(message.reason)
 
     def _fire_wake(self, index: int) -> None:
-        wake = self.pending_wakes.pop(index)
-        self.buyer.on_wake(self.ledger, read_claim=wake == "notify:buyer")
-        if wake == "timers":
+        _, claim = self.pending_wakes.pop(index)
+        if claim is not None:
+            self.buyer.on_claim(claim)
+        else:
+            self.buyer.on_timer(self.ledger)
             self.seller.on_timer()
 
     def _expire(self) -> None:
@@ -446,7 +452,7 @@ class World:
         target = max(c.deadline for c in opens) + 1
         self.ledger.advance_time(target - self.ledger.current_tick)
         self.expired = True
-        self.pending_wakes.append("timers")
+        self.pending_wakes.append(("timers", None))
 
     def _scan_chain(self) -> None:
         events = self.ledger.read_events(self._cursor)
@@ -456,7 +462,7 @@ class World:
                 event.kind is EventKind.CLAIMED
                 and event.contract_id == self.buyer.contract_id
             ):
-                self.pending_wakes.append("notify:buyer")
+                self.pending_wakes.append(("notify:buyer", event))
 
     # -- reporting ------------------------------------------------------------
 

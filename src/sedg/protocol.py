@@ -4,8 +4,11 @@ Sessions act on the chain they are handed: each handler consumes one
 message or wake-up, performs its own ledger operations (the buyer publishes
 and refunds, the seller claims), and returns the messages to send. The
 harness owns what neither party controls: delivery order, wake-ups and
-expiry. So the same session code runs under the deterministic scenario
-runner and under exhaustive adversarial scheduling.
+expiry. It decides what woke the buyer: `on_claim` gets the claim event the
+harness found on the chain, and `on_timer` asks the ledger for a refund,
+which the ledger grants only past the deadline. So the same session code
+runs under the deterministic scenario runner and under exhaustive
+adversarial scheduling.
 
 Deviation policies model the classic failure modes of an unprotected trade:
 a buyer who never pays or underpays, a seller who withholds the key, claims
@@ -41,7 +44,6 @@ from .crypto import Ciphertext, GroupParams, Scalar
 from .ledger import (
     Condition,
     DlogLock,
-    EventKind,
     HashLock,
     Ledger,
     LedgerEvent,
@@ -229,12 +231,12 @@ class BuyerSession(_Session):
             return self._abort(AbortReason.PRICE_MISMATCH)
         if certificate.variant is not self.config.variant:
             return self._abort(AbortReason.VARIANT_MISMATCH)
-        verdict = cert.verify_certificate(
+        rejection = cert.verify_certificate(
             certificate, self.config.trusted_notaries, self.config.seller, offer.ciphertext
         )
-        if not verdict:
+        if rejection is not None:
             # Every certificate rejection has the abort reason of the same value.
-            return self._abort(AbortReason(verdict.reason.value))
+            return self._abort(AbortReason(rejection.value))
         if isinstance(h2, GroupPower) and h2.element.params != self.config.group:
             return self._abort(AbortReason.GROUP_MISMATCH)
         self.state = BuyerState.VERIFIED
@@ -276,16 +278,16 @@ class BuyerSession(_Session):
         return replies + [ContractRef(self.contract_id)]
 
     def on_claim(self, event: LedgerEvent) -> bytes | None:
-        """Recover the key from the published witness and decrypt.
+        """Recover the key from the witness of the claim on this buyer's contract.
 
-        A failed authenticated decrypt marks the session rather than raising:
-        the funds are already gone, which is exactly what the fairness report
-        needs to surface. Unreachable when the notary was honest, since the
-        ledger only accepts witnesses that open the committed key.
+        The caller hands over the chain's `CLAIMED` event for the contract this
+        session published. A failed authenticated decrypt marks the session
+        rather than raising: the funds are already gone, which is exactly what
+        the fairness report needs to surface. Unreachable when the notary was
+        honest, since the ledger only accepts witnesses that open the
+        committed key.
         """
         if self.state is not BuyerState.CONTRACT_PUBLISHED:
-            return None
-        if event.contract_id != self.contract_id or event.witness is None:
             return None
         witness = event.witness
         if isinstance(witness, ledger.Exponent):
@@ -301,41 +303,20 @@ class BuyerSession(_Session):
         self.state = BuyerState.SETTLED
         return self.plaintext
 
-    def check_timeout(self, chain: Ledger) -> int | None:
-        """Contract id to refund, or None.
+    def on_timer(self, chain: Ledger) -> None:
+        """Ask the chain for the escrow back while the contract is still published.
 
-        Honest buyers wait for strict expiry; an eager buyer fires on every
-        wake-up and lets the ledger reject premature attempts.
+        The ledger alone decides whether the refund is due: before the
+        deadline it raises NotExpired, after a claim AlreadySettled, and a
+        rejected refund changes nothing.
         """
-        if self.contract_id is None or self.state is not BuyerState.CONTRACT_PUBLISHED:
-            return None
-        contract = chain.get_contract(self.contract_id)
-        if contract.state is not ledger.ContractState.OPEN:
-            return None
-        if self.policy is BuyerPolicy.REFUND_EAGERLY:
-            return self.contract_id
-        if chain.current_tick > contract.deadline:
-            return self.contract_id
-        return None
-
-    def on_wake(self, chain: Ledger, read_claim: bool) -> None:
-        """Refund what `check_timeout` names, then, if asked, read the claim.
-
-        A refund the ledger rejects (an eager one before expiry) changes
-        nothing; the buyer tries again on its next wake-up.
-        """
-        refund_id = self.check_timeout(chain)
-        if refund_id is not None:
-            try:
-                chain.refund(refund_id, self.config.address)
-                self.state = BuyerState.REFUNDED
-            except ledger.LedgerError:
-                pass
-        if read_claim and self.contract_id is not None:
-            for event in chain.read_events(0):
-                if event.kind is EventKind.CLAIMED and event.contract_id == self.contract_id:
-                    self.on_claim(event)
-                    break
+        if self.state is not BuyerState.CONTRACT_PUBLISHED:
+            return
+        try:
+            chain.refund(self.contract_id, self.config.address)
+        except ledger.LedgerError:
+            return
+        self.state = BuyerState.REFUNDED
 
     def _abort(self, reason: AbortReason) -> list[ProtocolMessage]:
         self.state = BuyerState.ABORTED

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import random
 
+from sedg.crypto import SEED_LEN, SigningKeyPair
+
 
 class ScriptedRng(random.Random):
     """Randomness source that replays scripted byte strings first.
@@ -42,3 +44,8 @@ def brute_force_inverse(value: int, modulus: int) -> int:
         if (value * candidate) % modulus == 1:
             return candidate
     raise AssertionError(f"{value} has no inverse mod {modulus}")
+
+
+def signing_keys(n: int) -> SigningKeyPair:
+    """A deterministic Ed25519 key pair, one per integer `n`."""
+    return SigningKeyPair.from_seed(random.Random(n).randbytes(SEED_LEN))

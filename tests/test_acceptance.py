@@ -11,10 +11,10 @@ import time
 
 import pytest
 
-from helpers import ScriptedRng, brute_force_inverse, slow_pow
+from helpers import ScriptedRng, brute_force_inverse, signing_keys, slow_pow
 from sedg import crypto
-from sedg.cert import PartyId, SellerData, Variant, notarize, verify_certificate
-from sedg.crypto import TEST_GROUP, Scalar, SigningKeyPair, scalar_draw_len
+from sedg.cert import PartyId, RejectReason, SellerData, Variant, notarize, verify_certificate
+from sedg.crypto import TEST_GROUP, Scalar, scalar_draw_len
 from sedg.harness import (
     World,
     demo,
@@ -137,7 +137,7 @@ def test_acceptance_3_exhaustive_blinding_algebra():
 
 def _forced_dlog_exchange(k: int, r: int):
     """Full seller/buyer exchange on the tiny group with forced k and r."""
-    notary_keys = SigningKeyPair.generate(random.Random(0))
+    notary_keys = signing_keys(0)
     notary_id = PartyId(b"n", notary_keys.public)
     seller_id = PartyId(b"s")
     payload = b"forced exchange payload"
@@ -215,7 +215,7 @@ def test_acceptance_5_ledger_property_tests():
 # ---------------------------------------------------------------------------
 
 def test_acceptance_6_binding():
-    notary_keys = SigningKeyPair.generate(random.Random(60))
+    notary_keys = signing_keys(60)
     notary_id = PartyId(b"notary-1", notary_keys.public)
     seller_id = PartyId(b"seller-1")
     registry = {notary_id.id: notary_keys.public}
@@ -262,7 +262,11 @@ def test_acceptance_6_binding():
             else:
                 cert = dataclasses.replace(cert, seller_id=PartyId(b"mallory"))
             verdict = verify_certificate(cert, registry, seller_id, ciphertext)
-            assert not verdict, f"mutation {mutation} on {variant} was accepted"
+            # Only the ciphertext is outside the signed string.
+            expected = (
+                RejectReason.CIPHERTEXT_MISMATCH if mutation == 0 else RejectReason.BAD_SIGNATURE
+            )
+            assert verdict is expected, f"mutation {mutation} on {variant}: {verdict}"
             rejected += 1
     assert rejected == 300
 

@@ -10,7 +10,7 @@ from cryptography.hazmat.primitives import serialization
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ScriptedRng, brute_force_inverse, slow_pow
+from helpers import ScriptedRng, brute_force_inverse, signing_keys, slow_pow
 from sedg import crypto
 from sedg.crypto import (
     GROUPS,
@@ -163,7 +163,7 @@ def test_ciphertext_shape_validation():
 # ---------------------------------------------------------------------------
 
 def test_sign_verify_round_trip():
-    pair = SigningKeyPair.generate(random.Random(10))
+    pair = signing_keys(10)
     message = b"statement to certify"
     signature = sign(pair, message)
     assert len(signature) == 64
@@ -180,15 +180,15 @@ def test_key_pair_repr_hides_the_seed():
 
 
 def test_verify_rejects_other_message_and_key():
-    pair = SigningKeyPair.generate(random.Random(11))
-    other = SigningKeyPair.generate(random.Random(12))
+    pair = signing_keys(11)
+    other = signing_keys(12)
     signature = sign(pair, b"m")
     assert not verify(pair.public, b"m'", signature)
     assert not verify(other.public, b"m", signature)
 
 
 def test_verify_rejects_sampled_single_bit_mutations():
-    pair = SigningKeyPair.generate(random.Random(13))
+    pair = signing_keys(13)
     message = random.Random(13).randbytes(64)
     signature = sign(pair, message)
     rng = random.Random(14)

@@ -32,7 +32,7 @@ from sedg.harness import (
     make_config,
     run_scenario,
 )
-from sedg.ledger import ContractState, Ledger, event_to_json
+from sedg.ledger import ContractState, EventKind, Ledger, event_to_json
 from sedg.protocol import (
     BuyerPolicy,
     BuyerState,
@@ -128,6 +128,33 @@ def test_adversarial_schedule_expiry_before_claim():
     assert fairness_violations(world) == []
 
 
+def test_claim_wake_hands_the_buyer_the_event_the_world_found(monkeypatch):
+    # The world scans the chain once per step; the buyer does not re-read it.
+    world = World(make_config("v1", price=60, buyer_balance=100, seed=42))
+    world.step(0)  # the offer: the buyer escrows the price
+    world.step(0)  # the contract reference: the seller claims
+    claim = world.ledger.read_events(0)[-1]
+    assert claim.kind is EventKind.CLAIMED
+    assert world.options() == ["notify:buyer"]
+    assert len(world.pending_wakes) == 1
+    label, event = world.pending_wakes[0]
+    assert label == "notify:buyer" and event is claim
+
+    reads = []
+    read_events = Ledger.read_events
+
+    def counting(self, from_seq=0):
+        reads.append(from_seq)
+        return read_events(self, from_seq)
+
+    monkeypatch.setattr(Ledger, "read_events", counting)
+    world.step(0)
+    assert len(reads) == 1
+    assert world.buyer.state is BuyerState.SETTLED
+    assert world.buyer.plaintext == world.config.payload
+    assert world.options() == []
+
+
 def test_worlds_of_any_seed_share_the_one_notary_key():
     # The notary is one registered party: a certificate notarized in one
     # world verifies against another world's buyer registry.
@@ -137,10 +164,10 @@ def test_worlds_of_any_seed_share_the_one_notary_key():
     assert first.buyer.config.trusted_notaries == registry
     assert first.package.certificate.notary_id == second.package.certificate.notary_id
     assert first.package.certificate != second.package.certificate
-    result = verify_certificate(
+    rejection = verify_certificate(
         first.package.certificate, registry, harness.SELLER, first.package.ciphertext
     )
-    assert result.ok
+    assert rejection is None
 
 
 def test_building_a_world_loads_no_signing_key(monkeypatch):
@@ -391,6 +418,38 @@ def test_fee_skimming_claim_is_an_honest_seller_loss():
     assert violations["honest-seller-no-loss"] == (
         f"seller claimed contract {cid} crediting it 1 != 90"
     )
+
+
+@pytest.mark.parametrize(
+    "chain_factory", [None, AcceptAnyWitnessLedger], ids=["honest-chain", "accept-any-witness"]
+)
+def test_eager_refund_explores_as_the_honest_buyer(chain_factory):
+    # The world wakes the buyer only after a claim or after expiry, so a
+    # buyer who would refund early never gets the chance: its tree is the
+    # honest buyer's, less the invariant only an honest buyer is owed.
+    def outcome(config):
+        result = explore(config, depth=12, chain_factory=chain_factory)
+        violations = [
+            (v.schedule, v.prop, v.detail, v.choices)
+            for v in result.violations
+            if v.prop != "honest-buyer-no-loss"
+        ]
+        return result.schedules_explored, result.max_depth, result.nodes_executed, violations
+
+    for variant, seller_policy in itertools.product(("v1", "v2", "v3"), SellerPolicy):
+        honest, eager = (
+            make_config(
+                variant,
+                price=100,
+                buyer_balance=150,
+                notary_fee=10 if variant == "v2" else None,
+                seed=7,
+                seller_policy=seller_policy,
+                buyer_policy=buyer_policy,
+            )
+            for buyer_policy in (BuyerPolicy.HONEST, BuyerPolicy.REFUND_EAGERLY)
+        )
+        assert outcome(eager) == outcome(honest), f"{variant} {seller_policy.value}"
 
 
 # ---------------------------------------------------------------------------

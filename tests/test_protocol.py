@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import ScriptedRng
+from helpers import ScriptedRng, signing_keys
 from sedg import codec, crypto
 from sedg.cert import (
     Certificate,
@@ -22,7 +22,7 @@ from sedg.cert import (
     notarize,
     signing_payload,
 )
-from sedg.crypto import MODP_2048, TEST_GROUP, Scalar, SigningKeyPair, scalar_draw_len
+from sedg.crypto import MODP_2048, TEST_GROUP, Scalar, scalar_draw_len
 from sedg.ledger import (
     ContractState,
     DlogLock,
@@ -52,7 +52,7 @@ from sedg.protocol import (
     message_to_obj,
 )
 
-NOTARY_KEYS = SigningKeyPair.generate(random.Random(1))
+NOTARY_KEYS = signing_keys(1)
 NOTARY = PartyId(b"notary-1", NOTARY_KEYS.public)
 SELLER = PartyId(b"seller-1")
 REGISTRY = {NOTARY.id: NOTARY_KEYS.public}
@@ -508,51 +508,42 @@ def test_buyer_recovers_scalar_key_v3():
     assert recovered.value == 3
 
 
-def test_wake_reads_the_claim_only_when_asked():
-    _, buyer, chain, _ = _settled_exchange(Variant.V1)
-    buyer.on_wake(chain, read_claim=False)
-    assert buyer.state is BuyerState.CONTRACT_PUBLISHED
-    buyer.on_wake(chain, read_claim=True)
-    assert buyer.plaintext == PAYLOAD
-    assert buyer.state is BuyerState.SETTLED
-
-
-def test_check_timeout_boundaries():
+def test_on_timer_boundaries():
+    # The ledger alone decides when the refund is due: at and before the
+    # deadline it says NotExpired, and the attempt changes nothing.
     seller = make_seller(Variant.V1)
     buyer = make_buyer(Variant.V1)
     chain = funded_chain()
     buyer.on_offer(seller.start(), chain)
     cid = buyer.contract_id
-    assert buyer.check_timeout(chain) is None
-    chain.advance_time(chain.get_contract(cid).deadline)
-    assert buyer.check_timeout(chain) is None  # exactly at deadline
+    deadline = chain.get_contract(cid).deadline
+    for tick in (deadline - 1, deadline):
+        chain.advance_time(tick - chain.current_tick)
+        before = chain.snapshot()
+        buyer.on_timer(chain)
+        assert chain.snapshot() == before
+        assert buyer.state is BuyerState.CONTRACT_PUBLISHED
+        assert chain.get_balance(BUYER_ADDR) == 200 - PRICE
     chain.advance_time(1)
-    assert buyer.check_timeout(chain) == cid
-    buyer.on_wake(chain, read_claim=False)
+    buyer.on_timer(chain)
     assert buyer.state is BuyerState.REFUNDED
     assert chain.get_contract(cid).state is ContractState.REFUNDED
     assert chain.get_balance(BUYER_ADDR) == 200
-    assert buyer.check_timeout(chain) is None
 
 
-def test_eager_refund_policy_fires_before_expiry():
-    seller = make_seller(Variant.V1)
-    buyer = make_buyer(Variant.V1, BuyerPolicy.REFUND_EAGERLY)
-    chain = funded_chain()
-    buyer.on_offer(seller.start(), chain)
-    cid = buyer.contract_id
-    assert buyer.check_timeout(chain) == cid
+def test_on_timer_ignores_settled_contracts():
+    _, buyer, chain, event = _settled_exchange(Variant.V1)
+    chain.advance_time(500)
+    # Claimed but not yet read: the ledger says AlreadySettled.
     before = chain.snapshot()
-    buyer.on_wake(chain, read_claim=False)  # the ledger says NotExpired
+    buyer.on_timer(chain)
     assert chain.snapshot() == before
     assert buyer.state is BuyerState.CONTRACT_PUBLISHED
-
-
-def test_check_timeout_ignores_settled_contracts():
-    _, buyer, chain, event = _settled_exchange(Variant.V1)
     buyer.on_claim(event)
-    chain.advance_time(500)
-    assert buyer.check_timeout(chain) is None
+    assert buyer.state is BuyerState.SETTLED
+    buyer.on_timer(chain)
+    assert chain.snapshot() == before
+    assert buyer.state is BuyerState.SETTLED
 
 
 def test_decrypt_failure_marks_session_without_settling():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import signing_keys
 from sedg import codec
 from sedg.transport import (
     MAX_FRAME,
@@ -199,7 +200,7 @@ def test_full_dlog_exchange_over_the_in_process_net():
     # The complete off-chain conversation of a blinded exchange, with every
     # message encoded, framed and delivered by the net; no harness involved.
     from sedg.cert import PartyId, SellerData, Variant, notarize
-    from sedg.crypto import TEST_GROUP, SigningKeyPair
+    from sedg.crypto import TEST_GROUP
     from sedg.ledger import Ledger, address_for
     from sedg.protocol import (
         BuyerConfig,
@@ -211,7 +212,7 @@ def test_full_dlog_exchange_over_the_in_process_net():
         message_to_obj,
     )
 
-    notary_keys = SigningKeyPair.generate(random.Random(50))
+    notary_keys = signing_keys(50)
     notary_id = PartyId(b"n", notary_keys.public)
     seller_id = PartyId(b"s")
     payload = b"socket-delivered goods"
