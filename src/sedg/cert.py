@@ -3,7 +3,8 @@
 The notary validates seller data, encrypts it under a fresh key, commits to
 ciphertext and key, signs the commitments together with the seller identity,
 and hands the whole package to the seller. Buyers later verify such
-certificates against a static registry of trusted notary keys.
+certificates against a static registry of trusted notary keys, looked up by
+the notary's id: a `PartyId` is its id alone and carries no key.
 
 A certificate carries nothing that can be derived: its variant and, for the
 dlog variant, its group both follow from the commitment `h2`. The seller
@@ -34,10 +35,9 @@ class ValidationRejected(Exception):
 
 @dataclass(frozen=True)
 class PartyId:
-    """Opaque identity handle; the public key is set for parties that sign."""
+    """Opaque identity handle; a verifier looks up a signer's key by this id."""
 
     id: bytes
-    public_key: bytes | None = None
 
     def __post_init__(self) -> None:
         if not self.id:
@@ -176,8 +176,6 @@ def notarize(
     nonzero, and the payload is encrypted under a key derived from that
     exponent (the buyer only ever learns the exponent).
     """
-    if notary_id.public_key != notary_keys.public:
-        raise ValueError("notary_id must carry the notary's verification key")
     if not validate_data(data, predicate):
         raise ValidationRejected("seller data failed validation")
 
@@ -191,7 +189,7 @@ def notarize(
             if exponent is not None:
                 break
         enc_key = crypto.symmetric_key_for_scalar(exponent)
-        h2 = GroupPower(crypto.group_exp(group, group.g, exponent))
+        h2 = GroupPower(crypto.power_of_g(exponent))
     else:
         key = rng.randbytes(crypto.KEY_LEN)
         enc_key = key

@@ -4,6 +4,10 @@ Hashing, authenticated symmetric encryption, signatures, prime-order
 subgroup arithmetic, and the canonical byte encoding used everywhere a
 multi-part value is hashed or signed. Everything here is pure: values are
 immutable and callers thread their own randomness.
+
+Elements and scalars carry their group, so exponentiation takes it from its
+operands: `power_of_g(x)` is g^x in x's group, and `element_pow(base, x)`
+refuses a base and an exponent of different groups.
 """
 from __future__ import annotations
 
@@ -12,7 +16,7 @@ import random
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence, Union
+from typing import Sequence
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -307,35 +311,23 @@ class Scalar:
         return self.value.to_bytes(self.params.scalar_len(), "big")
 
 
-def group_exp(
-    params: GroupParams,
-    base: Union[GroupElement, int],
-    exponent: Union[Scalar, int],
-) -> GroupElement:
-    """Modular exponentiation inside the subgroup.
+def power_of_g(x: Scalar) -> GroupElement:
+    """g^x in x's group, from OpenSSL where the group allows (see `GroupParams`).
 
-    The base may be a validated element or a raw integer; raw integers other
-    than the generator, which the group checked when it was built, are
-    membership-checked first. A power of a member stays in the subgroup, so
-    the result is not checked again. Powers of the generator come from
-    OpenSSL where the group allows (see `GroupParams`), every other base from
-    builtin `pow`. Integer exponents are accepted so tests can exercise the
-    identity exponent q.
+    A power of the generator is a member, so the result is not checked again.
     """
-    if isinstance(base, GroupElement):
-        if base.params != params:
-            raise DomainError("base belongs to a different group")
-        base_value = base.value
-    else:
-        base_value = int(base)
-        if base_value != params.g and not params.contains(base_value):
-            raise DomainError(f"base {base_value} is not in the subgroup")
-    exp_value = exponent.value if isinstance(exponent, Scalar) else int(exponent)
-    if exp_value < 1:
-        raise ValueError("exponent must be positive")
-    if base_value == params.g:
-        return _in_group(params._generator_power(exp_value), params)
-    return _in_group(pow(base_value, exp_value, params.p), params)
+    return _in_group(x.params._generator_power(x.value), x.params)
+
+
+def element_pow(base: GroupElement, x: Scalar) -> GroupElement:
+    """base^x by builtin `pow`, for a base and an exponent of one group.
+
+    Raises DomainError when their groups differ. A power of a member stays
+    in the subgroup, so the result is not checked again.
+    """
+    if base.params != x.params:
+        raise DomainError("base and exponent belong to different groups")
+    return _in_group(pow(base.value, x.value, base.params.p), base.params)
 
 
 def scalar_mul(a: Scalar, b: Scalar) -> Scalar:

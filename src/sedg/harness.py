@@ -80,7 +80,7 @@ BUYER_ID = b"buyer-1"
 NOTARY_KEYS = SigningKeyPair.from_seed(
     crypto.sha256(crypto.canonical_encode([b"sedg-notary-key", NOTARY_ID]))
 )
-NOTARY = PartyId(NOTARY_ID, NOTARY_KEYS.public)
+NOTARY = PartyId(NOTARY_ID)
 SELLER = PartyId(SELLER_ID)
 NOTARY_ADDR = address_for(NOTARY_ID)
 SELLER_ADDR = address_for(SELLER_ID)
@@ -175,7 +175,7 @@ def make_config(
         raise ConfigError("only the notary-split variant v2 has a notary fee")
     if buyer_policy is BuyerPolicy.PUBLISH_UNDERPRICED_CONTRACT and price < 2:
         raise ConfigError("an underpriced contract needs a price of at least 2 tokens")
-    if variant is Variant.V3 and group_name not in GROUPS:
+    if group_name not in GROUPS:
         raise ConfigError(f"unknown group {group_name!r}; known: {sorted(GROUPS)}")
     if payload is None:
         if not 1 <= payload_size <= MAX_PAYLOAD:
@@ -312,14 +312,13 @@ class World:
         self.config = config
         self.ledger = chain if chain is not None else Ledger()
 
-        group = config.group if config.variant is Variant.V3 else None
         self.package = notarize(
             NOTARY_KEYS,
             NOTARY,
             SellerData(payload=config.payload, seller=SELLER),
             config.variant,
             _rng(config.seed, "notary"),
-            group=group,
+            group=config.group,
         )
         if config.buyer_balance:  # the ledger funds positive amounts only
             self.ledger.fund(BUYER_ADDR, config.buyer_balance)
@@ -341,7 +340,7 @@ class World:
                 trusted_notaries={NOTARY_ID: NOTARY_KEYS.public},
                 variant=config.variant,
                 notary_fee=config.notary_fee,
-                group=group,
+                group=config.group,
             ),
             policy=config.buyer_policy,
             new_rng=functools.partial(_rng, config.seed, "buyer"),

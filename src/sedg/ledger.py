@@ -3,7 +3,9 @@
 A single serialized state machine. Every operation either completes
 atomically or raises and leaves no trace. The append-only event log is what
 "on-chain" means here: all parties can read it, including published
-witnesses. Time is a logical tick counter advanced explicitly.
+witnesses. Time is a logical tick counter advanced explicitly. A dlog
+lock opens only to an exponent of its own group: a scalar of another group
+that happens to be congruent is a wrong witness.
 
 The log is written as JSON lines, one event per line, in the format `codec`
 derives from `LedgerEvent`; `replay` rebuilds a ledger from such a log and
@@ -95,7 +97,7 @@ class NotaryHashLock:
 
 @dataclass(frozen=True)
 class DlogLock:
-    """Pay the payee on any exponent x with g^x = c in c's group.
+    """Pay the payee on any exponent x of c's group with g^x = c.
 
     c is stored pre-blinded by the payer; the chain never sees the
     certificate's own commitment.
@@ -150,8 +152,8 @@ def evaluate_condition(condition: Condition, witness: Witness) -> bool:
         digest = crypto.sha256(crypto.canonical_encode([witness.x, witness.notary_id]))
         return digest == condition.h2
     assert isinstance(witness, Exponent)
-    group = condition.group
-    return crypto.group_exp(group, group.g, witness.x).value == condition.c.value
+    # The group is compared first, so a witness from another group costs no power.
+    return witness.x.params == condition.group and crypto.power_of_g(witness.x) == condition.c
 
 
 # ---------------------------------------------------------------------------

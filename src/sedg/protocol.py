@@ -260,8 +260,7 @@ class BuyerSession(_Session):
             condition = NotaryHashLock(h2=h2.digest, fee=self.config.notary_fee)
         else:
             self.blind = crypto.draw_scalar(self.new_rng(), self.config.group)
-            c = crypto.group_exp(self.config.group, h2.element, self.blind)
-            condition = DlogLock(c=c)
+            condition = DlogLock(c=crypto.element_pow(h2.element, self.blind))
             replies.append(Blind(self.blind))
 
         try:
@@ -329,15 +328,11 @@ class BuyerSession(_Session):
 # ---------------------------------------------------------------------------
 
 class SellerState(Enum):
-    INIT = "init"
+    """The states a seller's run can end in; it is done once it leaves OFFER_SENT."""
+
     OFFER_SENT = "offer_sent"
-    AWAITING_CONTRACT = "awaiting_contract"
-    AWAITING_BLIND = "awaiting_blind"
     CLAIMED = "claimed"
     EXPIRED = "expired"
-
-
-SELLER_TERMINAL = frozenset({SellerState.CLAIMED, SellerState.EXPIRED})
 
 
 class ContractMismatch(Exception):
@@ -363,7 +358,7 @@ class SellerSession(_Session):
         self.policy = policy
         self.new_rng = new_rng
         self.variant = package.certificate.variant
-        self.state = SellerState.INIT
+        self.state = SellerState.OFFER_SENT
         self.blind: Scalar | None = None
         self.contract_id: int | None = None
         self.claim_attempted = False
@@ -371,7 +366,7 @@ class SellerSession(_Session):
 
     @property
     def terminal(self) -> bool:
-        return self.state in SELLER_TERMINAL
+        return self.state is not SellerState.OFFER_SENT
 
     def start(self) -> Offer:
         """Produce the offer, faithful or corrupted according to policy."""
@@ -383,7 +378,6 @@ class SellerSession(_Session):
             ciphertext = Ciphertext(nonce=ciphertext.nonce, body=bytes(body))
         elif self.policy is SellerPolicy.SEND_MISMATCHED_H2:
             certificate = replace(certificate, h2=self._mismatched_h2())
-        self.state = SellerState.OFFER_SENT
         return Offer(certificate, ciphertext, self.price)
 
     def on_blind(self, r: Scalar, chain: Ledger) -> None:
@@ -392,8 +386,6 @@ class SellerSession(_Session):
         self.blind = r
         if self.contract_id is not None:
             self._claim(chain)
-        elif self.state is SellerState.OFFER_SENT:
-            self.state = SellerState.AWAITING_CONTRACT
 
     def on_contract(self, contract_id: int, chain: Ledger) -> None:
         """Read the referenced contract and claim it, or wait for the blind (dlog)."""
@@ -404,10 +396,8 @@ class SellerSession(_Session):
         if self.terminal or self.claim_attempted:
             return
         self.contract_id = contract_id
-        if self.variant is Variant.V3 and self.blind is None:
-            self.state = SellerState.AWAITING_BLIND
-            return
-        self._claim(chain)
+        if self.variant is not Variant.V3 or self.blind is not None:
+            self._claim(chain)
 
     def on_abort(self, reason: str) -> None:
         if not self.terminal:
@@ -486,9 +476,8 @@ class SellerSession(_Session):
         certificate = self.package.certificate
         rng = self.new_rng()
         if self.variant is Variant.V3:
-            group = certificate.group
             while True:
-                wrong = crypto.group_exp(group, group.g, crypto.draw_scalar(rng, group))
+                wrong = crypto.power_of_g(crypto.draw_scalar(rng, certificate.group))
                 if wrong != certificate.h2.element:
                     return GroupPower(wrong)
         garbage = crypto.sha256(rng.randbytes(32))

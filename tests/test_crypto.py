@@ -26,8 +26,9 @@ from sedg.crypto import (
     canonical_encode,
     decrypt,
     draw_scalar,
+    element_pow,
     encrypt,
-    group_exp,
+    power_of_g,
     scalar_draw_len,
     scalar_from_key,
     scalar_inv,
@@ -215,19 +216,29 @@ def test_verify_tolerates_malformed_inputs():
 
 def test_group_exp_generator_cases():
     # 2^3 mod 23 = 8, confirmed by direct modular exponentiation.
-    assert group_exp(TEST_GROUP, TEST_GROUP.g, 3).value == 8
-    assert group_exp(TEST_GROUP, TEST_GROUP.g, 3).value == slow_pow(2, 3, 23)
-    # identity exponent (test-only relaxation): x^q = 1
-    assert group_exp(TEST_GROUP, TEST_GROUP.g, TEST_GROUP.q).value == 1
+    three = Scalar(3, TEST_GROUP)
+    assert power_of_g(three) == GroupElement(8, TEST_GROUP)
+    assert power_of_g(three).value == slow_pow(2, 3, 23)
+    # the exponent q is outside [1, q-1], so only the raw power takes it: g^q = 1
+    assert TEST_GROUP._generator_power(TEST_GROUP.q) == 1
     # 8^4 mod 23 = 2 = g^(12 mod 11)
     base = GroupElement(8, TEST_GROUP)
-    assert group_exp(TEST_GROUP, base, 4).value == slow_pow(8, 4, 23) == 2
+    assert element_pow(base, Scalar(4, TEST_GROUP)).value == slow_pow(8, 4, 23) == 2
 
 
 def test_group_exp_rejects_non_subgroup_base():
-    # 5 is not a quadratic residue mod 23, hence outside the order-11 subgroup.
+    # 5 is not a quadratic residue mod 23, hence outside the order-11 subgroup,
+    # so no base of value 5 can be built to raise to a power.
     with pytest.raises(DomainError):
-        group_exp(TEST_GROUP, 5, 3)
+        GroupElement(5, TEST_GROUP)
+
+
+def test_element_pow_rejects_operands_of_different_groups():
+    base = power_of_g(Scalar(3, TEST_GROUP))
+    with pytest.raises(DomainError):
+        element_pow(base, Scalar(3, MODP_2048))
+    with pytest.raises(DomainError):
+        element_pow(GroupElement(MODP_2048.g, MODP_2048), Scalar(3, TEST_GROUP))
 
 
 def test_group_element_membership_enforced():
@@ -241,7 +252,7 @@ def test_group_closure_property():
     rng = random.Random(20)
     for _ in range(50):
         exponent = Scalar(rng.randrange(1, TEST_GROUP.q), TEST_GROUP)
-        out = group_exp(TEST_GROUP, TEST_GROUP.g, exponent)
+        out = power_of_g(exponent)
         assert pow(out.value, TEST_GROUP.q, TEST_GROUP.p) == 1
 
 
@@ -274,8 +285,8 @@ def test_exponent_homomorphism_exhaustive():
     for k in range(1, q):
         for r in range(1, q):
             product = scalar_mul(Scalar(k, TEST_GROUP), Scalar(r, TEST_GROUP))
-            lhs = group_exp(TEST_GROUP, g, product)
-            rhs = group_exp(TEST_GROUP, group_exp(TEST_GROUP, g, k), r)
+            lhs = power_of_g(product)
+            rhs = element_pow(power_of_g(Scalar(k, TEST_GROUP)), Scalar(r, TEST_GROUP))
             assert lhs == rhs
             assert lhs.value == slow_pow(g, (k * r) % q, p)
 
@@ -360,10 +371,15 @@ def _exponents(group: GroupParams) -> list[int]:
 
 @pytest.mark.parametrize("group", [TEST_GROUP, MODP_2048], ids=["test", "modp2048"])
 def test_powers_of_g_match_builtin_pow(group):
+    # q, q+1, 2q+3 and the full-size draw lie outside [1, q-1]: no Scalar holds
+    # them, so they reach the raw power directly.
     for exponent in _exponents(group):
-        out = group_exp(group, group.g, exponent)
-        assert out.value == pow(group.g, exponent % group.q, group.p), exponent
-        assert out == group_exp(group, GroupElement(group.g, group), exponent)
+        expected = pow(group.g, exponent % group.q, group.p)
+        assert group._generator_power(exponent) == expected, exponent
+        if 0 < exponent < group.q:
+            x = Scalar(exponent, group)
+            assert power_of_g(x).value == expected, exponent
+            assert element_pow(GroupElement(group.g, group), x).value == expected, exponent
 
 
 # Each oracle pow on modp2048 takes about 35 ms.
@@ -371,7 +387,7 @@ def test_powers_of_g_match_builtin_pow(group):
 @given(st.integers(1, 2 * MODP_2048.p) | st.integers(1, 2**300))
 def test_openssl_powers_of_g_match_builtin_pow(exponent):
     g, p, q = MODP_2048.g, MODP_2048.p, MODP_2048.q
-    assert group_exp(MODP_2048, g, exponent).value == pow(g, exponent % q, p)
+    assert MODP_2048._generator_power(exponent) == pow(g, exponent % q, p)
 
 
 def _refuse_der(data, password):
@@ -382,7 +398,9 @@ def test_test_group_powers_of_g_use_builtin_pow(monkeypatch):
     monkeypatch.setattr(serialization, "load_der_private_key", _refuse_der)
     g, p, q = TEST_GROUP.g, TEST_GROUP.p, TEST_GROUP.q
     for exponent in range(1, 2 * q + 3):
-        assert group_exp(TEST_GROUP, g, exponent).value == pow(g, exponent, p), exponent
+        assert TEST_GROUP._generator_power(exponent) == pow(g, exponent, p), exponent
+    for exponent in range(1, q):
+        assert power_of_g(Scalar(exponent, TEST_GROUP)).value == pow(g, exponent, p)
 
 
 def _group_of_bits(bits: int) -> GroupParams:
@@ -411,7 +429,7 @@ def test_powers_of_g_reach_openssl_for_the_modulus_sizes_it_accepts(
 
     monkeypatch.setattr(serialization, "load_der_private_key", counting_load)
     for exponent in (1, 2, 3**100, group.q, group.q + 5):
-        out = group_exp(group, group.g, exponent).value
+        out = group._generator_power(exponent)
         assert out == pow(group.g, exponent % group.q, group.p), exponent
     assert len(loaded) == (4 if by_openssl else 0)  # the exponent q is 0 mod q
 
@@ -425,7 +443,7 @@ def test_serialization_is_imported_by_the_first_large_group_power():
         "harness.run_scenario(harness.make_config('v3', group_name='test', seed=3))",
         "name = 'cryptography.hazmat.primitives.serialization'",
         "assert name not in sys.modules, 'imported by a test-group run'",
-        "crypto.group_exp(crypto.MODP_2048, crypto.MODP_2048.g, 3)",
+        "crypto.power_of_g(crypto.Scalar(3, crypto.MODP_2048))",
         "assert name in sys.modules, 'not imported by a modp2048 power'",
     ])
     src = os.path.dirname(os.path.dirname(crypto.__file__))

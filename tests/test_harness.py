@@ -684,8 +684,10 @@ def test_config_validation_errors():
             make_config(variant, notary_fee=1)
         assert make_config(variant, notary_fee=0).notary_fee == 0
         assert make_config(variant, notary_fee=None).notary_fee == 0
-    with pytest.raises(ConfigError):
-        make_config("v3", group_name="nonsense")
+    for variant in ("v1", "v2", "v3"):
+        # Outside v3 an unknown group used to pass, and `.group` raised KeyError.
+        with pytest.raises(ConfigError, match="unknown group 'nonsense'"):
+            make_config(variant, group_name="nonsense")
     with pytest.raises(ConfigError):
         make_config("v1", payload=b"")
     with pytest.raises(ConfigError):
@@ -1010,6 +1012,15 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     path = _write_config(tmp_path, notary_fee=60, variant="v2", price=60)
     assert cli.main(["run", "--config", path]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_unknown_group_exits_2_in_every_variant(tmp_path, capsys):
+    # A v1 run on an unknown group used to exit 0.
+    for variant in ("v1", "v2", "v3"):
+        path = _write_config(tmp_path, variant=variant, group="bogus")
+        for command in ("run", "explore"):
+            assert cli.main([command, "--config", path]) == 2
+            assert "unknown group 'bogus'" in capsys.readouterr().err
 
 
 def test_cli_negative_notary_fee_exits_2(tmp_path, capsys):

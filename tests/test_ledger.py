@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sedg import crypto
-from sedg.crypto import TEST_GROUP, GroupElement, Scalar
+from sedg.crypto import MODP_2048, TEST_GROUP, GroupElement, GroupParams, Scalar
 from sedg.ledger import (
     AlreadySettled,
     ContractState,
@@ -154,6 +154,38 @@ def test_claim_dlog_lock():
     chain = Ledger()
     chain.fund(A, 100)
     cid = chain.publish_contract(A, B, 60, DlogLock(c=c), deadline=100)
+    chain.claim(cid, Exponent(Scalar(1, TEST_GROUP)))
+    assert chain.get_balance(B) == 60
+
+
+def _foreign_exponent(x: int) -> Exponent:
+    """An exponent of the 2048-bit group congruent to x mod the test group's q."""
+    m = random.Random(15).getrandbits(2000)
+    return Exponent(Scalar(x + TEST_GROUP.q * m, MODP_2048))
+
+
+def test_dlog_lock_rejects_a_congruent_exponent_of_another_group(monkeypatch):
+    # g^1 = 2 on the test group, and the foreign exponent is 1 mod 11: a chain
+    # that reduced it into the lock's group would pay it.
+    chain = Ledger()
+    chain.fund(A, 100)
+    cid = chain.publish_contract(A, B, 60, DlogLock(GroupElement(2, TEST_GROUP)), deadline=100)
+    powers = []
+    power = GroupParams._generator_power
+
+    def counting_power(group, exponent):
+        powers.append(exponent)
+        return power(group, exponent)
+
+    monkeypatch.setattr(GroupParams, "_generator_power", counting_power)
+    before = chain.snapshot()
+    foreign = _foreign_exponent(1)
+    with pytest.raises(WrongWitness):
+        chain.check_claim(cid, foreign)
+    with pytest.raises(WrongWitness):
+        chain.claim(cid, foreign)
+    assert powers == []  # the group is compared before any power
+    assert chain.snapshot() == before
     chain.claim(cid, Exponent(Scalar(1, TEST_GROUP)))
     assert chain.get_balance(B) == 60
 
@@ -395,6 +427,18 @@ def test_replay_rejects_a_lock_that_names_its_notary():
     assert old != published
     with pytest.raises(LedgerError, match="line 2 .*unknown keys"):
         replay([funded, old])
+
+
+def test_replay_rejects_a_claim_with_an_exponent_of_another_group():
+    chain = Ledger()
+    chain.fund(A, 100)
+    cid = chain.publish_contract(A, B, 60, DlogLock(GroupElement(2, TEST_GROUP)), deadline=100)
+    claimed = chain.claim(cid, Exponent(Scalar(1, TEST_GROUP)))
+    funded, published, _ = [event_to_json(e) for e in chain.read_events(0)]
+    forged = event_to_json(dataclasses.replace(claimed, witness=_foreign_exponent(1)))
+    assert '"modp2048"' in forged
+    with pytest.raises(LedgerError, match="line 3 cannot be re-executed"):
+        replay([funded, published, forged])
 
 
 def test_replay_rejects_an_edited_funded_tick():

@@ -213,7 +213,7 @@ def test_full_dlog_exchange_over_the_in_process_net():
     )
 
     notary_keys = signing_keys(50)
-    notary_id = PartyId(b"n", notary_keys.public)
+    notary_id = PartyId(b"n")
     seller_id = PartyId(b"s")
     payload = b"socket-delivered goods"
     package = notarize(
