@@ -5,9 +5,9 @@ subgroup arithmetic, and the canonical byte encoding used everywhere a
 multi-part value is hashed or signed. Everything here is pure: values are
 immutable and callers thread their own randomness.
 
-Elements and scalars carry their group, so exponentiation takes it from its
+Elements and scalars carry their group, so arithmetic takes it from its
 operands: `power_of_g(x)` is g^x in x's group, and `element_pow(base, x)`
-refuses a base and an exponent of different groups.
+and `element_mul(a, b)` refuse operands of different groups.
 """
 from __future__ import annotations
 
@@ -202,6 +202,11 @@ class GroupParams:
         """Membership in the order-q subgroup: the Legendre symbol (value/p) is 1."""
         return 1 <= value < self.p and _jacobi(value, self.p) == 1
 
+    @property
+    def generator(self) -> GroupElement:
+        """g as an element; checked when the group was built."""
+        return _in_group(self.g, self)
+
     @cached_property
     def _dh_key_head(self) -> bytes | None:
         """A PKCS#8 X9.42 DH private key in this group, in DER, up to its private value.
@@ -328,6 +333,17 @@ def element_pow(base: GroupElement, x: Scalar) -> GroupElement:
     if base.params != x.params:
         raise DomainError("base and exponent belong to different groups")
     return _in_group(pow(base.value, x.value, base.params.p), base.params)
+
+
+def element_mul(a: GroupElement, b: GroupElement) -> GroupElement:
+    """a·b mod p, for two elements of one group.
+
+    Raises DomainError when their groups differ. A product of members is a
+    member, so the result is not checked again.
+    """
+    if a.params != b.params:
+        raise DomainError("elements belong to different groups")
+    return _in_group(a.value * b.value % a.params.p, a.params)
 
 
 def scalar_mul(a: Scalar, b: Scalar) -> Scalar:

@@ -54,6 +54,9 @@ from .ledger import (
 
 
 class SellerPolicy(Enum):
+    """How the seller plays. The sending deviations alter the genuine offer:
+    one bit of the ciphertext, or the commitment `h2` (`_mismatched_h2`)."""
+
     HONEST = "honest"
     WITHHOLD_KEY = "withhold_key"
     CLAIM_WRONG_WITNESS = "claim_wrong_witness"
@@ -473,17 +476,14 @@ class SellerSession(_Session):
         self.state = SellerState.CLAIMED
 
     def _mismatched_h2(self) -> Commitment2:
-        certificate = self.package.certificate
-        rng = self.new_rng()
-        if self.variant is Variant.V3:
-            while True:
-                wrong = crypto.power_of_g(crypto.draw_scalar(rng, certificate.group))
-                if wrong != certificate.h2.element:
-                    return GroupPower(wrong)
-        garbage = crypto.sha256(rng.randbytes(32))
-        if self.variant is Variant.V1:
-            return HashOfKey(garbage)
-        return HashOfKeyAndNotary(garbage)
+        """The certificate's `h2`, altered but still well formed and never unchanged.
+
+        v3 multiplies the element by g; v1 and v2 flip one bit of the digest.
+        """
+        h2 = self.package.certificate.h2
+        if isinstance(h2, GroupPower):
+            return GroupPower(crypto.element_mul(h2.element, h2.element.params.generator))
+        return replace(h2, digest=bytes([h2.digest[0] ^ 0x01]) + h2.digest[1:])
 
     def _garbage_witness(self) -> Witness:
         """The honest witness with a fresh `x` in place of the true one."""

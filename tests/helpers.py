@@ -4,6 +4,7 @@ from __future__ import annotations
 import random
 
 from sedg.crypto import SEED_LEN, SigningKeyPair
+from sedg.ledger import Ledger
 
 
 class ScriptedRng(random.Random):
@@ -49,3 +50,17 @@ def brute_force_inverse(value: int, modulus: int) -> int:
 def signing_keys(n: int) -> SigningKeyPair:
     """A deterministic Ed25519 key pair, one per integer `n`."""
     return SigningKeyPair.from_seed(random.Random(n).randbytes(SEED_LEN))
+
+
+class AcceptAnyWitnessLedger(Ledger):
+    """Faulty chain that pays out on any witness."""
+
+    def _condition_holds(self, condition, witness):
+        return True
+
+
+class DoubleSettleLedger(Ledger):
+    """Faulty chain that forgets a contract was already settled."""
+
+    def _ensure_open(self, contract):
+        pass

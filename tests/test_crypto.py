@@ -26,6 +26,7 @@ from sedg.crypto import (
     canonical_encode,
     decrypt,
     draw_scalar,
+    element_mul,
     element_pow,
     encrypt,
     power_of_g,
@@ -239,6 +240,20 @@ def test_element_pow_rejects_operands_of_different_groups():
         element_pow(base, Scalar(3, MODP_2048))
     with pytest.raises(DomainError):
         element_pow(GroupElement(MODP_2048.g, MODP_2048), Scalar(3, TEST_GROUP))
+
+
+def test_element_mul_multiplies_members_of_one_group():
+    members = [power_of_g(Scalar(e, TEST_GROUP)) for e in range(1, TEST_GROUP.q)]
+    for a in members:
+        for b in members:
+            product = element_mul(a, b)
+            assert product == GroupElement(a.value * b.value % TEST_GROUP.p, TEST_GROUP)
+    assert TEST_GROUP.generator == GroupElement(TEST_GROUP.g, TEST_GROUP)
+    assert MODP_2048.generator == GroupElement(MODP_2048.g, MODP_2048)
+    with pytest.raises(DomainError):
+        element_mul(members[0], MODP_2048.generator)
+    with pytest.raises(DomainError):
+        element_mul(MODP_2048.generator, members[0])
 
 
 def test_group_element_membership_enforced():

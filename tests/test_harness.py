@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import AcceptAnyWitnessLedger, DoubleSettleLedger
 from sedg import cli, crypto, harness, transport
 from sedg.cert import Certificate, GroupPower, PartyId, verify_certificate
 from sedg.harness import (
@@ -338,13 +339,6 @@ def test_explore_enumeration_order_is_deterministic():
 # Broken-chain fixtures: the detector must actually fire
 # ---------------------------------------------------------------------------
 
-class AcceptAnyWitnessLedger(Ledger):
-    """Faulty chain that pays out on any witness."""
-
-    def _condition_holds(self, condition, witness):
-        return True
-
-
 def test_broken_condition_evaluation_is_detected():
     config = make_config(
         "v1",
@@ -359,13 +353,6 @@ def test_broken_condition_evaluation_is_detected():
     assert "atomicity" in props
     # every violation knows the schedule that produced it
     assert all(v.schedule for v in result.violations)
-
-
-class DoubleSettleLedger(Ledger):
-    """Faulty chain that forgets a contract was already settled."""
-
-    def _ensure_open(self, contract):
-        pass
 
 
 def test_double_settlement_ledger_fixture_allows_the_bug():

@@ -83,7 +83,9 @@ def make_seller(variant, policy=SellerPolicy.HONEST, *, k=None, price=PRICE, fee
     return SellerSession(package, SELLER_ADDR, price, fee, policy, lambda: random.Random(3))
 
 
-def make_buyer(variant, policy=BuyerPolicy.HONEST, *, r=None, price=PRICE, fee=10):
+def make_buyer(
+    variant, policy=BuyerPolicy.HONEST, *, r=None, price=PRICE, fee=10, group=TEST_GROUP
+):
     if r is not None:
         # raw % (q-1) + 1 == r  <=>  raw == r-1 for r-1 < q-1
         raw = (r - 1).to_bytes(scalar_draw_len(TEST_GROUP), "big")
@@ -99,7 +101,7 @@ def make_buyer(variant, policy=BuyerPolicy.HONEST, *, r=None, price=PRICE, fee=1
             trusted_notaries=REGISTRY,
             variant=variant,
             notary_fee=fee if variant is Variant.V2 else 0,
-            group=TEST_GROUP if variant is Variant.V3 else None,
+            group=group if variant is Variant.V3 else None,
         ),
         policy,
         new_rng,
@@ -151,10 +153,20 @@ def test_corrupt_ciphertext_offer_aborts_with_mismatch():
 
 
 def test_mismatched_h2_offer_aborts_with_bad_signature():
-    for variant in (Variant.V1, Variant.V2, Variant.V3):
-        seller = make_seller(variant, SellerPolicy.SEND_MISMATCHED_H2)
-        buyer = make_buyer(variant)
-        replies = buyer.on_offer(seller.start(), funded_chain())
+    mismatched = SellerPolicy.SEND_MISMATCHED_H2
+    cases = [
+        (make_seller(variant, mismatched), make_buyer(variant))
+        for variant in (Variant.V1, Variant.V2, Variant.V3)
+    ]
+    cases.append((make_modp2048_seller(mismatched), make_buyer(Variant.V3, group=MODP_2048)))
+    for seller, buyer in cases:
+        offer = seller.start()
+        # a well-formed offer: the wrong h2 passes the decoder's checks
+        received = message_from_obj(json.loads(json.dumps(message_to_obj(offer))))
+        assert received == offer
+        assert offer.certificate.h2 != seller.package.certificate.h2
+        assert seller.start() == offer
+        replies = buyer.on_offer(received, funded_chain())
         assert replies == [AbortMessage(AbortReason.BAD_SIGNATURE.value)]
         assert buyer.abort_reason is AbortReason.BAD_SIGNATURE
 
@@ -194,7 +206,7 @@ def test_buyer_rejects_variant_downgrade():
     assert buyer.abort_reason is AbortReason.VARIANT_MISMATCH
 
 
-def make_modp2048_seller():
+def make_modp2048_seller(policy=SellerPolicy.HONEST):
     """A v3 seller whose validly signed offer is over the 2048-bit group."""
     package = notarize(
         NOTARY_KEYS,
@@ -205,7 +217,7 @@ def make_modp2048_seller():
         group=MODP_2048,
     )
     return SellerSession(
-        package, SELLER_ADDR, PRICE, 0, SellerPolicy.HONEST, lambda: random.Random(3)
+        package, SELLER_ADDR, PRICE, 0, policy, lambda: random.Random(3)
     )
 
 

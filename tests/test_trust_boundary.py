@@ -4,7 +4,8 @@ Groups travel by their name in GROUPS. Decoders look the name up and never
 build group parameters from what a peer sent, and results of in-group
 arithmetic are not re-checked. The counts below shadow `pow` in the modules
 that call it, the same way the benchmark's tracer does, and wrap
-`GroupParams.contains`, the one membership check.
+`GroupParams.contains`, the one membership check, and
+`GroupParams._generator_power`, through which every power of g goes.
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ from sedg.protocol import (
     AbortReason,
     BuyerPolicy,
     BuyerSession,
+    SellerPolicy,
     message_from_obj,
     message_to_obj,
 )
@@ -78,6 +80,20 @@ def groups_built(monkeypatch):
     return built
 
 
+@pytest.fixture
+def generator_powers(monkeypatch):
+    """Every exponent `GroupParams._generator_power` is asked to raise g to."""
+    exponents: list[int] = []
+    original = crypto.GroupParams._generator_power
+
+    def counting_power(self, exponent):
+        exponents.append(exponent)
+        return original(self, exponent)
+
+    monkeypatch.setattr(crypto.GroupParams, "_generator_power", counting_power)
+    return exponents
+
+
 # ---------------------------------------------------------------------------
 # Modexp budget
 # ---------------------------------------------------------------------------
@@ -100,10 +116,37 @@ def test_honest_modp2048_exchange_does_one_general_modexp(
     assert groups_built == []
 
 
+# (powers of g, general powers) per modp2048 run. The notary's g^k comes
+# first; the buyer's h2^r is the one general power; the seller's check of
+# its claim and the chain's claim each raise g to the witness. A deviating
+# seller that fails the buyer's checks costs nothing past the notary's power.
+EXPONENTIATION_BUDGET = {
+    SellerPolicy.HONEST: (3, 1),
+    SellerPolicy.WITHHOLD_KEY: (1, 1),
+    SellerPolicy.CLAIM_WRONG_WITNESS: (2, 1),
+    SellerPolicy.SEND_CORRUPT_CIPHERTEXT: (1, 0),
+    SellerPolicy.SEND_MISMATCHED_H2: (1, 0),
+}
+
+
+@pytest.mark.parametrize("policy", EXPONENTIATION_BUDGET, ids=lambda p: p.value)
+def test_modp2048_exponentiation_budget_per_seller_policy(policy, pow_calls, generator_powers):
+    config = make_config(
+        "v3", price=60, buyer_balance=100, group_name="modp2048", seller_policy=policy, seed=11
+    )
+    run_scenario(config)
+    general = [
+        (exp, mod) for exp, mod in pow_calls
+        if exp >= 1 and mod.bit_length() >= MODEXP_MIN_BITS
+    ]
+    assert (len(generator_powers), len(general)) == EXPONENTIATION_BUDGET[policy]
+
+
 def test_group_exp_skips_rechecks_of_in_group_values(membership_checks):
     k = crypto.Scalar(3, TEST_GROUP)
     h = crypto.power_of_g(k)  # a power of the generator: no check
     crypto.element_pow(h, k)  # a validated element's power: no check
+    crypto.element_mul(h, TEST_GROUP.generator)  # a product of members: no check
     assert membership_checks == []
 
 
