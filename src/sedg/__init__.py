@@ -11,10 +11,8 @@ from .cert import (
     Certificate,
     CertificatePackage,
     PartyId,
-    SellerData,
     Variant,
     notarize,
-    validate_data,
     verify_certificate,
 )
 from .crypto import GROUPS, GroupParams, SigningKeyPair
@@ -40,10 +38,8 @@ __all__ = [
     "Certificate",
     "CertificatePackage",
     "PartyId",
-    "SellerData",
     "Variant",
     "notarize",
-    "validate_data",
     "verify_certificate",
     "GROUPS",
     "GroupParams",

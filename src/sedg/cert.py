@@ -1,10 +1,12 @@
 """Notary setup phase and certificate verification.
 
-The notary validates seller data, encrypts it under a fresh key, commits to
-ciphertext and key, signs the commitments together with the seller identity,
-and hands the whole package to the seller. Buyers later verify such
-certificates against a static registry of trusted notary keys, looked up by
-the notary's id: a `PartyId` is its id alone and carries no key.
+The scenario config bounds the seller's payload. The notary encrypts it
+under a fresh key, commits to ciphertext and key, signs the commitments
+together with the seller identity, and hands the whole package to the
+seller. Buyers later verify such certificates against a static registry of
+trusted notary keys, looked up by the notary's id: a `PartyId` is its id
+alone and carries no key. One enum names every reason a buyer refuses an
+offer, the certificate's among them.
 
 A certificate carries nothing that can be derived: its variant and, for the
 dlog variant, its group both follow from the commitment `h2`. The seller
@@ -15,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Mapping, Union
+from typing import Mapping, Union
 
 from . import crypto
 from .crypto import Ciphertext, GroupElement, GroupParams, SigningKeyPair
@@ -29,10 +31,6 @@ class Variant(Enum):
     V3 = "v3"
 
 
-class ValidationRejected(Exception):
-    """The notary's data validation predicate refused the payload."""
-
-
 @dataclass(frozen=True)
 class PartyId:
     """Opaque identity handle; a verifier looks up a signer's key by this id."""
@@ -44,17 +42,6 @@ class PartyId:
             raise ValueError("party id must be nonempty")
         if len(self.id) > 64:
             raise ValueError("party id longer than 64 bytes")
-
-
-@dataclass(frozen=True)
-class SellerData:
-    """Raw payload offered for sale, plus the seller identity.
-
-    An empty payload is representable so the validation predicate can reject it.
-    """
-
-    payload: bytes
-    seller: PartyId
 
 
 # ---------------------------------------------------------------------------
@@ -150,35 +137,23 @@ def signing_payload(variant: Variant, h1: bytes, h2: Commitment2, seller_id: Par
 # Setup-phase operations
 # ---------------------------------------------------------------------------
 
-DataPredicate = Callable[[SellerData], bool]
-
-
-def validate_data(data: SellerData, predicate: DataPredicate | None = None) -> bool:
-    """Pluggable data validation; the default stub accepts nonempty payloads."""
-    if predicate is not None:
-        return bool(predicate(data))
-    return len(data.payload) > 0
-
-
 def notarize(
     notary_keys: SigningKeyPair,
     notary_id: PartyId,
-    data: SellerData,
+    payload: bytes,
+    seller: PartyId,
     variant: Variant,
     rng: random.Random,
     *,
     group: GroupParams | None = None,
-    predicate: DataPredicate | None = None,
 ) -> CertificatePackage:
-    """Full setup phase: validate, encrypt under a fresh key, commit, sign.
+    """Full setup phase: encrypt the payload under a fresh key, commit, sign.
 
-    For the dlog variant the key is resampled until its derived exponent is
-    nonzero, and the payload is encrypted under a key derived from that
-    exponent (the buyer only ever learns the exponent).
+    The caller bounds the payload (`harness.make_config` does). For the
+    dlog variant the key is resampled until its derived exponent is nonzero,
+    and the payload is encrypted under a key derived from that exponent (the
+    buyer only ever learns the exponent).
     """
-    if not validate_data(data, predicate):
-        raise ValidationRejected("seller data failed validation")
-
     h2: Commitment2
     if variant is Variant.V3:
         if group is None:
@@ -201,13 +176,13 @@ def notarize(
             )
 
     nonce = rng.randbytes(crypto.NONCE_LEN)
-    ciphertext = crypto.encrypt(enc_key, data.payload, nonce)
+    ciphertext = crypto.encrypt(enc_key, payload, nonce)
     h1 = ciphertext.digest()
-    sigma = crypto.sign(notary_keys, signing_payload(variant, h1, h2, data.seller))
+    sigma = crypto.sign(notary_keys, signing_payload(variant, h1, h2, seller))
     certificate = Certificate(
         h1=h1,
         h2=h2,
-        seller_id=data.seller,
+        seller_id=seller,
         notary_id=notary_id,
         sigma=sigma,
     )
@@ -218,11 +193,17 @@ def notarize(
 # Buyer-side verification
 # ---------------------------------------------------------------------------
 
-class RejectReason(Enum):
+class AbortReason(Enum):
+    """Why a buyer refuses an offer; `verify_certificate` returns the first four."""
+
     UNKNOWN_NOTARY = "unknown_notary"
     BAD_SIGNATURE = "bad_signature"
     CIPHERTEXT_MISMATCH = "ciphertext_mismatch"
     SELLER_MISMATCH = "seller_mismatch"
+    PRICE_MISMATCH = "price_mismatch"
+    VARIANT_MISMATCH = "variant_mismatch"
+    GROUP_MISMATCH = "group_mismatch"
+    INSUFFICIENT_FUNDS = "insufficient_funds"
 
 
 def verify_certificate(
@@ -230,7 +211,7 @@ def verify_certificate(
     trusted_notaries: Mapping[bytes, bytes],
     claimed_seller: PartyId,
     ciphertext: Ciphertext,
-) -> RejectReason | None:
+) -> AbortReason | None:
     """Check notary trust, signature, ciphertext binding, and seller identity.
 
     Never raises; returns None for a valid certificate, else the first
@@ -238,12 +219,12 @@ def verify_certificate(
     """
     public = trusted_notaries.get(cert.notary_id.id)
     if public is None:
-        return RejectReason.UNKNOWN_NOTARY
+        return AbortReason.UNKNOWN_NOTARY
     payload = signing_payload(cert.variant, cert.h1, cert.h2, cert.seller_id)
     if not crypto.verify(public, payload, cert.sigma):
-        return RejectReason.BAD_SIGNATURE
+        return AbortReason.BAD_SIGNATURE
     if ciphertext.digest() != cert.h1:
-        return RejectReason.CIPHERTEXT_MISMATCH
+        return AbortReason.CIPHERTEXT_MISMATCH
     if cert.seller_id.id != claimed_seller.id:
-        return RejectReason.SELLER_MISMATCH
+        return AbortReason.SELLER_MISMATCH
     return None

@@ -61,9 +61,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            config = harness.config_from_file(args.config)
-            if args.seed is not None:
-                config = dataclasses.replace(config, seed=args.seed)
+            config = harness.config_from_file(args.config, args.seed)
             try:
                 report = harness.run_scenario(config, args.schedule, log_path=args.out)
             except OSError as exc:

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from . import cert, codec, crypto, protocol, transport
-from .cert import PartyId, SellerData, Variant, notarize
+from .cert import PartyId, Variant, notarize
 from .crypto import GROUPS, GroupParams, SigningKeyPair
 from .ledger import EventKind, Ledger, LedgerEvent, address_for, write_event_log
 from .protocol import (
@@ -219,27 +219,20 @@ class ScenarioFile:
     payload_size: int = 32
 
 
-def config_from_dict(obj: object) -> ScenarioConfig:
+def config_from_dict(obj: object, seed: int | None = None) -> ScenarioConfig:
+    """Build a scenario file's config; a given `seed` replaces the file's."""
     try:
-        file = codec.decoder(ScenarioFile)(obj)
-        return make_config(
-            file.variant,
-            price=file.price,
-            buyer_balance=file.buyer_balance,
-            deadline_offset=file.deadline_offset,
-            notary_fee=file.notary_fee,
-            group_name=file.group,
-            seller_policy=file.seller_policy,
-            buyer_policy=file.buyer_policy,
-            seed=file.seed,
-            payload=file.payload_hex,
-            payload_size=file.payload_size,
-        )
+        kwargs = dataclasses.asdict(codec.decoder(ScenarioFile)(obj))
+        kwargs["group_name"] = kwargs.pop("group")
+        kwargs["payload"] = kwargs.pop("payload_hex")
+        if seed is not None:
+            kwargs["seed"] = seed
+        return make_config(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def config_from_file(path: str) -> ScenarioConfig:
+def config_from_file(path: str, seed: int | None = None) -> ScenarioConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -249,7 +242,7 @@ def config_from_file(path: str) -> ScenarioConfig:
     # Python's digit limit; too deep is not valid either.
     except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return config_from_dict(obj)
+    return config_from_dict(obj, seed)
 
 
 def _rng(seed: int, role: str) -> random.Random:
@@ -315,7 +308,8 @@ class World:
         self.package = notarize(
             NOTARY_KEYS,
             NOTARY,
-            SellerData(payload=config.payload, seller=SELLER),
+            config.payload,
+            SELLER,
             config.variant,
             _rng(config.seed, "notary"),
             group=config.group,

@@ -31,6 +31,7 @@ from typing import Callable, ClassVar, Mapping, Union
 
 from . import cert, codec, crypto, ledger
 from .cert import (
+    AbortReason,
     Certificate,
     CertificatePackage,
     Commitment2,
@@ -93,17 +94,6 @@ class BuyerPolicy(Enum):
     NEVER_PUBLISH_CONTRACT = "never_publish_contract"
     PUBLISH_UNDERPRICED_CONTRACT = "publish_underpriced_contract"
     REFUND_EAGERLY = "refund_eagerly"
-
-
-class AbortReason(Enum):
-    UNKNOWN_NOTARY = "unknown_notary"
-    BAD_SIGNATURE = "bad_signature"
-    CIPHERTEXT_MISMATCH = "ciphertext_mismatch"
-    SELLER_MISMATCH = "seller_mismatch"
-    PRICE_MISMATCH = "price_mismatch"
-    VARIANT_MISMATCH = "variant_mismatch"
-    GROUP_MISMATCH = "group_mismatch"
-    INSUFFICIENT_FUNDS = "insufficient_funds"
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +228,7 @@ class BuyerSession(_Session):
             certificate, self.config.trusted_notaries, self.config.seller, offer.ciphertext
         )
         if rejection is not None:
-            # Every certificate rejection has the abort reason of the same value.
-            return self._abort(AbortReason(rejection.value))
+            return self._abort(rejection)
         if isinstance(h2, GroupPower) and h2.element.params != self.config.group:
             return self._abort(AbortReason.GROUP_MISMATCH)
         self.state = BuyerState.VERIFIED

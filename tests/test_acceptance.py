@@ -13,7 +13,7 @@ import pytest
 
 from helpers import ScriptedRng, brute_force_inverse, signing_keys, slow_pow
 from sedg import crypto
-from sedg.cert import PartyId, RejectReason, SellerData, Variant, notarize, verify_certificate
+from sedg.cert import AbortReason, PartyId, Variant, notarize, verify_certificate
 from sedg.crypto import TEST_GROUP, Scalar, scalar_draw_len
 from sedg.harness import (
     World,
@@ -144,7 +144,8 @@ def _forced_dlog_exchange(k: int, r: int):
     package = notarize(
         notary_keys,
         notary_id,
-        SellerData(payload=payload, seller=seller_id),
+        payload,
+        seller_id,
         Variant.V3,
         ScriptedRng([k.to_bytes(32, "big"), bytes(12)]),
         group=TEST_GROUP,
@@ -228,7 +229,8 @@ def test_acceptance_6_binding():
             package = notarize(
                 notary_keys,
                 notary_id,
-                SellerData(payload=payload, seller=seller_id),
+                payload,
+                seller_id,
                 variant,
                 rng,
                 group=TEST_GROUP if variant is Variant.V3 else None,
@@ -262,7 +264,7 @@ def test_acceptance_6_binding():
             verdict = verify_certificate(cert, registry, seller_id, ciphertext)
             # Only the ciphertext is outside the signed string.
             expected = (
-                RejectReason.CIPHERTEXT_MISMATCH if mutation == 0 else RejectReason.BAD_SIGNATURE
+                AbortReason.CIPHERTEXT_MISMATCH if mutation == 0 else AbortReason.BAD_SIGNATURE
             )
             assert verdict is expected, f"mutation {mutation} on {variant}: {verdict}"
             rejected += 1

@@ -9,17 +9,14 @@ import pytest
 from helpers import ScriptedRng, signing_keys
 from sedg import codec, crypto
 from sedg.cert import (
+    AbortReason,
     Certificate,
     GroupPower,
     HashOfKey,
     HashOfKeyAndNotary,
     PartyId,
-    RejectReason,
-    SellerData,
-    ValidationRejected,
     Variant,
     notarize,
-    validate_data,
     verify_certificate,
 )
 from sedg.crypto import TEST_GROUP, Ciphertext
@@ -47,26 +44,11 @@ def seller():
 
 def _notarize(notary, seller, variant, rng=None, payload=b"hello", group=None):
     keys, notary_id = notary
-    data = SellerData(payload=payload, seller=seller)
     if variant is Variant.V3 and group is None:
         group = TEST_GROUP
-    return notarize(keys, notary_id, data, variant, rng or random.Random(0), group=group)
-
-
-def test_validate_data_default_stub(seller):
-    assert validate_data(SellerData(b"x", seller))
-    assert not validate_data(SellerData(b"", seller))
-
-
-def test_validate_data_custom_predicate(seller):
-    cap = lambda d: len(d.payload) <= 1 << 20
-    assert validate_data(SellerData(b"x" * (1 << 20), seller), cap)
-    assert not validate_data(SellerData(b"x" * (2 << 20), seller), cap)
-
-
-def test_notarize_rejects_invalid_data(notary, seller):
-    with pytest.raises(ValidationRejected):
-        _notarize(notary, seller, Variant.V1, payload=b"")
+    return notarize(
+        keys, notary_id, payload, seller, variant, rng or random.Random(0), group=group
+    )
 
 
 def test_notarize_v1_postconditions(notary, seller):
@@ -100,7 +82,8 @@ def test_v2_commitments_separate_across_notaries(seller):
         package = notarize(
             keys,
             notary_id,
-            SellerData(b"hello", seller),
+            b"hello",
+            seller,
             Variant.V2,
             ScriptedRng([key, nonce]),
         )
@@ -184,20 +167,18 @@ def test_verify_flipped_ciphertext_bit(notary, seller):
     body[0] ^= 0x01
     mutated = Ciphertext(nonce=package.ciphertext.nonce, body=bytes(body))
     verdict = verify_certificate(package.certificate, _registry(notary), seller, mutated)
-    assert verdict is RejectReason.CIPHERTEXT_MISMATCH
+    assert verdict is AbortReason.CIPHERTEXT_MISMATCH
 
 
 def test_verify_unknown_notary(notary, seller):
     # Same certificate re-signed by a key absent from the registry.
     rogue = signing_keys(400)
     rogue_id = PartyId(b"rogue")
-    package = notarize(
-        rogue, rogue_id, SellerData(b"hello", seller), Variant.V1, random.Random(0)
-    )
+    package = notarize(rogue, rogue_id, b"hello", seller, Variant.V1, random.Random(0))
     verdict = verify_certificate(
         package.certificate, _registry(notary), seller, package.ciphertext
     )
-    assert verdict is RejectReason.UNKNOWN_NOTARY
+    assert verdict is AbortReason.UNKNOWN_NOTARY
 
 
 def test_verify_seller_mismatch(notary, seller):
@@ -205,7 +186,7 @@ def test_verify_seller_mismatch(notary, seller):
     verdict = verify_certificate(
         package.certificate, _registry(notary), PartyId(b"someone-else"), package.ciphertext
     )
-    assert verdict is RejectReason.SELLER_MISMATCH
+    assert verdict is AbortReason.SELLER_MISMATCH
 
 
 @pytest.mark.parametrize("variant", list(Variant))
@@ -221,7 +202,7 @@ def test_binding_each_field_mutation_fails(notary, seller, variant):
         verify_certificate(
             cert, registry, seller, Ciphertext(package.ciphertext.nonce, bytes(body))
         )
-        is RejectReason.CIPHERTEXT_MISMATCH
+        is AbortReason.CIPHERTEXT_MISMATCH
     )
     # h1
     h1 = bytearray(cert.h1)
@@ -230,7 +211,7 @@ def test_binding_each_field_mutation_fails(notary, seller, variant):
         verify_certificate(
             dataclasses.replace(cert, h1=bytes(h1)), registry, seller, package.ciphertext
         )
-        is RejectReason.BAD_SIGNATURE
+        is AbortReason.BAD_SIGNATURE
     )
     # h2
     if variant is Variant.V3:
@@ -246,7 +227,7 @@ def test_binding_each_field_mutation_fails(notary, seller, variant):
         verify_certificate(
             dataclasses.replace(cert, h2=mutated_h2), registry, seller, package.ciphertext
         )
-        is RejectReason.BAD_SIGNATURE
+        is AbortReason.BAD_SIGNATURE
     )
     # seller id
     assert (
@@ -256,7 +237,7 @@ def test_binding_each_field_mutation_fails(notary, seller, variant):
             seller,
             package.ciphertext,
         )
-        is RejectReason.BAD_SIGNATURE
+        is AbortReason.BAD_SIGNATURE
     )
 
 
@@ -266,7 +247,7 @@ def test_variant_tag_prevents_cross_protocol_replay(notary, seller):
     cert = package.certificate
     relabelled = dataclasses.replace(cert, h2=HashOfKeyAndNotary(cert.h2.digest))
     verdict = verify_certificate(relabelled, _registry(notary), seller, package.ciphertext)
-    assert verdict is RejectReason.BAD_SIGNATURE
+    assert verdict is AbortReason.BAD_SIGNATURE
 
 
 # ---------------------------------------------------------------------------

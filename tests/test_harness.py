@@ -921,6 +921,29 @@ def test_cli_seed_override_changes_the_log(tmp_path, capsys):
     assert out_a.read_bytes() != out_b.read_bytes()
 
 
+def test_cli_seed_override_builds_the_files_config(tmp_path, capsys, monkeypatch):
+    # The override used to replace the seed after the config was built, so a
+    # payload drawn from the seed was still drawn from the file's.
+    ran = []
+    real_run = harness.run_scenario
+
+    def run_scenario(config, *args, **kwargs):
+        ran.append(config)
+        return real_run(config, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_scenario", run_scenario)
+    assert cli.main(["run", "--config", _write_config(tmp_path, seed=0), "--seed", "5"]) == 0
+    capsys.readouterr()
+    expected = config_from_file(_write_config(tmp_path, seed=5))
+    assert ran == [expected]
+    assert ran[0].payload == expected.payload
+    # A file that is not a JSON object is still a config error.
+    path = tmp_path / "config.json"
+    path.write_text("[1]")
+    assert cli.main(["run", "--config", str(path), "--seed", "5"]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_cli_explore_clean(tmp_path, capsys):
     path = _write_config(tmp_path)
     assert cli.main(["explore", "--config", path, "--depth", "12"]) == 0
@@ -928,9 +951,12 @@ def test_cli_explore_clean(tmp_path, capsys):
 
 
 def test_cli_oversized_payload_exits_2(tmp_path, capsys):
-    path = _write_config(tmp_path, payload_size=9_000_000)
-    assert cli.main(["explore", "--config", path]) == 2
-    assert "config error" in capsys.readouterr().err
+    # The empty payload is the other bound; no check but the config's keeps
+    # it from the notary.
+    for overrides in ({"payload_size": 9_000_000}, {"payload_hex": ""}):
+        path = _write_config(tmp_path, **overrides)
+        assert cli.main(["explore", "--config", path]) == 2
+        assert "config error" in capsys.readouterr().err
 
 
 def test_cli_unwritable_out_exits_2(tmp_path, capsys):

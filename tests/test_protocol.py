@@ -16,7 +16,6 @@ from sedg.cert import (
     GroupPower,
     HashOfKey,
     PartyId,
-    SellerData,
     Variant,
     commitment_variant,
     notarize,
@@ -70,7 +69,8 @@ def make_package(variant, *, k=None, payload=PAYLOAD):
     return notarize(
         NOTARY_KEYS,
         NOTARY,
-        SellerData(payload=payload, seller=SELLER),
+        payload,
+        SELLER,
         variant,
         rng,
         group=group,
@@ -211,7 +211,8 @@ def make_modp2048_seller(policy=SellerPolicy.HONEST):
     package = notarize(
         NOTARY_KEYS,
         NOTARY,
-        SellerData(payload=PAYLOAD, seller=SELLER),
+        PAYLOAD,
+        SELLER,
         Variant.V3,
         random.Random(77),
         group=MODP_2048,

@@ -199,7 +199,7 @@ def test_oversized_send_rejected_in_process():
 def test_full_dlog_exchange_over_the_in_process_net():
     # The complete off-chain conversation of a blinded exchange, with every
     # message encoded, framed and delivered by the net; no harness involved.
-    from sedg.cert import PartyId, SellerData, Variant, notarize
+    from sedg.cert import PartyId, Variant, notarize
     from sedg.crypto import TEST_GROUP
     from sedg.ledger import Ledger, address_for
     from sedg.protocol import (
@@ -219,7 +219,8 @@ def test_full_dlog_exchange_over_the_in_process_net():
     package = notarize(
         notary_keys,
         notary_id,
-        SellerData(payload=payload, seller=seller_id),
+        payload,
+        seller_id,
         Variant.V3,
         random.Random(51),
         group=TEST_GROUP,
