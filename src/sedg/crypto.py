@@ -23,6 +23,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
 )
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
 KEY_LEN = 32
@@ -31,6 +32,7 @@ TAG_LEN = 16
 SEED_LEN = 32
 
 _KDF_LABEL = b"sedg3-kdf"
+_ZERO_BLOCK = bytes(1 << 16)
 
 
 class AuthenticationFailure(Exception):
@@ -116,6 +118,24 @@ def decrypt(key: bytes, ciphertext: Ciphertext) -> bytes:
         return ChaCha20Poly1305(key).decrypt(ciphertext.nonce, ciphertext.body, None)
     except InvalidTag as exc:
         raise AuthenticationFailure("ciphertext rejected") from exc
+
+
+def keystream(key: bytes, size: int) -> bytes:
+    """The first `size` bytes of the ChaCha20 keystream under a 32-byte key.
+
+    The stream starts at block 0 under a zero nonce (RFC 8439), so under one
+    key a shorter stream is a prefix of a longer one. It makes deterministic
+    test data, not a secret, from the same cipher the AEAD above uses.
+    """
+    _check_key(key)
+    # cryptography's ChaCha20 takes a 16-byte block counter and nonce.
+    encryptor = Cipher(algorithms.ChaCha20(key, bytes(16)), mode=None).encryptor()
+    # Encrypting one shared zero block at a time, not a fresh zero buffer of
+    # `size` bytes, leaves no large short-lived buffer to fragment the heap.
+    zeros = memoryview(_ZERO_BLOCK)
+    return b"".join(
+        encryptor.update(zeros[: size - start]) for start in range(0, size, len(zeros))
+    )
 
 
 def _check_key(key: bytes) -> None:

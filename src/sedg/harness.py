@@ -138,9 +138,11 @@ def make_config(
 ) -> ScenarioConfig:
     """Build and validate a scenario configuration.
 
-    Missing payloads are generated deterministically from the seed; the
-    notary fee defaults to 10% of the price (rounded down) for the
-    notary-split variant, and the other variants take none.
+    A missing payload is the first `payload_size` bytes of the ChaCha20
+    keystream under `sha256("<seed>/payload")`, so equal seeds give equal
+    payloads and a shorter one is a prefix of a longer one. The notary fee
+    defaults to 10% of the price (rounded down) for the notary-split
+    variant, and the other variants take none.
     """
     try:
         variant = Variant(variant) if isinstance(variant, str) else variant
@@ -180,7 +182,7 @@ def make_config(
     if payload is None:
         if not 1 <= payload_size <= MAX_PAYLOAD:
             raise ConfigError(f"payload size must be between 1 and {MAX_PAYLOAD} bytes")
-        payload = _rng(seed, "payload").randbytes(payload_size)
+        payload = crypto.keystream(crypto.sha256(f"{seed}/payload".encode()), payload_size)
     if not 1 <= len(payload) <= MAX_PAYLOAD:
         raise ConfigError(f"payload must hold between 1 and {MAX_PAYLOAD} bytes")
 
@@ -246,7 +248,8 @@ def config_from_file(path: str, seed: int | None = None) -> ScenarioConfig:
 
 
 def _rng(seed: int, role: str) -> random.Random:
-    # String seeding keeps the per-role streams stable across platforms.
+    # One stream per role (notary, seller, buyer); string seeding keeps each
+    # stable across platforms.
     return random.Random(f"{seed}/{role}")
 
 

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 from cryptography.hazmat.primitives import serialization
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -122,6 +123,23 @@ def test_round_trip_one_mebibyte():
     key, _, nonce = _kmn(5)
     message = random.Random(5).randbytes(1 << 20)
     assert decrypt(key, encrypt(key, message, nonce)) == message
+
+
+def test_keystream_is_chacha20_from_block_zero():
+    # RFC 8439, appendix A.1, test vector 1: zero key, zero nonce, block 0.
+    assert crypto.keystream(bytes(32), 64).hex() == (
+        "76b8e0ada0f13d90405d6ae55386bd28bdd219b8a08ded1aa836efcc8b770dc7"
+        "da41597c5157488d7724e03fb8d84a376a43b8f41518a11cc387b669b2ee6586"
+    )
+    key = random.Random(9).randbytes(32)
+    # One call over a whole zero buffer is the reference for the blockwise one.
+    size = 3 * (1 << 16) + 5
+    reference = Cipher(algorithms.ChaCha20(key, bytes(16)), mode=None).encryptor()
+    assert crypto.keystream(key, size) == reference.update(bytes(size))
+    assert crypto.keystream(key, size)[:77] == crypto.keystream(key, 77)
+    assert crypto.keystream(key, 0) == b""
+    with pytest.raises(ValueError):
+        crypto.keystream(bytes(31), 8)
 
 
 def test_tamper_rejection_sampled_bit_positions():

@@ -715,6 +715,23 @@ def test_largest_payload_offer_fits_one_frame():
     assert len(transport.frame_encode(envelope)) <= transport.MAX_FRAME + 4
 
 
+def test_generated_payload_is_pinned():
+    # A missing payload is the ChaCha20 keystream under sha256("{seed}/payload").
+    def payload(seed, size):
+        return make_config("v1", seed=seed, payload_size=size).payload
+
+    pinned = {
+        (0, 1): "c337ded6f56c07205fb7b391654d7d463c9e0c726869523ae6024c9bec878878",
+        (7, 32): "542d5c94593dadf82cb613ee2f9645f6d18fc3a491ced7bef066b2639a2cc131",
+        (1, 1 << 20): "881f3787c965faa3668b39c8571a761fdaad4108ee7389e6ab130a8944df9ad8",
+    }
+    for (seed, size), digest in pinned.items():
+        assert crypto.sha256(payload(seed, size)).hex() == digest
+    assert payload(3, 500) == payload(3, 500)
+    assert payload(3, 500) != payload(4, 500)
+    assert payload(3, 5000)[:500] == payload(3, 500)
+
+
 def test_config_defaults():
     config = make_config("v2", price=100)
     assert config.notary_fee == 10  # 10% rounded down
@@ -875,7 +892,7 @@ def test_demo_narrates_and_settles(capsys):
     assert out == (
         "== v1 exchange (hash lock) ==\n"
         "setup: notary validated 32 payload bytes, encrypted them, and signed the commitments\n"
-        "setup: h1 = 61464e3c1488b6a9…, h2 = digest 699789e4f629a189…\n"
+        "setup: h1 = a2c3ed2037475148…, h2 = digest 699789e4f629a189…\n"
         "setup: buyer funded with 100 tokens\n"
         "step: seller -> buyer: offer (signature, ciphertext, key commitment); "
         "buyer verifies and escrows the price\n"
