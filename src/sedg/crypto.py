@@ -6,8 +6,9 @@ multi-part value is hashed or signed. Everything here is pure: values are
 immutable and callers thread their own randomness.
 
 Elements and scalars carry their group, so arithmetic takes it from its
-operands: `power_of_g(x)` is g^x in x's group, and `element_pow(base, x)`
-and `element_mul(a, b)` refuse operands of different groups.
+operands: `power_of_g(x)` is g^x in x's group, and `element_pow(base, x)`,
+`element_mul(a, b)` and `scalar_mul(a, b)` refuse operands of different
+groups with one rule, `DomainError`.
 """
 from __future__ import annotations
 
@@ -350,8 +351,7 @@ def element_pow(base: GroupElement, x: Scalar) -> GroupElement:
     Raises DomainError when their groups differ. A power of a member stays
     in the subgroup, so the result is not checked again.
     """
-    if base.params != x.params:
-        raise DomainError("base and exponent belong to different groups")
+    _same_group(base, x)
     return _in_group(pow(base.value, x.value, base.params.p), base.params)
 
 
@@ -361,12 +361,12 @@ def element_mul(a: GroupElement, b: GroupElement) -> GroupElement:
     Raises DomainError when their groups differ. A product of members is a
     member, so the result is not checked again.
     """
-    if a.params != b.params:
-        raise DomainError("elements belong to different groups")
+    _same_group(a, b)
     return _in_group(a.value * b.value % a.params.p, a.params)
 
 
 def scalar_mul(a: Scalar, b: Scalar) -> Scalar:
+    """a·b mod q, for two scalars of one group; raises DomainError when they differ."""
     _same_group(a, b)
     return Scalar(value=(a.value * b.value) % a.params.q, params=a.params)
 
@@ -375,9 +375,9 @@ def scalar_inv(a: Scalar) -> Scalar:
     return Scalar(value=pow(a.value, -1, a.params.q), params=a.params)
 
 
-def _same_group(a: Scalar, b: Scalar) -> None:
+def _same_group(a: GroupElement | Scalar, b: GroupElement | Scalar) -> None:
     if a.params != b.params:
-        raise ValueError("scalars belong to different groups")
+        raise DomainError("operands belong to different groups")
 
 
 def scalar_from_key(key: bytes, params: GroupParams) -> Scalar | None:

@@ -7,12 +7,14 @@ that key, and its buyer verifies the certificate against its registry. The
 sessions act on the ledger themselves; the world routes their messages
 and owns what no party controls. Everything that can race is a scheduling
 option: message deliveries, the buyer's ledger wake-up, timer firings, and
-the placement of expiry itself. The world alone decides what woke the
-buyer: a `notify:buyer` wake carries the claim event the world found on the
-chain, for `on_claim`; a `timers` wake calls both parties' `on_timer`, and
-the ledger decides whether the buyer's refund is due. The default schedule
-always picks the first option (FIFO delivery, expiry last); `drive`
-replays any other schedule given as option indices.
+the placement of expiry itself, which stays open while some open contract's
+deadline has not passed on the chain's clock. The world alone decides what
+woke the buyer: a `notify:buyer` wake carries the claim event the world
+found on the chain, for `on_claim`; a `timers` wake calls both parties'
+`on_timer`, and the ledger decides whether the buyer's refund is due. The
+default schedule always picks the first option (FIFO delivery, expiry
+last); `drive` replays any other schedule given as option indices, and
+`World.step` raises ScheduleError for a choice that names no open option.
 
 `explore` checks every ordering up to a depth bound and evaluates the
 fairness invariants at every terminal state, in one pass over the event
@@ -169,6 +171,11 @@ def make_config(
         )
     if notary_fee is None:
         notary_fee = price // 10 if variant is Variant.V2 else 0
+        if variant is Variant.V2 and not notary_fee:
+            raise ConfigError(
+                f"the default notary fee, price // 10, is 0 for a price of {price}; "
+                "give a notary_fee that is positive and below the price"
+            )
     if not 0 <= notary_fee <= MAX_CONFIG_INT:
         raise ConfigError("notary fee must be between 0 and 10^4300 - 1 tokens")
     if variant is Variant.V2 and not 0 < notary_fee < price:
@@ -348,7 +355,6 @@ class World:
         self._buyer_ep = self.net.endpoint(BUYER_ID)
         # (label, the claim event for a notify:buyer wake or None for timers)
         self.pending_wakes: list[tuple[str, LedgerEvent | None]] = []
-        self.expired = False
         self.trace: list[str] = []
         self._cursor = len(self.ledger.read_events(0))
         self._action_cache: list[tuple[str, Callable[[], None]]] | None = None
@@ -364,7 +370,9 @@ class World:
     def step(self, index: int) -> str:
         actions = self._open_actions()
         if not 0 <= index < len(actions):
-            raise IndexError(f"schedule index {index} out of range ({len(actions)} options)")
+            raise ScheduleError(
+                f"choice {len(self.trace)} is {index}, but {len(actions)} option(s) are open"
+            )
         label, action = actions[index]
         self._action_cache = None
         action()
@@ -380,14 +388,13 @@ class World:
             self.seller.checkpoint(),
             self.buyer.checkpoint(),
             list(self.pending_wakes),
-            self.expired,
             len(self.trace),
             self._cursor,
         )
 
     def restore(self, saved: tuple) -> None:
         """Return to a checkpoint; one checkpoint can be restored many times."""
-        chain, net, seller, buyer, wakes, self.expired, trace_len, self._cursor = saved
+        chain, net, seller, buyer, wakes, trace_len, self._cursor = saved
         self.ledger.restore(chain)
         self.net.restore(net)
         self.seller.restore(seller)
@@ -412,7 +419,7 @@ class World:
             actions.append((label, lambda i=i: self._deliver(i)))
         for j, (label, _) in enumerate(self.pending_wakes):
             actions.append((label, lambda j=j: self._fire_wake(j)))
-        if not self.expired and self.ledger.has_open_contract():
+        if any(c.deadline >= self.ledger.current_tick for c in self.ledger.open_contracts()):
             actions.append(("expire", self._expire))
         return actions
 
@@ -444,10 +451,8 @@ class World:
             self.seller.on_timer()
 
     def _expire(self) -> None:
-        opens = self.ledger.open_contracts()
-        target = max(c.deadline for c in opens) + 1
+        target = max(c.deadline for c in self.ledger.open_contracts()) + 1
         self.ledger.advance_time(target - self.ledger.current_tick)
-        self.expired = True
         self.pending_wakes.append(("timers", None))
 
     def _scan_chain(self) -> None:
@@ -521,12 +526,11 @@ def drive(world: World, schedule: Sequence[int] = ()) -> list[int]:
     """Run to quiescence, following the schedule then always choosing 0.
 
     Raises ScheduleError if the schedule picks an option that is not open
-    or has choices left when the run ends.
+    (`World.step` judges each choice) or has choices left when the run ends.
     """
     taken: list[int] = []
     while True:
-        count = len(world.options())
-        if not count:
+        if not world.options():
             if len(taken) < len(schedule):
                 raise ScheduleError(
                     f"the run ended after {len(taken)} of the schedule's "
@@ -536,10 +540,6 @@ def drive(world: World, schedule: Sequence[int] = ()) -> list[int]:
         if len(taken) >= _MAX_RUN_STEPS:
             raise DepthExceeded(f"run exceeded {_MAX_RUN_STEPS} scheduling choices")
         index = schedule[len(taken)] if len(taken) < len(schedule) else 0
-        if not 0 <= index < count:
-            raise ScheduleError(
-                f"choice {len(taken)} is {index}, but {count} option(s) are open"
-            )
         world.step(index)
         taken.append(index)
 

@@ -255,9 +255,6 @@ class Ledger:
     def open_contracts(self) -> list[EscrowContract]:
         return [c for c in self._contracts.values() if c.state is ContractState.OPEN]
 
-    def has_open_contract(self) -> bool:
-        return any(c.state is ContractState.OPEN for c in self._contracts.values())
-
     def read_events(self, from_seq: int = 0) -> list[LedgerEvent]:
         return self._events[from_seq:]
 

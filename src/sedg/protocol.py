@@ -12,7 +12,8 @@ adversarial scheduling.
 
 Deviation policies model the classic failure modes of an unprotected trade:
 a buyer who never pays or underpays, a seller who withholds the key, claims
-with garbage, or ships corrupted goods.
+with garbage, or ships corrupted goods. A buyer's abort names its
+`AbortReason`, so a peer's reason outside that vocabulary fails at decode.
 
 Sessions hold no random-number state. Each is given a function that builds
 its random stream (the harness seeds it from the scenario seed and the
@@ -131,7 +132,7 @@ class ContractRef:
 class AbortMessage:
     wire_tag: ClassVar[str] = "abort"
 
-    reason: str
+    reason: AbortReason
 
 
 ProtocolMessage = Union[Offer, Blind, ContractRef, AbortMessage]
@@ -312,7 +313,7 @@ class BuyerSession(_Session):
     def _abort(self, reason: AbortReason) -> list[ProtocolMessage]:
         self.state = BuyerState.ABORTED
         self.abort_reason = reason
-        return [AbortMessage(reason.value)]
+        return [AbortMessage(reason)]
 
 
 # ---------------------------------------------------------------------------
@@ -391,10 +392,10 @@ class SellerSession(_Session):
         if self.variant is not Variant.V3 or self.blind is not None:
             self._claim(chain)
 
-    def on_abort(self, reason: str) -> None:
+    def on_abort(self, reason: AbortReason) -> None:
         if not self.terminal:
             self.state = SellerState.EXPIRED
-            self.outcome = f"counterparty aborted: {reason}"
+            self.outcome = f"counterparty aborted: {reason.value}"
 
     def on_timer(self) -> None:
         if not self.terminal:

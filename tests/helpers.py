@@ -2,9 +2,10 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from sedg.crypto import SEED_LEN, SigningKeyPair
-from sedg.ledger import Ledger
+from sedg.ledger import Ledger, NotaryHashLock
 
 
 class ScriptedRng(random.Random):
@@ -64,3 +65,18 @@ class DoubleSettleLedger(Ledger):
 
     def _ensure_open(self, contract):
         pass
+
+
+class FeeDroppingLedger(Ledger):
+    """Faulty chain that settles a v2 claim as if its lock carried no notary fee.
+
+    The seller's pre-claim check still sees the published lock, so an
+    honest seller claims, and the whole price goes to the seller.
+    """
+
+    def claim(self, contract_id, witness):
+        contract = self.get_contract(contract_id)
+        if isinstance(contract.condition, NotaryHashLock):
+            unpaid = replace(contract.condition, fee=0)
+            self._contracts[contract_id] = replace(contract, condition=unpaid)
+        return super().claim(contract_id, witness)

@@ -297,6 +297,14 @@ def test_scalar_mul_and_inverse_examples():
     assert scalar_inv(b).value == brute_force_inverse(4, 11) == 3
 
 
+def test_scalar_mul_rejects_scalars_of_different_groups():
+    # One rule refuses mixed operands; scalar_mul used to raise a bare ValueError.
+    small, large = Scalar(3, TEST_GROUP), Scalar(3, MODP_2048)
+    for a, b in ((small, large), (large, small)):
+        with pytest.raises(DomainError, match="^operands belong to different groups$"):
+            scalar_mul(a, b)
+
+
 def test_scalar_inverse_property():
     rng = random.Random(21)
     for _ in range(30):

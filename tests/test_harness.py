@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import AcceptAnyWitnessLedger, DoubleSettleLedger
+from helpers import AcceptAnyWitnessLedger, DoubleSettleLedger, FeeDroppingLedger
 from sedg import cli, crypto, harness, transport
 from sedg.cert import Certificate, GroupPower, PartyId, verify_certificate
 from sedg.harness import (
@@ -218,6 +218,31 @@ def test_report_text_names_all_parties():
     assert "notary: paid=False" in text
 
 
+def test_report_text_warns_when_the_buyer_paid_but_could_not_decrypt():
+    # A chain that accepts any witness pays a garbage claim, so the buyer
+    # reads a key that does not open the ciphertext.
+    config = make_config(
+        "v1",
+        price=60,
+        buyer_balance=100,
+        seller_policy=SellerPolicy.CLAIM_WRONG_WITNESS,
+        seed=8,
+    )
+    world = World(config, AcceptAnyWitnessLedger())
+    drive(world)
+    report = world.report()
+    assert report.buyer_decrypt_failed
+    assert emit_report(report, "text").decode().splitlines() == [
+        "scenario: v1  seed=8  price=60",
+        "seller: claimed  paid=True",
+        "buyer:  contract_published  plaintext=False  refunded=False",
+        "notary: paid=False",
+        "warning: buyer paid but could not decrypt",
+        "balances: buyer=40  seller=60  notary=0",
+        "events: 3",
+    ]
+
+
 def test_report_rejects_unknown_format():
     config = make_config("v1", seed=1)
     with pytest.raises(ValueError):
@@ -384,6 +409,28 @@ def test_double_settlement_is_detected():
     props = {p for p, _ in fairness_violations(world)}
     assert "single-settlement" in props
     assert "conservation" in props
+
+
+def test_chain_that_drops_the_notary_fee_breaks_the_notary_split():
+    config = make_config("v2", price=100, buyer_balance=150, notary_fee=10, seed=7)
+    world = World(config, FeeDroppingLedger())
+    drive(world)
+    assert world.buyer.state is BuyerState.SETTLED
+    assert world.ledger.get_balance(harness.SELLER_ADDR) == 100
+    violations = dict(fairness_violations(world))
+    assert violations["notary-split"] == "notary_paid=False but seller_paid=True"
+    result = explore(config, depth=12, chain_factory=FeeDroppingLedger)
+    assert "notary-split" in {v.prop for v in result.violations}
+
+
+def test_buyer_aborted_after_publishing_breaks_abort_before_pay():
+    world = World(make_config("v1", price=60, buyer_balance=100, seed=8))
+    world.step(0)  # the offer: the buyer verifies it and escrows the price
+    assert world.buyer.state is BuyerState.CONTRACT_PUBLISHED
+    world.buyer.state = BuyerState.ABORTED
+    drive(world)
+    violations = dict(fairness_violations(world))
+    assert violations["abort-before-pay"] == "aborted buyer published 1 contract(s)"
 
 
 def test_fee_skimming_claim_is_an_honest_seller_loss():
@@ -565,7 +612,6 @@ def _world_state(world):
         list(world.net.pending),
         {party: list(inbox) for party, inbox in world.net._inboxes.items()},
         list(world.pending_wakes),
-        world.expired,
         list(world.trace),
         world._cursor,
     )
@@ -648,6 +694,18 @@ def test_drive_rejects_unusable_schedules():
         drive(World(config), [-1])
     with pytest.raises(ScheduleError):
         drive(World(config), [0] * 20)  # outlasts the run
+
+
+def test_step_refuses_a_closed_option_naming_its_position():
+    # The step itself judges each choice; it used to raise a bare IndexError.
+    world = World(make_config("v1", price=60, buyer_balance=100, seed=42))
+    world.step(0)
+    assert world.options() == ["deliver:contract_ref:buyer->seller", "expire"]
+    for index in (9, 2, -1):
+        with pytest.raises(ScheduleError) as exc:
+            world.step(index)
+        assert str(exc.value) == f"choice 1 is {index}, but 2 option(s) are open"
+    assert world.trace == ["deliver:offer:seller->buyer"]
 
 
 # ---------------------------------------------------------------------------
@@ -959,6 +1017,20 @@ def test_cli_seed_override_builds_the_files_config(tmp_path, capsys, monkeypatch
     path.write_text("[1]")
     assert cli.main(["run", "--config", str(path), "--seed", "5"]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_defaulted_v2_fee_of_zero_asks_for_a_notary_fee(tmp_path, capsys):
+    # A tenth of a price below 10 rounds to 0; the file named no fee, so the
+    # error says where the 0 came from instead of blaming a fee it never gave.
+    path = _write_config(tmp_path, variant="v2", price=5)
+    assert cli.main(["run", "--config", path]) == 2
+    assert capsys.readouterr().err == (
+        "config error: the default notary fee, price // 10, is 0 for a price of 5; "
+        "give a notary_fee that is positive and below the price\n"
+    )
+    path = _write_config(tmp_path, variant="v2", price=5, notary_fee=1)
+    assert cli.main(["run", "--config", path]) == 0
+    assert "notary: paid=True" in capsys.readouterr().out
 
 
 def test_cli_explore_clean(tmp_path, capsys):

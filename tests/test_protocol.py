@@ -147,7 +147,7 @@ def test_corrupt_ciphertext_offer_aborts_with_mismatch():
     seller = make_seller(Variant.V1, SellerPolicy.SEND_CORRUPT_CIPHERTEXT)
     buyer = make_buyer(Variant.V1)
     replies = buyer.on_offer(seller.start(), funded_chain())
-    assert replies == [AbortMessage(AbortReason.CIPHERTEXT_MISMATCH.value)]
+    assert replies == [AbortMessage(AbortReason.CIPHERTEXT_MISMATCH)]
     assert buyer.abort_reason is AbortReason.CIPHERTEXT_MISMATCH
     assert buyer.state is BuyerState.ABORTED
 
@@ -167,7 +167,7 @@ def test_mismatched_h2_offer_aborts_with_bad_signature():
         assert offer.certificate.h2 != seller.package.certificate.h2
         assert seller.start() == offer
         replies = buyer.on_offer(received, funded_chain())
-        assert replies == [AbortMessage(AbortReason.BAD_SIGNATURE.value)]
+        assert replies == [AbortMessage(AbortReason.BAD_SIGNATURE)]
         assert buyer.abort_reason is AbortReason.BAD_SIGNATURE
 
 
@@ -267,7 +267,7 @@ def test_aborting_buyer_never_touches_the_chain(reason, make_pair):
     seller, buyer = make_pair()
     chain = funded_chain()
     before = chain.snapshot()
-    assert buyer.on_offer(seller.start(), chain) == [AbortMessage(reason.value)]
+    assert buyer.on_offer(seller.start(), chain) == [AbortMessage(reason)]
     assert chain.snapshot() == before
     assert buyer.abort_reason is reason
 
@@ -278,7 +278,7 @@ def test_underfunded_buyer_aborts_without_a_contract(variant):
     buyer = make_buyer(variant)
     chain = funded_chain(PRICE - 1)
     replies = buyer.on_offer(seller.start(), chain)
-    abort = AbortMessage(AbortReason.INSUFFICIENT_FUNDS.value)
+    abort = AbortMessage(AbortReason.INSUFFICIENT_FUNDS)
     # A dlog buyer sends its blind before it tries to publish.
     assert replies == ([Blind(buyer.blind), abort] if variant is Variant.V3 else [abort])
     assert chain.get_balance(BUYER_ADDR) == PRICE - 1
@@ -605,10 +605,21 @@ def test_small_message_json_round_trips():
     assert message_from_obj(message_to_obj(blind)) == blind
     ref = ContractRef(contract_id=7)
     assert message_from_obj(message_to_obj(ref)) == ref
-    abort = AbortMessage(reason="price_mismatch")
+    abort = AbortMessage(reason=AbortReason.PRICE_MISMATCH)
     assert message_from_obj(message_to_obj(abort)) == abort
     with pytest.raises(ValueError):
         message_from_obj({"type": "mystery"})
+
+
+def test_abort_with_an_unknown_reason_fails_at_decode():
+    # The reason used to be any string, so a peer's text reached the
+    # seller's outcome unchecked.
+    with pytest.raises(ValueError, match="^reason: 'bogus' is not an AbortReason$"):
+        message_from_obj({"type": "abort", "reason": "bogus"})
+    assert message_to_obj(AbortMessage(AbortReason.GROUP_MISMATCH)) == {
+        "type": "abort",
+        "reason": "group_mismatch",
+    }
 
 
 @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
