@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 import time
 
-from . import harness
+from . import codec, harness
 
 
 def _schedule(text: str) -> tuple[int, ...]:
@@ -85,7 +84,7 @@ def main(argv: list[str] | None = None) -> int:
                     "violations": [dataclasses.asdict(v) for v in result.violations],
                     "wall_s": wall_s,
                 }
-                print(json.dumps(summary, separators=(",", ":")))
+                print(codec.dumps(summary))
             else:
                 print(
                     f"explored {result.schedules_explored} schedules "

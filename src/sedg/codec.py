@@ -1,12 +1,15 @@
 """The one JSON codec for wire messages and the event log.
 
 Values are encoded from their type annotations, dataclasses from their field
-definitions, so the format is written down once:
+definitions, so the format is written down once. An encoder builds data
+(dicts, lists, strings, ints, None and bytes), and `dumps`, the one text
+writer, turns it into JSON: bytes in data, lowercase hex in text.
 
-- bytes are lowercase hex, and decoding rejects any other spelling; a
-  string stays a string;
+- bytes stay bytes; `dumps` writes them as lowercase hex, and a bytes
+  decoder takes bytes as they are or that hex (what parsed text holds),
+  rejecting any other spelling; a string stays a string;
 - ints are JSON integers, and a bool or a float is rejected;
-- an enum travels by its value, and a `PartyId` by its id;
+- an enum travels by its value, and a `PartyId` by its id bytes;
 - a `GroupElement` or `Scalar` is `{"group": name, "value": int}`; decoding
   looks the name up with `group_by_name` and builds the value through its
   checking constructor, so a peer never picks the group, and an element
@@ -42,18 +45,19 @@ Decoder = Callable[[Any], Any]
 
 TYPE_KEY = "type"
 
-# Compact JSON text: no spaces, and one encoder object instead of a new one
-# per `json.dumps` call with non-default separators.
-dumps = json.JSONEncoder(separators=(",", ":")).encode
+# The one JSON text writer: compact, bytes as lowercase hex (`bytes.hex`
+# raises TypeError on any other type JSON lacks), and one encoder object
+# instead of a new one per `json.dumps` call with non-default separators.
+dumps = json.JSONEncoder(separators=(",", ":"), default=bytes.hex).encode
 
 
 def encoder(tp: object) -> Encoder:
-    """Turns a value of type `tp` into plain JSON data; trusts the value."""
+    """Turns a value of type `tp` into data for `dumps`; trusts the value."""
     return _codec(tp)[0]
 
 
 def decoder(tp: object) -> Decoder:
-    """Checks plain JSON data and builds a value of type `tp` from it."""
+    """Checks data, or its parsed JSON text, and builds a value of type `tp`."""
     return _codec(tp)[1]
 
 
@@ -83,10 +87,13 @@ def _plain(kind: type) -> Decoder:
 _PLAIN = {kind: _plain(kind) for kind in (int, str, dict)}
 
 
-def _decode_hex(obj: Any) -> bytes:
-    """Lowercase hex only, so each byte string has one encoding."""
+def _decode_bytes(obj: Any) -> bytes:
+    """Bytes as they are, or lowercase hex only, so each byte string has one
+    encoding in text."""
+    if type(obj) is bytes:
+        return obj
     if type(obj) is not str:
-        raise ValueError(f"expected a hex string, got {obj!r:.60}")
+        raise ValueError(f"expected bytes or a hex string, got {obj!r:.60}")
     if any(digit in obj for digit in "ABCDEF"):
         raise ValueError(f"hex must be lowercase, got {obj!r:.60}")
     return binascii.unhexlify(obj)
@@ -106,11 +113,12 @@ def _group_value_decoder(cls: type) -> Decoder:
 
 
 def _enum_decoder(cls: type) -> Decoder:
-    by_value = {member.value: member for member in cls}
+    # Keyed by type too, so a bytes value is never compared with a str one.
+    by_value = {(type(member.value), member.value): member for member in cls}
 
     def decode(obj: Any) -> Any:
         try:
-            return by_value[obj]
+            return by_value[type(obj), obj]
         except (KeyError, TypeError):
             raise ValueError(f"{obj!r:.60} is not {_a(cls)}") from None
 
@@ -131,9 +139,9 @@ def _codec(tp: object) -> tuple[Encoder, Decoder]:
     if tp in _PLAIN:
         return _same, _PLAIN[tp]
     if tp is bytes:
-        return bytes.hex, _decode_hex
+        return _same, _decode_bytes
     if tp is PartyId:
-        return (lambda party: party.id.hex()), (lambda obj: PartyId(_decode_hex(obj)))
+        return (lambda party: party.id), (lambda obj: PartyId(_decode_bytes(obj)))
     if tp in (GroupElement, Scalar):
         return _encode_group_value, _group_value_decoder(tp)
     if isinstance(tp, type) and issubclass(tp, enum.Enum):

@@ -617,7 +617,7 @@ def fairness_violations(world: World) -> list[tuple[str, str]]:
     if config.seller_policy is SellerPolicy.HONEST:
         due = config.price - config.notary_fee
         for cid, credited in facts.seller_claims:
-            if credited != due:
+            if credited < due:
                 out.append(
                     (
                         "honest-seller-no-loss",

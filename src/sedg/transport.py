@@ -10,13 +10,14 @@ in the format `codec` derives from `Envelope`. Framing bounds what one
 message can carry, so a send above `MAX_FRAME` fails here as it would on a
 real link.
 
-The frame holds exactly the bytes `codec.dumps` writes, but a long string
-of ASCII letters and digits (the hex of a ciphertext) needs no escaping, so
-it is copied into the frame in whole rather than run through the JSON
-escaper; everything else is written by `codec.dumps`.
+The frame holds exactly the bytes `codec.dumps` writes: bytes in data,
+lowercase hex in text. A long bytes value (a ciphertext's body) is hexed
+straight into its own chunk of the frame, since its hex needs no escaping;
+everything else is written by `codec.dumps`.
 """
 from __future__ import annotations
 
+import binascii
 import struct
 from dataclasses import dataclass
 
@@ -45,14 +46,14 @@ class Envelope:
 _encode_envelope = codec.encoder(Envelope)
 
 
-# Strings this long are worth copying in whole; shorter ones, and every
-# frame without one, cost less through `codec.dumps` alone.
+# Bytes this long are worth hexing into a chunk of their own; shorter ones,
+# and every frame without one, cost less through `codec.dumps` alone.
 SPLICE_MIN = 4096
 
 
 def frame_encode(envelope: Envelope) -> bytes:
     obj = _encode_envelope(envelope)
-    chunks = _write_dict(obj, []) if _has_long_string(obj) else [_json(obj)]
+    chunks = _write_dict(obj, []) if _has_long_bytes(obj) else [_json(obj)]
     size = sum(map(len, chunks))
     if size > MAX_FRAME:
         raise FrameTooLarge(f"payload of {size} bytes exceeds {MAX_FRAME}")
@@ -63,20 +64,20 @@ def _json(value: object) -> bytes:
     return codec.dumps(value).encode("utf-8")
 
 
-def _has_long_string(obj: dict) -> bool:
-    """Whether a string of at least `SPLICE_MIN` characters sits in `obj`'s dicts."""
+def _has_long_bytes(obj: dict) -> bool:
+    """Whether a bytes value of at least `SPLICE_MIN` bytes sits in `obj`'s dicts."""
     for value in obj.values():
-        if type(value) is str:
+        if type(value) is bytes:
             if len(value) >= SPLICE_MIN:
                 return True
-        elif type(value) is dict and _has_long_string(value):
+        elif type(value) is dict and _has_long_bytes(value):
             return True
     return False
 
 
 def _write_dict(obj: dict, out: list[bytes]) -> list[bytes]:
-    """Appends the bytes of `codec.dumps(obj)` to `out`, each long string of
-    ASCII letters and digits as its own chunk; returns `out`."""
+    """Appends the bytes of `codec.dumps(obj)` to `out`, the hex of each long
+    bytes value as its own chunk; returns `out`."""
     if not obj or any(type(key) is not str for key in obj):  # keys JSON converts
         out.append(_json(obj))
         return out
@@ -86,13 +87,8 @@ def _write_dict(obj: dict, out: list[bytes]) -> list[bytes]:
         separator = b","
         if type(value) is dict:
             _write_dict(value, out)
-        elif (
-            type(value) is str
-            and len(value) >= SPLICE_MIN
-            and value.isascii()
-            and (raw := value.encode("ascii")).isalnum()
-        ):
-            out += (b'"', raw, b'"')
+        elif type(value) is bytes and len(value) >= SPLICE_MIN:
+            out += (b'"', binascii.hexlify(value), b'"')
         else:
             out.append(_json(value))
     out.append(b"}")

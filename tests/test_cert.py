@@ -258,7 +258,7 @@ def test_variant_tag_prevents_cross_protocol_replay(notary, seller):
 def test_certificate_json_round_trip(notary, seller, variant):
     package = _notarize(notary, seller, variant)
     cert = package.certificate
-    text = json.dumps(codec.encoder(Certificate)(cert))
+    text = codec.dumps(codec.encoder(Certificate)(cert))
     recovered = codec.decoder(Certificate)(json.loads(text))
     assert recovered == cert
     assert recovered.h1 == cert.h1

@@ -417,10 +417,11 @@ def test_chain_that_drops_the_notary_fee_breaks_the_notary_split():
     drive(world)
     assert world.buyer.state is BuyerState.SETTLED
     assert world.ledger.get_balance(harness.SELLER_ADDR) == 100
+    # The seller is overpaid, not harmed: the one violation is the split.
     violations = dict(fairness_violations(world))
-    assert violations["notary-split"] == "notary_paid=False but seller_paid=True"
+    assert violations == {"notary-split": "notary_paid=False but seller_paid=True"}
     result = explore(config, depth=12, chain_factory=FeeDroppingLedger)
-    assert "notary-split" in {v.prop for v in result.violations}
+    assert {v.prop for v in result.violations} == {"notary-split"}
 
 
 def test_buyer_aborted_after_publishing_breaks_abort_before_pay():
@@ -1098,6 +1099,17 @@ def _rigged_explore(monkeypatch):
         )
     )
     monkeypatch.setattr(harness, "explore", lambda config, depth: rigged)
+
+
+def test_cli_explore_json_line_is_pinned(tmp_path, capsys, monkeypatch):
+    _rigged_explore(monkeypatch)
+    monkeypatch.setattr(cli.time, "perf_counter", itertools.count(2.0, 0.5).__next__)
+    assert cli.main(["explore", "--config", _write_config(tmp_path), "--json"]) == 1
+    assert capsys.readouterr().out == (
+        '{"schedules":1,"nodes_executed":0,"max_depth":0,"violations":[{"schedule":'
+        '["deliver:offer:seller->buyer","expire","timers"],"prop":"atomicity",'
+        '"detail":"forced for the test","choices":[0,2,1]}],"wall_s":0.5}\n'
+    )
 
 
 def test_cli_explore_prints_replayable_choices(tmp_path, capsys, monkeypatch):

@@ -133,6 +133,46 @@ def test_frame_size_limit_is_exact(spliced):
         frame_encode(_sized_envelope(MAX_FRAME + 1, spliced))
 
 
+def _long_bytes(seed: int, length: int) -> bytes:
+    return random.Random(seed).randbytes(length)
+
+
+# Bytes as `message_to_obj` leaves them: short ones go through `codec.dumps`,
+# and long ones in a dict are hexed into a chunk of their own.
+BYTES = st.binary(max_size=8) | st.builds(_long_bytes, st.integers(0, 2**32), LONG_LENGTHS)
+BYTES_DATA = st.recursive(
+    st.none() | st.integers() | STRINGS | BYTES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(KEYS, inner, max_size=4),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.text(max_size=8) | MARKER_LIKE, BYTES_DATA, max_size=4))
+@example({"ciphertext": {"nonce": bytes(12), "body": b"\xab" * SPLICE_MIN}})
+@example({"a": b"\x01" * SPLICE_MIN, "b": {"c": [b"\x02" * SPLICE_MIN], "d": {}}, "e": b""})
+@example({"a": {1: b"\xab" * SPLICE_MIN, "1": b"\xcd" * SPLICE_MIN}})
+def test_frame_with_bytes_is_byte_identical_to_the_plain_json_frame(body):
+    env = _envelope(body)
+    assert frame_encode(env) == _old_frame_encode(env)
+
+
+def test_frame_size_limit_is_exact_with_spliced_bytes():
+    base = len(frame_encode(_envelope({"pad": "", "data": b""}))) - 4
+
+    def sized(size: int) -> Envelope:
+        length, pad = divmod(size - base, 2)
+        return _envelope({"pad": "x" * pad, "data": bytes(length)})
+
+    at_limit = sized(MAX_FRAME)
+    frame = frame_encode(at_limit)
+    assert len(frame) == MAX_FRAME + 4
+    assert frame == _old_frame_encode(at_limit)
+    del frame
+    with pytest.raises(FrameTooLarge):
+        frame_encode(sized(MAX_FRAME + 1))
+
+
 def test_oversized_frame_rejected():
     big = Envelope(sender=A, recipient=B, body={"data": "x" * (MAX_FRAME + 1)})
     with pytest.raises(FrameTooLarge):

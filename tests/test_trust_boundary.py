@@ -199,7 +199,7 @@ def test_certificate_decoder_rejects_unnamed_groups(group, pow_calls, groups_bui
     obj = _cert_obj()
     pow_calls.clear()
     with pytest.raises(ValueError):
-        codec.decoder(Certificate)(json.loads(json.dumps(_with_group(obj, group))))
+        codec.decoder(Certificate)(json.loads(codec.dumps(_with_group(obj, group))))
     assert pow_calls == [] and groups_built == []
 
 
