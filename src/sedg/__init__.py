@@ -32,7 +32,7 @@ from .harness import (
     run_scenario,
 )
 from .ledger import Ledger, address_for
-from .protocol import BuyerPolicy, BuyerSession, SellerPolicy, SellerSession
+from .protocol import BuyerPolicy, BuyerSession, SellerPolicy, SellerSession, Terms
 
 __all__ = [
     "Certificate",
@@ -63,6 +63,7 @@ __all__ = [
     "BuyerSession",
     "SellerPolicy",
     "SellerSession",
+    "Terms",
 ]
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Union
+from typing import ClassVar, Mapping, Union
 
 from . import crypto
 from .crypto import Ciphertext, GroupElement, GroupParams, SigningKeyPair
@@ -52,6 +52,7 @@ class PartyId:
 class HashOfKey:
     """Digest of the key alone (hash-lock variant)."""
 
+    variant: ClassVar[Variant] = Variant.V1
     digest: bytes
 
 
@@ -59,6 +60,7 @@ class HashOfKey:
 class HashOfKeyAndNotary:
     """Digest binding key and notary identity, enabling the atomic fee split."""
 
+    variant: ClassVar[Variant] = Variant.V2
     digest: bytes
 
 
@@ -66,20 +68,11 @@ class HashOfKeyAndNotary:
 class GroupPower:
     """Subgroup element g^k, blindable by the buyer."""
 
+    variant: ClassVar[Variant] = Variant.V3
     element: GroupElement
 
 
 Commitment2 = Union[HashOfKey, HashOfKeyAndNotary, GroupPower]
-
-_COMMITMENT_VARIANT = {
-    HashOfKey: Variant.V1,
-    HashOfKeyAndNotary: Variant.V2,
-    GroupPower: Variant.V3,
-}
-
-
-def commitment_variant(h2: Commitment2) -> Variant:
-    return _COMMITMENT_VARIANT[type(h2)]
 
 
 def encode_commitment(h2: Commitment2) -> bytes:
@@ -105,7 +98,7 @@ class Certificate:
 
     @property
     def variant(self) -> Variant:
-        return commitment_variant(self.h2)
+        return self.h2.variant
 
     @property
     def group(self) -> GroupParams | None:

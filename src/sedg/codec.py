@@ -21,7 +21,8 @@ writer, turns it into JSON: bytes in data, lowercase hex in text.
   annotation's members, so a decoder builds only a type the field allows;
 - a tuple is a list, and `X | None` is null or an `X`.
 
-Decoding raises `ValueError` on any other input, unknown keys included.
+Decoding raises `ValueError` on any other input, unknown keys and keys that
+are not strings included.
 Each type's encoder and decoder are built once, on first use.
 """
 from __future__ import annotations
@@ -87,6 +88,14 @@ def _plain(kind: type) -> Decoder:
 _PLAIN = {kind: _plain(kind) for kind in (int, str, dict)}
 
 
+def _object(obj: Any, what: str) -> dict:
+    """`obj` if it is a dict with str keys only. Checked before any key lookup,
+    so a bytes key never meets a str one (a BytesWarning under `-bb`)."""
+    if type(obj) is not dict or any(type(key) is not str for key in obj):
+        raise ValueError(f"expected an object with string keys for {what}, got {obj!r:.60}")
+    return obj
+
+
 def _decode_bytes(obj: Any) -> bytes:
     """Bytes as they are, or lowercase hex only, so each byte string has one
     encoding in text."""
@@ -104,9 +113,11 @@ def _encode_group_value(value: GroupElement | Scalar) -> dict:
 
 
 def _group_value_decoder(cls: type) -> Decoder:
+    what = _a(cls)
+
     def decode(obj: Any) -> Any:
-        if type(obj) is not dict or obj.keys() != {"group", "value"}:
-            raise ValueError(f"{_a(cls)} is an object with just a group and a value")
+        if _object(obj, what).keys() != {"group", "value"}:
+            raise ValueError(f"{what} is an object with just a group and a value")
         return cls(_PLAIN[int](obj["value"]), crypto.group_by_name(obj["group"]))
 
     return decode
@@ -160,14 +171,15 @@ def _codec(tp: object) -> tuple[Encoder, Decoder]:
     else:
         codecs = {cls: _dataclass_codec(cls, _tag(cls)) for cls in members}
         by_tag = {_tag(cls): pair[1] for cls, pair in codecs.items()}
+        what = f"one of {sorted(by_tag)}"
 
         def encode(value: Any) -> dict:
             return codecs[type(value)][0](value)
 
         def decode(obj: Any) -> Any:
-            tag = obj.get(TYPE_KEY) if type(obj) is dict else None
+            tag = _object(obj, what).get(TYPE_KEY)
             if type(tag) is not str or tag not in by_tag:
-                raise ValueError(f"expected an object whose type is one of {sorted(by_tag)}")
+                raise ValueError(f"expected an object whose type is {what}")
             return by_tag[tag](obj)
 
     if len(members) == len(typing.get_args(tp)):
@@ -186,6 +198,7 @@ def _dataclass_codec(cls: type, tag: str | None) -> tuple[Encoder, Decoder]:
     required = [f for f in fields if f[3] is dataclasses.MISSING]
     optional = [f for f in fields if f[3] is not dataclasses.MISSING]
     known = {f[0] for f in fields} | ({TYPE_KEY} if tag else set())
+    what = _a(cls)
 
     def encode(value: Any) -> dict:
         obj = {TYPE_KEY: tag} if tag else {}
@@ -198,8 +211,7 @@ def _dataclass_codec(cls: type, tag: str | None) -> tuple[Encoder, Decoder]:
         return obj
 
     def decode(obj: Any) -> Any:
-        if type(obj) is not dict:
-            raise ValueError(f"expected an object for {_a(cls)}, got {obj!r:.60}")
+        _object(obj, what)
         kwargs = {}
         for name, _, decode_field, default in fields:
             if name in obj:
@@ -209,10 +221,10 @@ def _dataclass_codec(cls: type, tag: str | None) -> tuple[Encoder, Decoder]:
                     exc.args = (f"{name}: {exc}",)
                     raise
             elif default is dataclasses.MISSING:
-                raise ValueError(f"{_a(cls)} needs {name!r}")
+                raise ValueError(f"{what} needs {name!r}")
         if len(kwargs) + bool(tag) != len(obj):
-            unknown = sorted(str(key) for key in obj if key not in known)
-            raise ValueError(f"unknown keys for {_a(cls)}: {unknown}")
+            unknown = sorted(key for key in obj if key not in known)
+            raise ValueError(f"unknown keys for {what}: {unknown}")
         return cls(**kwargs)
 
     return encode, decode

@@ -38,12 +38,11 @@ from typing import Callable, Sequence
 
 from . import cert, codec, crypto, protocol, transport
 from .cert import PartyId, Variant, notarize
-from .crypto import GROUPS, GroupParams, SigningKeyPair
+from .crypto import GROUPS, SigningKeyPair
 from .ledger import EventKind, Ledger, LedgerEvent, address_for, write_event_log
 from .protocol import (
     AbortMessage,
     Blind,
-    BuyerConfig,
     BuyerPolicy,
     BuyerSession,
     BuyerState,
@@ -52,6 +51,7 @@ from .protocol import (
     ScenarioReport,
     SellerPolicy,
     SellerSession,
+    Terms,
 )
 
 _MAX_RUN_STEPS = 128
@@ -106,22 +106,16 @@ class ScheduleError(Exception):
 # Configuration
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ScenarioConfig:
-    variant: Variant
-    price: int
+@dataclass(frozen=True)
+class ScenarioConfig(Terms):
+    """The terms both parties hold, and what only the world knows: the
+    buyer's funds, how each party plays, the seed and the payload."""
+
     buyer_balance: int
-    deadline_offset: int
-    notary_fee: int
-    group_name: str
     seller_policy: SellerPolicy
     buyer_policy: BuyerPolicy
     seed: int
     payload: bytes
-
-    @property
-    def group(self) -> GroupParams:
-        return GROUPS[self.group_name]
 
 
 def make_config(
@@ -199,7 +193,7 @@ def make_config(
         buyer_balance=buyer_balance,
         deadline_offset=deadline_offset,
         notary_fee=notary_fee,
-        group_name=group_name,
+        group=GROUPS[group_name],
         seller_policy=seller_policy,
         buyer_policy=buyer_policy,
         seed=seed,
@@ -329,23 +323,16 @@ class World:
 
         self.seller = SellerSession(
             package=self.package,
+            terms=config,
             address=SELLER_ADDR,
-            price=config.price,
-            notary_fee=config.notary_fee,
             policy=config.seller_policy,
             new_rng=functools.partial(_rng, config.seed, "seller"),
         )
         self.buyer = BuyerSession(
-            config=BuyerConfig(
-                address=BUYER_ADDR,
-                seller=SELLER,
-                price=config.price,
-                deadline_offset=config.deadline_offset,
-                trusted_notaries={NOTARY_ID: NOTARY_KEYS.public},
-                variant=config.variant,
-                notary_fee=config.notary_fee,
-                group=config.group,
-            ),
+            terms=config,
+            address=BUYER_ADDR,
+            seller=SELLER,
+            trusted_notaries={NOTARY_ID: NOTARY_KEYS.public},
             policy=config.buyer_policy,
             new_rng=functools.partial(_rng, config.seed, "buyer"),
         )
@@ -734,18 +721,17 @@ def demo(variant: Variant | str, printer: Callable[[str], None] = print) -> Scen
     names = {Variant.V1: "hash lock", Variant.V2: "notary-split lock", Variant.V3: "blinded dlog lock"}
     printer(f"== {variant.value} exchange ({names[variant]}) ==")
     printer(
-        f"setup: notary validated {len(config.payload)} payload bytes, encrypted them, "
+        f"setup: notary encrypted {len(config.payload)} payload bytes "
         "and signed the commitments"
     )
 
     world = World(config)
-    h2 = world.package.certificate.h2
-    h2_desc = (
-        f"g^k = {h2.element.value.to_bytes(h2.element.params.element_len(), 'big').hex()[:16]}…"
-        if isinstance(h2, cert.GroupPower)
-        else f"digest {h2.digest.hex()[:16]}…"
+    certificate = world.package.certificate
+    h2_kind = "g^k =" if certificate.group else "digest"
+    printer(
+        f"setup: h1 = {certificate.h1.hex()[:16]}…, "
+        f"h2 = {h2_kind} {cert.encode_commitment(certificate.h2).hex()[:16]}…"
     )
-    printer(f"setup: h1 = {world.package.certificate.h1.hex()[:16]}…, h2 = {h2_desc}")
     printer(f"setup: buyer funded with {config.buyer_balance} tokens")
 
     drive(world)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Union
+from typing import ClassVar, Iterable, Union
 
 from . import codec, crypto
 from .crypto import GroupElement, GroupParams, Scalar
@@ -78,42 +78,6 @@ class NotPayer(LedgerError):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class HashLock:
-    """Pay the payee on any x with sha256(x) = h2."""
-
-    h2: bytes
-
-
-@dataclass(frozen=True)
-class NotaryHashLock:
-    """Pay payee and notary together on (x, n) with sha256(encode([x, n])) = h2.
-
-    The fee goes to `address_for(n)`: h2 binds the notary, so no field names it.
-    """
-
-    h2: bytes
-    fee: int
-
-
-@dataclass(frozen=True)
-class DlogLock:
-    """Pay the payee on any exponent x of c's group with g^x = c.
-
-    c is stored pre-blinded by the payer; the chain never sees the
-    certificate's own commitment.
-    """
-
-    c: GroupElement
-
-    @property
-    def group(self) -> GroupParams:
-        return self.c.params
-
-
-Condition = Union[HashLock, NotaryHashLock, DlogLock]
-
-
-@dataclass(frozen=True)
 class Preimage:
     x: bytes
 
@@ -131,29 +95,56 @@ class Exponent:
 
 Witness = Union[Preimage, PreimageWithNotary, Exponent]
 
-_CONDITION_WITNESS = {
-    HashLock: Preimage,
-    NotaryHashLock: PreimageWithNotary,
-    DlogLock: Exponent,
-}
+
+# Each condition names the one witness type that can open it, and `opens`,
+# the claim predicate, is called only with a witness of that type.
+@dataclass(frozen=True)
+class HashLock:
+    """Pay the payee on any x with sha256(x) = h2."""
+
+    witness_type: ClassVar[type] = Preimage
+    h2: bytes
+
+    def opens(self, witness: Preimage) -> bool:
+        return crypto.sha256(witness.x) == self.h2
 
 
-def witness_matches_variant(condition: Condition, witness: Witness) -> bool:
-    return _CONDITION_WITNESS[type(condition)] is type(witness)
+@dataclass(frozen=True)
+class NotaryHashLock:
+    """Pay payee and notary together on (x, n) with sha256(encode([x, n])) = h2.
+
+    The fee goes to `address_for(n)`: h2 binds the notary, so no field names it.
+    """
+
+    witness_type: ClassVar[type] = PreimageWithNotary
+    h2: bytes
+    fee: int
+
+    def opens(self, witness: PreimageWithNotary) -> bool:
+        return crypto.sha256(crypto.canonical_encode([witness.x, witness.notary_id])) == self.h2
 
 
-def evaluate_condition(condition: Condition, witness: Witness) -> bool:
-    """The claim predicate, assuming the variant already matches."""
-    if isinstance(condition, HashLock):
-        assert isinstance(witness, Preimage)
-        return crypto.sha256(witness.x) == condition.h2
-    if isinstance(condition, NotaryHashLock):
-        assert isinstance(witness, PreimageWithNotary)
-        digest = crypto.sha256(crypto.canonical_encode([witness.x, witness.notary_id]))
-        return digest == condition.h2
-    assert isinstance(witness, Exponent)
-    # The group is compared first, so a witness from another group costs no power.
-    return witness.x.params == condition.group and crypto.power_of_g(witness.x) == condition.c
+@dataclass(frozen=True)
+class DlogLock:
+    """Pay the payee on any exponent x of c's group with g^x = c.
+
+    c is stored pre-blinded by the payer; the chain never sees the
+    certificate's own commitment.
+    """
+
+    witness_type: ClassVar[type] = Exponent
+    c: GroupElement
+
+    @property
+    def group(self) -> GroupParams:
+        return self.c.params
+
+    def opens(self, witness: Exponent) -> bool:
+        # The group is compared first, so a witness from another group costs no power.
+        return witness.x.params == self.group and crypto.power_of_g(witness.x) == self.c
+
+
+Condition = Union[HashLock, NotaryHashLock, DlogLock]
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +206,7 @@ def claim_payouts(contract: EscrowContract, witness: Witness) -> tuple[Payout, .
     A witness of another variant opens nothing, so it credits no one.
     """
     condition = contract.condition
-    if not witness_matches_variant(condition, witness):
+    if type(witness) is not condition.witness_type:
         return ()
     if isinstance(condition, NotaryHashLock):
         return (
@@ -317,7 +308,7 @@ class Ledger:
         self._ensure_open(contract)
         if self._tick > contract.deadline:
             raise Expired(f"tick {self._tick} past deadline {contract.deadline}")
-        if not witness_matches_variant(contract.condition, witness):
+        if type(witness) is not contract.condition.witness_type:
             raise VariantMismatch(
                 f"{type(witness).__name__} cannot open {type(contract.condition).__name__}"
             )
@@ -372,7 +363,7 @@ class Ledger:
     # Seams kept narrow on purpose: test fixtures override these to model a
     # faulty chain and prove the violation detector actually fires.
     def _condition_holds(self, condition: Condition, witness: Witness) -> bool:
-        return evaluate_condition(condition, witness)
+        return condition.opens(witness)
 
     def _ensure_open(self, contract: EscrowContract) -> None:
         if contract.state is not ContractState.OPEN:

@@ -55,6 +55,17 @@ from .ledger import (
 )
 
 
+@dataclass(frozen=True)
+class Terms:
+    """What buyer and seller agree on before the offer; each session holds it."""
+
+    variant: Variant
+    price: int
+    notary_fee: int
+    deadline_offset: int
+    group: GroupParams
+
+
 class SellerPolicy(Enum):
     """How the seller plays. The sending deviations alter the genuine offer:
     one bit of the ciphertext, or the commitment `h2` (`_mismatched_h2`)."""
@@ -164,18 +175,6 @@ class BuyerState(Enum):
     ABORTED = "aborted"
 
 
-@dataclass
-class BuyerConfig:
-    address: bytes
-    seller: PartyId
-    price: int
-    deadline_offset: int
-    trusted_notaries: Mapping[bytes, bytes]
-    variant: Variant
-    notary_fee: int = 0
-    group: GroupParams | None = None
-
-
 RngFactory = Callable[[], random.Random]
 
 
@@ -197,8 +196,19 @@ class _Session:
 class BuyerSession(_Session):
     """The paying side: verify the offer, escrow the price, recover the key."""
 
-    def __init__(self, config: BuyerConfig, policy: BuyerPolicy, new_rng: RngFactory) -> None:
-        self.config = config
+    def __init__(
+        self,
+        terms: Terms,
+        address: bytes,
+        seller: PartyId,
+        trusted_notaries: Mapping[bytes, bytes],
+        policy: BuyerPolicy,
+        new_rng: RngFactory,
+    ) -> None:
+        self.terms = terms
+        self.address = address
+        self.seller = seller
+        self.trusted_notaries = trusted_notaries
         self.policy = policy
         self.new_rng = new_rng
         self.state = BuyerState.INIT
@@ -221,48 +231,47 @@ class BuyerSession(_Session):
         certificate = offer.certificate
         h2 = certificate.h2
 
-        if offer.price != self.config.price:
+        terms = self.terms
+        if offer.price != terms.price:
             return self._abort(AbortReason.PRICE_MISMATCH)
-        if certificate.variant is not self.config.variant:
+        if certificate.variant is not terms.variant:
             return self._abort(AbortReason.VARIANT_MISMATCH)
         rejection = cert.verify_certificate(
-            certificate, self.config.trusted_notaries, self.config.seller, offer.ciphertext
+            certificate, self.trusted_notaries, self.seller, offer.ciphertext
         )
         if rejection is not None:
             return self._abort(rejection)
-        if isinstance(h2, GroupPower) and h2.element.params != self.config.group:
+        if certificate.group not in (None, terms.group):
             return self._abort(AbortReason.GROUP_MISMATCH)
         self.state = BuyerState.VERIFIED
 
         if self.policy is BuyerPolicy.NEVER_PUBLISH_CONTRACT:
             return []
 
-        amount = self.config.price
+        amount = terms.price
         if self.policy is BuyerPolicy.PUBLISH_UNDERPRICED_CONTRACT:
             # Half the price, raised above the notary fee where the price
             # leaves room, but always below the price: legal and underpriced.
-            amount = min(
-                self.config.price - 1, max(self.config.notary_fee + 1, self.config.price // 2)
-            )
+            amount = min(terms.price - 1, max(terms.notary_fee + 1, terms.price // 2))
 
         replies: list[ProtocolMessage] = []
         condition: Condition
         if isinstance(h2, HashOfKey):
             condition = HashLock(h2=h2.digest)
         elif isinstance(h2, HashOfKeyAndNotary):
-            condition = NotaryHashLock(h2=h2.digest, fee=self.config.notary_fee)
+            condition = NotaryHashLock(h2=h2.digest, fee=terms.notary_fee)
         else:
-            self.blind = crypto.draw_scalar(self.new_rng(), self.config.group)
+            self.blind = crypto.draw_scalar(self.new_rng(), terms.group)
             condition = DlogLock(c=crypto.element_pow(h2.element, self.blind))
             replies.append(Blind(self.blind))
 
         try:
             self.contract_id = chain.publish_contract(
-                payer=self.config.address,
+                payer=self.address,
                 payee=address_for(certificate.seller_id.id),
                 amount=amount,
                 condition=condition,
-                deadline=chain.current_tick + self.config.deadline_offset,
+                deadline=chain.current_tick + terms.deadline_offset,
             )
         except ledger.InsufficientFunds:
             return replies + self._abort(AbortReason.INSUFFICIENT_FUNDS)
@@ -305,7 +314,7 @@ class BuyerSession(_Session):
         if self.state is not BuyerState.CONTRACT_PUBLISHED:
             return
         try:
-            chain.refund(self.contract_id, self.config.address)
+            chain.refund(self.contract_id, self.address)
         except ledger.LedgerError:
             return
         self.state = BuyerState.REFUNDED
@@ -338,19 +347,16 @@ class SellerSession(_Session):
     def __init__(
         self,
         package: CertificatePackage,
+        terms: Terms,
         address: bytes,
-        price: int,
-        notary_fee: int,
         policy: SellerPolicy,
         new_rng: RngFactory,
     ) -> None:
         self.package = package
+        self.terms = terms
         self.address = address
-        self.price = price
-        self.notary_fee = notary_fee
         self.policy = policy
         self.new_rng = new_rng
-        self.variant = package.certificate.variant
         self.state = SellerState.OFFER_SENT
         self.blind: Scalar | None = None
         self.contract_id: int | None = None
@@ -371,7 +377,7 @@ class SellerSession(_Session):
             ciphertext = Ciphertext(nonce=ciphertext.nonce, body=bytes(body))
         elif self.policy is SellerPolicy.SEND_MISMATCHED_H2:
             certificate = replace(certificate, h2=self._mismatched_h2())
-        return Offer(certificate, ciphertext, self.price)
+        return Offer(certificate, ciphertext, self.terms.price)
 
     def on_blind(self, r: Scalar, chain: Ledger) -> None:
         if self.terminal:
@@ -389,7 +395,7 @@ class SellerSession(_Session):
         if self.terminal or self.claim_attempted:
             return
         self.contract_id = contract_id
-        if self.variant is not Variant.V3 or self.blind is not None:
+        if self.terms.variant is not Variant.V3 or self.blind is not None:
             self._claim(chain)
 
     def on_abort(self, reason: AbortReason) -> None:
@@ -413,11 +419,11 @@ class SellerSession(_Session):
         witness names) and `chain.check_claim` accepts the witness.
         """
         witness = self._honest_witness(blind)
-        agreed = (ledger.Payout(self.address, self.price),)
-        if self.variant is Variant.V2:
+        agreed = (ledger.Payout(self.address, self.terms.price),)
+        if self.terms.variant is Variant.V2:
             agreed = (
-                ledger.Payout(self.address, self.price - self.notary_fee),
-                ledger.Payout(address_for(witness.notary_id), self.notary_fee),
+                ledger.Payout(self.address, self.terms.price - self.terms.notary_fee),
+                ledger.Payout(address_for(witness.notary_id), self.terms.notary_fee),
             )
         try:
             # Compared first, so a contract that underpays costs no exponentiation.
@@ -431,9 +437,9 @@ class SellerSession(_Session):
     def _honest_witness(self, blind: Scalar | None) -> Witness:
         """The witness that opens the certificate's commitment (v3: blinded by `blind`)."""
         certificate = self.package.certificate
-        if self.variant is Variant.V1:
+        if self.terms.variant is Variant.V1:
             return ledger.Preimage(self.package.key)
-        if self.variant is Variant.V2:
+        if self.terms.variant is Variant.V2:
             return ledger.PreimageWithNotary(self.package.key, certificate.notary_id.id)
         if blind is None:
             raise ContractMismatch("no blinding scalar received yet")

@@ -32,11 +32,11 @@ from sedg.ledger import (
     replay,
 )
 from sedg.protocol import (
-    BuyerConfig,
     BuyerPolicy,
     BuyerSession,
     SellerPolicy,
     SellerSession,
+    Terms,
 )
 from test_ledger import run_random_ops
 
@@ -153,19 +153,15 @@ def _forced_dlog_exchange(k: int, r: int):
     chain = Ledger()
     buyer_addr, seller_addr = address_for(b"b"), address_for(b"s")
     chain.fund(buyer_addr, 100)
+    terms = Terms(Variant.V3, price=60, notary_fee=0, deadline_offset=100, group=TEST_GROUP)
     seller = SellerSession(
-        package, seller_addr, 60, 0, SellerPolicy.HONEST, lambda: random.Random(1)
+        package, terms, seller_addr, SellerPolicy.HONEST, lambda: random.Random(1)
     )
     buyer = BuyerSession(
-        BuyerConfig(
-            address=buyer_addr,
-            seller=seller_id,
-            price=60,
-            deadline_offset=100,
-            trusted_notaries={b"n": notary_keys.public},
-            variant=Variant.V3,
-            group=TEST_GROUP,
-        ),
+        terms,
+        buyer_addr,
+        seller_id,
+        {b"n": notary_keys.public},
         BuyerPolicy.HONEST,
         lambda: ScriptedRng([(r - 1).to_bytes(scalar_draw_len(TEST_GROUP), "big")]),
     )

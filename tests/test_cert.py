@@ -27,7 +27,6 @@ from sedg.ledger import (
     NotaryHashLock,
     Preimage,
     PreimageWithNotary,
-    evaluate_condition,
 )
 
 
@@ -102,7 +101,7 @@ def test_notarize_v3_forced_scalar(notary, seller):
     assert TEST_GROUP.contains(cert.h2.element.value)
     assert crypto.sha256(package.ciphertext.encoded()) == cert.h1
     exponent = crypto.scalar_from_key(package.key, TEST_GROUP)
-    assert evaluate_condition(DlogLock(cert.h2.element), Exponent(exponent))
+    assert DlogLock(cert.h2.element).opens(Exponent(exponent))
 
 
 def test_notarize_v3_resamples_zero_scalar(notary, seller):
@@ -130,13 +129,13 @@ def test_commitment_opens(notary, seller):
     # Each key opens its commitment by the ledger's claim predicate, applied
     # to the lock a buyer would publish without blinding.
     v1_lock = HashLock(v1.certificate.h2.digest)
-    assert evaluate_condition(v1_lock, Preimage(v1.key))
-    assert not evaluate_condition(v1_lock, Preimage(bytes(32)))
+    assert v1_lock.opens(Preimage(v1.key))
+    assert not v1_lock.opens(Preimage(bytes(32)))
     v2_lock = NotaryHashLock(v2.certificate.h2.digest, fee=0)
-    assert evaluate_condition(v2_lock, PreimageWithNotary(v2.key, b"notary-1"))
-    assert not evaluate_condition(v2_lock, PreimageWithNotary(v2.key, b"notary-2"))
+    assert v2_lock.opens(PreimageWithNotary(v2.key, b"notary-1"))
+    assert not v2_lock.opens(PreimageWithNotary(v2.key, b"notary-2"))
     v3_lock = DlogLock(v3.certificate.h2.element)
-    assert evaluate_condition(v3_lock, Exponent(crypto.scalar_from_key(v3.key, TEST_GROUP)))
+    assert v3_lock.opens(Exponent(crypto.scalar_from_key(v3.key, TEST_GROUP)))
 
 
 # ---------------------------------------------------------------------------

@@ -161,8 +161,8 @@ def test_worlds_of_any_seed_share_the_one_notary_key():
     # world verifies against another world's buyer registry.
     first = World(make_config("v1", seed=1))
     second = World(make_config("v1", seed=2))
-    registry = second.buyer.config.trusted_notaries
-    assert first.buyer.config.trusted_notaries == registry
+    registry = second.buyer.trusted_notaries
+    assert first.buyer.trusted_notaries == registry
     assert first.package.certificate.notary_id == second.package.certificate.notary_id
     assert first.package.certificate != second.package.certificate
     rejection = verify_certificate(
@@ -944,13 +944,11 @@ def test_config_from_file(tmp_path):
 # Demo and CLI
 # ---------------------------------------------------------------------------
 
-def test_demo_narrates_and_settles(capsys):
-    report = demo("v1")
-    out = capsys.readouterr().out
-    assert report.buyer_has_plaintext
-    assert out == (
+# Each demo's output, byte for byte.
+DEMO_OUTPUT = {
+    "v1": (
         "== v1 exchange (hash lock) ==\n"
-        "setup: notary validated 32 payload bytes, encrypted them, and signed the commitments\n"
+        "setup: notary encrypted 32 payload bytes and signed the commitments\n"
         "setup: h1 = a2c3ed2037475148…, h2 = digest 699789e4f629a189…\n"
         "setup: buyer funded with 100 tokens\n"
         "step: seller -> buyer: offer (signature, ciphertext, key commitment); "
@@ -959,7 +957,48 @@ def test_demo_narrates_and_settles(capsys):
         "step: buyer reads the published witness, recovers the key, decrypts\n"
         "result: balances buyer=40  seller=60  notary=0\n"
         "result: buyer decrypted payload matches the original: True\n"
-    )
+    ),
+    "v2": (
+        "== v2 exchange (notary-split lock) ==\n"
+        "setup: notary encrypted 32 payload bytes and signed the commitments\n"
+        "setup: h1 = a2c3ed2037475148…, h2 = digest 4541ed0034829edb…\n"
+        "setup: buyer funded with 150 tokens\n"
+        "step: seller -> buyer: offer (signature, ciphertext, key commitment); "
+        "buyer verifies and escrows the price\n"
+        "step: buyer -> seller: escrow contract reference; seller checks terms and claims\n"
+        "step: buyer reads the published witness, recovers the key, decrypts\n"
+        "result: balances buyer=50  seller=90  notary=10\n"
+        "result: buyer decrypted payload matches the original: True\n"
+    ),
+    "v3": (
+        "== v3 exchange (blinded dlog lock) ==\n"
+        "setup: notary encrypted 32 payload bytes and signed the commitments\n"
+        "setup: h1 = 8d2ad02af521f9d9…, h2 = g^k = e66c3480f9b61b63…\n"
+        "setup: buyer funded with 100 tokens\n"
+        "step: seller -> buyer: offer (signature, ciphertext, key commitment); "
+        "buyer verifies and escrows the price\n"
+        "step: buyer -> seller: fresh blinding scalar\n"
+        "step: buyer -> seller: escrow contract reference; seller checks terms and claims\n"
+        "step: buyer reads the published witness, recovers the key, decrypts\n"
+        "result: balances buyer=40  seller=60  notary=0\n"
+        "result: buyer decrypted payload matches the original: True\n"
+    ),
+}
+
+
+def _assert_demo_narrates_and_settles(variant, capsys):
+    report = demo(variant)
+    assert report.buyer_has_plaintext
+    assert capsys.readouterr().out == DEMO_OUTPUT[variant]
+
+
+def test_demo_narrates_and_settles(capsys):
+    _assert_demo_narrates_and_settles("v1", capsys)
+
+
+@pytest.mark.parametrize("variant", ["v2", "v3"])
+def test_other_demos_narrate_and_settle(variant, capsys):
+    _assert_demo_narrates_and_settles(variant, capsys)
 
 
 def _write_config(tmp_path, **overrides):

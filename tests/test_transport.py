@@ -56,7 +56,8 @@ def test_frame_prefix_is_big_endian_length():
 
 
 def _old_frame_encode(envelope: Envelope) -> bytes:
-    """The frame as written before long strings were spliced in: the oracle."""
+    """The frame as `codec.dumps` writes it in one piece, with no bytes
+    spliced in: the oracle."""
     payload = codec.dumps(codec.encoder(Envelope)(envelope)).encode("utf-8")
     return struct.pack(">I", len(payload)) + payload
 
@@ -110,27 +111,25 @@ def test_frame_is_byte_identical_to_the_plain_json_frame(body):
     assert frame_encode(env) == _old_frame_encode(env)
 
 
-def _sized_envelope(size: int, spliced: bool) -> Envelope:
-    """An envelope whose frame payload is `size` bytes. A long string in a
-    dict is spliced; one inside a list is written by `codec.dumps`."""
+def _sized_envelope(size: int) -> Envelope:
+    """An envelope whose frame payload is `size` bytes, all of it written by
+    `codec.dumps`: only bytes are spliced, and it holds none."""
 
     def body(length: int) -> dict:
-        text = "a" * length
-        return {"data": text} if spliced else {"data": [text]}
+        return {"data": ["a" * length]}
 
     overhead = len(frame_encode(_envelope(body(SPLICE_MIN)))) - 4 - SPLICE_MIN
     return _envelope(body(size - overhead))
 
 
-@pytest.mark.parametrize("spliced", [True, False], ids=["spliced", "plain"])
-def test_frame_size_limit_is_exact(spliced):
-    at_limit = _sized_envelope(MAX_FRAME, spliced)
+def test_frame_size_limit_is_exact():
+    at_limit = _sized_envelope(MAX_FRAME)
     frame = frame_encode(at_limit)
     assert len(frame) == MAX_FRAME + 4
     assert frame == _old_frame_encode(at_limit)
     del frame
     with pytest.raises(FrameTooLarge):
-        frame_encode(_sized_envelope(MAX_FRAME + 1, spliced))
+        frame_encode(_sized_envelope(MAX_FRAME + 1))
 
 
 def _long_bytes(seed: int, length: int) -> bytes:
@@ -243,11 +242,11 @@ def test_full_dlog_exchange_over_the_in_process_net():
     from sedg.crypto import TEST_GROUP
     from sedg.ledger import Ledger, address_for
     from sedg.protocol import (
-        BuyerConfig,
         BuyerPolicy,
         BuyerSession,
         SellerPolicy,
         SellerSession,
+        Terms,
         message_from_obj,
         message_to_obj,
     )
@@ -268,19 +267,15 @@ def test_full_dlog_exchange_over_the_in_process_net():
     chain = Ledger()
     seller_addr, buyer_addr = address_for(b"s"), address_for(b"b")
     chain.fund(buyer_addr, 100)
+    terms = Terms(Variant.V3, price=60, notary_fee=0, deadline_offset=100, group=TEST_GROUP)
     seller = SellerSession(
-        package, seller_addr, 60, 0, SellerPolicy.HONEST, lambda: random.Random(52)
+        package, terms, seller_addr, SellerPolicy.HONEST, lambda: random.Random(52)
     )
     buyer = BuyerSession(
-        BuyerConfig(
-            address=buyer_addr,
-            seller=seller_id,
-            price=60,
-            deadline_offset=100,
-            trusted_notaries={b"n": notary_keys.public},
-            variant=Variant.V3,
-            group=TEST_GROUP,
-        ),
+        terms,
+        buyer_addr,
+        seller_id,
+        {b"n": notary_keys.public},
         BuyerPolicy.HONEST,
         lambda: random.Random(53),
     )

@@ -12,7 +12,6 @@ from __future__ import annotations
 import builtins
 import dataclasses
 import json
-import random
 
 import pytest
 
@@ -23,8 +22,6 @@ from sedg.harness import World, make_config, run_scenario
 from sedg.ledger import Condition, Witness
 from sedg.protocol import (
     AbortReason,
-    BuyerPolicy,
-    BuyerSession,
     SellerPolicy,
     message_from_obj,
     message_to_obj,
@@ -264,8 +261,8 @@ def test_buyer_still_aborts_on_a_named_group_it_was_not_configured_for():
     world = World(make_config("v3", group_name="modp2048", seed=5))
     wire = message_to_obj(world.seller.start())
     assert wire["certificate"]["h2"]["element"]["group"] == "modp2048"
-    config = dataclasses.replace(world.buyer.config, group=TEST_GROUP)
-    buyer = BuyerSession(config, BuyerPolicy.HONEST, lambda: random.Random(0))
+    buyer = world.buyer
+    buyer.terms = dataclasses.replace(buyer.terms, group=TEST_GROUP)
     chain = ledger.Ledger()
     buyer.on_offer(message_from_obj(wire), chain)
     assert buyer.abort_reason is AbortReason.GROUP_MISMATCH
