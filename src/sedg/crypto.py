@@ -5,6 +5,9 @@ subgroup arithmetic, and the canonical byte encoding used everywhere a
 multi-part value is hashed or signed. Everything here is pure: values are
 immutable and callers thread their own randomness.
 
+A group element is a signed quadratic residue, an integer in [1, q], so
+membership is a range check (see `GroupParams`).
+
 Elements and scalars carry their group, so arithmetic takes it from its
 operands: `power_of_g(x)` is g^x in x's group, and `element_pow(base, x)`,
 `element_mul(a, b)` and `scalar_mul(a, b)` refuse operands of different
@@ -41,7 +44,7 @@ class AuthenticationFailure(Exception):
 
 
 class DomainError(ValueError):
-    """A group operand is outside the prime-order subgroup.
+    """A group operand is not a member of its group.
 
     A `ValueError`, so a decoder that rejects bad input with `ValueError`
     keeps that contract when the bad input is an element.
@@ -191,14 +194,18 @@ def verify(public: bytes, message: bytes, signature: bytes) -> bool:
 
 @dataclass(frozen=True)
 class GroupParams:
-    """The order-q subgroup of Z_p* for a safe prime p = 2q+1, generated by g.
+    """The signed quadratic residues mod a safe prime p = 2q+1, generated by g.
 
-    That subgroup is exactly the quadratic residues mod p, so membership is a
-    Legendre-symbol test and needs no exponentiation. p and q are taken to be
+    For odd q, p = 3 mod 4, so -1 is not a square: of x and p - x exactly
+    one is a quadratic residue. |x| = min(x, p - x) therefore maps the
+    order-q subgroup of Z_p* one to one onto [1, q], with group law
+    |a*b mod p| (Hofheinz and Kiltz, CRYPTO 2009). The group is a copy of
+    the quadratic residues, with the same discrete logs and DDH, and
+    membership is the range check 1 <= v <= q. p and q are taken to be
     prime, as they are in every registered group (the tests check them);
-    only p = 2q+1 and the generator are checked here. Powers of g come from
-    OpenSSL for a modulus size it accepts (512 to 10000 bits), else from
-    builtin `pow`.
+    only p = 2q+1, p = 3 mod 4 and the range of g are checked here. Powers
+    of g come from OpenSSL for a modulus size it accepts (512 to 10000
+    bits), else from builtin `pow`.
     """
 
     p: int
@@ -210,8 +217,10 @@ class GroupParams:
             raise ValueError("subgroup order must exceed trivial sizes")
         if self.p != 2 * self.q + 1:
             raise ValueError("p must be the safe prime 2q+1")
-        if self.g == 1 or not self.contains(self.g):
-            raise ValueError("generator is not a quadratic residue other than 1")
+        if self.p % 4 != 3:
+            raise ValueError("p must be 3 mod 4, so that -1 is not a square")
+        if not 1 < self.g <= self.q:
+            raise ValueError("generator must be a signed residue in [2, q]")
 
     def element_len(self) -> int:
         return (self.p.bit_length() + 7) // 8
@@ -220,8 +229,12 @@ class GroupParams:
         return (self.q.bit_length() + 7) // 8
 
     def contains(self, value: int) -> bool:
-        """Membership in the order-q subgroup: the Legendre symbol (value/p) is 1."""
-        return 1 <= value < self.p and _jacobi(value, self.p) == 1
+        """Membership: a signed residue is an integer in [1, q]."""
+        return 1 <= value <= self.q
+
+    def _signed(self, residue: int) -> int:
+        """|residue| = min(residue, p - residue), for a residue in [1, p-1]."""
+        return residue if residue <= self.q else self.p - residue
 
     @property
     def generator(self) -> GroupElement:
@@ -240,7 +253,7 @@ class GroupParams:
         return _der_int(0) + _der(0x30, _DHX_OID + _der(0x30, params))
 
     def _generator_power(self, exponent: int) -> int:
-        """g^exponent mod p, which OpenSSL derives when it loads a DH private key.
+        """|g^exponent mod p|, from OpenSSL as it loads a DH private key.
 
         Loading skips the parameter check (about 400 ms) that building a key
         from numbers runs, and checks no range, so the exponent is reduced here.
@@ -248,13 +261,13 @@ class GroupParams:
         exponent %= self.q
         head = self._dh_key_head
         if head is None or not exponent:
-            return pow(self.g, exponent, self.p)
+            return self._signed(pow(self.g, exponent, self.p))
         # Imported on first use: the import takes about 29 ms that a run on a
         # small group would pay for nothing.
         from cryptography.hazmat.primitives.serialization import load_der_private_key
 
         key = load_der_private_key(_der(0x30, head + _der(0x04, _der_int(exponent))), None)
-        return key.public_key().public_numbers().y
+        return self._signed(key.public_key().public_numbers().y)
 
 
 # The modulus sizes in bits OpenSSL's Diffie-Hellman accepts
@@ -277,35 +290,16 @@ def _der_int(value: int) -> bytes:
     return _der(0x02, value.to_bytes(value.bit_length() // 8 + 1, "big"))
 
 
-def _jacobi(a: int, n: int) -> int:
-    """The Jacobi symbol (a/n) for odd n > 0, by reciprocity: no exponentiation.
-
-    For a prime n it is the Legendre symbol, 1 exactly for the nonzero
-    quadratic residues mod n.
-    """
-    a %= n
-    sign = 1
-    while a:
-        twos = (a & -a).bit_length() - 1
-        a >>= twos
-        if twos & 1 and n & 7 in (3, 5):  # (2/n) = -1 for n = 3, 5 mod 8
-            sign = -sign
-        if a & n & 2:  # a = n = 3 mod 4: swapping them flips the sign
-            sign = -sign
-        a, n = n % a, a
-    return sign if n == 1 else 0
-
-
 @dataclass(frozen=True)
 class GroupElement:
-    """A validated member of the order-q subgroup."""
+    """A validated member of the group: a signed residue in [1, q]."""
 
     value: int
     params: GroupParams
 
     def __post_init__(self) -> None:
         if not self.params.contains(self.value):
-            raise DomainError(f"{self.value} is not in the order-{self.params.q} subgroup")
+            raise DomainError(f"{self.value} is not a signed residue in [1, {self.params.q}]")
 
     def encoded(self) -> bytes:
         return self.value.to_bytes(self.params.element_len(), "big")
@@ -314,7 +308,7 @@ class GroupElement:
 def _in_group(value: int, params: GroupParams) -> GroupElement:
     """Build an element without the membership check.
 
-    Only for values known to lie in the subgroup, such as powers of a member.
+    Only for values known to be signed residues, such as powers of a member.
     """
     element = object.__new__(GroupElement)
     object.__setattr__(element, "value", value)
@@ -346,23 +340,24 @@ def power_of_g(x: Scalar) -> GroupElement:
 
 
 def element_pow(base: GroupElement, x: Scalar) -> GroupElement:
-    """base^x by builtin `pow`, for a base and an exponent of one group.
+    """|base^x mod p| by builtin `pow`, for a base and an exponent of one group.
 
-    Raises DomainError when their groups differ. A power of a member stays
-    in the subgroup, so the result is not checked again.
+    Raises DomainError when their groups differ. |.| commutes with powers,
+    so the result is a member and is not checked again.
     """
     _same_group(base, x)
-    return _in_group(pow(base.value, x.value, base.params.p), base.params)
+    params = base.params
+    return _in_group(params._signed(pow(base.value, x.value, params.p)), params)
 
 
 def element_mul(a: GroupElement, b: GroupElement) -> GroupElement:
-    """a·b mod p, for two elements of one group.
+    """|a·b mod p|, for two elements of one group.
 
     Raises DomainError when their groups differ. A product of members is a
     member, so the result is not checked again.
     """
     _same_group(a, b)
-    return _in_group(a.value * b.value % a.params.p, a.params)
+    return _in_group(a.params._signed(a.value * b.value % a.params.p), a.params)
 
 
 def scalar_mul(a: Scalar, b: Scalar) -> Scalar:
@@ -417,7 +412,7 @@ TEST_GROUP = GroupParams(p=23, q=11, g=2)
 
 # 2048-bit MODP group (RFC 3526 group 14). p is a safe prime, so squaring
 # the standard generator 2 yields a generator of the prime-order subgroup
-# of order q = (p-1)/2, the quadratic residues.
+# of order q = (p-1)/2, the quadratic residues; 4 <= q is its signed form.
 _MODP_2048_P = int(
     "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD1"
     "29024E088A67CC74020BBEA63B139B22514A08798E3404DD"

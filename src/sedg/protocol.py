@@ -352,6 +352,11 @@ class SellerSession(_Session):
         policy: SellerPolicy,
         new_rng: RngFactory,
     ) -> None:
+        # The witness must open the package's commitment under the agreed lock.
+        if terms.variant is not package.certificate.variant:
+            raise ValueError(
+                f"{terms.variant.value} terms for a {package.certificate.variant.value} package"
+            )
         self.package = package
         self.terms = terms
         self.address = address

@@ -40,6 +40,12 @@ def slow_pow(base: int, exponent: int, modulus: int) -> int:
     return result
 
 
+def signed(residue: int, modulus: int) -> int:
+    """Independent |x| oracle: the smaller of residue mod modulus and its negation."""
+    residue %= modulus
+    return min(residue, modulus - residue)
+
+
 def brute_force_inverse(value: int, modulus: int) -> int:
     """Independent modular inverse oracle: exhaustive search."""
     for candidate in range(1, modulus):

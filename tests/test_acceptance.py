@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from helpers import ScriptedRng, brute_force_inverse, signing_keys, slow_pow
+from helpers import ScriptedRng, brute_force_inverse, signed, signing_keys, slow_pow
 from sedg import crypto
 from sedg.cert import AbortReason, PartyId, Variant, notarize, verify_certificate
 from sedg.crypto import TEST_GROUP, Scalar, scalar_draw_len
@@ -120,7 +120,7 @@ def test_acceptance_3_exhaustive_blinding_algebra():
             x = crypto.scalar_mul(ks, rs)
             direct = crypto.power_of_g(x)
             chained = crypto.element_pow(crypto.power_of_g(ks), rs)
-            if direct != chained or direct.value != slow_pow(g, (k * r) % q, p):
+            if direct != chained or direct.value != signed(slow_pow(g, (k * r) % q, p), p):
                 failures += 1
             recovered = crypto.scalar_mul(x, crypto.scalar_inv(rs))
             if recovered.value != k or recovered.value != (
@@ -182,7 +182,7 @@ def test_acceptance_4_unlinkability_surrogate():
             c, x = _forced_dlog_exchange(k, r)
             # every settled contract's on-chain pair is self-consistent:
             # c is recomputable from the public witness alone
-            assert c == slow_pow(TEST_GROUP.g, x, TEST_GROUP.p)
+            assert c == signed(slow_pow(TEST_GROUP.g, x, TEST_GROUP.p), TEST_GROUP.p)
             assert x == (k * r) % q
             seen_x.add(x)
         # for fixed k, the blinding makes x sweep the whole exponent range

@@ -11,7 +11,7 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ScriptedRng, brute_force_inverse, signing_keys, slow_pow
+from helpers import ScriptedRng, brute_force_inverse, signed, signing_keys, slow_pow
 from sedg import crypto
 from sedg.crypto import (
     GROUPS,
@@ -246,10 +246,12 @@ def test_group_exp_generator_cases():
 
 
 def test_group_exp_rejects_non_subgroup_base():
-    # 5 is not a quadratic residue mod 23, hence outside the order-11 subgroup,
-    # so no base of value 5 can be built to raise to a power.
-    with pytest.raises(DomainError):
-        GroupElement(5, TEST_GROUP)
+    # An element is a signed residue in [1, 11]. 12 = -11 mod 23 is the
+    # negation of the member 11, and the residue 18 is written 5, so no base
+    # of either value can be built to raise to a power.
+    for value in (12, 18):
+        with pytest.raises(DomainError):
+            GroupElement(value, TEST_GROUP)
 
 
 def test_element_pow_rejects_operands_of_different_groups():
@@ -265,7 +267,7 @@ def test_element_mul_multiplies_members_of_one_group():
     for a in members:
         for b in members:
             product = element_mul(a, b)
-            assert product == GroupElement(a.value * b.value % TEST_GROUP.p, TEST_GROUP)
+            assert product == GroupElement(signed(a.value * b.value, TEST_GROUP.p), TEST_GROUP)
     assert TEST_GROUP.generator == GroupElement(TEST_GROUP.g, TEST_GROUP)
     assert MODP_2048.generator == GroupElement(MODP_2048.g, MODP_2048)
     with pytest.raises(DomainError):
@@ -275,10 +277,9 @@ def test_element_mul_multiplies_members_of_one_group():
 
 
 def test_group_element_membership_enforced():
-    with pytest.raises(DomainError):
-        GroupElement(5, TEST_GROUP)
-    with pytest.raises(DomainError):
-        GroupElement(0, TEST_GROUP)
+    for value in (0, 12, 22, 23):
+        with pytest.raises(DomainError):
+            GroupElement(value, TEST_GROUP)
 
 
 def test_group_closure_property():
@@ -286,7 +287,9 @@ def test_group_closure_property():
     for _ in range(50):
         exponent = Scalar(rng.randrange(1, TEST_GROUP.q), TEST_GROUP)
         out = power_of_g(exponent)
-        assert pow(out.value, TEST_GROUP.q, TEST_GROUP.p) == 1
+        assert TEST_GROUP.contains(out.value)
+        # The q-th power of a signed residue is +-1: the identity, 1, once signed.
+        assert signed(pow(out.value, TEST_GROUP.q, TEST_GROUP.p), TEST_GROUP.p) == 1
 
 
 def test_scalar_mul_and_inverse_examples():
@@ -329,7 +332,7 @@ def test_exponent_homomorphism_exhaustive():
             lhs = power_of_g(product)
             rhs = element_pow(power_of_g(Scalar(k, TEST_GROUP)), Scalar(r, TEST_GROUP))
             assert lhs == rhs
-            assert lhs.value == slow_pow(g, (k * r) % q, p)
+            assert lhs.value == signed(slow_pow(g, (k * r) % q, p), p)
 
 
 def _probable_prime(n: int) -> bool:
@@ -367,41 +370,53 @@ def test_group_params_validation():
     with pytest.raises(ValueError):
         GroupParams(p=23, q=7, g=2)  # 7 does not divide 22
     with pytest.raises(ValueError):
-        GroupParams(p=23, q=11, g=5)  # 5 has order 22, not 11
-    # p must be the safe prime 2q+1, and g a quadratic residue other than 1.
+        GroupParams(p=23, q=11, g=18)  # a residue, but its signed form is 5
+    # p must be the safe prime 2q+1 with p = 3 mod 4, and g in [2, q].
     big = MODP_2048
     for p, q, g in [
         (67, 11, 9),  # 9 has order 11 mod 67, but 67 != 2*11 + 1
         (big.p + 2, big.q, big.g),
+        (9, 4, 2),  # 9 = 2*4 + 1, but 9 = 1 mod 4
         (23, 11, 1),
-        (23, 11, 22),  # -1 is a non-residue, since 23 = 3 mod 4
+        (23, 11, 12),
+        (23, 11, 22),
+        (big.p, big.q, big.q + 1),
         (big.p, big.q, big.p - 1),
         (big.p, big.q, big.p - big.g),
     ]:
         with pytest.raises(ValueError):
             GroupParams(p=p, q=q, g=g)
+    # Every signed residue other than 1 generates a group of prime order.
+    for g in (5, 11):
+        assert GroupParams(p=23, q=11, g=g).g == g
 
 
-def _euler(value: int, group: GroupParams) -> bool:
-    """Euler's criterion: value is a nonzero residue iff value^q = 1 mod p."""
-    return 1 <= value < group.p and pow(value, group.q, group.p) == 1
+def test_signed_form_maps_the_test_group_residues_onto_one_to_q():
+    p, q = TEST_GROUP.p, TEST_GROUP.q
+    residues = {x * x % p for x in range(1, p)}
+    assert len(residues) == q
+    assert {signed(residue, p) for residue in residues} == set(range(1, q + 1))
+    for value in range(-1, p + 2):
+        assert TEST_GROUP.contains(value) == (1 <= value <= q), value
 
 
-def test_contains_matches_euler_on_every_value_of_the_test_group():
-    for value in range(-1, TEST_GROUP.p + 2):
-        assert TEST_GROUP.contains(value) == _euler(value, TEST_GROUP), value
-
-
-def test_contains_matches_euler_on_modp2048():
-    rng = random.Random(22)
-    p = MODP_2048.p
-    members = [pow(MODP_2048.g, rng.randrange(1, MODP_2048.q), p) for _ in range(4)]
-    for member in members:
-        assert MODP_2048.contains(member) and _euler(member, MODP_2048)
-        # p = 3 mod 4, so -1 is a non-residue and so is -member.
-        assert not MODP_2048.contains(p - member) and not _euler(p - member, MODP_2048)
-    for value in (0, 1, p - 1, p):
-        assert MODP_2048.contains(value) == _euler(value, MODP_2048), value
+@pytest.mark.parametrize("group", [TEST_GROUP, MODP_2048], ids=["test", "modp2048"])
+def test_signed_form_commutes_with_blinding(group):
+    # |(|g^k|)^r| = |g^(k*r mod q)|: blinding a signed h2 = g^k by r lands on
+    # the signed g^x, with builtin pow as the oracle.
+    g, p, q = group.g, group.p, group.q
+    if group is TEST_GROUP:
+        pairs = [(k, r) for k in range(1, q) for r in range(1, q)]
+    else:
+        rng = random.Random(22)
+        pairs = [(rng.randrange(1, q), rng.randrange(1, q)) for _ in range(3)]
+    for k, r in pairs:
+        h2 = signed(pow(g, k, p), p)
+        expected = signed(pow(g, k * r % q, p), p)
+        assert signed(pow(h2, r, p), p) == expected, (k, r)
+        blinded = element_pow(GroupElement(h2, group), Scalar(r, group))
+        assert blinded == power_of_g(Scalar(k * r % q, group))
+        assert blinded.value == expected, (k, r)
 
 
 def _exponents(group: GroupParams) -> list[int]:
@@ -415,7 +430,7 @@ def test_powers_of_g_match_builtin_pow(group):
     # q, q+1, 2q+3 and the full-size draw lie outside [1, q-1]: no Scalar holds
     # them, so they reach the raw power directly.
     for exponent in _exponents(group):
-        expected = pow(group.g, exponent % group.q, group.p)
+        expected = signed(pow(group.g, exponent % group.q, group.p), group.p)
         assert group._generator_power(exponent) == expected, exponent
         if 0 < exponent < group.q:
             x = Scalar(exponent, group)
@@ -428,7 +443,7 @@ def test_powers_of_g_match_builtin_pow(group):
 @given(st.integers(1, 2 * MODP_2048.p) | st.integers(1, 2**300))
 def test_openssl_powers_of_g_match_builtin_pow(exponent):
     g, p, q = MODP_2048.g, MODP_2048.p, MODP_2048.q
-    assert MODP_2048._generator_power(exponent) == pow(g, exponent % q, p)
+    assert MODP_2048._generator_power(exponent) == signed(pow(g, exponent % q, p), p)
 
 
 def _refuse_der(data, password):
@@ -439,9 +454,9 @@ def test_test_group_powers_of_g_use_builtin_pow(monkeypatch):
     monkeypatch.setattr(serialization, "load_der_private_key", _refuse_der)
     g, p, q = TEST_GROUP.g, TEST_GROUP.p, TEST_GROUP.q
     for exponent in range(1, 2 * q + 3):
-        assert TEST_GROUP._generator_power(exponent) == pow(g, exponent, p), exponent
+        assert TEST_GROUP._generator_power(exponent) == signed(pow(g, exponent, p), p), exponent
     for exponent in range(1, q):
-        assert power_of_g(Scalar(exponent, TEST_GROUP)).value == pow(g, exponent, p)
+        assert power_of_g(Scalar(exponent, TEST_GROUP)).value == signed(pow(g, exponent, p), p)
 
 
 def _group_of_bits(bits: int) -> GroupParams:
@@ -471,7 +486,7 @@ def test_powers_of_g_reach_openssl_for_the_modulus_sizes_it_accepts(
     monkeypatch.setattr(serialization, "load_der_private_key", counting_load)
     for exponent in (1, 2, 3**100, group.q, group.q + 5):
         out = group._generator_power(exponent)
-        assert out == pow(group.g, exponent % group.q, group.p), exponent
+        assert out == signed(pow(group.g, exponent % group.q, group.p), group.p), exponent
     assert len(loaded) == (4 if by_openssl else 0)  # the exponent q is 0 mod q
 
 

@@ -754,13 +754,13 @@ def test_payload_bounded_by_the_offer_frame():
 
 
 def test_largest_payload_offer_fits_one_frame():
-    # Worst case for everything beside the ciphertext: 64-byte ids, a 2048-bit
-    # h2 and a price of the 4300 digits a JSON config can hold.
+    # Worst case for everything beside the ciphertext: 64-byte ids, the largest
+    # modp2048 h2 (q itself) and a price of the 4300 digits a JSON config can hold.
     group = crypto.GROUPS["modp2048"]
     offer = Offer(
         certificate=Certificate(
             h1=bytes(32),
-            h2=GroupPower(crypto.GroupElement(pow(group.g, group.q - 1, group.p), group)),
+            h2=GroupPower(crypto.GroupElement(group.q, group)),
             seller_id=PartyId(bytes(64)),
             notary_id=PartyId(bytes(64)),
             sigma=bytes(64),
@@ -973,7 +973,7 @@ DEMO_OUTPUT = {
     "v3": (
         "== v3 exchange (blinded dlog lock) ==\n"
         "setup: notary encrypted 32 payload bytes and signed the commitments\n"
-        "setup: h1 = 8d2ad02af521f9d9…, h2 = g^k = e66c3480f9b61b63…\n"
+        "setup: h1 = 8d2ad02af521f9d9…, h2 = g^k = 1993cb7f0649e49c…\n"
         "setup: buyer funded with 100 tokens\n"
         "step: seller -> buyer: offer (signature, ciphertext, key commitment); "
         "buyer verifies and escrows the price\n"

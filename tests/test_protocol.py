@@ -186,6 +186,19 @@ def test_variant_mismatch_aborts():
     assert buyer.abort_reason is AbortReason.VARIANT_MISMATCH
 
 
+def test_seller_refuses_terms_of_another_variant_than_its_package():
+    # Its witness must open the package's commitment, so v1 terms beside a v3
+    # package would build a preimage for the buyer's dlog lock.
+    with pytest.raises(ValueError, match="^v1 terms for a v3 package$"):
+        SellerSession(
+            make_package(Variant.V3),
+            make_terms(Variant.V1),
+            SELLER_ADDR,
+            SellerPolicy.HONEST,
+            lambda: random.Random(3),
+        )
+
+
 def test_buyer_rejects_variant_downgrade():
     # An offer or certificate that claims the dlog flavour beside a plain-hash
     # commitment cannot even be decoded: the variant is derived from h2, not carried.
@@ -799,9 +812,9 @@ def test_dumps_writes_bytes_as_lowercase_hex_and_nothing_else_new():
             make_seller(Variant.V3).start(),
             '{"type":"offer","certificate":{"h1":"239d44c22ed77a4e5f83bd8491afdd2a99677509ec117'
             'aa6e21c4bbd8bcc2ddd","h2":{"type":"group_power","element":{"group":"test","value"'
-            ':13}},"seller_id":"73656c6c65722d31","notary_id":"6e6f746172792d31","sigma":"a3ae4'
-            'ae9899c4adfc72ac02fe4a47d86f7f021b6f86e27f012e7f7588db362c01f7074ab81d8e580d61f2df'
-            'a6cf2b96906233fa18ebac3436b0945c2816ded0a"},"ciphertext":{"nonce":"2441e3d5441049'
+            ':10}},"seller_id":"73656c6c65722d31","notary_id":"6e6f746172792d31","sigma":"336af'
+            'bbe1add1c40366985913e9dfe0144dec87f92c1cd1aa620131a758045a06957e8459ed6dcab2fe9ad6'
+            '1b68b2a1b005617f261629dbdac87cd16823b5307"},"ciphertext":{"nonce":"2441e3d5441049'
             '2b788768bc","body":"33030be91f7a8f206a249d1f3944fa7dc23e19d503b93d7f7d"},"price":60}',
         ),
         (Blind(Scalar(5, TEST_GROUP)), '{"type":"blind","r":{"group":"test","value":5}}'),

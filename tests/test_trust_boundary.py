@@ -100,7 +100,7 @@ def test_honest_modp2048_exchange_does_one_general_modexp(
 ):
     # The buyer's h2^r is the only power of a base other than g. OpenSSL
     # computes the notary's g^k, the seller's g^(k*r) and the chain's g^x,
-    # and the buyer's check of the received h2 is a Legendre symbol.
+    # and the buyer's check of the received h2 is a range check.
     config = make_config("v3", price=60, buyer_balance=100, group_name="modp2048", seed=11)
     report = run_scenario(config)
     assert report.buyer_has_plaintext and report.seller_paid
@@ -230,14 +230,41 @@ def test_named_groups_decode_to_the_registered_objects():
 
 def test_wire_h2_outside_the_subgroup_fails_at_decode(membership_checks):
     offer = _offer_obj()
-    # 5 generates all of Z_23*, so it has order 22 and is not in the order-11 subgroup.
-    offer["certificate"]["h2"] = {"type": "group_power", "element": {"group": "test", "value": 5}}
-    membership_checks.clear()
-    with pytest.raises(DomainError):
-        message_from_obj(offer)
-    assert membership_checks == [5]  # the one membership check
-    with pytest.raises(DomainError):
-        condition_from_obj({"type": "dlog_lock", "c": {"group": "test", "value": 5}})
+    # An element is a signed residue in [1, 11]. 12 = -11 and 22 = -1 mod 23
+    # are the negations of members; 5 is a member, the signed form of 18.
+    for value in (12, 22):
+        element = {"group": "test", "value": value}
+        offer["certificate"]["h2"] = {"type": "group_power", "element": element}
+        membership_checks.clear()
+        with pytest.raises(DomainError):
+            message_from_obj(offer)
+        assert membership_checks == [value]  # the one membership check
+        with pytest.raises(DomainError):
+            condition_from_obj({"type": "dlog_lock", "c": element})
+
+
+def _h2_and_c_decoders(group_name: str, value: int) -> list:
+    """Decode `value` in the named group as an offer's h2 and as a dlog lock's c."""
+    element = {"group": group_name, "value": value}
+    offer = _offer_obj()
+    offer["certificate"]["h2"] = {"type": "group_power", "element": element}
+    return [
+        lambda: message_from_obj(offer).certificate.h2.element,
+        lambda: condition_from_obj({"type": "dlog_lock", "c": element}).c,
+    ]
+
+
+@pytest.mark.parametrize("group", [TEST_GROUP, MODP_2048], ids=["test", "modp2048"])
+def test_decoders_accept_exactly_the_range_one_to_q(group):
+    name = crypto.group_name(group)
+    members = range(1, group.q + 1) if group is TEST_GROUP else (1, group.g, group.q)
+    for value in members:
+        for decode in _h2_and_c_decoders(name, value):
+            assert decode() == crypto.GroupElement(value, group)
+    for value in (0, group.q + 1, group.p - 1):
+        for decode in _h2_and_c_decoders(name, value):
+            with pytest.raises(DomainError):
+                decode()
 
 
 # ---------------------------------------------------------------------------
