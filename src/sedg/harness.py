@@ -56,9 +56,11 @@ from .protocol import (
 
 _MAX_RUN_STEPS = 128
 
-# The offer carries the ciphertext hex-encoded in one frame. This bounds
-# everything else in that frame: envelope, ids, signature, a 2048-bit h2 in
-# decimal, and a price of up to the 4300 digits a JSON config can hold.
+# The offer carries the ciphertext raw, as an attachment, in one frame.
+# This bounds everything else in that frame: envelope, ids, signature, a
+# 2048-bit h2 in decimal, and a price of up to the 4300 digits a JSON config
+# can hold. The payload bound is still the one that fitted the ciphertext as
+# hex, half the frame, so every config keeps its outcome.
 _OFFER_FRAME_OVERHEAD = 64 * 1024
 MAX_PAYLOAD = (transport.MAX_FRAME - _OFFER_FRAME_OVERHEAD) // 2 - crypto.TAG_LEN
 

@@ -4,20 +4,20 @@ The in-process net parks every sent envelope in a pending set and lets a
 scheduler choose delivery order; the network adversary reorders and delays
 but never forges, drops, or duplicates.
 
-Every send is framed as it would be on a stream: a 4-byte big-endian
-unsigned length, then that many bytes of UTF-8 JSON encoding the envelope
-in the format `codec` derives from `Envelope`. Framing bounds what one
-message can carry, so a send above `MAX_FRAME` fails here as it would on a
-real link.
-
-The frame holds exactly the bytes `codec.dumps` writes: bytes in data,
-lowercase hex in text. A long bytes value (a ciphertext's body) is hexed
-straight into its own chunk of the frame, since its hex needs no escaping;
-everything else is written by `codec.dumps`.
+Every send is framed as it would be on a stream, so a send above
+`MAX_FRAME` fails here as it would on a real link. A frame is a 4-byte
+big-endian unsigned length, then that many bytes of parts, each a 4-byte
+big-endian length and its bytes. The first part is the UTF-8 JSON of the
+envelope in the format `codec` derives from `Envelope`, with each bytes
+value in it replaced by its index among the attachments. The attachments
+are the other parts: those bytes values, raw, in the order the JSON writer
+met them. A ciphertext's body is thus copied once into its frame, never
+hexed; a reader tells an index from an int by the type the codec expects
+there, as it tells hex from a string in text.
 """
 from __future__ import annotations
 
-import binascii
+import json
 import struct
 from dataclasses import dataclass
 
@@ -46,53 +46,27 @@ class Envelope:
 _encode_envelope = codec.encoder(Envelope)
 
 
-# Bytes this long are worth hexing into a chunk of their own; shorter ones,
-# and every frame without one, cost less through `codec.dumps` alone.
-SPLICE_MIN = 4096
-
-
 def frame_encode(envelope: Envelope) -> bytes:
-    obj = _encode_envelope(envelope)
-    chunks = _write_dict(obj, []) if _has_long_bytes(obj) else [_json(obj)]
-    size = sum(map(len, chunks))
+    attachments: list[bytes] = []
+
+    def attach(value: object) -> int:
+        # Any type JSON lacks but bytes is a TypeError, as in `codec.dumps`.
+        if type(value) is not bytes:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        attachments.append(value)
+        return len(attachments) - 1
+
+    text = json.JSONEncoder(separators=(",", ":"), default=attach).encode(
+        _encode_envelope(envelope)
+    )
+    parts = [text.encode("utf-8"), *attachments]
+    size = 4 * len(parts) + sum(map(len, parts))
     if size > MAX_FRAME:
         raise FrameTooLarge(f"payload of {size} bytes exceeds {MAX_FRAME}")
-    return b"".join([struct.pack(">I", size), *chunks])
-
-
-def _json(value: object) -> bytes:
-    return codec.dumps(value).encode("utf-8")
-
-
-def _has_long_bytes(obj: dict) -> bool:
-    """Whether a bytes value of at least `SPLICE_MIN` bytes sits in `obj`'s dicts."""
-    for value in obj.values():
-        if type(value) is bytes:
-            if len(value) >= SPLICE_MIN:
-                return True
-        elif type(value) is dict and _has_long_bytes(value):
-            return True
-    return False
-
-
-def _write_dict(obj: dict, out: list[bytes]) -> list[bytes]:
-    """Appends the bytes of `codec.dumps(obj)` to `out`, the hex of each long
-    bytes value as its own chunk; returns `out`."""
-    if not obj or any(type(key) is not str for key in obj):  # keys JSON converts
-        out.append(_json(obj))
-        return out
-    separator = b"{"
-    for key, value in obj.items():
-        out += (separator, _json(key), b":")
-        separator = b","
-        if type(value) is dict:
-            _write_dict(value, out)
-        elif type(value) is bytes and len(value) >= SPLICE_MIN:
-            out += (b'"', binascii.hexlify(value), b'"')
-        else:
-            out.append(_json(value))
-    out.append(b"}")
-    return out
+    chunks = [struct.pack(">I", size)]
+    for part in parts:
+        chunks += (struct.pack(">I", len(part)), part)
+    return b"".join(chunks)
 
 
 class InProcessNet:

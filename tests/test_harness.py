@@ -771,7 +771,10 @@ def test_largest_payload_offer_fits_one_frame():
         price=10**4299,
     )
     envelope = transport.Envelope(bytes(64), bytes(64), message_to_obj(offer))
-    assert len(transport.frame_encode(envelope)) <= transport.MAX_FRAME + 4
+    frame = transport.frame_encode(envelope)
+    assert len(frame) <= transport.MAX_FRAME + 4
+    # The ciphertext travels raw: hexing it again would double its share.
+    assert len(frame) <= len(offer.ciphertext.body) + harness._OFFER_FRAME_OVERHEAD
 
 
 def test_generated_payload_is_pinned():

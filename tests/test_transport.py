@@ -3,7 +3,6 @@ from __future__ import annotations
 import json
 import random
 import string
-import struct
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,7 +12,6 @@ from helpers import signing_keys
 from sedg import codec
 from sedg.transport import (
     MAX_FRAME,
-    SPLICE_MIN,
     Envelope,
     FrameTooLarge,
     InProcessNet,
@@ -27,10 +25,50 @@ def _envelope(body=None):
     return Envelope(sender=A, recipient=B, body=body or {"type": "ping"})
 
 
-def _unframe(data: bytes) -> Envelope:
-    """The envelope in one whole frame, decoded with the codec."""
+def _prefixed(part: bytes) -> bytes:
+    return len(part).to_bytes(4, "big") + part
+
+
+def _parts(data: bytes) -> tuple[object, list[bytes]]:
+    """The parsed JSON and the attachments of one whole frame."""
     assert int.from_bytes(data[:4], "big") == len(data) - 4
-    return codec.decoder(Envelope)(json.loads(data[4:].decode("utf-8")))
+    parts, at = [], 4
+    while at < len(data):
+        length = int.from_bytes(data[at : at + 4], "big")
+        parts.append(data[at + 4 : at + 4 + length])
+        at += 4 + length
+    assert at == len(data)
+    return json.loads(parts[0].decode("utf-8")), parts[1:]
+
+
+def _unframe(data: bytes) -> Envelope:
+    """The envelope in one whole frame whose body holds no bytes, decoded
+    with the codec: only its sender and recipient are attachments."""
+    obj, attachments = _parts(data)
+    sender, recipient = (attachments[obj[key]] for key in ("sender", "recipient"))
+    return codec.decoder(Envelope)({**obj, "sender": sender, "recipient": recipient})
+
+
+def _oracle_frame(envelope: Envelope) -> bytes:
+    """The frame written by hand: walk the encoder's data, swap each bytes
+    value for its index among the attachments, and length-prefix the JSON
+    and the attachments."""
+    attachments: list[bytes] = []
+
+    def swap(value):
+        if type(value) is bytes:
+            attachments.append(value)
+            return len(attachments) - 1
+        if type(value) is dict:
+            return {key: swap(item) for key, item in value.items()}
+        if type(value) in (list, tuple):
+            return [swap(item) for item in value]
+        return value
+
+    data = swap(codec.encoder(Envelope)(envelope))
+    parts = [json.dumps(data, separators=(",", ":")).encode("utf-8"), *attachments]
+    body = b"".join(map(_prefixed, parts))
+    return len(body).to_bytes(4, "big") + body
 
 
 # ---------------------------------------------------------------------------
@@ -45,7 +83,8 @@ def test_frame_round_trip():
 def test_empty_body_envelope_is_minimal():
     env = Envelope(sender=A, recipient=B, body={})
     data = frame_encode(env)
-    assert data[4:] == b'{"sender":"616c696365","recipient":"626f62","body":{}}'
+    parts = [b'{"sender":0,"recipient":1,"body":{}}', A, B]
+    assert data[4:] == b"".join(map(_prefixed, parts))
     assert _unframe(data) == env
 
 
@@ -55,20 +94,12 @@ def test_frame_prefix_is_big_endian_length():
     assert length == len(data) - 4
 
 
-def _old_frame_encode(envelope: Envelope) -> bytes:
-    """The frame as `codec.dumps` writes it in one piece, with no bytes
-    spliced in: the oracle."""
-    payload = codec.dumps(codec.encoder(Envelope)(envelope)).encode("utf-8")
-    return struct.pack(">I", len(payload)) + payload
-
-
 def _long_string(seed: int, length: int, alphabet: str) -> str:
     return "".join(random.Random(seed).choices(alphabet, k=length))
 
 
-LONG_LENGTHS = st.sampled_from([SPLICE_MIN - 1, SPLICE_MIN, SPLICE_MIN + 1]) | st.integers(
-    SPLICE_MIN, 2 * SPLICE_MIN
-)
+# Long values, a few KiB, as a ciphertext body is.
+LONG_LENGTHS = st.integers(1, 8192)
 LONG_ALNUM = st.builds(
     _long_string,
     st.integers(0, 2**32),
@@ -76,7 +107,7 @@ LONG_ALNUM = st.builds(
     st.sampled_from(["0123456789abcdef", string.ascii_letters + string.digits]),
 )
 # One character that JSON escapes (past ASCII, as \uXXXX) or that is no
-# letter or digit, in an otherwise spliceable string.
+# letter or digit, in an otherwise plain string.
 NEEDS_ESCAPE = st.sampled_from(
     ['"', "\\", "\n", "\x00", "\x1f", "\x7f", "-", " ", "\xe9", "\u2028", "\U0001f600"]
 )
@@ -84,14 +115,15 @@ LONG_ESCAPED = st.builds(
     lambda text, char, at: text[:at] + char + text[at:],
     LONG_ALNUM,
     NEEDS_ESCAPE,
-    st.integers(0, 2 * SPLICE_MIN),
+    st.integers(0, 8192),
 )
-# Strings an encoder might use as internal markers or splice points.
+# Strings a writer might confuse with its own structure: JSON punctuation,
+# an attachment's index, a length prefix.
 MARKER_LIKE = st.sampled_from(
-    ['"', "", "{}", ":", ",", '","', "\\u0000", "\x00", "__splice__", "0" * 8]
+    ['"', "", "{}", ":", ",", '","', "\\u0000", "\x00", "0", "1", "\x00\x00\x00\x04", "0" * 8]
 )
 STRINGS = st.text(max_size=8) | MARKER_LIKE | LONG_ALNUM | LONG_ESCAPED
-# JSON turns these keys into strings, so a dict holding one is written whole.
+# JSON turns these keys into strings.
 KEYS = st.text(max_size=8) | MARKER_LIKE | LONG_ALNUM | st.integers() | st.booleans() | st.none()
 PLAIN_DATA = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | STRINGS,
@@ -102,42 +134,20 @@ PLAIN_DATA = st.recursive(
 
 @settings(max_examples=200, deadline=None)
 @given(st.dictionaries(st.text(max_size=8) | MARKER_LIKE, PLAIN_DATA, max_size=4))
-@example({"ciphertext": {"nonce": "00" * 12, "body": "ab" * SPLICE_MIN}})
-@example({"a": "ab" * SPLICE_MIN, "b": {"c": "cd" * SPLICE_MIN, "d": {}}, "e": [1, {"f": "x"}]})
-@example({"a": "ab" * SPLICE_MIN + '"'})
-@example({"a": {1: "ab" * SPLICE_MIN, "1": "cd" * SPLICE_MIN}})
-def test_frame_is_byte_identical_to_the_plain_json_frame(body):
+@example({"ciphertext": {"nonce": "00" * 12, "body": "ab" * 4096}})
+@example({"a": "ab" * 4096, "b": {"c": "cd" * 4096, "d": {}}, "e": [1, {"f": "x"}]})
+@example({"a": "ab" * 4096 + '"'})
+@example({"a": {1: "ab" * 4096, "1": "cd" * 4096}})
+def test_frame_matches_the_oracle(body):
     env = _envelope(body)
-    assert frame_encode(env) == _old_frame_encode(env)
-
-
-def _sized_envelope(size: int) -> Envelope:
-    """An envelope whose frame payload is `size` bytes, all of it written by
-    `codec.dumps`: only bytes are spliced, and it holds none."""
-
-    def body(length: int) -> dict:
-        return {"data": ["a" * length]}
-
-    overhead = len(frame_encode(_envelope(body(SPLICE_MIN)))) - 4 - SPLICE_MIN
-    return _envelope(body(size - overhead))
-
-
-def test_frame_size_limit_is_exact():
-    at_limit = _sized_envelope(MAX_FRAME)
-    frame = frame_encode(at_limit)
-    assert len(frame) == MAX_FRAME + 4
-    assert frame == _old_frame_encode(at_limit)
-    del frame
-    with pytest.raises(FrameTooLarge):
-        frame_encode(_sized_envelope(MAX_FRAME + 1))
+    assert frame_encode(env) == _oracle_frame(env)
 
 
 def _long_bytes(seed: int, length: int) -> bytes:
     return random.Random(seed).randbytes(length)
 
 
-# Bytes as `message_to_obj` leaves them: short ones go through `codec.dumps`,
-# and long ones in a dict are hexed into a chunk of their own.
+# Bytes as `message_to_obj` leaves them, short and long, anywhere in the data.
 BYTES = st.binary(max_size=8) | st.builds(_long_bytes, st.integers(0, 2**32), LONG_LENGTHS)
 BYTES_DATA = st.recursive(
     st.none() | st.integers() | STRINGS | BYTES,
@@ -148,34 +158,61 @@ BYTES_DATA = st.recursive(
 
 @settings(max_examples=200, deadline=None)
 @given(st.dictionaries(st.text(max_size=8) | MARKER_LIKE, BYTES_DATA, max_size=4))
-@example({"ciphertext": {"nonce": bytes(12), "body": b"\xab" * SPLICE_MIN}})
-@example({"a": b"\x01" * SPLICE_MIN, "b": {"c": [b"\x02" * SPLICE_MIN], "d": {}}, "e": b""})
-@example({"a": {1: b"\xab" * SPLICE_MIN, "1": b"\xcd" * SPLICE_MIN}})
-def test_frame_with_bytes_is_byte_identical_to_the_plain_json_frame(body):
+@example({"ciphertext": {"nonce": bytes(12), "body": b"\xab" * 4096}})
+@example({"a": b"\x01" * 4096, "b": {"c": [b"\x02" * 4096], "d": {}}, "e": b""})
+@example({"a": {1: b"\xab" * 4096, "1": b"\xcd" * 4096}})
+@example({"a": 0, "b": b"\x00\x00\x00\x04", "c": [2, b"", 3]})
+def test_frame_with_bytes_matches_the_oracle(body):
     env = _envelope(body)
-    assert frame_encode(env) == _old_frame_encode(env)
+    assert frame_encode(env) == _oracle_frame(env)
 
 
-def test_frame_size_limit_is_exact_with_spliced_bytes():
-    base = len(frame_encode(_envelope({"pad": "", "data": b""}))) - 4
-
-    def sized(size: int) -> Envelope:
-        length, pad = divmod(size - base, 2)
-        return _envelope({"pad": "x" * pad, "data": bytes(length)})
-
+def _assert_limit_is_exact(sized) -> None:
     at_limit = sized(MAX_FRAME)
     frame = frame_encode(at_limit)
     assert len(frame) == MAX_FRAME + 4
-    assert frame == _old_frame_encode(at_limit)
-    del frame
+    assert frame == _oracle_frame(at_limit)
+    del frame, at_limit
     with pytest.raises(FrameTooLarge):
         frame_encode(sized(MAX_FRAME + 1))
+
+
+def test_frame_size_limit_is_exact():
+    # Through the JSON part alone.
+    base = len(frame_encode(_envelope({"data": [""]}))) - 4
+
+    def sized(size: int) -> Envelope:
+        return _envelope({"data": ["a" * (size - base)]})
+
+    _assert_limit_is_exact(sized)
+
+
+def test_frame_size_limit_is_exact_with_spliced_bytes():
+    # Through a bytes value spliced in as an attachment (the ciphertext's
+    # case), beside a string in the JSON part.
+    base = len(frame_encode(_envelope({"pad": "", "data": b""}))) - 4
+
+    def sized(size: int) -> Envelope:
+        pad = (size - base) % 2
+        return _envelope({"pad": "x" * pad, "data": bytes(size - base - pad)})
+
+    _assert_limit_is_exact(sized)
 
 
 def test_oversized_frame_rejected():
     big = Envelope(sender=A, recipient=B, body={"data": "x" * (MAX_FRAME + 1)})
     with pytest.raises(FrameTooLarge):
         frame_encode(big)
+
+
+def test_frame_rejects_a_bytearray():
+    # Only bytes are attachments; any other type JSON lacks is a TypeError,
+    # as in `codec.dumps`.
+    for body in ({"data": bytearray(b"x")}, {"data": [{"nested": bytearray()}]}):
+        with pytest.raises(TypeError):
+            frame_encode(_envelope(body))
+        with pytest.raises(TypeError):
+            codec.dumps(body)
 
 
 @settings(max_examples=100, deadline=None)
