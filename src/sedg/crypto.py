@@ -5,6 +5,10 @@ subgroup arithmetic, and the canonical byte encoding used everywhere a
 multi-part value is hashed or signed. Everything here is pure: values are
 immutable and callers thread their own randomness.
 
+Every primitive, SHA-256 included, comes from the OpenSSL that
+`cryptography` bundles. `hashlib` would load the system libcrypto as a
+second OpenSSL into the process, so this module does not use it.
+
 A group element is a signed quadratic residue, an integer in [1, q], so
 membership is a range check (see `GroupParams`).
 
@@ -15,7 +19,6 @@ groups with one rule, `DomainError`.
 """
 from __future__ import annotations
 
-import hashlib
 import random
 import struct
 from dataclasses import dataclass, field
@@ -23,6 +26,7 @@ from functools import cached_property
 from typing import Sequence
 
 from cryptography.exceptions import InvalidTag
+from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
@@ -55,9 +59,16 @@ class DomainError(ValueError):
 # Hashing and canonical encoding
 # ---------------------------------------------------------------------------
 
+# An empty SHA-256 context: copying it is about half the cost of building
+# a fresh one, which is most of the cost of hashing a short input.
+_SHA256 = hashes.Hash(hashes.SHA256())
+
+
 def sha256(data: bytes) -> bytes:
     """32-byte SHA-256 digest."""
-    return hashlib.sha256(data).digest()
+    h = _SHA256.copy()
+    h.update(data)
+    return h.finalize()
 
 
 def canonical_encode(parts: Sequence[bytes]) -> bytes:
@@ -101,9 +112,10 @@ class Ciphertext:
 
     def digest(self) -> bytes:
         """`sha256(self.encoded())`, hashed in place: the nonce, then the body."""
-        h = hashlib.sha256(self.nonce)
+        h = _SHA256.copy()
+        h.update(self.nonce)
         h.update(self.body)
-        return h.digest()
+        return h.finalize()
 
 
 def encrypt(key: bytes, plaintext: bytes, nonce: bytes) -> Ciphertext:

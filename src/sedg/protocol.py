@@ -377,9 +377,10 @@ class SellerSession(_Session):
         certificate = self.package.certificate
         ciphertext = self.package.ciphertext
         if self.policy is SellerPolicy.SEND_CORRUPT_CIPHERTEXT:
-            body = bytearray(ciphertext.body)
-            body[0] ^= 0x01
-            ciphertext = Ciphertext(nonce=ciphertext.nonce, body=bytes(body))
+            # Flip the low bit of byte 0, copying the body once.
+            body = ciphertext.body
+            flipped = b"".join((bytes((body[0] ^ 0x01,)), memoryview(body)[1:]))
+            ciphertext = Ciphertext(nonce=ciphertext.nonce, body=flipped)
         elif self.policy is SellerPolicy.SEND_MISMATCHED_H2:
             certificate = replace(certificate, h2=self._mismatched_h2())
         return Offer(certificate, ciphertext, self.terms.price)

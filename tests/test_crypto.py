@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import os
 import random
 import subprocess
@@ -53,6 +54,16 @@ ONE_BYTE_DIGEST = bytes.fromhex(
     "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a"
 )
 
+# FIPS 180-2 appendix B: one block, two blocks, and one million "a".
+MULTI_BLOCK_VECTORS = [
+    (b"abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"),
+    (
+        b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+        "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+    ),
+    (b"a" * 1_000_000, "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"),
+]
+
 
 def test_sha256_empty_input_matches_published_vector():
     assert sha256(b"") == EMPTY_DIGEST
@@ -68,6 +79,11 @@ def test_sha256_distinguishes_single_byte_inputs():
     assert sha256(b"\x00") == ZERO_BYTE_DIGEST
     assert sha256(b"\x01") == ONE_BYTE_DIGEST
     assert ZERO_BYTE_DIGEST != ONE_BYTE_DIGEST
+
+
+@pytest.mark.parametrize("message, digest", MULTI_BLOCK_VECTORS, ids=["abc", "448-bit", "million-a"])
+def test_sha256_multi_block_inputs_match_published_vectors(message, digest):
+    assert sha256(message) == bytes.fromhex(digest)
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +177,12 @@ def test_tamper_rejection_sampled_bit_positions():
 @given(st.binary(min_size=12, max_size=12), st.binary(min_size=16, max_size=2048))
 def test_ciphertext_digest_is_the_hash_of_its_encoding(nonce, body):
     ciphertext = Ciphertext(nonce=nonce, body=body)
+    assert ciphertext.digest() == crypto.sha256(ciphertext.encoded())
+
+
+def test_ciphertext_digest_streams_a_bulk_body():
+    body = random.Random(9).randbytes((1 << 16) + 1000)
+    ciphertext = Ciphertext(nonce=bytes(range(12)), body=body)
     assert ciphertext.digest() == crypto.sha256(ciphertext.encoded())
 
 
@@ -502,11 +524,39 @@ def test_serialization_is_imported_by_the_first_large_group_power():
         "crypto.power_of_g(crypto.Scalar(3, crypto.MODP_2048))",
         "assert name in sys.modules, 'not imported by a modp2048 power'",
     ])
+    _run_fresh(code)
+
+
+def test_no_second_openssl_is_loaded():
+    # Every primitive comes from cryptography's OpenSSL; hashlib's `_hashlib`
+    # would map the system libcrypto into the process as well.
+    code = "\n".join([
+        "import json, sys",
+        "before = set(sys.modules)",
+        "import sedg, sedg.cli",
+        "from sedg import harness",
+        "harness.run_scenario(harness.make_config('v1', seed=3))",
+        "harness.run_scenario(harness.make_config('v3', group_name='modp2048', seed=3))",
+        "print(json.dumps({'before': sorted(before), 'added': sorted(set(sys.modules) - before)}))",
+    ])
+    modules = json.loads(_run_fresh(code))
+    if "_hashlib" in modules["before"]:
+        pytest.skip("_hashlib is imported at start-up, before sedg, so the check says nothing")
+    assert "_hashlib" not in modules["added"]
+
+
+def _run_fresh(code):
+    """Run `code` in a new interpreter that imports sedg from this tree; return its stdout."""
     src = os.path.dirname(os.path.dirname(crypto.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    subprocess.run(
-        [sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": path}
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
 
 
 # ---------------------------------------------------------------------------

@@ -146,6 +146,20 @@ def test_corrupt_ciphertext_offer_aborts_with_mismatch():
     assert buyer.state is BuyerState.ABORTED
 
 
+def test_corrupt_ciphertext_offer_flips_byte_zero_only():
+    seller = make_seller(Variant.V1, SellerPolicy.SEND_CORRUPT_CIPHERTEXT)
+    packaged = seller.package.ciphertext
+    before = packaged.encoded()
+    sent = seller.start().ciphertext
+    assert sent.nonce == packaged.nonce
+    assert len(sent.body) == len(packaged.body)
+    assert [i for i, (a, b) in enumerate(zip(sent.body, packaged.body)) if a != b] == [0]
+    assert sent.body[0] == packaged.body[0] ^ 0x01
+    # The seller keeps the notarized ciphertext as it was.
+    assert seller.package.ciphertext is packaged
+    assert packaged.encoded() == before
+
+
 def test_mismatched_h2_offer_aborts_with_bad_signature():
     mismatched = SellerPolicy.SEND_MISMATCHED_H2
     cases = [
