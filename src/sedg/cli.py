@@ -6,12 +6,14 @@
     sedg demo --protocol v1|v2|v3
 
 Exit codes: 0 success / no violations, 1 violations found, 2 config error
-or other bad input (an unusable schedule, an unwritable --out).
+or other bad input (an unusable schedule, an unwritable --out) or a stdout
+that its reader closed early.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 import time
 
@@ -110,7 +112,14 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # here, so a closed stdout raises where it is handled
+    except BrokenPipeError:
+        # Point fd 1 at devnull, so the interpreter's final flush cannot raise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 2
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -3,18 +3,21 @@
 A World wires one seller, one buyer, and a pre-run notary setup onto a
 fresh ledger and an in-process net. The notary's signing key, like its id,
 is fixed per process; each world still has its certificate notarized with
-that key, and its buyer verifies the certificate against its registry. The
-sessions act on the ledger themselves; the world routes their messages
-and owns what no party controls. Everything that can race is a scheduling
-option: message deliveries, the buyer's ledger wake-up, timer firings, and
-the placement of expiry itself, which stays open while some open contract's
-deadline has not passed on the chain's clock. The world alone decides what
-woke the buyer: a `notify:buyer` wake carries the claim event the world
-found on the chain, for `on_claim`; a `timers` wake calls both parties'
-`on_timer`, and the ledger decides whether the buyer's refund is due. The
-default schedule always picks the first option (FIFO delivery, expiry
-last); `drive` replays any other schedule given as option indices, and
-`World.step` raises ScheduleError for a choice that names no open option.
+that key, and its buyer verifies the certificate against its registry.
+The world holds its parties by id, each a role name, session and endpoint.
+It routes by id: a delivered message goes to the recipient's `on_message`,
+which picks its own handler and acts on the ledger, and each reply goes
+back to the sender. The world owns what no party controls. Everything that
+can race is a scheduling option: message deliveries, the buyer's ledger
+wake-up, timer firings, and the placement of expiry itself, which stays
+open while some open contract's deadline has not passed on the chain's
+clock. The world alone decides what woke the buyer: a `notify:buyer` wake
+carries the claim event the world found on the chain, for `on_claim`; a
+`timers` wake calls both parties' `on_timer`, and the ledger decides
+whether the buyer's refund is due. The default schedule always picks the
+first option (FIFO delivery, expiry last); `drive` replays any other
+schedule given as option indices, and `World.step` raises ScheduleError
+for a choice that names no open option.
 
 `explore` checks every ordering up to a depth bound and evaluates the
 fairness invariants at every terminal state, in one pass over the event
@@ -34,20 +37,16 @@ import functools
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import cert, codec, crypto, protocol, transport
 from .cert import PartyId, Variant, notarize
 from .crypto import GROUPS, SigningKeyPair
 from .ledger import EventKind, Ledger, LedgerEvent, address_for, write_event_log
 from .protocol import (
-    AbortMessage,
-    Blind,
     BuyerPolicy,
     BuyerSession,
     BuyerState,
-    ContractRef,
-    Offer,
     ScenarioReport,
     SellerPolicy,
     SellerSession,
@@ -89,7 +88,6 @@ SELLER = PartyId(SELLER_ID)
 NOTARY_ADDR = address_for(NOTARY_ID)
 SELLER_ADDR = address_for(SELLER_ID)
 BUYER_ADDR = address_for(BUYER_ID)
-_ROLES = {SELLER_ID: "seller", BUYER_ID: "buyer", NOTARY_ID: "notary"}
 
 
 class ConfigError(Exception):
@@ -142,14 +140,10 @@ def make_config(
     defaults to 10% of the price (rounded down) for the notary-split
     variant, and the other variants take none.
     """
-    try:
-        variant = Variant(variant) if isinstance(variant, str) else variant
-        seller_policy = (
-            SellerPolicy(seller_policy) if isinstance(seller_policy, str) else seller_policy
-        )
-        buyer_policy = (
-            BuyerPolicy(buyer_policy) if isinstance(buyer_policy, str) else buyer_policy
-        )
+    try:  # an enum's constructor returns a member unchanged and looks a value up
+        variant = Variant(variant)
+        seller_policy = SellerPolicy(seller_policy)
+        buyer_policy = BuyerPolicy(buyer_policy)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -304,8 +298,16 @@ class _LogFacts:
     buyer_refunded: bool = False
 
 
+class Party(NamedTuple):
+    """A party the World routes messages to, by its id."""
+
+    role: str
+    session: BuyerSession | SellerSession
+    endpoint: transport.MailboxEndpoint
+
+
 class World:
-    """One scenario instance: ledger, net, sessions, and the pending-event set."""
+    """One scenario instance: ledger, net, parties, and the pending-event set."""
 
     def __init__(self, config: ScenarioConfig, chain: Ledger | None = None) -> None:
         self.config = config
@@ -320,9 +322,6 @@ class World:
             _rng(config.seed, "notary"),
             group=config.group,
         )
-        if config.buyer_balance:  # the ledger funds positive amounts only
-            self.ledger.fund(BUYER_ADDR, config.buyer_balance)
-
         self.seller = SellerSession(
             package=self.package,
             terms=config,
@@ -338,18 +337,22 @@ class World:
             policy=config.buyer_policy,
             new_rng=functools.partial(_rng, config.seed, "buyer"),
         )
+        if config.buyer_balance:  # the ledger funds positive amounts only
+            self.ledger.fund(self.buyer.address, config.buyer_balance)
 
         self.net = transport.InProcessNet()
-        self._seller_ep = self.net.endpoint(SELLER_ID)
-        self._buyer_ep = self.net.endpoint(BUYER_ID)
+        self.parties = {
+            SELLER_ID: Party("seller", self.seller, self.net.endpoint(SELLER_ID)),
+            BUYER_ID: Party("buyer", self.buyer, self.net.endpoint(BUYER_ID)),
+        }
         # (label, the claim event for a notify:buyer wake or None for timers)
         self.pending_wakes: list[tuple[str, LedgerEvent | None]] = []
         self.trace: list[str] = []
         self._cursor = len(self.ledger.read_events(0))
         self._action_cache: list[tuple[str, Callable[[], None]]] | None = None
 
-        offer = self.seller.start()
-        self._send(self._seller_ep, BUYER_ID, offer)
+        offer = protocol.message_to_obj(self.seller.start())
+        self.parties[SELLER_ID].endpoint.send(BUYER_ID, offer)
 
     # -- scheduling surface -------------------------------------------------
 
@@ -374,8 +377,7 @@ class World:
         return (
             self.ledger.checkpoint(),
             self.net.checkpoint(),
-            self.seller.checkpoint(),
-            self.buyer.checkpoint(),
+            [party.session.checkpoint() for party in self.parties.values()],
             list(self.pending_wakes),
             len(self.trace),
             self._cursor,
@@ -383,11 +385,11 @@ class World:
 
     def restore(self, saved: tuple) -> None:
         """Return to a checkpoint; one checkpoint can be restored many times."""
-        chain, net, seller, buyer, wakes, trace_len, self._cursor = saved
+        chain, net, sessions, wakes, trace_len, self._cursor = saved
         self.ledger.restore(chain)
         self.net.restore(net)
-        self.seller.restore(seller)
-        self.buyer.restore(buyer)
+        for party, session in zip(self.parties.values(), sessions):
+            party.session.restore(session)
         self.pending_wakes = list(wakes)
         del self.trace[trace_len:]
         self._action_cache = None
@@ -403,7 +405,7 @@ class World:
         for i, env in enumerate(self.net.pending):
             label = (
                 f"deliver:{env.body['type']}:"
-                f"{_ROLES[env.sender]}->{_ROLES[env.recipient]}"
+                f"{self.parties[env.sender].role}->{self.parties[env.recipient].role}"
             )
             actions.append((label, lambda i=i: self._deliver(i)))
         for j, (label, _) in enumerate(self.pending_wakes):
@@ -414,22 +416,13 @@ class World:
 
     # -- action execution ---------------------------------------------------
 
-    def _send(self, endpoint, to: bytes, message: protocol.ProtocolMessage) -> None:
-        endpoint.send(to, protocol.message_to_obj(message))
-
     def _deliver(self, index: int) -> None:
+        """Hand the envelope to its recipient and send each reply back to the sender."""
         envelope = self.net.deliver(index)
-        endpoint = self._buyer_ep if envelope.recipient == BUYER_ID else self._seller_ep
-        message = protocol.message_from_obj(endpoint.recv().body)
-        if isinstance(message, Offer):
-            for reply in self.buyer.on_offer(message, self.ledger):
-                self._send(self._buyer_ep, SELLER_ID, reply)
-        elif isinstance(message, ContractRef):
-            self.seller.on_contract(message.contract_id, self.ledger)
-        elif isinstance(message, Blind):
-            self.seller.on_blind(message.r, self.ledger)
-        elif isinstance(message, AbortMessage):
-            self.seller.on_abort(message.reason)
+        party = self.parties[envelope.recipient]
+        message = protocol.message_from_obj(party.endpoint.recv().body)
+        for reply in party.session.on_message(message, self.ledger):
+            party.endpoint.send(envelope.sender, protocol.message_to_obj(reply))
 
     def _fire_wake(self, index: int) -> None:
         _, claim = self.pending_wakes.pop(index)
@@ -466,13 +459,13 @@ class World:
             if kind is EventKind.FUNDED:
                 facts.funded += e.amount
             elif kind is EventKind.CONTRACT_PUBLISHED:
-                if e.payer == BUYER_ADDR:
+                if e.payer == self.buyer.address:
                     facts.buyer_contracts.append(e.contract_id)
             elif kind is EventKind.CLAIMED or kind is EventKind.REFUNDED:
                 facts.settlements[e.contract_id] = facts.settlements.get(e.contract_id, 0) + 1
                 if kind is EventKind.REFUNDED and e.contract_id in facts.buyer_contracts:
                     facts.buyer_refunded = True
-                to_seller = [p.amount for p in e.payouts if p.to == SELLER_ADDR]
+                to_seller = [p.amount for p in e.payouts if p.to == self.seller.address]
                 if to_seller:
                     facts.seller_claims.append((e.contract_id, sum(to_seller)))
                     facts.seller_paid = facts.seller_paid or any(to_seller)
@@ -497,8 +490,8 @@ class World:
                 self.buyer.abort_reason.value if self.buyer.abort_reason else None
             ),
             balances={
-                "buyer": self.ledger.get_balance(BUYER_ADDR),
-                "seller": self.ledger.get_balance(SELLER_ADDR),
+                "buyer": self.ledger.get_balance(self.buyer.address),
+                "seller": self.ledger.get_balance(self.seller.address),
                 "notary": self.ledger.get_balance(NOTARY_ADDR),
             },
             price=self.config.price,
@@ -587,45 +580,28 @@ def fairness_violations(world: World) -> list[tuple[str, str]]:
             ("atomicity", f"buyer_has_plaintext={has_plaintext} but seller_paid={seller_paid}")
         )
     if config.variant is Variant.V2 and notary_paid != seller_paid:
-        out.append(
-            ("notary-split", f"notary_paid={notary_paid} but seller_paid={seller_paid}")
-        )
+        out.append(("notary-split", f"notary_paid={notary_paid} but seller_paid={seller_paid}"))
 
     if config.buyer_policy is BuyerPolicy.HONEST:
-        balance = world.ledger.get_balance(BUYER_ADDR)
+        balance = world.ledger.get_balance(world.buyer.address)
         expected = config.buyer_balance - config.price if has_plaintext else config.buyer_balance
         if balance != expected:
-            out.append(
-                (
-                    "honest-buyer-no-loss",
-                    f"buyer balance {balance}, expected {expected} "
-                    f"(plaintext={has_plaintext})",
-                )
-            )
+            detail = f"buyer balance {balance}, expected {expected} (plaintext={has_plaintext})"
+            out.append(("honest-buyer-no-loss", detail))
 
     if config.seller_policy is SellerPolicy.HONEST:
         due = config.price - config.notary_fee
         for cid, credited in facts.seller_claims:
             if credited < due:
-                out.append(
-                    (
-                        "honest-seller-no-loss",
-                        f"seller claimed contract {cid} crediting it {credited} != {due}",
-                    )
-                )
+                detail = f"seller claimed contract {cid} crediting it {credited} != {due}"
+                out.append(("honest-seller-no-loss", detail))
 
     if world.buyer.state is BuyerState.ABORTED and facts.buyer_contracts:
-        out.append(
-            (
-                "abort-before-pay",
-                f"aborted buyer published {len(facts.buyer_contracts)} contract(s)",
-            )
-        )
+        detail = f"aborted buyer published {len(facts.buyer_contracts)} contract(s)"
+        out.append(("abort-before-pay", detail))
 
-    snapshot = world.ledger.snapshot()
-    total = sum(snapshot["balances"].values()) + sum(
-        c.amount for c in world.ledger.open_contracts()
-    )
+    total = sum(world.ledger.snapshot()["balances"].values())
+    total += sum(c.amount for c in world.ledger.open_contracts())
     if total != facts.funded:
         out.append(("conservation", f"balances+escrow {total} != funded {facts.funded}"))
 
@@ -707,7 +683,7 @@ _DEMO_NARRATIVE = {
 
 def demo_config(variant: Variant | str) -> ScenarioConfig:
     """The built-in happy-path configuration used by `sedg demo`."""
-    variant = Variant(variant) if isinstance(variant, str) else variant
+    variant = Variant(variant)
     if variant is Variant.V2:
         return make_config(variant, price=100, buyer_balance=150, notary_fee=10, seed=7)
     if variant is Variant.V3:
@@ -717,7 +693,7 @@ def demo_config(variant: Variant | str) -> ScenarioConfig:
 
 def demo(variant: Variant | str, printer: Callable[[str], None] = print) -> ScenarioReport:
     """Happy-path walkthrough of one variant, narrating each step."""
-    variant = Variant(variant) if isinstance(variant, str) else variant
+    variant = Variant(variant)
     config = demo_config(variant)
 
     names = {Variant.V1: "hash lock", Variant.V2: "notary-split lock", Variant.V3: "blinded dlog lock"}

@@ -268,9 +268,8 @@ class Ledger:
         """Escrow `amount` from the payer under a claim condition."""
         if amount <= 0:
             raise LedgerError("contract amount must be positive")
-        if isinstance(condition, NotaryHashLock):
-            if condition.fee < 0 or condition.fee > amount:
-                raise LedgerError("notary fee must be within the contract amount")
+        if isinstance(condition, NotaryHashLock) and not 0 <= condition.fee <= amount:
+            raise LedgerError("notary fee must be within the contract amount")
         if deadline <= self._tick:
             raise PastDeadline(f"deadline {deadline} is not after tick {self._tick}")
         if self.get_balance(payer) < amount:

@@ -2,13 +2,14 @@
 
 Sessions act on the chain they are handed: each handler consumes one
 message or wake-up, performs its own ledger operations (the buyer publishes
-and refunds, the seller claims), and returns the messages to send. The
-harness owns what neither party controls: delivery order, wake-ups and
-expiry. It decides what woke the buyer: `on_claim` gets the claim event the
-harness found on the chain, and `on_timer` asks the ledger for a refund,
-which the ledger grants only past the deadline. So the same session code
-runs under the deterministic scenario runner and under exhaustive
-adversarial scheduling.
+and refunds, the seller claims), and returns the messages to send. Each
+session's `on_message` picks the handler for a peer's message and ignores
+a type it does not take. The harness owns what neither party controls:
+delivery order, wake-ups and expiry. It decides what woke the buyer:
+`on_claim` gets the claim event the harness found on the chain, and
+`on_timer` asks the ledger for a refund, which the ledger grants only past
+the deadline. So the same session code runs under the deterministic
+scenario runner and under exhaustive adversarial scheduling.
 
 Deviation policies model the classic failure modes of an unprotected trade:
 a buyer who never pays or underpays, a seller who withholds the key, claims
@@ -278,6 +279,10 @@ class BuyerSession(_Session):
         self.state = BuyerState.CONTRACT_PUBLISHED
         return replies + [ContractRef(self.contract_id)]
 
+    def on_message(self, message: ProtocolMessage, chain: Ledger) -> list[ProtocolMessage]:
+        """Answer an offer; the buyer takes no other message."""
+        return self.on_offer(message, chain) if isinstance(message, Offer) else []
+
     def on_claim(self, event: LedgerEvent) -> bytes | None:
         """Recover the key from the witness of the claim on this buyer's contract.
 
@@ -385,6 +390,17 @@ class SellerSession(_Session):
             certificate = replace(certificate, h2=self._mismatched_h2())
         return Offer(certificate, ciphertext, self.terms.price)
 
+    def on_message(self, message: ProtocolMessage, chain: Ledger) -> list[ProtocolMessage]:
+        """Act on the buyer's blind, contract reference or abort; the seller never replies."""
+        if isinstance(message, Blind):
+            self.on_blind(message.r, chain)
+        elif isinstance(message, ContractRef):
+            self.on_contract(message.contract_id, chain)
+        elif isinstance(message, AbortMessage) and not self.terminal:
+            self.state = SellerState.EXPIRED
+            self.outcome = f"counterparty aborted: {message.reason.value}"
+        return []
+
     def on_blind(self, r: Scalar, chain: Ledger) -> None:
         if self.terminal:
             return
@@ -403,11 +419,6 @@ class SellerSession(_Session):
         self.contract_id = contract_id
         if self.terms.variant is not Variant.V3 or self.blind is not None:
             self._claim(chain)
-
-    def on_abort(self, reason: AbortReason) -> None:
-        if not self.terminal:
-            self.state = SellerState.EXPIRED
-            self.outcome = f"counterparty aborted: {reason.value}"
 
     def on_timer(self) -> None:
         if not self.terminal:

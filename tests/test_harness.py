@@ -3,6 +3,9 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from math import factorial
 
@@ -11,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import AcceptAnyWitnessLedger, DoubleSettleLedger, FeeDroppingLedger
+import sedg
 from sedg import cli, crypto, harness, transport
 from sedg.cert import Certificate, GroupPower, PartyId, verify_certificate
 from sedg.harness import (
@@ -697,6 +701,21 @@ def test_drive_rejects_unusable_schedules():
         drive(World(config), [0] * 20)  # outlasts the run
 
 
+def test_drive_bounds_a_run_that_never_quiesces(monkeypatch, tmp_path, capsys):
+    # Every world offers one option forever. The option fails past four
+    # times the bound, so a drive without its bound fails instead of hanging.
+    taken = itertools.count()
+
+    def idle():
+        assert next(taken) < 4 * 128, "drive ran past its step bound"
+
+    monkeypatch.setattr(World, "_actions", lambda world: [("idle", idle)])
+    with pytest.raises(DepthExceeded, match="run exceeded 128 scheduling choices"):
+        drive(World(make_config("v1", seed=42)))
+    assert cli.main(["run", "--config", _write_config(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: run exceeded 128 scheduling choices\n"
+
+
 def test_step_refuses_a_closed_option_naming_its_position():
     # The step itself judges each choice; it used to raise a bare IndexError.
     world = World(make_config("v1", price=60, buyer_balance=100, seed=42))
@@ -1109,6 +1128,38 @@ def test_cli_unusable_schedule_exits_2(tmp_path, capsys, schedule):
     path = _write_config(tmp_path)
     assert cli.main(["run", "--config", path, "--schedule", schedule]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "args",
+    [["demo", "--protocol", "v1"], ["run"], ["explore"], ["explore", "--json"]],
+    ids=["demo", "run", "explore", "explore-json"],
+)
+def test_cli_closed_stdout_exits_2_without_a_traceback(tmp_path, args, unbuffered):
+    # A reader that closes early, as `sedg explore ... | head -0` does.
+    if args[0] != "demo":
+        args = [*args, "--config", _write_config(tmp_path)]
+    src = os.path.dirname(os.path.dirname(sedg.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "sedg.cli", *args],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2, proc.stderr
+    assert b"Traceback" not in proc.stderr
+    assert b"Exception ignored" not in proc.stderr
 
 
 def test_cli_malformed_schedule_is_a_usage_error(tmp_path, capsys):

@@ -81,6 +81,39 @@ def test_publish_insufficient_funds_is_a_no_op():
     assert chain.snapshot() == before
 
 
+@pytest.mark.parametrize("amount", [0, -1])
+def test_publish_refuses_an_amount_that_is_not_positive(amount):
+    chain = Ledger()
+    chain.fund(A, 100)
+    before = chain.snapshot()
+    with pytest.raises(LedgerError, match="contract amount must be positive"):
+        chain.publish_contract(A, B, amount, _hash_lock(), deadline=100)
+    assert chain.snapshot() == before
+    assert chain.get_balance(A) == 100
+
+
+def _split_lock(fee):
+    return NotaryHashLock(h2=crypto.sha256(crypto.canonical_encode([KEY, b"notary-1"])), fee=fee)
+
+
+@pytest.mark.parametrize("fee", [-1, 61])
+def test_publish_refuses_a_notary_fee_outside_the_amount(fee):
+    chain = Ledger()
+    chain.fund(A, 100)
+    before = chain.snapshot()
+    with pytest.raises(LedgerError, match="notary fee must be within the contract amount"):
+        chain.publish_contract(A, B, 60, _split_lock(fee), deadline=100)
+    assert chain.snapshot() == before
+
+
+def test_publish_accepts_a_notary_fee_of_the_whole_amount():
+    chain = Ledger()
+    chain.fund(A, 100)
+    cid = chain.publish_contract(A, B, 60, _split_lock(60), deadline=100)
+    assert chain.get_contract(cid).condition.fee == 60
+    assert chain.get_balance(A) == 40
+
+
 def test_publish_deadline_boundary():
     chain = Ledger()
     chain.fund(A, 100)

@@ -108,15 +108,6 @@ def funded_chain(balance=200):
     return chain
 
 
-def deliver_to_seller(seller, replies, chain):
-    """Hand the buyer's replies to the seller in send order, as the harness does."""
-    for reply in replies:
-        if isinstance(reply, Blind):
-            seller.on_blind(reply.r, chain)
-        elif isinstance(reply, ContractRef):
-            seller.on_contract(reply.contract_id, chain)
-
-
 # ---------------------------------------------------------------------------
 # Offers
 # ---------------------------------------------------------------------------
@@ -514,7 +505,8 @@ def _settled_exchange(variant, *, k=None, r=None):
     seller = make_seller(variant, k=k)
     buyer = make_buyer(variant, r=r)
     chain = funded_chain()
-    deliver_to_seller(seller, buyer.on_offer(seller.start(), chain), chain)
+    for reply in buyer.on_offer(seller.start(), chain):
+        assert seller.on_message(reply, chain) == []
     event = chain.read_events(0)[-1]
     assert event.kind is EventKind.CLAIMED
     return seller, buyer, chain, event
@@ -599,12 +591,59 @@ def test_decrypt_failure_marks_session_without_settling():
     chain = funded_chain()
     replies = buyer.on_offer(seller.start(), chain)
     assert replies == [ContractRef(buyer.contract_id)]  # the certificate itself verifies
-    deliver_to_seller(seller, replies, chain)
+    assert seller.on_message(replies[0], chain) == []
     assert seller.state is SellerState.CLAIMED
     event = chain.read_events(0)[-1]
     assert buyer.on_claim(event) is None
     assert buyer.decrypt_failed
     assert buyer.state is not BuyerState.SETTLED
+
+
+# ---------------------------------------------------------------------------
+# Message dispatch
+# ---------------------------------------------------------------------------
+
+_SELLER_MESSAGES = [
+    ContractRef(1),
+    Blind(Scalar(4, TEST_GROUP)),
+    AbortMessage(AbortReason.PRICE_MISMATCH),
+]
+
+
+@pytest.mark.parametrize("message", _SELLER_MESSAGES, ids=lambda m: type(m).__name__)
+@pytest.mark.parametrize("offered", [False, True], ids=["init", "published"])
+def test_buyer_ignores_a_message_for_the_seller(message, offered):
+    seller = make_seller(Variant.V3)
+    buyer = make_buyer(Variant.V3)
+    chain = funded_chain()
+    if offered:
+        buyer.on_offer(seller.start(), chain)
+    session, before = buyer.checkpoint(), chain.snapshot()
+    assert buyer.on_message(message, chain) == []
+    assert buyer.checkpoint() == session
+    assert chain.snapshot() == before
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_seller_ignores_an_offer(variant):
+    seller = make_seller(variant)
+    chain = funded_chain()
+    offer = seller.start()
+    session, before = seller.checkpoint(), chain.snapshot()
+    assert seller.on_message(offer, chain) == []
+    assert seller.checkpoint() == session
+    assert chain.snapshot() == before
+
+
+def test_seller_lapses_on_an_abort_through_on_message():
+    seller = make_seller(Variant.V1)
+    chain = funded_chain()
+    assert seller.on_message(AbortMessage(AbortReason.PRICE_MISMATCH), chain) == []
+    assert seller.state is SellerState.EXPIRED
+    assert seller.outcome == "counterparty aborted: price_mismatch"
+    # A later abort does not overwrite the first.
+    seller.on_message(AbortMessage(AbortReason.BAD_SIGNATURE), chain)
+    assert seller.outcome == "counterparty aborted: price_mismatch"
 
 
 # ---------------------------------------------------------------------------
