@@ -7,7 +7,8 @@ that key, and its buyer verifies the certificate against its registry.
 The world holds its parties by id, each a role name, session and endpoint.
 It routes by id: a delivered message goes to the recipient's `on_message`,
 which picks its own handler and acts on the ledger, and each reply goes
-back to the sender. The world owns what no party controls. Everything that
+back to the sender. At most one message is in flight: the offer, then the
+buyer's one reply. The world owns what no party controls. Everything that
 can race is a scheduling option: message deliveries, the buyer's ledger
 wake-up, timer firings, and the placement of expiry itself, which stays
 open while some open contract's deadline has not passed on the chain's
@@ -671,7 +672,6 @@ _DEMO_NARRATIVE = {
         "seller -> buyer: offer (signature, ciphertext, key commitment); "
         "buyer verifies and escrows the price"
     ),
-    "deliver:blind:buyer->seller": "buyer -> seller: fresh blinding scalar",
     "deliver:contract_ref:buyer->seller": (
         "buyer -> seller: escrow contract reference; seller checks terms and claims"
     ),

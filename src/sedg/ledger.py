@@ -301,9 +301,7 @@ class Ledger:
 
         Changes nothing, so a seller can ask before it reveals its key.
         """
-        contract = self._contracts.get(contract_id)
-        if contract is None:
-            raise UnknownContract(f"no contract {contract_id}")
+        contract = self.get_contract(contract_id)
         self._ensure_open(contract)
         if self._tick > contract.deadline:
             raise Expired(f"tick {self._tick} past deadline {contract.deadline}")
@@ -336,9 +334,7 @@ class Ledger:
 
     def refund(self, contract_id: int, caller: bytes) -> LedgerEvent:
         """Return an expired contract's escrow to the payer."""
-        contract = self._contracts.get(contract_id)
-        if contract is None:
-            raise UnknownContract(f"no contract {contract_id}")
+        contract = self.get_contract(contract_id)
         self._ensure_open(contract)
         if self._tick <= contract.deadline:
             raise NotExpired(f"tick {self._tick} not past deadline {contract.deadline}")

@@ -2,9 +2,12 @@
 
 Sessions act on the chain they are handed: each handler consumes one
 message or wake-up, performs its own ledger operations (the buyer publishes
-and refunds, the seller claims), and returns the messages to send. Each
-session's `on_message` picks the handler for a peer's message and ignores
-a type it does not take. The harness owns what neither party controls:
+and refunds, the seller claims), and returns the messages to send. The
+buyer answers an offer with one message: its contract reference, which for
+v3 carries the blinding scalar, or its abort. So the seller claims on the
+one message it receives and never waits for a second. Each session's
+`on_message` picks the handler for a peer's message and ignores a type it
+does not take. The harness owns what neither party controls:
 delivery order, wake-ups and expiry. It decides what woke the buyer:
 `on_claim` gets the claim event the harness found on the chain, and
 `on_timer` asks the ledger for a refund, which the ledger grants only past
@@ -129,15 +132,12 @@ class Offer:
 
 
 @dataclass(frozen=True)
-class Blind:
-    """The buyer's blinding scalar, sent over the private channel only."""
-
-    r: Scalar
-
-
-@dataclass(frozen=True)
 class ContractRef:
+    """The buyer's escrow contract; a v3 reference carries the blinding
+    scalar `r`, which the seller needs to claim it and the chain never sees."""
+
     contract_id: int
+    r: Scalar | None = None
 
 
 @dataclass(frozen=True)
@@ -147,7 +147,7 @@ class AbortMessage:
     reason: AbortReason
 
 
-ProtocolMessage = Union[Offer, Blind, ContractRef, AbortMessage]
+ProtocolMessage = Union[Offer, ContractRef, AbortMessage]
 
 
 def message_to_obj(message: ProtocolMessage) -> dict:
@@ -223,8 +223,9 @@ class BuyerSession(_Session):
     def on_offer(self, offer: Offer, chain: Ledger) -> list[ProtocolMessage]:
         """Verify and, unless policy or verification says otherwise, escrow the price.
 
-        Returns the replies to send, in order: the blind first for a dlog
-        offer, then the contract reference or the abort.
+        Returns the one reply: the contract reference, carrying the blind
+        for a dlog offer, or the abort. So the blind leaves the buyer only
+        with a contract on the chain.
         """
         if self.state is not BuyerState.INIT:
             return []
@@ -255,7 +256,6 @@ class BuyerSession(_Session):
             # leaves room, but always below the price: legal and underpriced.
             amount = min(terms.price - 1, max(terms.notary_fee + 1, terms.price // 2))
 
-        replies: list[ProtocolMessage] = []
         condition: Condition
         if isinstance(h2, HashOfKey):
             condition = HashLock(h2=h2.digest)
@@ -264,7 +264,6 @@ class BuyerSession(_Session):
         else:
             self.blind = crypto.draw_scalar(self.new_rng(), terms.group)
             condition = DlogLock(c=crypto.element_pow(h2.element, self.blind))
-            replies.append(Blind(self.blind))
 
         try:
             self.contract_id = chain.publish_contract(
@@ -275,9 +274,9 @@ class BuyerSession(_Session):
                 deadline=chain.current_tick + terms.deadline_offset,
             )
         except ledger.InsufficientFunds:
-            return replies + self._abort(AbortReason.INSUFFICIENT_FUNDS)
+            return self._abort(AbortReason.INSUFFICIENT_FUNDS)
         self.state = BuyerState.CONTRACT_PUBLISHED
-        return replies + [ContractRef(self.contract_id)]
+        return [ContractRef(self.contract_id, self.blind)]
 
     def on_message(self, message: ProtocolMessage, chain: Ledger) -> list[ProtocolMessage]:
         """Answer an offer; the buyer takes no other message."""
@@ -391,34 +390,25 @@ class SellerSession(_Session):
         return Offer(certificate, ciphertext, self.terms.price)
 
     def on_message(self, message: ProtocolMessage, chain: Ledger) -> list[ProtocolMessage]:
-        """Act on the buyer's blind, contract reference or abort; the seller never replies."""
-        if isinstance(message, Blind):
-            self.on_blind(message.r, chain)
-        elif isinstance(message, ContractRef):
-            self.on_contract(message.contract_id, chain)
+        """Act on the buyer's contract reference or abort; the seller never replies."""
+        if isinstance(message, ContractRef):
+            self.on_contract(message, chain)
         elif isinstance(message, AbortMessage) and not self.terminal:
             self.state = SellerState.EXPIRED
             self.outcome = f"counterparty aborted: {message.reason.value}"
         return []
 
-    def on_blind(self, r: Scalar, chain: Ledger) -> None:
-        if self.terminal:
-            return
-        self.blind = r
-        if self.contract_id is not None:
-            self._claim(chain)
-
-    def on_contract(self, contract_id: int, chain: Ledger) -> None:
-        """Read the referenced contract and claim it, or wait for the blind (dlog)."""
+    def on_contract(self, ref: ContractRef, chain: Ledger) -> None:
+        """Claim the referenced contract; only a v3 witness uses the reference's blind."""
         try:
-            chain.get_contract(contract_id)
+            chain.get_contract(ref.contract_id)
         except ledger.UnknownContract:
             return
         if self.terminal or self.claim_attempted:
             return
-        self.contract_id = contract_id
-        if self.terms.variant is not Variant.V3 or self.blind is not None:
-            self._claim(chain)
+        self.contract_id = ref.contract_id
+        self.blind = ref.r
+        self._claim(chain)
 
     def on_timer(self) -> None:
         if not self.terminal:
@@ -459,7 +449,7 @@ class SellerSession(_Session):
         if self.terms.variant is Variant.V2:
             return ledger.PreimageWithNotary(self.package.key, certificate.notary_id.id)
         if blind is None:
-            raise ContractMismatch("no blinding scalar received yet")
+            raise ContractMismatch("the contract reference carries no blinding scalar")
         group = certificate.group
         if blind.params != group:
             raise ContractMismatch("blinding scalar from a different group")

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import replace
 
 from sedg.crypto import SEED_LEN, SigningKeyPair
@@ -86,3 +87,19 @@ class FeeDroppingLedger(Ledger):
             unpaid = replace(contract.condition, fee=0)
             self._contracts[contract_id] = replace(contract, condition=unpaid)
         return super().claim(contract_id, witness)
+
+
+class CountingLedger(Ledger):
+    """Honest chain that counts the claims and refunds asked of it."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.calls: Counter[str] = Counter()
+
+    def claim(self, contract_id, witness):
+        self.calls["claim"] += 1
+        return super().claim(contract_id, witness)
+
+    def refund(self, contract_id, caller):
+        self.calls["refund"] += 1
+        return super().refund(contract_id, caller)

@@ -165,10 +165,9 @@ def _forced_dlog_exchange(k: int, r: int):
         BuyerPolicy.HONEST,
         lambda: ScriptedRng([(r - 1).to_bytes(scalar_draw_len(TEST_GROUP), "big")]),
     )
-    blind, ref = buyer.on_offer(seller.start(), chain)
-    assert blind.r.value == r
-    seller.on_blind(blind.r, chain)
-    seller.on_contract(ref.contract_id, chain)
+    (ref,) = buyer.on_offer(seller.start(), chain)
+    assert ref.r.value == r
+    seller.on_contract(ref, chain)
     event = chain.read_events(0)[-1]
     assert buyer.on_claim(event) == payload
     return chain.get_contract(ref.contract_id).condition.c.value, event.witness.x.value

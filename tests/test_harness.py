@@ -13,10 +13,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import AcceptAnyWitnessLedger, DoubleSettleLedger, FeeDroppingLedger
+from helpers import (
+    AcceptAnyWitnessLedger,
+    CountingLedger,
+    DoubleSettleLedger,
+    FeeDroppingLedger,
+)
 import sedg
 from sedg import cli, crypto, harness, transport
 from sedg.cert import Certificate, GroupPower, PartyId, verify_certificate
+from sedg.crypto import MODP_2048, TEST_GROUP, Scalar
 from sedg.harness import (
     MAX_DEADLINE_OFFSET,
     MAX_PAYLOAD,
@@ -40,6 +46,7 @@ from sedg.harness import (
 from sedg.ledger import ContractState, EventKind, Ledger, event_to_json
 from sedg.protocol import (
     BuyerPolicy,
+    BuyerSession,
     BuyerState,
     Offer,
     SellerPolicy,
@@ -118,6 +125,56 @@ def test_underfunded_buyer_aborts_without_losing_anything():
     assert world.buyer.state is BuyerState.ABORTED
     assert world.report().abort_reason == "insufficient_funds"
     assert world.report().balances["buyer"] == 10
+    assert fairness_violations(world) == []
+
+
+def _buyer_sending_blind(monkeypatch, r):
+    """Make every buyer's contract reference carry `r` in place of its own blind."""
+    on_offer = BuyerSession.on_offer
+
+    def with_r(self, offer, chain):
+        (ref,) = on_offer(self, offer, chain)
+        return [dataclasses.replace(ref, r=r)]
+
+    monkeypatch.setattr(BuyerSession, "on_offer", with_r)
+
+
+@pytest.mark.parametrize(
+    "r, reason",
+    [
+        (None, "the contract reference carries no blinding scalar"),
+        (Scalar(4, MODP_2048), "blinding scalar from a different group"),
+    ],
+    ids=["no_blind", "modp2048_blind"],
+)
+def test_v3_seller_declines_a_reference_without_a_usable_blind(monkeypatch, r, reason):
+    _buyer_sending_blind(monkeypatch, r)
+    chain = CountingLedger()
+    world = World(make_config("v3", price=60, buyer_balance=100, seed=42), chain)
+    drive(world)
+    assert world.trace == [
+        "deliver:offer:seller->buyer",
+        "deliver:contract_ref:buyer->seller",
+        "expire",
+        "timers",
+    ]
+    assert world.seller.outcome == f"declined: {reason}"
+    assert world.seller.state is SellerState.EXPIRED
+    assert chain.calls == {"refund": 1}
+    report = world.report()
+    assert report.buyer_refunded and not report.seller_paid
+    assert report.balances["buyer"] == 100
+    assert fairness_violations(world) == []
+
+
+@pytest.mark.parametrize("variant", ["v1", "v2"])
+def test_a_blind_in_a_v1_or_v2_reference_is_ignored(monkeypatch, variant):
+    _buyer_sending_blind(monkeypatch, Scalar(4, TEST_GROUP))
+    config = make_config(variant, price=60, buyer_balance=100, seed=42)
+    world = World(config)
+    drive(world)
+    assert world.seller.state is SellerState.CLAIMED
+    assert world.buyer.plaintext == config.payload
     assert fairness_violations(world) == []
 
 
@@ -598,7 +655,7 @@ def test_explore_executes_each_tree_node_once(monkeypatch):
     result = explore(config, depth=12)
     # the terminal states come in the enumerator's order
     assert terminals == [_terminal(world) for world, _ in runs]
-    assert result.schedules_explored == 12
+    assert result.schedules_explored == 3
     assert calls["step"] == result.nodes_executed == len(prefixes)
     assert calls["world"] == 1
     assert calls["notarize"] == 1
@@ -999,7 +1056,6 @@ DEMO_OUTPUT = {
         "setup: buyer funded with 100 tokens\n"
         "step: seller -> buyer: offer (signature, ciphertext, key commitment); "
         "buyer verifies and escrows the price\n"
-        "step: buyer -> seller: fresh blinding scalar\n"
         "step: buyer -> seller: escrow contract reference; seller checks terms and claims\n"
         "step: buyer reads the published witness, recovers the key, decrypts\n"
         "result: balances buyer=40  seller=60  notary=0\n"

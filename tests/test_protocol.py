@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import ScriptedRng, signing_keys
+from helpers import CountingLedger, ScriptedRng, signing_keys
 from sedg import codec, crypto
 from sedg.cert import (
     Certificate,
@@ -38,7 +38,6 @@ from sedg.ledger import (
 from sedg.protocol import (
     AbortMessage,
     AbortReason,
-    Blind,
     BuyerPolicy,
     BuyerSession,
     BuyerState,
@@ -290,8 +289,8 @@ def test_underfunded_buyer_aborts_without_a_contract(variant):
     chain = funded_chain(PRICE - 1)
     replies = buyer.on_offer(seller.start(), chain)
     abort = AbortMessage(AbortReason.INSUFFICIENT_FUNDS)
-    # A dlog buyer sends its blind before it tries to publish.
-    assert replies == ([Blind(buyer.blind), abort] if variant is Variant.V3 else [abort])
+    # The blind travels only with a contract reference, so none leaves here.
+    assert replies == [abort]
     assert chain.get_balance(BUYER_ADDR) == PRICE - 1
     assert not [e for e in chain.read_events(0) if e.kind is EventKind.CONTRACT_PUBLISHED]
     assert buyer.contract_id is None
@@ -312,7 +311,7 @@ def test_v3_buyer_blinds_the_commitment():
     buyer = make_buyer(Variant.V3, r=4)
     chain = funded_chain()
     replies = buyer.on_offer(seller.start(), chain)
-    assert replies == [Blind(Scalar(4, TEST_GROUP)), ContractRef(buyer.contract_id)]
+    assert replies == [ContractRef(buyer.contract_id, Scalar(4, TEST_GROUP))]
     assert buyer.blind.value == 4
     condition = chain.get_contract(buyer.contract_id).condition
     assert isinstance(condition, DlogLock)
@@ -418,7 +417,7 @@ def test_v2_seller_declines_a_contract_that_skims_the_split(fee):
     with pytest.raises(ContractMismatch):
         seller.build_witness(chain, contract.id)
     before = chain.snapshot()
-    seller.on_contract(contract.id, chain)
+    seller.on_contract(ContractRef(contract.id), chain)
     assert chain.snapshot() == before
     assert not seller.claim_attempted
 
@@ -440,12 +439,12 @@ def test_seller_declines_a_lock_of_another_variant(variant, lock):
     # The payout rule runs before the claim rule's variant test, so it must
     # decline a witness that cannot open the lock, not trip over it.
     seller = make_seller(variant, k=3)
-    seller.blind = Scalar(4, TEST_GROUP)
+    blind = Scalar(4, TEST_GROUP)
     chain, contract = _open_contract(lock(seller.package.key))
     with pytest.raises(ContractMismatch, match="agreed split"):
-        seller.build_witness(chain, contract.id, seller.blind)
+        seller.build_witness(chain, contract.id, blind)
     before = chain.snapshot()
-    seller.on_contract(contract.id, chain)
+    seller.on_contract(ContractRef(contract.id, blind), chain)
     assert chain.snapshot() == before
     assert seller.outcome == "declined: contract does not pay the agreed split"
 
@@ -454,11 +453,30 @@ def test_seller_claims_once_at_most():
     seller = make_seller(Variant.V1)
     h2 = seller.package.certificate.h2.digest
     chain, contract = _open_contract(HashLock(h2))
-    seller.on_contract(contract.id, chain)
+    seller.on_contract(ContractRef(contract.id), chain)
     assert seller.state is SellerState.CLAIMED
-    seller.on_contract(contract.id, chain)
+    seller.on_contract(ContractRef(contract.id), chain)
     claims = [e for e in chain.read_events(0) if e.kind is EventKind.CLAIMED]
     assert [e.contract_id for e in claims] == [contract.id]
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_a_repeated_reference_after_a_rejected_claim_claims_no_more(variant):
+    # The chain would refuse a second garbage claim too; the seller must not
+    # ask. Only `claim_attempted` stops it, so this pins that guard.
+    seller = make_seller(variant, SellerPolicy.CLAIM_WRONG_WITNESS)
+    buyer = make_buyer(variant)
+    chain = CountingLedger()
+    chain.fund(BUYER_ADDR, 200)
+    (ref,) = buyer.on_offer(seller.start(), chain)
+    seller.on_message(ref, chain)
+    assert chain.calls["claim"] == 1
+    outcome = seller.outcome
+    assert outcome.startswith("claim rejected: ")
+    seller.on_message(ref, chain)
+    assert chain.calls["claim"] == 1
+    assert seller.outcome == outcome
+    assert seller.state is SellerState.OFFER_SENT
 
 
 def test_seller_ignores_an_unknown_contract():
@@ -466,7 +484,7 @@ def test_seller_ignores_an_unknown_contract():
     seller.start()
     chain = funded_chain()
     before = chain.snapshot()
-    seller.on_contract(7, chain)
+    seller.on_contract(ContractRef(7), chain)
     assert chain.snapshot() == before
     assert seller.state is SellerState.OFFER_SENT
     assert seller.contract_id is None
@@ -477,7 +495,7 @@ def test_withhold_key_policy_never_claims():
     h2 = seller.package.certificate.h2.digest
     chain, contract = _open_contract(HashLock(h2))
     before = chain.snapshot()
-    seller.on_contract(contract.id, chain)
+    seller.on_contract(ContractRef(contract.id), chain)
     assert chain.snapshot() == before
     assert not seller.claim_attempted
     assert seller.outcome == "withheld the key"
@@ -488,7 +506,7 @@ def test_wrong_witness_policy_is_rejected_by_the_chain():
     h2 = seller.package.certificate.h2.digest
     chain, contract = _open_contract(HashLock(h2))
     before = chain.snapshot()
-    seller.on_contract(contract.id, chain)
+    seller.on_contract(ContractRef(contract.id), chain)
     assert seller.claim_attempted
     # The ledger's WrongWitness, as the seller records it.
     assert seller.outcome == "claim rejected: the witness does not satisfy the condition"
@@ -555,6 +573,23 @@ def test_on_timer_boundaries():
     assert chain.get_balance(BUYER_ADDR) == 200
 
 
+def test_on_timer_after_a_refund_asks_for_no_second_refund():
+    seller = make_seller(Variant.V1)
+    buyer = make_buyer(Variant.V1)
+    chain = CountingLedger()
+    chain.fund(BUYER_ADDR, 200)
+    buyer.on_offer(seller.start(), chain)
+    chain.advance_time(101)
+    buyer.on_timer(chain)
+    assert buyer.state is BuyerState.REFUNDED
+    assert chain.calls["refund"] == 1
+    before = chain.snapshot()
+    buyer.on_timer(chain)
+    assert chain.calls["refund"] == 1
+    assert chain.snapshot() == before
+    assert buyer.state is BuyerState.REFUNDED
+
+
 def test_on_timer_ignores_settled_contracts():
     _, buyer, chain, event = _settled_exchange(Variant.V1)
     chain.advance_time(500)
@@ -603,14 +638,14 @@ def test_decrypt_failure_marks_session_without_settling():
 # Message dispatch
 # ---------------------------------------------------------------------------
 
-_SELLER_MESSAGES = [
-    ContractRef(1),
-    Blind(Scalar(4, TEST_GROUP)),
-    AbortMessage(AbortReason.PRICE_MISMATCH),
-]
+_SELLER_MESSAGES = {
+    "ContractRef": ContractRef(1),
+    "ContractRefWithBlind": ContractRef(1, Scalar(4, TEST_GROUP)),
+    "AbortMessage": AbortMessage(AbortReason.PRICE_MISMATCH),
+}
 
 
-@pytest.mark.parametrize("message", _SELLER_MESSAGES, ids=lambda m: type(m).__name__)
+@pytest.mark.parametrize("message", _SELLER_MESSAGES.values(), ids=_SELLER_MESSAGES.keys())
 @pytest.mark.parametrize("offered", [False, True], ids=["init", "published"])
 def test_buyer_ignores_a_message_for_the_seller(message, offered):
     seller = make_seller(Variant.V3)
@@ -660,10 +695,8 @@ def test_offer_json_round_trip_all_variants():
 
 
 def test_small_message_json_round_trips():
-    blind = Blind(r=Scalar(4, TEST_GROUP))
-    assert message_from_obj(message_to_obj(blind)) == blind
-    ref = ContractRef(contract_id=7)
-    assert message_from_obj(message_to_obj(ref)) == ref
+    for ref in (ContractRef(contract_id=7), ContractRef(contract_id=7, r=Scalar(4, TEST_GROUP))):
+        assert message_from_obj(message_to_obj(ref)) == ref
     abort = AbortMessage(reason=AbortReason.PRICE_MISMATCH)
     assert message_from_obj(message_to_obj(abort)) == abort
     with pytest.raises(ValueError):
@@ -739,7 +772,7 @@ NEAR_CERTIFICATES = st.fixed_dictionaries(
     optional={key: NEAR_VALUES for key in ("h1", "h2", "seller_id", "notary_id", "sigma")},
 )
 NEAR_MISSES = st.fixed_dictionaries(
-    {"type": st.sampled_from(["offer", "blind", "contract_ref", "abort", "mystery"])},
+    {"type": st.sampled_from(["offer", "contract_ref", "abort", "mystery"])},
     optional={
         "certificate": NEAR_CERTIFICATES | NEAR_VALUES,
         **{key: NEAR_VALUES for key in ("ciphertext", "price", "r", "contract_id", "reason")},
@@ -776,7 +809,7 @@ def test_bytes_keys_are_a_value_error_under_bb():
         "    {b'type': 'abort'},",
         "    {'type': 'abort', b'reason': 'x'},",
         "    {'type': 'contract_ref', b'contract_id': 1},",
-        "    {'type': 'blind', 'r': {'value': 1, b'group': 'test'}},",
+        "    {'type': 'contract_ref', 'contract_id': 1, 'r': {'value': 1, b'group': 'test'}},",
         "):",
         "    try:",
         "        message_from_obj(obj)",
@@ -870,11 +903,14 @@ def test_dumps_writes_bytes_as_lowercase_hex_and_nothing_else_new():
             '1b68b2a1b005617f261629dbdac87cd16823b5307"},"ciphertext":{"nonce":"2441e3d5441049'
             '2b788768bc","body":"33030be91f7a8f206a249d1f3944fa7dc23e19d503b93d7f7d"},"price":60}',
         ),
-        (Blind(Scalar(5, TEST_GROUP)), '{"type":"blind","r":{"group":"test","value":5}}'),
         (ContractRef(3), '{"type":"contract_ref","contract_id":3}'),
+        (
+            ContractRef(3, Scalar(5, TEST_GROUP)),
+            '{"type":"contract_ref","contract_id":3,"r":{"group":"test","value":5}}',
+        ),
         (AbortMessage(AbortReason.BAD_SIGNATURE), '{"type":"abort","reason":"bad_signature"}'),
     ],
-    ids=["offer", "blind", "contract_ref", "abort"],
+    ids=["offer", "contract_ref", "contract_ref_with_blind", "abort"],
 )
 def test_message_text_is_pinned_and_decodes_alike_from_data_and_text(message, text):
     obj = message_to_obj(message)

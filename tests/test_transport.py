@@ -322,15 +322,13 @@ def test_full_dlog_exchange_over_the_in_process_net():
     seller_ep.send(b"b", message_to_obj(seller.start()))
     net.deliver(0)
     offer = message_from_obj(buyer_ep.recv().body)
-    for reply in buyer.on_offer(offer, chain):
-        buyer_ep.send(b"s", message_to_obj(reply))
+    (reply,) = buyer.on_offer(offer, chain)
+    buyer_ep.send(b"s", message_to_obj(reply))
 
     net.deliver(0)
-    net.deliver(0)
-    blind_msg = message_from_obj(seller_ep.recv().body)
-    seller.on_blind(blind_msg.r, chain)
-    ref_msg = message_from_obj(seller_ep.recv().body)
-    seller.on_contract(ref_msg.contract_id, chain)
+    ref = message_from_obj(seller_ep.recv().body)
+    assert ref.r == buyer.blind
+    seller.on_contract(ref, chain)
     event = chain.read_events(0)[-1]
 
     assert buyer.on_claim(event) == payload

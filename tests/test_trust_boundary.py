@@ -164,7 +164,7 @@ def _cert_obj() -> dict:
 
 
 def _with_group(obj: dict, group: object) -> dict:
-    """The offer, blind or certificate with its element's group replaced."""
+    """The offer, contract reference or certificate with its element's group replaced."""
     if "r" in obj:
         return {**obj, "r": {**obj["r"], "group": group}}
     if "certificate" in obj:
@@ -182,12 +182,13 @@ BAD_GROUPS = {
 
 @pytest.mark.parametrize("group", BAD_GROUPS.values(), ids=BAD_GROUPS.keys())
 def test_message_decoder_rejects_unnamed_groups(group, pow_calls, groups_built):
-    offer, blind = _offer_obj(), {"type": "blind", "r": {"group": "test", "value": 4}}
+    offer = _offer_obj()
+    ref = {"type": "contract_ref", "contract_id": 1, "r": {"group": "test", "value": 4}}
     pow_calls.clear()
     with pytest.raises(ValueError):
         message_from_obj(_with_group(offer, group))
     with pytest.raises(ValueError):
-        message_from_obj(_with_group(blind, group))
+        message_from_obj(_with_group(ref, group))
     assert pow_calls == [] and groups_built == []
 
 
@@ -222,8 +223,10 @@ def test_ledger_decoders_reject_the_old_inline_parameters(pow_calls, groups_buil
 def test_named_groups_decode_to_the_registered_objects():
     offer = message_from_obj(_offer_obj())
     assert offer.certificate.h2.element.params is TEST_GROUP
-    blind = message_from_obj({"type": "blind", "r": {"group": "modp2048", "value": 4}})
-    assert blind.r.params is MODP_2048
+    ref = message_from_obj(
+        {"type": "contract_ref", "contract_id": 1, "r": {"group": "modp2048", "value": 4}}
+    )
+    assert ref.r.params is MODP_2048
     condition = condition_from_obj({"type": "dlog_lock", "c": {"group": "test", "value": 4}})
     assert condition.group is TEST_GROUP
 
