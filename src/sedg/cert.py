@@ -115,14 +115,14 @@ class CertificatePackage:
     certificate: Certificate
 
 
-def signing_payload(variant: Variant, h1: bytes, h2: Commitment2, seller_id: PartyId) -> bytes:
+def signing_payload(h1: bytes, h2: Commitment2, seller_id: PartyId) -> bytes:
     """The exact byte string the notary signs.
 
-    The variant tag keeps a certificate issued for one flavour from being
-    replayed under another.
+    The variant tag, which `h2`'s type names, keeps a certificate issued for
+    one flavour from being replayed under another.
     """
     return crypto.canonical_encode(
-        [variant.value.encode("ascii"), h1, encode_commitment(h2), seller_id.id]
+        [h2.variant.value.encode("ascii"), h1, encode_commitment(h2), seller_id.id]
     )
 
 
@@ -171,7 +171,7 @@ def notarize(
     nonce = rng.randbytes(crypto.NONCE_LEN)
     ciphertext = crypto.encrypt(enc_key, payload, nonce)
     h1 = ciphertext.digest()
-    sigma = crypto.sign(notary_keys, signing_payload(variant, h1, h2, seller))
+    sigma = crypto.sign(notary_keys, signing_payload(h1, h2, seller))
     certificate = Certificate(
         h1=h1,
         h2=h2,
@@ -213,7 +213,7 @@ def verify_certificate(
     public = trusted_notaries.get(cert.notary_id.id)
     if public is None:
         return AbortReason.UNKNOWN_NOTARY
-    payload = signing_payload(cert.variant, cert.h1, cert.h2, cert.seller_id)
+    payload = signing_payload(cert.h1, cert.h2, cert.seller_id)
     if not crypto.verify(public, payload, cert.sigma):
         return AbortReason.BAD_SIGNATURE
     if ciphertext.digest() != cert.h1:

@@ -193,20 +193,14 @@ def _codec(tp: object) -> tuple[Encoder, Decoder]:
 def _dataclass_codec(cls: type, tag: str | None) -> tuple[Encoder, Decoder]:
     hints = typing.get_type_hints(cls)
     fields = [(f.name, *_codec(hints[f.name]), f.default) for f in dataclasses.fields(cls)]
-    # Dataclasses put fields without a default first, so encoding the
-    # required ones and then the rest keeps the field order.
-    required = [f for f in fields if f[3] is dataclasses.MISSING]
-    optional = [f for f in fields if f[3] is not dataclasses.MISSING]
     known = {f[0] for f in fields} | ({TYPE_KEY} if tag else set())
     what = _a(cls)
 
     def encode(value: Any) -> dict:
         obj = {TYPE_KEY: tag} if tag else {}
-        for name, encode_field, _, _ in required:
-            obj[name] = encode_field(getattr(value, name))
-        for name, encode_field, _, default in optional:
+        for name, encode_field, _, default in fields:
             field = getattr(value, name)
-            if field is not default and field != default:
+            if default is dataclasses.MISSING or (field is not default and field != default):
                 obj[name] = encode_field(field)
         return obj
 

@@ -18,7 +18,9 @@ carries the claim event the world found on the chain, for `on_claim`; a
 whether the buyer's refund is due. The default schedule always picks the
 first option (FIFO delivery, expiry last); `drive` replays any other
 schedule given as option indices, and `World.step` raises ScheduleError
-for a choice that names no open option.
+for a choice that names no open option. The world records the path it
+took, each step's label in `trace` and its option index in `choices`, and
+`restore` cuts both back; `drive` and `explore` read that one record.
 
 `explore` checks every ordering up to a depth bound and evaluates the
 fairness invariants at every terminal state, in one pass over the event
@@ -314,17 +316,16 @@ class World:
         self.config = config
         self.ledger = chain if chain is not None else Ledger()
 
-        self.package = notarize(
-            NOTARY_KEYS,
-            NOTARY,
-            config.payload,
-            SELLER,
-            config.variant,
-            _rng(config.seed, "notary"),
-            group=config.group,
-        )
         self.seller = SellerSession(
-            package=self.package,
+            package=notarize(
+                NOTARY_KEYS,
+                NOTARY,
+                config.payload,
+                SELLER,
+                config.variant,
+                _rng(config.seed, "notary"),
+                group=config.group,
+            ),
             terms=config,
             address=SELLER_ADDR,
             policy=config.seller_policy,
@@ -349,6 +350,7 @@ class World:
         # (label, the claim event for a notify:buyer wake or None for timers)
         self.pending_wakes: list[tuple[str, LedgerEvent | None]] = []
         self.trace: list[str] = []
+        self.choices: list[int] = []
         self._cursor = len(self.ledger.read_events(0))
         self._action_cache: list[tuple[str, Callable[[], None]]] | None = None
 
@@ -370,6 +372,7 @@ class World:
         self._action_cache = None
         action()
         self.trace.append(label)
+        self.choices.append(index)
         self._scan_chain()
         return label
 
@@ -393,6 +396,7 @@ class World:
             party.session.restore(session)
         self.pending_wakes = list(wakes)
         del self.trace[trace_len:]
+        del self.choices[trace_len:]
         self._action_cache = None
 
     def _open_actions(self) -> list[tuple[str, Callable[[], None]]]:
@@ -508,23 +512,23 @@ class World:
 def drive(world: World, schedule: Sequence[int] = ()) -> list[int]:
     """Run to quiescence, following the schedule then always choosing 0.
 
-    Raises ScheduleError if the schedule picks an option that is not open
-    (`World.step` judges each choice) or has choices left when the run ends.
+    The schedule, like the `_MAX_RUN_STEPS` bound, counts from the world's
+    first step; returns every choice the world took. Raises ScheduleError if
+    the schedule picks an option that is not open (`World.step` judges each
+    choice) or has choices left when the run ends.
     """
-    taken: list[int] = []
     while True:
+        taken = len(world.choices)
         if not world.options():
-            if len(taken) < len(schedule):
+            if taken < len(schedule):
                 raise ScheduleError(
-                    f"the run ended after {len(taken)} of the schedule's "
+                    f"the run ended after {taken} of the schedule's "
                     f"{len(schedule)} choices"
                 )
-            return taken
-        if len(taken) >= _MAX_RUN_STEPS:
+            return list(world.choices)
+        if taken >= _MAX_RUN_STEPS:
             raise DepthExceeded(f"run exceeded {_MAX_RUN_STEPS} scheduling choices")
-        index = schedule[len(taken)] if len(taken) < len(schedule) else 0
-        world.step(index)
-        taken.append(index)
+        world.step(schedule[taken] if taken < len(schedule) else 0)
 
 
 def run_scenario(
@@ -631,35 +635,32 @@ def explore(
     """
     world = World(config, chain_factory() if chain_factory else None)
     result = ExplorationResult(schedules_explored=0)
-    choices: list[int] = []
     # One entry per branch point on the current path, deepest last:
-    # (its position, its checkpoint, the alternatives still to run).
-    branches: list[tuple[int, tuple, list[int]]] = []
+    # (its checkpoint, the alternatives still to run).
+    branches: list[tuple[tuple, list[int]]] = []
     while True:
         count = len(world.options())
         if count:
-            if len(choices) >= depth:
+            if len(world.choices) >= depth:
                 raise DepthExceeded(f"a run exceeded the depth bound of {depth}")
             if count > 1:
-                branches.append((len(choices), world.checkpoint(), list(range(1, count))))
+                branches.append((world.checkpoint(), list(range(1, count))))
             index = 0
         else:
             result.schedules_explored += 1
-            result.max_depth = max(result.max_depth, len(choices))
+            result.max_depth = max(result.max_depth, len(world.choices))
             for prop, detail in fairness_violations(world):
                 result.violations.append(
-                    Violation(tuple(world.trace), prop, detail, tuple(choices))
+                    Violation(tuple(world.trace), prop, detail, tuple(world.choices))
                 )
             if not branches:
                 return result
-            position, saved, alternatives = branches[-1]
+            saved, alternatives = branches[-1]
             index = alternatives.pop()  # highest first, as the enumerator's stack pops
             if not alternatives:
                 branches.pop()
             world.restore(saved)
-            del choices[position:]
         world.step(index)
-        choices.append(index)
         result.nodes_executed += 1
 
 
@@ -704,7 +705,7 @@ def demo(variant: Variant | str, printer: Callable[[str], None] = print) -> Scen
     )
 
     world = World(config)
-    certificate = world.package.certificate
+    certificate = world.seller.package.certificate
     h2_kind = "g^k =" if certificate.group else "digest"
     printer(
         f"setup: h1 = {certificate.h1.hex()[:16]}…, "

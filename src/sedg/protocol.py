@@ -5,10 +5,11 @@ message or wake-up, performs its own ledger operations (the buyer publishes
 and refunds, the seller claims), and returns the messages to send. The
 buyer answers an offer with one message: its contract reference, which for
 v3 carries the blinding scalar, or its abort. So the seller claims on the
-one message it receives and never waits for a second. Each session's
-`on_message` picks the handler for a peer's message and ignores a type it
-does not take. The harness owns what neither party controls:
-delivery order, wake-ups and expiry. It decides what woke the buyer:
+one message it receives, from that reference alone, and never waits for a
+second or keeps the reference. Each session's `on_message` picks the
+handler for a peer's message and ignores a type it does not take. The
+harness owns what neither party controls: delivery order, wake-ups and
+expiry. It decides what woke the buyer:
 `on_claim` gets the claim event the harness found on the chain, and
 `on_timer` asks the ledger for a refund, which the ledger grants only past
 the deadline. So the same session code runs under the deterministic
@@ -150,17 +151,9 @@ class AbortMessage:
 ProtocolMessage = Union[Offer, ContractRef, AbortMessage]
 
 
-def message_to_obj(message: ProtocolMessage) -> dict:
-    return _encode_message(message)
-
-
-def message_from_obj(obj: object) -> ProtocolMessage:
-    """Decode a peer's message; raises ValueError on anything malformed."""
-    return _decode_message(obj)
-
-
-_encode_message = codec.encoder(ProtocolMessage)
-_decode_message = codec.decoder(ProtocolMessage)
+message_to_obj = codec.encoder(ProtocolMessage)
+# Decodes a peer's message; raises ValueError on anything malformed.
+message_from_obj = codec.decoder(ProtocolMessage)
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +360,6 @@ class SellerSession(_Session):
         self.policy = policy
         self.new_rng = new_rng
         self.state = SellerState.OFFER_SENT
-        self.blind: Scalar | None = None
-        self.contract_id: int | None = None
         self.claim_attempted = False
         self.outcome = ""
 
@@ -399,16 +390,34 @@ class SellerSession(_Session):
         return []
 
     def on_contract(self, ref: ContractRef, chain: Ledger) -> None:
-        """Claim the referenced contract; only a v3 witness uses the reference's blind."""
+        """Claim the referenced contract, deciding on the chain's state at delivery.
+
+        Only a v3 witness uses the reference's blind; the seller keeps neither.
+        """
         try:
             chain.get_contract(ref.contract_id)
         except ledger.UnknownContract:
             return
         if self.terminal or self.claim_attempted:
             return
-        self.contract_id = ref.contract_id
-        self.blind = ref.r
-        self._claim(chain)
+        if self.policy is SellerPolicy.WITHHOLD_KEY:
+            self.outcome = "withheld the key"
+            return
+        try:
+            if self.policy is SellerPolicy.CLAIM_WRONG_WITNESS:
+                witness = self._garbage_witness(ref.r)
+            else:
+                witness = self.build_witness(chain, ref.contract_id, ref.r)
+        except ContractMismatch as exc:
+            self.outcome = f"declined: {exc}"
+            return
+        self.claim_attempted = True
+        try:
+            chain.claim(ref.contract_id, witness)
+        except ledger.LedgerError as exc:
+            self.outcome = f"claim rejected: {exc}"
+            return
+        self.state = SellerState.CLAIMED
 
     def on_timer(self) -> None:
         if not self.terminal:
@@ -457,27 +466,6 @@ class SellerSession(_Session):
         # h2 = g^k and g has order q, so the buyer's h2^r is g^(k*r mod q) = g^x.
         return ledger.Exponent(crypto.scalar_mul(exponent, blind))
 
-    def _claim(self, chain: Ledger) -> None:
-        """Claim the stored contract, deciding on the chain's state at delivery."""
-        if self.policy is SellerPolicy.WITHHOLD_KEY:
-            self.outcome = "withheld the key"
-            return
-        try:
-            if self.policy is SellerPolicy.CLAIM_WRONG_WITNESS:
-                witness = self._garbage_witness()
-            else:
-                witness = self.build_witness(chain, self.contract_id, self.blind)
-        except ContractMismatch as exc:
-            self.outcome = f"declined: {exc}"
-            return
-        self.claim_attempted = True
-        try:
-            chain.claim(self.contract_id, witness)
-        except ledger.LedgerError as exc:
-            self.outcome = f"claim rejected: {exc}"
-            return
-        self.state = SellerState.CLAIMED
-
     def _mismatched_h2(self) -> Commitment2:
         """The certificate's `h2`, altered but still well formed and never unchanged.
 
@@ -488,9 +476,9 @@ class SellerSession(_Session):
             return GroupPower(crypto.element_mul(h2.element, h2.element.params.generator))
         return replace(h2, digest=bytes([h2.digest[0] ^ 0x01]) + h2.digest[1:])
 
-    def _garbage_witness(self) -> Witness:
-        """The honest witness with a fresh `x` in place of the true one."""
-        honest = self._honest_witness(self.blind)
+    def _garbage_witness(self, blind: Scalar | None) -> Witness:
+        """The honest witness for `blind` with a fresh `x` in place of the true one."""
+        honest = self._honest_witness(blind)
         rng = self.new_rng()
         while True:
             if isinstance(honest, ledger.Exponent):

@@ -80,13 +80,9 @@ class InProcessNet:
     def __init__(self) -> None:
         self.pending: list[Envelope] = []
         self._inboxes: dict[bytes, list[Envelope]] = {}
-        self._endpoints: dict[bytes, MailboxEndpoint] = {}
 
     def endpoint(self, party: bytes) -> "MailboxEndpoint":
-        if party not in self._endpoints:
-            self._inboxes.setdefault(party, [])
-            self._endpoints[party] = MailboxEndpoint(self, party)
-        return self._endpoints[party]
+        return MailboxEndpoint(self, party)
 
     def deliver(self, index: int) -> Envelope:
         envelope = self.pending.pop(index)

@@ -113,6 +113,12 @@ def test_notarize_v3_resamples_zero_scalar(notary, seller):
     assert package.key == good_key
 
 
+def test_notarize_v3_requires_a_group(notary, seller):
+    keys, notary_id = notary
+    with pytest.raises(ValueError, match="the dlog variant requires group parameters"):
+        notarize(keys, notary_id, b"hello", seller, Variant.V3, random.Random(0))
+
+
 def test_notarize_v3_encrypts_under_derived_key(notary, seller):
     package = _notarize(notary, seller, Variant.V3, rng=random.Random(9))
     exponent = crypto.scalar_from_key(package.key, TEST_GROUP)

@@ -198,6 +198,9 @@ def test_ciphertext_shape_validation():
         Ciphertext(nonce=bytes(11), body=bytes(16))
     with pytest.raises(ValueError):
         Ciphertext(nonce=bytes(12), body=bytes(15))
+    key, message, _ = _kmn(9)
+    with pytest.raises(ValueError, match="nonce must be 12 bytes"):
+        encrypt(key, message, bytes(11))
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +222,11 @@ def test_key_pair_repr_hides_the_seed():
     pair = SigningKeyPair.from_seed(seed)
     assert repr(seed)[2:-1] not in repr(pair)  # the seed's bytes, as a repr prints them
     assert repr(pair) == f"SigningKeyPair(public={pair.public!r})"
+
+
+def test_key_pair_seed_must_be_32_bytes():
+    with pytest.raises(ValueError, match="seed must be 32 bytes"):
+        SigningKeyPair.from_seed(bytes(31))
 
 
 def test_verify_rejects_other_message_and_key():
@@ -408,6 +416,8 @@ def test_group_params_validation():
     ]:
         with pytest.raises(ValueError):
             GroupParams(p=p, q=q, g=g)
+    with pytest.raises(ValueError, match="subgroup order must exceed trivial sizes"):
+        GroupParams(p=3, q=1, g=2)
     # Every signed residue other than 1 generates a group of prime order.
     for g in (5, 11):
         assert GroupParams(p=23, q=11, g=g).g == g

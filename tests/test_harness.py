@@ -224,10 +224,10 @@ def test_worlds_of_any_seed_share_the_one_notary_key():
     second = World(make_config("v1", seed=2))
     registry = second.buyer.trusted_notaries
     assert first.buyer.trusted_notaries == registry
-    assert first.package.certificate.notary_id == second.package.certificate.notary_id
-    assert first.package.certificate != second.package.certificate
+    assert first.seller.package.certificate.notary_id == second.seller.package.certificate.notary_id
+    assert first.seller.package.certificate != second.seller.package.certificate
     rejection = verify_certificate(
-        first.package.certificate, registry, harness.SELLER, first.package.ciphertext
+        first.seller.package.certificate, registry, harness.SELLER, first.seller.package.ciphertext
     )
     assert rejection is None
 
@@ -503,11 +503,11 @@ def test_fee_skimming_claim_is_an_honest_seller_loss():
     config = make_config("v2", price=100, buyer_balance=150, notary_fee=10, seed=7)
     world = World(config)
     chain = world.ledger
-    lock = NotaryHashLock(h2=world.package.certificate.h2.digest, fee=99)
+    lock = NotaryHashLock(h2=world.seller.package.certificate.h2.digest, fee=99)
     cid = chain.publish_contract(
         harness.BUYER_ADDR, harness.SELLER_ADDR, 100, lock, deadline=100
     )
-    chain.claim(cid, PreimageWithNotary(world.package.key, harness.NOTARY_ID))
+    chain.claim(cid, PreimageWithNotary(world.seller.package.key, harness.NOTARY_ID))
     assert chain.get_balance(harness.SELLER_ADDR) == 1
     assert chain.get_balance(harness.NOTARY_ADDR) == 99
     violations = dict(fairness_violations(world))
@@ -675,6 +675,7 @@ def _world_state(world):
         {party: list(inbox) for party, inbox in world.net._inboxes.items()},
         list(world.pending_wakes),
         list(world.trace),
+        list(world.choices),
         world._cursor,
     )
 

@@ -483,11 +483,10 @@ def test_seller_ignores_an_unknown_contract():
     seller = make_seller(Variant.V1)
     seller.start()
     chain = funded_chain()
-    before = chain.snapshot()
+    before, session = chain.snapshot(), seller.checkpoint()
     seller.on_contract(ContractRef(7), chain)
     assert chain.snapshot() == before
-    assert seller.state is SellerState.OFFER_SENT
-    assert seller.contract_id is None
+    assert seller.checkpoint() == session
 
 
 def test_withhold_key_policy_never_claims():
@@ -613,7 +612,7 @@ def test_decrypt_failure_marks_session_without_settling():
     ciphertext = crypto.encrypt(actual, PAYLOAD, nonce)
     h1 = crypto.sha256(ciphertext.encoded())
     h2 = HashOfKey(crypto.sha256(committed))
-    sigma = crypto.sign(NOTARY_KEYS, signing_payload(Variant.V1, h1, h2, SELLER))
+    sigma = crypto.sign(NOTARY_KEYS, signing_payload(h1, h2, SELLER))
     package = CertificatePackage(
         key=committed,
         ciphertext=ciphertext,

@@ -160,7 +160,7 @@ def _offer_obj() -> dict:
 
 
 def _cert_obj() -> dict:
-    return codec.encoder(Certificate)(_v3_world().package.certificate)
+    return codec.encoder(Certificate)(_v3_world().seller.package.certificate)
 
 
 def _with_group(obj: dict, group: object) -> dict:
@@ -229,6 +229,13 @@ def test_named_groups_decode_to_the_registered_objects():
     assert ref.r.params is MODP_2048
     condition = condition_from_obj({"type": "dlog_lock", "c": {"group": "test", "value": 4}})
     assert condition.group is TEST_GROUP
+
+
+def test_only_named_groups_encode():
+    # A valid group that GROUPS does not name has no wire form.
+    unnamed = crypto.GroupParams(p=23, q=11, g=5)
+    with pytest.raises(ValueError, match="only groups named in GROUPS can be encoded"):
+        codec.encoder(crypto.Scalar)(crypto.Scalar(4, unnamed))
 
 
 def test_wire_h2_outside_the_subgroup_fails_at_decode(membership_checks):
