@@ -7,7 +7,9 @@ immutable and callers thread their own randomness.
 
 Every primitive, SHA-256 included, comes from the OpenSSL that
 `cryptography` bundles. `hashlib` would load the system libcrypto as a
-second OpenSSL into the process, so this module does not use it.
+second OpenSSL into the process, so this module does not use it. The
+binding rejects a cipher key that is not 32 bytes with a `ValueError`;
+`scalar_from_key`, which hands its key to no cipher, checks its own.
 
 A group element is a signed quadratic residue, an integer in [1, q], so
 membership is a range check (see `GroupParams`).
@@ -120,7 +122,6 @@ class Ciphertext:
 
 def encrypt(key: bytes, plaintext: bytes, nonce: bytes) -> Ciphertext:
     """Authenticated encryption (ChaCha20-Poly1305) under a 32-byte key."""
-    _check_key(key)
     if len(nonce) != NONCE_LEN:
         raise ValueError(f"nonce must be {NONCE_LEN} bytes")
     body = ChaCha20Poly1305(key).encrypt(nonce, plaintext, None)
@@ -129,7 +130,6 @@ def encrypt(key: bytes, plaintext: bytes, nonce: bytes) -> Ciphertext:
 
 def decrypt(key: bytes, ciphertext: Ciphertext) -> bytes:
     """Recover the plaintext; raises AuthenticationFailure on any mismatch."""
-    _check_key(key)
     try:
         return ChaCha20Poly1305(key).decrypt(ciphertext.nonce, ciphertext.body, None)
     except InvalidTag as exc:
@@ -143,7 +143,6 @@ def keystream(key: bytes, size: int) -> bytes:
     key a shorter stream is a prefix of a longer one. It makes deterministic
     test data, not a secret, from the same cipher the AEAD above uses.
     """
-    _check_key(key)
     # cryptography's ChaCha20 takes a 16-byte block counter and nonce.
     encryptor = Cipher(algorithms.ChaCha20(key, bytes(16)), mode=None).encryptor()
     # Encrypting one shared zero block at a time, not a fresh zero buffer of
@@ -152,11 +151,6 @@ def keystream(key: bytes, size: int) -> bytes:
     return b"".join(
         encryptor.update(zeros[: size - start]) for start in range(0, size, len(zeros))
     )
-
-
-def _check_key(key: bytes) -> None:
-    if len(key) != KEY_LEN:
-        raise ValueError(f"key must be {KEY_LEN} bytes")
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +386,8 @@ def scalar_from_key(key: bytes, params: GroupParams) -> Scalar | None:
 
     Returns None when the reduction lands on zero; the caller resamples.
     """
-    _check_key(key)
+    if len(key) != KEY_LEN:
+        raise ValueError(f"key must be {KEY_LEN} bytes")
     value = int.from_bytes(key, "big") % params.q
     if value == 0:
         return None

@@ -169,8 +169,6 @@ def make_config(
                 f"the default notary fee, price // 10, is 0 for a price of {price}; "
                 "give a notary_fee that is positive and below the price"
             )
-    if not 0 <= notary_fee <= MAX_CONFIG_INT:
-        raise ConfigError("notary fee must be between 0 and 10^4300 - 1 tokens")
     if variant is Variant.V2 and not 0 < notary_fee < price:
         raise ConfigError("the notary fee must be positive and below the price")
     if variant is not Variant.V2 and notary_fee:
@@ -362,7 +360,7 @@ class World:
     def options(self) -> list[str]:
         return [label for label, _ in self._open_actions()]
 
-    def step(self, index: int) -> str:
+    def step(self, index: int) -> None:
         actions = self._open_actions()
         if not 0 <= index < len(actions):
             raise ScheduleError(
@@ -374,7 +372,6 @@ class World:
         self.trace.append(label)
         self.choices.append(index)
         self._scan_chain()
-        return label
 
     def checkpoint(self) -> tuple:
         """Capture everything a step can change, layer by layer."""
@@ -564,10 +561,6 @@ class ExplorationResult:
     violations: list[Violation] = field(default_factory=list)
     max_depth: int = 0
     nodes_executed: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 def fairness_violations(world: World) -> list[tuple[str, str]]:

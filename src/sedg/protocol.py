@@ -13,7 +13,9 @@ expiry. It decides what woke the buyer:
 `on_claim` gets the claim event the harness found on the chain, and
 `on_timer` asks the ledger for a refund, which the ledger grants only past
 the deadline. So the same session code runs under the deterministic
-scenario runner and under exhaustive adversarial scheduling.
+scenario runner and under exhaustive adversarial scheduling. The seller
+builds the witness its certificate names, as the buyer picks its lock from
+the offer's `h2`; from its terms the seller reads only price and fee.
 
 Deviation policies model the classic failure modes of an unprotected trade:
 a buyer who never pays or underpays, a seller who withholds the key, claims
@@ -349,11 +351,6 @@ class SellerSession(_Session):
         policy: SellerPolicy,
         new_rng: RngFactory,
     ) -> None:
-        # The witness must open the package's commitment under the agreed lock.
-        if terms.variant is not package.certificate.variant:
-            raise ValueError(
-                f"{terms.variant.value} terms for a {package.certificate.variant.value} package"
-            )
         self.package = package
         self.terms = terms
         self.address = address
@@ -436,7 +433,7 @@ class SellerSession(_Session):
         """
         witness = self._honest_witness(blind)
         agreed = (ledger.Payout(self.address, self.terms.price),)
-        if self.terms.variant is Variant.V2:
+        if self.package.certificate.variant is Variant.V2:
             agreed = (
                 ledger.Payout(self.address, self.terms.price - self.terms.notary_fee),
                 ledger.Payout(address_for(witness.notary_id), self.terms.notary_fee),
@@ -453,9 +450,9 @@ class SellerSession(_Session):
     def _honest_witness(self, blind: Scalar | None) -> Witness:
         """The witness that opens the certificate's commitment (v3: blinded by `blind`)."""
         certificate = self.package.certificate
-        if self.terms.variant is Variant.V1:
+        if certificate.variant is Variant.V1:
             return ledger.Preimage(self.package.key)
-        if self.terms.variant is Variant.V2:
+        if certificate.variant is Variant.V2:
             return ledger.PreimageWithNotary(self.package.key, certificate.notary_id.id)
         if blind is None:
             raise ContractMismatch("the contract reference carries no blinding scalar")

@@ -26,11 +26,7 @@ from . import codec
 MAX_FRAME = 16 * 1024 * 1024
 
 
-class TransportError(Exception):
-    pass
-
-
-class FrameTooLarge(TransportError):
+class FrameTooLarge(Exception):
     pass
 
 

@@ -583,6 +583,12 @@ def test_scalar_from_key_zero_is_resample_signal():
     assert scalar_from_key(key, TEST_GROUP) is None
 
 
+def test_scalar_from_key_takes_only_a_32_byte_key():
+    # No OpenSSL call sees this key, so the length check is the function's own.
+    with pytest.raises(ValueError, match="^key must be 32 bytes$"):
+        scalar_from_key(bytes(31), TEST_GROUP)
+
+
 def test_symmetric_key_for_scalar_separates_roles():
     a = symmetric_key_for_scalar(Scalar(3, TEST_GROUP))
     b = symmetric_key_for_scalar(Scalar(4, TEST_GROUP))

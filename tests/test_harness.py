@@ -391,7 +391,6 @@ def test_explore_depth_exceeded_on_real_scenario():
 def test_explore_honest_pair_is_clean():
     config = make_config("v1", price=60, buyer_balance=100, seed=5)
     result = explore(config, depth=12)
-    assert result.ok
     assert result.violations == []
     assert result.schedules_explored >= 3
     assert result.max_depth <= 12
@@ -434,7 +433,6 @@ def test_broken_condition_evaluation_is_detected():
         seed=8,
     )
     result = explore(config, depth=12, chain_factory=AcceptAnyWitnessLedger)
-    assert not result.ok
     props = {v.prop for v in result.violations}
     assert "atomicity" in props
     # every violation knows the schedule that produced it
@@ -802,6 +800,10 @@ def test_config_validation_errors():
     for variant in ("v1", "v2", "v3"):
         with pytest.raises(ConfigError):
             make_config(variant, notary_fee=-1)
+    for balance in (-5, 10**4300):
+        # Unchecked, a negative balance reaches `Ledger.fund` and raises there.
+        with pytest.raises(ConfigError, match="^buyer balance must be between 0 and "):
+            make_config("v1", buyer_balance=balance)
     for variant in ("v1", "v3"):
         with pytest.raises(ConfigError, match="only the notary-split variant"):
             make_config(variant, notary_fee=1)

@@ -417,6 +417,16 @@ def test_event_json_round_trip_every_kind():
         assert event_from_json(line) == event
 
 
+def test_a_claim_line_whose_payouts_are_not_a_list_does_not_decode():
+    claimed = json.loads(event_to_json(_busy_ledger().read_events(0)[2]))
+    assert claimed["kind"] == "claimed"
+    line = json.dumps({**claimed, "payouts": {}}, separators=(",", ":"))
+    with pytest.raises(ValueError, match="^payouts: expected a list"):
+        event_from_json(line)
+    with pytest.raises(LedgerError, match="^log line 1 cannot be decoded"):
+        replay([line])
+
+
 def test_replay_reconstructs_state_and_log_bytes():
     chain = _busy_ledger()
     lines = [event_to_json(e) for e in chain.read_events(0)]

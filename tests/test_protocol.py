@@ -28,6 +28,7 @@ from sedg.ledger import (
     ContractState,
     DlogLock,
     EventKind,
+    Exponent,
     HashLock,
     Ledger,
     NotaryHashLock,
@@ -190,17 +191,22 @@ def test_variant_mismatch_aborts():
     assert buyer.abort_reason is AbortReason.VARIANT_MISMATCH
 
 
-def test_seller_refuses_terms_of_another_variant_than_its_package():
-    # Its witness must open the package's commitment, so v1 terms beside a v3
-    # package would build a preimage for the buyer's dlog lock.
-    with pytest.raises(ValueError, match="^v1 terms for a v3 package$"):
-        SellerSession(
-            make_package(Variant.V3),
-            make_terms(Variant.V1),
-            SELLER_ADDR,
-            SellerPolicy.HONEST,
-            lambda: random.Random(3),
-        )
+def test_seller_witness_follows_its_certificate_not_its_terms():
+    # The seller dispatches on the certificate the notary signed, so v1 terms
+    # beside a v3 package still build the exponent that opens the dlog lock.
+    seller = SellerSession(
+        make_package(Variant.V3, k=3),
+        make_terms(Variant.V1),
+        SELLER_ADDR,
+        SellerPolicy.HONEST,
+        lambda: random.Random(3),
+    )
+    blind = Scalar(4, TEST_GROUP)
+    c = crypto.element_pow(seller.package.certificate.h2.element, blind)
+    chain, contract = _open_contract(DlogLock(c))
+    witness = seller.build_witness(chain, contract.id, blind)
+    assert witness == Exponent(Scalar(1, TEST_GROUP))
+    chain.claim(contract.id, witness)
 
 
 def test_buyer_rejects_variant_downgrade():
@@ -659,6 +665,20 @@ def test_buyer_ignores_a_message_for_the_seller(message, offered):
 
 
 @pytest.mark.parametrize("variant", list(Variant))
+def test_a_buyer_that_has_published_ignores_the_offer_again(variant):
+    # A duplicated offer must not escrow the price a second time.
+    seller = make_seller(variant)
+    buyer = make_buyer(variant)
+    chain = funded_chain()
+    offer = seller.start()
+    buyer.on_offer(offer, chain)
+    session = buyer.checkpoint()
+    assert buyer.on_offer(offer, chain) == []
+    assert buyer.checkpoint() == session
+    assert len(chain.read_events(0)) == 2  # the funding and the one contract
+
+
+@pytest.mark.parametrize("variant", list(Variant))
 def test_seller_ignores_an_offer(variant):
     seller = make_seller(variant)
     chain = funded_chain()
@@ -881,6 +901,19 @@ def test_bytes_for_a_str_field_are_rejected():
         message_from_obj({"type": "abort", "reason": b"bad_signature"})
     with pytest.raises(ValueError):
         message_from_obj({"type": b"abort", "reason": "bad_signature"})
+
+
+def test_null_decodes_only_where_a_field_may_be_none():
+    with pytest.raises(ValueError):
+        message_from_obj(None)
+    honest = message_to_obj(make_seller(Variant.V1).start())
+    with pytest.raises(ValueError, match="^certificate: h2: "):
+        message_from_obj({**honest, "certificate": {**honest["certificate"], "h2": None}})
+
+
+def test_a_type_with_no_json_form_has_no_codec():
+    with pytest.raises(TypeError, match="^no JSON form for <class 'float'>$"):
+        codec.encoder(float)
 
 
 def test_dumps_writes_bytes_as_lowercase_hex_and_nothing_else_new():
