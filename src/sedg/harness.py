@@ -45,7 +45,15 @@ from typing import Callable, NamedTuple, Sequence
 from . import cert, codec, crypto, protocol, transport
 from .cert import PartyId, Variant, notarize
 from .crypto import GROUPS, SigningKeyPair
-from .ledger import EventKind, Ledger, LedgerEvent, address_for, write_event_log
+from .ledger import (
+    Claimed,
+    ContractPublished,
+    Funded,
+    Ledger,
+    Refunded,
+    address_for,
+    write_event_log,
+)
 from .protocol import (
     BuyerPolicy,
     BuyerSession,
@@ -346,7 +354,7 @@ class World:
             BUYER_ID: Party("buyer", self.buyer, self.net.endpoint(BUYER_ID)),
         }
         # (label, the claim event for a notify:buyer wake or None for timers)
-        self.pending_wakes: list[tuple[str, LedgerEvent | None]] = []
+        self.pending_wakes: list[tuple[str, Claimed | None]] = []
         self.trace: list[str] = []
         self.choices: list[int] = []
         self._cursor = len(self.ledger.read_events(0))
@@ -443,10 +451,7 @@ class World:
         events = self.ledger.read_events(self._cursor)
         self._cursor += len(events)
         for event in events:
-            if (
-                event.kind is EventKind.CLAIMED
-                and event.contract_id == self.buyer.contract_id
-            ):
+            if type(event) is Claimed and event.contract_id == self.buyer.contract_id:
                 self.pending_wakes.append(("notify:buyer", event))
 
     # -- reporting ------------------------------------------------------------
@@ -457,16 +462,18 @@ class World:
         events = self.ledger.read_events(0)
         facts.event_count = len(events)
         for e in events:
-            kind = e.kind
-            if kind is EventKind.FUNDED:
+            kind = type(e)
+            if kind is Funded:
                 facts.funded += e.amount
-            elif kind is EventKind.CONTRACT_PUBLISHED:
+            elif kind is ContractPublished:
                 if e.payer == self.buyer.address:
                     facts.buyer_contracts.append(e.contract_id)
-            elif kind is EventKind.CLAIMED or kind is EventKind.REFUNDED:
+            elif kind is Refunded:
                 facts.settlements[e.contract_id] = facts.settlements.get(e.contract_id, 0) + 1
-                if kind is EventKind.REFUNDED and e.contract_id in facts.buyer_contracts:
+                if e.contract_id in facts.buyer_contracts:
                     facts.buyer_refunded = True
+            elif kind is Claimed:
+                facts.settlements[e.contract_id] = facts.settlements.get(e.contract_id, 0) + 1
                 to_seller = [p.amount for p in e.payouts if p.to == self.seller.address]
                 if to_seller:
                     facts.seller_claims.append((e.contract_id, sum(to_seller)))

@@ -8,10 +8,13 @@ lock opens only to an exponent of its own group: a scalar of another group
 that happens to be congruent is a wrong witness.
 
 The log is written as JSON lines, one event per line, in the format `codec`
-derives from `LedgerEvent`; `replay` rebuilds a ledger from such a log and
-verifies every line against its re-execution. The ledger keeps each line
-once `snapshot` has encoded it, so a snapshot encodes only the events
-appended since the previous one.
+derives from `LedgerEvent`: a union of one record per kind of event, each
+holding `seq`, `tick` and exactly its own fields. A line names its kind in
+`"type"` and decodes only with that kind's fields, each of its type, so
+`replay`, which rebuilds a ledger from such a log, re-executes each line
+from the record alone and verifies it against its re-execution. The ledger
+keeps each line once `snapshot` has encoded it, so a snapshot encodes only
+the events appended since the previous one.
 
 Records are immutable: a contract's state change stores a replaced
 `EscrowContract`, so reads hand out the stored records and a checkpoint
@@ -168,14 +171,6 @@ class EscrowContract:
     state: ContractState = ContractState.OPEN
 
 
-class EventKind(Enum):
-    FUNDED = "funded"
-    CONTRACT_PUBLISHED = "contract_published"
-    CLAIMED = "claimed"
-    REFUNDED = "refunded"
-    TIME_ADVANCED = "time_advanced"
-
-
 @dataclass(frozen=True)
 class Payout:
     to: bytes
@@ -183,21 +178,48 @@ class Payout:
 
 
 @dataclass(frozen=True)
-class LedgerEvent:
-    """One public log entry; unused fields stay at their defaults per kind."""
+class _Event:
+    """Where a log entry stands: its position in the log and the tick it was written at."""
 
     seq: int
     tick: int
-    kind: EventKind
-    contract_id: int | None = None
-    account: bytes | None = None
-    amount: int | None = None
-    payer: bytes | None = None
-    payee: bytes | None = None
-    deadline: int | None = None
-    condition: Condition | None = None
-    witness: Witness | None = None
+
+
+@dataclass(frozen=True)
+class Funded(_Event):
+    account: bytes
+    amount: int
+
+
+@dataclass(frozen=True)
+class ContractPublished(_Event):
+    contract_id: int
+    amount: int
+    payer: bytes
+    payee: bytes
+    deadline: int
+    condition: Condition
+
+
+@dataclass(frozen=True)
+class Claimed(_Event):
+    contract_id: int
+    witness: Witness
     payouts: tuple[Payout, ...] = ()
+
+
+@dataclass(frozen=True)
+class Refunded(_Event):
+    contract_id: int
+
+
+@dataclass(frozen=True)
+class TimeAdvanced(_Event):
+    """Logical time moved forward to `tick`."""
+
+
+# One public log entry: each kind holds exactly the fields it is written with.
+LedgerEvent = Union[Funded, ContractPublished, Claimed, Refunded, TimeAdvanced]
 
 
 def claim_payouts(contract: EscrowContract, witness: Witness) -> tuple[Payout, ...]:
@@ -254,7 +276,7 @@ class Ledger:
         if amount <= 0:
             raise LedgerError("funding amount must be positive")
         self._balances[account] = self.get_balance(account) + amount
-        self._append(EventKind.FUNDED, account=account, amount=amount)
+        self._append(Funded, account=account, amount=amount)
         return self._balances[account]
 
     def publish_contract(
@@ -286,11 +308,11 @@ class Ledger:
             deadline=deadline,
         )
         self._append(
-            EventKind.CONTRACT_PUBLISHED,
+            ContractPublished,
             contract_id=contract_id,
+            amount=amount,
             payer=payer,
             payee=payee,
-            amount=amount,
             deadline=deadline,
             condition=condition,
         )
@@ -313,7 +335,7 @@ class Ledger:
             raise WrongWitness("the witness does not satisfy the condition")
         return contract
 
-    def claim(self, contract_id: int, witness: Witness) -> LedgerEvent:
+    def claim(self, contract_id: int, witness: Witness) -> Claimed:
         """Settle a contract by exhibiting a witness `check_claim` accepts.
 
         The witness becomes public in the settlement event; for the
@@ -325,14 +347,9 @@ class Ledger:
         self._contracts[contract_id] = replace(contract, state=ContractState.CLAIMED)
         for payout in payouts:
             self._balances[payout.to] = self.get_balance(payout.to) + payout.amount
-        return self._append(
-            EventKind.CLAIMED,
-            contract_id=contract_id,
-            witness=witness,
-            payouts=payouts,
-        )
+        return self._append(Claimed, contract_id=contract_id, witness=witness, payouts=payouts)
 
-    def refund(self, contract_id: int, caller: bytes) -> LedgerEvent:
+    def refund(self, contract_id: int, caller: bytes) -> Refunded:
         """Return an expired contract's escrow to the payer."""
         contract = self.get_contract(contract_id)
         self._ensure_open(contract)
@@ -343,7 +360,7 @@ class Ledger:
 
         self._contracts[contract_id] = replace(contract, state=ContractState.REFUNDED)
         self._balances[contract.payer] = self.get_balance(contract.payer) + contract.amount
-        return self._append(EventKind.REFUNDED, contract_id=contract_id)
+        return self._append(Refunded, contract_id=contract_id)
 
     def advance_time(self, ticks: int) -> int:
         """Move logical time forward; a zero advance is a silent no-op."""
@@ -352,7 +369,7 @@ class Ledger:
         if ticks == 0:
             return self._tick
         self._tick += ticks
-        self._append(EventKind.TIME_ADVANCED)
+        self._append(TimeAdvanced)
         return self._tick
 
     # Seams kept narrow on purpose: test fixtures override these to model a
@@ -364,8 +381,8 @@ class Ledger:
         if contract.state is not ContractState.OPEN:
             raise AlreadySettled(f"contract {contract.id} is {contract.state.value}")
 
-    def _append(self, kind: EventKind, **fields) -> LedgerEvent:
-        event = LedgerEvent(seq=len(self._events), tick=self._tick, kind=kind, **fields)
+    def _append(self, record: type, **fields) -> LedgerEvent:
+        event = record(seq=len(self._events), tick=self._tick, **fields)
         self._events.append(event)
         return event
 
@@ -421,15 +438,6 @@ def event_from_json(line: str) -> LedgerEvent:
 _encode_event = codec.encoder(LedgerEvent)
 _decode_event = codec.decoder(LedgerEvent)
 
-# The fields `replay` re-executes each kind of event from.
-_REPLAYED_FIELDS = {
-    EventKind.FUNDED: ("account", "amount"),
-    EventKind.CONTRACT_PUBLISHED: ("payer", "payee", "amount", "condition", "deadline"),
-    EventKind.CLAIMED: ("contract_id", "witness"),
-    EventKind.REFUNDED: ("contract_id",),
-    EventKind.TIME_ADVANCED: (),
-}
-
 
 def replay(lines: Iterable[str]) -> Ledger:
     """Rebuild a ledger by re-executing a serialized event log, and verify it.
@@ -437,8 +445,8 @@ def replay(lines: Iterable[str]) -> Ledger:
     Each line must be exactly the event its re-execution appends, so an
     edited payout, tick or id raises LedgerError at the first divergent line
     and the rebuilt log is byte-identical to the input. A line that does not
-    decode, lacks a field its kind needs, or cannot be re-executed raises
-    LedgerError naming its number too.
+    decode (a missing, mistyped or foreign field included) or cannot be
+    re-executed raises LedgerError naming its number too.
     """
     ledger = Ledger()
     for number, line in enumerate(lines, 1):
@@ -447,18 +455,14 @@ def replay(lines: Iterable[str]) -> Ledger:
             event = event_from_json(logged)
         except (ValueError, RecursionError) as exc:
             raise LedgerError(f"log line {number} cannot be decoded: {exc}") from exc
-        missing = [name for name in _REPLAYED_FIELDS[event.kind] if getattr(event, name) is None]
-        if missing:
-            raise LedgerError(
-                f"log line {number}: a {event.kind.value} event needs {', '.join(missing)}"
-            )
         before = len(ledger._events)
+        kind = type(event)
         try:
-            if event.kind is EventKind.FUNDED:
+            if kind is Funded:
                 ledger.fund(event.account, event.amount)
-            elif event.kind is EventKind.TIME_ADVANCED:
+            elif kind is TimeAdvanced:
                 ledger.advance_time(event.tick - ledger.current_tick)
-            elif event.kind is EventKind.CONTRACT_PUBLISHED:
+            elif kind is ContractPublished:
                 ledger.publish_contract(
                     payer=event.payer,
                     payee=event.payee,
@@ -466,7 +470,7 @@ def replay(lines: Iterable[str]) -> Ledger:
                     condition=event.condition,
                     deadline=event.deadline,
                 )
-            elif event.kind is EventKind.CLAIMED:
+            elif kind is Claimed:
                 ledger.claim(event.contract_id, event.witness)
             else:
                 payer = ledger.get_contract(event.contract_id).payer

@@ -51,11 +51,11 @@ from .cert import (
 )
 from .crypto import Ciphertext, GroupParams, Scalar
 from .ledger import (
+    Claimed,
     Condition,
     DlogLock,
     HashLock,
     Ledger,
-    LedgerEvent,
     NotaryHashLock,
     Witness,
     address_for,
@@ -277,10 +277,10 @@ class BuyerSession(_Session):
         """Answer an offer; the buyer takes no other message."""
         return self.on_offer(message, chain) if isinstance(message, Offer) else []
 
-    def on_claim(self, event: LedgerEvent) -> bytes | None:
+    def on_claim(self, event: Claimed) -> bytes | None:
         """Recover the key from the witness of the claim on this buyer's contract.
 
-        The caller hands over the chain's `CLAIMED` event for the contract this
+        The caller hands over the chain's `Claimed` event for the contract this
         session published. A failed authenticated decrypt marks the session
         rather than raising: the funds are already gone, which is exactly what
         the fairness report needs to surface. Unreachable when the notary was

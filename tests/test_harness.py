@@ -43,7 +43,7 @@ from sedg.harness import (
     make_config,
     run_scenario,
 )
-from sedg.ledger import ContractState, EventKind, Ledger, event_to_json
+from sedg.ledger import Claimed, ContractPublished, ContractState, Ledger, event_to_json
 from sedg.protocol import (
     BuyerPolicy,
     BuyerSession,
@@ -114,7 +114,7 @@ def test_corrupt_seller_aborts_before_any_payment():
     drive(world)
     assert world.buyer.state is BuyerState.ABORTED
     assert world.report().abort_reason == "ciphertext_mismatch"
-    assert world.ledger.read_events(0)[-1].kind.value != "contract_published"
+    assert type(world.ledger.read_events(0)[-1]) is not ContractPublished
     assert world.report().balances["buyer"] == 100
 
 
@@ -196,7 +196,7 @@ def test_claim_wake_hands_the_buyer_the_event_the_world_found(monkeypatch):
     world.step(0)  # the offer: the buyer escrows the price
     world.step(0)  # the contract reference: the seller claims
     claim = world.ledger.read_events(0)[-1]
-    assert claim.kind is EventKind.CLAIMED
+    assert type(claim) is Claimed
     assert world.options() == ["notify:buyer"]
     assert len(world.pending_wakes) == 1
     label, event = world.pending_wakes[0]
@@ -785,6 +785,111 @@ def test_step_refuses_a_closed_option_naming_its_position():
 
 
 # ---------------------------------------------------------------------------
+# The paper's claims beyond the 60-config grid
+# ---------------------------------------------------------------------------
+
+def _explored_terminals(config, monkeypatch):
+    """What each terminal `explore` reaches shows of the exchange, as a set:
+    step labels, session states, flags, abort reason and the buyer's balance."""
+    seen = set()
+    check = harness.fairness_violations
+
+    def recording(world):
+        report = world.report()
+        seen.add(
+            (
+                tuple(world.trace),
+                report.seller_state,
+                report.buyer_state,
+                report.seller_paid,
+                report.buyer_refunded,
+                report.buyer_has_plaintext,
+                report.abort_reason,
+                report.balances["buyer"],
+            )
+        )
+        return check(world)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(harness, "fairness_violations", recording)
+        assert explore(config, depth=12).violations == []
+    return seen
+
+
+def variants_explore_alike(monkeypatch) -> int:
+    """The variant picks the commitment, the lock and the witness, not the
+    message flow: in every cell of seller policy x buyer policy x balance
+    150 or 40, v1, v2 and v3 reach the same terminals. Returns the cells."""
+    cells = list(itertools.product(SellerPolicy, BuyerPolicy, (150, 40)))
+    for seller_policy, buyer_policy, balance in cells:
+        reached = [
+            _explored_terminals(
+                make_config(
+                    variant,
+                    price=100,
+                    buyer_balance=balance,
+                    seller_policy=seller_policy,
+                    buyer_policy=buyer_policy,
+                    seed=7,
+                ),
+                monkeypatch,
+            )
+            for variant in ("v1", "v2", "v3")
+        ]
+        cell = f"{seller_policy.value} x {buyer_policy.value} at balance {balance}"
+        assert reached[0] == reached[1] == reached[2], cell
+    return len(cells)
+
+
+def test_variants_explore_alike(monkeypatch):
+    assert variants_explore_alike(monkeypatch) == 40
+
+
+def _declared_invalid(variant, price, fee, buyer_policy) -> bool:
+    """What `make_config` refuses on the boundary grid, as its checks declare."""
+    if variant == "v2" and not 0 < fee < price:
+        return True
+    return buyer_policy is BuyerPolicy.PUBLISH_UNDERPRICED_CONTRACT and price < 2
+
+
+def parameter_boundaries() -> tuple[int, int, int]:
+    """Every variant and policy pair at the edges of price, v2 fee, balance
+    and deadline offset, explored at depth 20: no invariant fires, and
+    `make_config` refuses exactly the declared-invalid configs, each with
+    ConfigError. Returns (configs explored, configs refused, nodes). Run by
+    `test_acceptance_8_claims_beyond_the_grid`; about 1.5 s on two cores."""
+    explored = refused = nodes = 0
+    for price, variant in itertools.product((1, 2, 3, 100), ("v1", "v2", "v3")):
+        fees = sorted({1, price // 2, price - 1}) if variant == "v2" else [None]
+        balances = sorted({0, price - 1, price, price + 1})
+        for fee, balance, offset, seller_policy, buyer_policy in itertools.product(
+            fees, balances, (1, 2), SellerPolicy, BuyerPolicy
+        ):
+            name = f"{variant} price {price} fee {fee} balance {balance} offset {offset}"
+            try:
+                config = make_config(
+                    variant,
+                    price=price,
+                    buyer_balance=balance,
+                    deadline_offset=offset,
+                    notary_fee=fee,
+                    seller_policy=seller_policy,
+                    buyer_policy=buyer_policy,
+                    seed=7,
+                )
+            except ConfigError:
+                assert _declared_invalid(variant, price, fee, buyer_policy), name
+                refused += 1
+                continue
+            assert not _declared_invalid(variant, price, fee, buyer_policy), name
+            result = explore(config, depth=20)
+            assert result.violations == [], f"{name}: {result.violations[:3]}"
+            explored += 1
+            nodes += result.nodes_executed
+    return explored, refused, nodes
+
+
+# ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
 
@@ -1105,7 +1210,7 @@ def test_cli_run_writes_event_log(tmp_path, capsys):
     assert cli.main(["run", "--config", path, "--out", str(out)]) == 0
     capsys.readouterr()
     lines = out.read_text().strip().splitlines()
-    assert all(json.loads(line)["kind"] for line in lines)
+    assert all(json.loads(line)["type"] for line in lines)
 
 
 def test_cli_seed_override_changes_the_log(tmp_path, capsys):

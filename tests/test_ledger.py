@@ -3,18 +3,27 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    Bundle,
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    multiple,
+    rule,
+)
 
 from sedg import crypto
 from sedg.crypto import MODP_2048, TEST_GROUP, GroupElement, GroupParams, Scalar
 from sedg.ledger import (
     AlreadySettled,
+    Claimed,
     ContractState,
     DlogLock,
-    EventKind,
     Expired,
     HashLock,
     InsufficientFunds,
@@ -27,6 +36,8 @@ from sedg.ledger import (
     Preimage,
     PreimageWithNotary,
     Exponent,
+    Refunded,
+    TimeAdvanced,
     UnknownContract,
     VariantMismatch,
     WrongWitness,
@@ -310,7 +321,7 @@ def test_event_seq_strictly_increasing():
     events = chain.read_events(0)
     assert len(events) == 3
     assert [e.seq for e in events] == [0, 1, 2]
-    assert chain.read_events(2)[0].kind is EventKind.TIME_ADVANCED
+    assert type(chain.read_events(2)[0]) is TimeAdvanced
 
 
 def test_witness_is_public_after_claim():
@@ -318,7 +329,7 @@ def test_witness_is_public_after_claim():
     chain.fund(A, 100)
     cid = chain.publish_contract(A, B, 60, _hash_lock(), deadline=100)
     chain.claim(cid, Preimage(KEY))
-    published = [e for e in chain.read_events(0) if e.kind is EventKind.CLAIMED]
+    published = [e for e in chain.read_events(0) if type(e) is Claimed]
     assert published[0].witness.x == KEY
 
 
@@ -374,7 +385,7 @@ def run_random_ops(seed: int, ops: int = 20) -> None:
     # single-settlement, checked once over the whole log
     counts: dict[int, int] = {}
     for event in chain.read_events(0):
-        if event.kind in (EventKind.CLAIMED, EventKind.REFUNDED):
+        if type(event) in (Claimed, Refunded):
             counts[event.contract_id] = counts.get(event.contract_id, 0) + 1
     assert all(v == 1 for v in counts.values())
 
@@ -419,7 +430,7 @@ def test_event_json_round_trip_every_kind():
 
 def test_a_claim_line_whose_payouts_are_not_a_list_does_not_decode():
     claimed = json.loads(event_to_json(_busy_ledger().read_events(0)[2]))
-    assert claimed["kind"] == "claimed"
+    assert claimed["type"] == "claimed"
     line = json.dumps({**claimed, "payouts": {}}, separators=(",", ":"))
     with pytest.raises(ValueError, match="^payouts: expected a list"):
         event_from_json(line)
@@ -440,7 +451,7 @@ def _edited(lines, kind, **changes):
     out, done = [], False
     for line in lines:
         obj = json.loads(line)
-        if not done and obj["kind"] == kind:
+        if not done and obj["type"] == kind:
             obj.update(changes)
             done = True
         out.append(json.dumps(obj, separators=(",", ":")))
@@ -450,7 +461,7 @@ def _edited(lines, kind, **changes):
 
 def test_replay_rejects_an_edited_claim_payout():
     lines = [event_to_json(e) for e in _busy_ledger().read_events(0)]
-    claimed = json.loads(next(line for line in lines if '"kind":"claimed"' in line))
+    claimed = json.loads(next(line for line in lines if '"type":"claimed"' in line))
     payouts = [{**p, "amount": p["amount"] + 10} for p in claimed["payouts"]]
     with pytest.raises(LedgerError, match="line 3"):
         replay(_edited(lines, "claimed", payouts=payouts))
@@ -494,31 +505,61 @@ def test_replay_rejects_a_time_advance_that_does_not_advance():
         replay(_edited(lines, "time_advanced", tick=0))
 
 
+UNDECODABLE = "cannot be decoded: "
+
+
 @pytest.mark.parametrize(
-    "line",
+    "line, reason",
     [
-        pytest.param("{}", id="empty-object"),  # used to raise KeyError
-        pytest.param("[]", id="array"),  # used to raise TypeError
-        pytest.param("not json", id="not-json"),
-        pytest.param("[" * 100_000, id="deep-nesting"),
+        pytest.param(  # used to raise KeyError
+            "{}", UNDECODABLE + "expected an object whose type", id="empty-object"
+        ),
+        pytest.param(  # used to raise TypeError
+            "[]", UNDECODABLE + "expected an object", id="array"
+        ),
+        pytest.param("not json", UNDECODABLE + "Expecting value", id="not-json"),
+        pytest.param("[" * 100_000, UNDECODABLE, id="deep-nesting"),
         pytest.param(  # used to raise TypeError from Ledger.fund
-            '{"seq":1,"tick":0,"kind":"funded","account":"aa","amount":"5"}', id="string-amount"
+            '{"type":"funded","seq":1,"tick":0,"account":"aa","amount":"5"}',
+            UNDECODABLE + "amount: expected int, got '5'",
+            id="string-amount",
         ),
         pytest.param(
-            '{"seq":1,"tick":0,"kind":"funded","account":"aa","amount":5.0}', id="float-amount"
+            '{"type":"funded","seq":1,"tick":0,"account":"aa","amount":5.0}',
+            UNDECODABLE + "amount: expected int, got 5.0",
+            id="float-amount",
         ),
-        pytest.param('{"seq":1,"tick":0,"kind":"funded","account":"aa"}', id="no-amount"),
-        pytest.param('{"seq":1,"tick":0,"kind":"refunded"}', id="no-contract-id"),
+        pytest.param(  # used to decode to amount=None and re-encode without it
+            '{"type":"funded","seq":1,"tick":0,"account":"aa","amount":null}',
+            UNDECODABLE + "amount: expected int, got None",
+            id="null-amount",
+        ),
         pytest.param(
-            '{"seq":1,"tick":0,"kind":"claimed","contract_id":9,'
+            '{"type":"funded","seq":1,"tick":0,"account":"aa"}',
+            UNDECODABLE + "a Funded needs 'amount'",
+            id="no-amount",
+        ),
+        pytest.param(
+            '{"type":"refunded","seq":1,"tick":0}',
+            UNDECODABLE + "a Refunded needs 'contract_id'",
+            id="no-contract-id",
+        ),
+        pytest.param(  # used to decode, and to fail only at the byte comparison
+            '{"type":"time_advanced","seq":1,"tick":1,"amount":5}',
+            UNDECODABLE + "unknown keys for a TimeAdvanced: ['amount']",
+            id="time-advanced-with-amount",
+        ),
+        pytest.param(
+            '{"type":"claimed","seq":1,"tick":0,"contract_id":9,'
             '"witness":{"type":"preimage","x":"00"}}',
+            "cannot be re-executed: no contract 9",
             id="unknown-contract",
         ),
     ],
 )
-def test_replay_names_the_line_it_cannot_use(line):
+def test_replay_names_the_line_it_cannot_use(line, reason):
     first = event_to_json(_busy_ledger().read_events(0)[0])
-    with pytest.raises(LedgerError, match="line 2"):
+    with pytest.raises(LedgerError, match="^log line 2 " + re.escape(reason)):
         replay([first, line])
 
 
@@ -556,3 +597,133 @@ def test_replay_raises_only_ledger_error(lines):
         replay(lines)
     except LedgerError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# The chain on its own: a model-based test over every operation
+# ---------------------------------------------------------------------------
+
+ACCOUNTS = st.sampled_from((A, B, N))
+AMOUNTS = st.integers(-5, 120)
+CONTRACT_IDS = st.integers(0, 4)  # 0 and ids past the last contract name none
+LOCKS = {
+    "hash": _hash_lock(),
+    "notary": NotaryHashLock(h2=crypto.sha256(crypto.canonical_encode([KEY, b"notary-1"])), fee=0),
+    "dlog": DlogLock(GroupElement(2, TEST_GROUP)),
+}
+OPENS = {  # the witness that opens each kind of lock; the others in WITNESSES do not
+    HashLock: Preimage(KEY),
+    NotaryHashLock: PreimageWithNotary(KEY, b"notary-1"),
+    DlogLock: Exponent(Scalar(1, TEST_GROUP)),
+}
+WITNESSES = st.sampled_from(
+    [
+        *OPENS.values(),
+        Preimage(bytes(32)),
+        PreimageWithNotary(KEY, b"notary-2"),
+        Exponent(Scalar(2, TEST_GROUP)),
+        _foreign_exponent(1),
+    ]
+)
+# Sized for tier 1: about 3.5 s on two cores.
+LEDGER_MACHINE_SETTINGS = settings(max_examples=80, stateful_step_count=30, deadline=None)
+
+
+class LedgerMachine(RuleBasedStateMachine):
+    """Arbitrary calls, out-of-range arguments included, against one ledger.
+
+    A call the ledger refuses must raise LedgerError and change nothing;
+    after every step the chain's own invariants hold and its encoded log
+    replays to the same state and the same bytes. Run with
+    `LEDGER_MACHINE_SETTINGS` by `test_acceptance_8_claims_beyond_the_grid`.
+    """
+
+    contracts = Bundle("contracts")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.chain = Ledger()
+        self.funded = 0
+
+    def _attempt(self, operation, *args):
+        """The operation's result, or None if the ledger refused it and changed nothing."""
+        before = self.chain.snapshot()
+        try:
+            return operation(*args)
+        except LedgerError:
+            assert self.chain.snapshot() == before
+            return None
+
+    @initialize(amounts=st.tuples(*[st.integers(0, 200)] * 3))
+    def fund_every_account(self, amounts):
+        """Start with money to escrow, so that most runs publish and settle."""
+        for account, amount in zip((A, B, N), amounts):
+            self.fund(account, amount)
+
+    @rule(account=ACCOUNTS, amount=AMOUNTS)
+    def fund(self, account, amount):
+        if self._attempt(self.chain.fund, account, amount) is not None:
+            self.funded += amount
+
+    @rule(
+        target=contracts,
+        payer=ACCOUNTS,
+        payee=ACCOUNTS,
+        amount=AMOUNTS,
+        lock=st.sampled_from(sorted(LOCKS)),
+        fee=AMOUNTS,
+        offset=st.integers(-3, 20),
+    )
+    def publish_contract(self, payer, payee, amount, lock, fee, offset):
+        condition = LOCKS[lock]
+        if lock == "notary":
+            condition = dataclasses.replace(condition, fee=fee)
+        deadline = self.chain.current_tick + offset
+        contract_id = self._attempt(
+            self.chain.publish_contract, payer, payee, amount, condition, deadline
+        )
+        return multiple() if contract_id is None else contract_id
+
+    @rule(contract_id=contracts, witness=st.none() | WITNESSES)
+    def claim(self, contract_id, witness):
+        """A witness of None stands for the one that opens the contract's lock."""
+        if witness is None:
+            contract = self._attempt(self.chain.get_contract, contract_id)
+            witness = OPENS[type(contract.condition)] if contract else Preimage(KEY)
+        self._attempt(self.chain.claim, contract_id, witness)
+
+    @rule(contract_id=contracts | CONTRACT_IDS, caller=ACCOUNTS)
+    def refund(self, contract_id, caller):
+        self._attempt(self.chain.refund, contract_id, caller)
+
+    @rule(ticks=st.integers(-3, 12))
+    def advance_time(self, ticks):
+        self._attempt(self.chain.advance_time, ticks)
+
+    @invariant()
+    def no_balance_is_negative(self):
+        assert all(v >= 0 for v in self.chain.snapshot()["balances"].values())
+
+    @invariant()
+    def balances_and_open_escrow_are_the_funding(self):
+        held = sum(self.chain.snapshot()["balances"].values())
+        assert held + sum(c.amount for c in self.chain.open_contracts()) == self.funded
+
+    @invariant()
+    def no_contract_is_settled_twice(self):
+        settled = [
+            e.contract_id for e in self.chain.read_events(0) if type(e) in (Claimed, Refunded)
+        ]
+        assert len(settled) == len(set(settled))
+
+    @invariant()
+    def every_open_contract_holds_a_positive_amount(self):
+        assert all(c.amount > 0 for c in self.chain.open_contracts())
+
+    @invariant()
+    def replay_rebuilds_the_state_and_the_log(self):
+        lines = self.chain.snapshot()["events"]
+        rebuilt = replay(lines)
+        assert rebuilt.snapshot() == self.chain.snapshot()
+        assert [event_to_json(e) for e in rebuilt.read_events(0)] == lines
+

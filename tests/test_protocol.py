@@ -25,9 +25,10 @@ from sedg.cert import (
 )
 from sedg.crypto import MODP_2048, TEST_GROUP, Scalar, scalar_draw_len
 from sedg.ledger import (
+    Claimed,
+    ContractPublished,
     ContractState,
     DlogLock,
-    EventKind,
     Exponent,
     HashLock,
     Ledger,
@@ -298,7 +299,7 @@ def test_underfunded_buyer_aborts_without_a_contract(variant):
     # The blind travels only with a contract reference, so none leaves here.
     assert replies == [abort]
     assert chain.get_balance(BUYER_ADDR) == PRICE - 1
-    assert not [e for e in chain.read_events(0) if e.kind is EventKind.CONTRACT_PUBLISHED]
+    assert not [e for e in chain.read_events(0) if type(e) is ContractPublished]
     assert buyer.contract_id is None
     assert buyer.state is BuyerState.ABORTED
 
@@ -462,7 +463,7 @@ def test_seller_claims_once_at_most():
     seller.on_contract(ContractRef(contract.id), chain)
     assert seller.state is SellerState.CLAIMED
     seller.on_contract(ContractRef(contract.id), chain)
-    claims = [e for e in chain.read_events(0) if e.kind is EventKind.CLAIMED]
+    claims = [e for e in chain.read_events(0) if type(e) is Claimed]
     assert [e.contract_id for e in claims] == [contract.id]
 
 
@@ -531,7 +532,7 @@ def _settled_exchange(variant, *, k=None, r=None):
     for reply in buyer.on_offer(seller.start(), chain):
         assert seller.on_message(reply, chain) == []
     event = chain.read_events(0)[-1]
-    assert event.kind is EventKind.CLAIMED
+    assert type(event) is Claimed
     return seller, buyer, chain, event
 
 
