@@ -14,8 +14,9 @@ writer, turns it into JSON: bytes in data, lowercase hex in text.
   looks the name up with `group_by_name` and builds the value through its
   checking constructor, so a peer never picks the group, and an element
   outside it raises `DomainError` (a `ValueError`) at decode;
-- a dataclass is an object keyed by field name; a field equal to its
-  default is left out;
+- a dataclass is an object keyed by field name, with every field written;
+  only a missing key falls back to a default, which no record but the
+  scenario file declares, so a message or log line has one spelling;
 - a union of dataclasses carries one `"type"` key naming the member (its
   `wire_tag`, or its class name in snake case); the candidates are the
   annotation's members, so a decoder builds only a type the field allows;
@@ -198,10 +199,8 @@ def _dataclass_codec(cls: type, tag: str | None) -> tuple[Encoder, Decoder]:
 
     def encode(value: Any) -> dict:
         obj = {TYPE_KEY: tag} if tag else {}
-        for name, encode_field, _, default in fields:
-            field = getattr(value, name)
-            if default is dataclasses.MISSING or (field is not default and field != default):
-                obj[name] = encode_field(field)
+        for name, encode_field, _, _ in fields:
+            obj[name] = encode_field(getattr(value, name))
         return obj
 
     def decode(obj: Any) -> Any:

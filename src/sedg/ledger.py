@@ -9,12 +9,12 @@ that happens to be congruent is a wrong witness.
 
 The log is written as JSON lines, one event per line, in the format `codec`
 derives from `LedgerEvent`: a union of one record per kind of event, each
-holding `seq`, `tick` and exactly its own fields. A line names its kind in
-`"type"` and decodes only with that kind's fields, each of its type, so
-`replay`, which rebuilds a ledger from such a log, re-executes each line
-from the record alone and verifies it against its re-execution. The ledger
-keeps each line once `snapshot` has encoded it, so a snapshot encodes only
-the events appended since the previous one.
+holding `seq`, `tick` and exactly its own fields, none with a default. A
+line names its kind in `"type"` and decodes only with all of that kind's
+fields, each of its type, so `replay`, which rebuilds a ledger from such a
+log, re-executes each line from the record alone and verifies it against
+its re-execution. The ledger keeps each line once `snapshot` has encoded
+it, so a snapshot encodes only the events appended since the previous one.
 
 Records are immutable: a contract's state change stores a replaced
 `EscrowContract`, so reads hand out the stored records and a checkpoint
@@ -205,7 +205,7 @@ class ContractPublished(_Event):
 class Claimed(_Event):
     contract_id: int
     witness: Witness
-    payouts: tuple[Payout, ...] = ()
+    payouts: tuple[Payout, ...]
 
 
 @dataclass(frozen=True)

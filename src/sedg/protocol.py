@@ -136,11 +136,11 @@ class Offer:
 
 @dataclass(frozen=True)
 class ContractRef:
-    """The buyer's escrow contract; a v3 reference carries the blinding
-    scalar `r`, which the seller needs to claim it and the chain never sees."""
+    """The buyer's escrow contract and, for v3, the blinding scalar `r` the
+    seller needs to claim it and the chain never sees; v1/v2 send `r=None`."""
 
     contract_id: int
-    r: Scalar | None = None
+    r: Scalar | None
 
 
 @dataclass(frozen=True)

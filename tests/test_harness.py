@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import typing
 from collections import Counter
 from math import factorial
 
@@ -20,7 +21,7 @@ from helpers import (
     FeeDroppingLedger,
 )
 import sedg
-from sedg import cli, crypto, harness, transport
+from sedg import cli, codec, crypto, harness, transport
 from sedg.cert import Certificate, GroupPower, PartyId, verify_certificate
 from sedg.crypto import MODP_2048, TEST_GROUP, Scalar
 from sedg.harness import (
@@ -43,12 +44,21 @@ from sedg.harness import (
     make_config,
     run_scenario,
 )
-from sedg.ledger import Claimed, ContractPublished, ContractState, Ledger, event_to_json
+from sedg.ledger import (
+    Claimed,
+    ContractPublished,
+    ContractState,
+    Ledger,
+    LedgerEvent,
+    event_to_json,
+)
 from sedg.protocol import (
     BuyerPolicy,
     BuyerSession,
     BuyerState,
+    ContractRef,
     Offer,
+    ProtocolMessage,
     SellerPolicy,
     SellerState,
     message_to_obj,
@@ -782,6 +792,78 @@ def test_step_refuses_a_closed_option_naming_its_position():
             world.step(index)
         assert str(exc.value) == f"choice 1 is {index}, but 2 option(s) are open"
     assert world.trace == ["deliver:offer:seller->buyer"]
+
+
+# ---------------------------------------------------------------------------
+# One form per record: the codec writes every field it reads
+# ---------------------------------------------------------------------------
+
+def _reachable_records(tp, seen):
+    """Every dataclass a value of type `tp` can hold, through its field types."""
+    if dataclasses.is_dataclass(tp):
+        if tp not in seen:
+            seen.add(tp)
+            hints = typing.get_type_hints(tp)
+            for f in dataclasses.fields(tp):
+                _reachable_records(hints[f.name], seen)
+    for arg in typing.get_args(tp):
+        _reachable_records(arg, seen)
+
+
+def test_no_wire_or_log_record_declares_a_default():
+    records = set()
+    for root in (ProtocolMessage, LedgerEvent, transport.Envelope):
+        _reachable_records(root, records)
+    assert {Offer, ContractRef, Claimed, transport.Envelope} <= records
+    defaulted = sorted(
+        f"{cls.__name__}.{f.name}"
+        for cls in records
+        for f in dataclasses.fields(cls)
+        if (f.default, f.default_factory) != (dataclasses.MISSING, dataclasses.MISSING)
+    )
+    assert defaulted == []
+
+
+def _assert_one_form(tp, data):
+    """`data` holds exactly its record's fields, re-encodes to itself, and
+    decodes with none of its keys missing."""
+    value = codec.decoder(tp)(data)
+    assert codec.encoder(tp)(value) == data
+    names = {f.name for f in dataclasses.fields(value)}
+    tagged = typing.get_origin(tp) is typing.Union
+    assert data.keys() == names | ({codec.TYPE_KEY} if tagged else set()), data
+    for key in data:
+        with pytest.raises(ValueError):
+            codec.decoder(tp)({k: v for k, v in data.items() if k != key})
+
+
+def test_every_record_a_world_sends_or_logs_has_one_form(monkeypatch):
+    sent, logged = {}, {}
+    send, append = transport.MailboxEndpoint.send, Ledger._append
+
+    def recording_send(self, to, body):
+        envelope = send(self, to, body)
+        sent[codec.dumps(body)] = envelope
+        return envelope
+
+    def recording_append(self, cls, **fields):
+        event = append(self, cls, **fields)
+        logged[event_to_json(event)] = event
+        return event
+
+    monkeypatch.setattr(transport.MailboxEndpoint, "send", recording_send)
+    monkeypatch.setattr(Ledger, "_append", recording_append)
+    for config in _grid_configs():
+        run_scenario(config)
+        explore(config, depth=12)
+
+    # Among them are a v1/v2 reference and a claim, the two records that had defaults.
+    assert '"r":null' in "".join(sent) and '"payouts":[' in "".join(logged)
+    for envelope in sent.values():
+        _assert_one_form(transport.Envelope, codec.encoder(transport.Envelope)(envelope))
+        _assert_one_form(ProtocolMessage, envelope.body)
+    for event in logged.values():
+        _assert_one_form(LedgerEvent, codec.encoder(LedgerEvent)(event))
 
 
 # ---------------------------------------------------------------------------

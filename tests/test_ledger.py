@@ -549,9 +549,15 @@ UNDECODABLE = "cannot be decoded: "
             UNDECODABLE + "unknown keys for a TimeAdvanced: ['amount']",
             id="time-advanced-with-amount",
         ),
-        pytest.param(
+        pytest.param(  # used to decode as a claim that paid no one
             '{"type":"claimed","seq":1,"tick":0,"contract_id":9,'
             '"witness":{"type":"preimage","x":"00"}}',
+            UNDECODABLE + "a Claimed needs 'payouts'",
+            id="no-payouts",
+        ),
+        pytest.param(
+            '{"type":"claimed","seq":1,"tick":0,"contract_id":9,'
+            '"witness":{"type":"preimage","x":"00"},"payouts":[]}',
             "cannot be re-executed: no contract 9",
             id="unknown-contract",
         ),

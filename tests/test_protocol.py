@@ -119,7 +119,7 @@ def test_honest_offer_passes_buyer_verification():
     offer = seller.start()
     assert seller.state is SellerState.OFFER_SENT
     chain = funded_chain()
-    assert buyer.on_offer(offer, chain) == [ContractRef(buyer.contract_id)]
+    assert buyer.on_offer(offer, chain) == [ContractRef(buyer.contract_id, None)]
     contract = chain.get_contract(buyer.contract_id)
     assert contract.condition == HashLock(h2=offer.certificate.h2.digest)
     assert contract.amount == PRICE
@@ -424,7 +424,7 @@ def test_v2_seller_declines_a_contract_that_skims_the_split(fee):
     with pytest.raises(ContractMismatch):
         seller.build_witness(chain, contract.id)
     before = chain.snapshot()
-    seller.on_contract(ContractRef(contract.id), chain)
+    seller.on_contract(ContractRef(contract.id, None), chain)
     assert chain.snapshot() == before
     assert not seller.claim_attempted
 
@@ -460,9 +460,9 @@ def test_seller_claims_once_at_most():
     seller = make_seller(Variant.V1)
     h2 = seller.package.certificate.h2.digest
     chain, contract = _open_contract(HashLock(h2))
-    seller.on_contract(ContractRef(contract.id), chain)
+    seller.on_contract(ContractRef(contract.id, None), chain)
     assert seller.state is SellerState.CLAIMED
-    seller.on_contract(ContractRef(contract.id), chain)
+    seller.on_contract(ContractRef(contract.id, None), chain)
     claims = [e for e in chain.read_events(0) if type(e) is Claimed]
     assert [e.contract_id for e in claims] == [contract.id]
 
@@ -491,7 +491,7 @@ def test_seller_ignores_an_unknown_contract():
     seller.start()
     chain = funded_chain()
     before, session = chain.snapshot(), seller.checkpoint()
-    seller.on_contract(ContractRef(7), chain)
+    seller.on_contract(ContractRef(7, None), chain)
     assert chain.snapshot() == before
     assert seller.checkpoint() == session
 
@@ -501,7 +501,7 @@ def test_withhold_key_policy_never_claims():
     h2 = seller.package.certificate.h2.digest
     chain, contract = _open_contract(HashLock(h2))
     before = chain.snapshot()
-    seller.on_contract(ContractRef(contract.id), chain)
+    seller.on_contract(ContractRef(contract.id, None), chain)
     assert chain.snapshot() == before
     assert not seller.claim_attempted
     assert seller.outcome == "withheld the key"
@@ -512,7 +512,7 @@ def test_wrong_witness_policy_is_rejected_by_the_chain():
     h2 = seller.package.certificate.h2.digest
     chain, contract = _open_contract(HashLock(h2))
     before = chain.snapshot()
-    seller.on_contract(ContractRef(contract.id), chain)
+    seller.on_contract(ContractRef(contract.id, None), chain)
     assert seller.claim_attempted
     # The ledger's WrongWitness, as the seller records it.
     assert seller.outcome == "claim rejected: the witness does not satisfy the condition"
@@ -631,7 +631,7 @@ def test_decrypt_failure_marks_session_without_settling():
     buyer = make_buyer(Variant.V1)
     chain = funded_chain()
     replies = buyer.on_offer(seller.start(), chain)
-    assert replies == [ContractRef(buyer.contract_id)]  # the certificate itself verifies
+    assert replies == [ContractRef(buyer.contract_id, None)]  # the certificate itself verifies
     assert seller.on_message(replies[0], chain) == []
     assert seller.state is SellerState.CLAIMED
     event = chain.read_events(0)[-1]
@@ -645,7 +645,7 @@ def test_decrypt_failure_marks_session_without_settling():
 # ---------------------------------------------------------------------------
 
 _SELLER_MESSAGES = {
-    "ContractRef": ContractRef(1),
+    "ContractRef": ContractRef(1, None),
     "ContractRefWithBlind": ContractRef(1, Scalar(4, TEST_GROUP)),
     "AbortMessage": AbortMessage(AbortReason.PRICE_MISMATCH),
 }
@@ -715,8 +715,11 @@ def test_offer_json_round_trip_all_variants():
 
 
 def test_small_message_json_round_trips():
-    for ref in (ContractRef(contract_id=7), ContractRef(contract_id=7, r=Scalar(4, TEST_GROUP))):
+    for r in (None, Scalar(4, TEST_GROUP)):
+        ref = ContractRef(contract_id=7, r=r)
         assert message_from_obj(message_to_obj(ref)) == ref
+    with pytest.raises(ValueError, match="^a ContractRef needs 'r'$"):
+        message_from_obj({"type": "contract_ref", "contract_id": 7})
     abort = AbortMessage(reason=AbortReason.PRICE_MISMATCH)
     assert message_from_obj(message_to_obj(abort)) == abort
     with pytest.raises(ValueError):
@@ -936,7 +939,7 @@ def test_dumps_writes_bytes_as_lowercase_hex_and_nothing_else_new():
             '1b68b2a1b005617f261629dbdac87cd16823b5307"},"ciphertext":{"nonce":"2441e3d5441049'
             '2b788768bc","body":"33030be91f7a8f206a249d1f3944fa7dc23e19d503b93d7f7d"},"price":60}',
         ),
-        (ContractRef(3), '{"type":"contract_ref","contract_id":3}'),
+        (ContractRef(3, None), '{"type":"contract_ref","contract_id":3,"r":null}'),
         (
             ContractRef(3, Scalar(5, TEST_GROUP)),
             '{"type":"contract_ref","contract_id":3,"r":{"group":"test","value":5}}',

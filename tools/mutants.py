@@ -1,0 +1,180 @@
+"""Delete each guard of the package, one at a time, and run tier 1 against it.
+
+    python tools/mutants.py
+
+A guard is an `if` with no `else` whose body is one `raise` or `return`.
+For every guard in `src/sedg`, the tool copies `src` and `tests` into a
+temporary directory, deletes that one guard there, and runs the suite with
+`-x` in a child process. The child gets a timeout and an address-space cap,
+which it sets on itself, so a mutant that loops or allocates without bound
+stops instead of taking the machine with it. Mutants run at most one per
+core. Each one is:
+
+- killed: the suite fails;
+- survived: the suite passes, so no test needs the guard;
+- hung: the suite runs past the timeout.
+
+`tools/mutants.txt` lists the survivors and hangs that are accepted, one a
+line as `<outcome> <mutant> -- <reason>`, where `<mutant>` is what this tool
+prints: `<path>:<function>: if <condition>`. The tool exits 1 on an outcome
+the list lacks, and on a listed mutant that is now killed or gone, so the
+list cannot go stale. It exits 2 if the suite fails with no mutant at all.
+"""
+from __future__ import annotations
+
+import ast
+import os
+import shutil
+import signal
+import subprocess
+import sys
+import tempfile
+import time
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = "src/sedg"
+ACCEPTED = ROOT / "tools" / "mutants.txt"
+# Unmutated, the suite peaks below 200 MiB resident; 1 GiB of address space
+# is room enough for it and stops a mutant that allocates without bound.
+ADDRESS_SPACE = 1 << 30
+# The hypothesis seed is fixed, so a mutant's outcome does not vary by run.
+CHILD = (
+    "import resource, sys\n"
+    f"resource.setrlimit(resource.RLIMIT_AS, ({ADDRESS_SPACE}, {ADDRESS_SPACE}))\n"
+    "import pytest\n"
+    "sys.exit(pytest.main(\n"
+    "    ['-q', '-x', '-p', 'no:cacheprovider', '--hypothesis-seed=0', 'tests']\n"
+    "))\n"
+)
+
+
+def guards(tree: ast.Module) -> list[tuple[str, ast.If]]:
+    """(function, node) of each guard in `tree`, in source order."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if (
+                isinstance(child, ast.If)
+                and not child.orelse
+                and len(child.body) == 1
+                and isinstance(child.body[0], (ast.Raise, ast.Return))
+            ):
+                found.append((scope or "<module>", child))
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def mutants() -> list[tuple[str, str, str]]:
+    """(name, path, mutated source) for each guard of the package."""
+    result = []
+    for path in sorted((ROOT / PACKAGE).rglob("*.py")):
+        rel = path.relative_to(ROOT).as_posix()
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines(keepends=True)
+        seen: Counter[str] = Counter()
+        for scope, node in guards(ast.parse(source, rel)):
+            name = f"{rel}:{scope}: if {ast.unparse(node.test)}"
+            seen[name] += 1
+            if seen[name] > 1:
+                name += f" ({seen[name]})"
+            first = lines[node.lineno - 1]
+            indent = first[: len(first) - len(first.lstrip())]
+            # An `elif` goes with its lines; an `if` leaves a `pass` behind,
+            # in case it was the only statement of its block.
+            stub = "\n" if first.lstrip().startswith("elif") else f"{indent}pass\n"
+            mutated = lines[: node.lineno - 1] + [stub] + lines[node.end_lineno :]
+            result.append((name, rel, "".join(mutated)))
+    return result
+
+
+def run_suite(mutation: tuple[str, str] | None, timeout: float) -> str:
+    """'killed', 'survived' or 'hung': the suite's outcome with `mutation`
+    (a path and its mutated source) applied in a fresh copy."""
+    with tempfile.TemporaryDirectory(prefix="sedg-mutant-") as tmp:
+        for part in ("src", "tests"):
+            shutil.copytree(
+                ROOT / part, Path(tmp, part), ignore=shutil.ignore_patterns("__pycache__")
+            )
+        shutil.copy(ROOT / "pyproject.toml", tmp)
+        if mutation:
+            Path(tmp, mutation[0]).write_text(mutation[1], encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": str(Path(tmp, "src")), "PYTHONDONTWRITEBYTECODE": "1"}
+        child = subprocess.Popen(
+            [sys.executable, "-c", CHILD],
+            cwd=tmp,
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            start_new_session=True,  # a timeout stops the tests' own children too
+        )
+        try:
+            code = child.wait(timeout)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.wait()
+            return "hung"
+    return "survived" if code == 0 else "killed"
+
+
+def accepted() -> dict[str, str]:
+    """Mutant name -> accepted outcome, from `tools/mutants.txt`."""
+    listed = {}
+    for number, line in enumerate(ACCEPTED.read_text(encoding="utf-8").splitlines(), 1):
+        if not line.strip() or line.startswith("#"):
+            continue
+        entry, _, reason = line.partition(" -- ")
+        outcome, _, name = entry.partition(" ")
+        if outcome not in ("survived", "hung") or not name or not reason.strip():
+            raise SystemExit(
+                f"{ACCEPTED.name}:{number}: expected '<survived|hung> <mutant> -- <reason>'"
+            )
+        listed[name] = outcome
+    return listed
+
+
+def main() -> int:
+    listed = accepted()
+    started = time.monotonic()
+    if run_suite(None, timeout=600) != "survived":
+        print("the suite fails with no mutant; fix it before gating on mutants")
+        return 2
+    # Room for a mutant that fails late while another one shares the cores.
+    timeout = 60 + 3 * (time.monotonic() - started)
+    found = mutants()
+    with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
+        outcomes = pool.map(lambda m: run_suite(m[1:], timeout), found)
+        results = {}
+        for (name, _, _), outcome in zip(found, outcomes):
+            print(f"{outcome:8} {name}", flush=True)
+            results[name] = outcome
+
+    problems = [
+        f"{outcome} but not listed: {name}"
+        for name, outcome in results.items()
+        if outcome != "killed" and listed.get(name) != outcome
+    ] + [
+        f"listed as {outcome} but {results.get(name, 'gone')}: {name}"
+        for name, outcome in listed.items()
+        if results.get(name) != outcome
+    ]
+    counts = Counter(results.values())
+    print(
+        f"{len(results)} guards: {counts['killed']} killed, {counts['survived']} survived, "
+        f"{counts['hung']} hung (timeout {timeout:.0f} s) in {time.monotonic() - started:.0f} s"
+    )
+    for problem in problems:
+        print(problem)
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
