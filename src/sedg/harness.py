@@ -36,7 +36,6 @@ it on every step and restore.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import random
 from dataclasses import dataclass, field
@@ -185,9 +184,9 @@ def make_config(
         raise ConfigError("an underpriced contract needs a price of at least 2 tokens")
     if group_name not in GROUPS:
         raise ConfigError(f"unknown group {group_name!r}; known: {sorted(GROUPS)}")
+    if not 1 <= payload_size <= MAX_PAYLOAD:
+        raise ConfigError(f"payload size must be between 1 and {MAX_PAYLOAD} bytes")
     if payload is None:
-        if not 1 <= payload_size <= MAX_PAYLOAD:
-            raise ConfigError(f"payload size must be between 1 and {MAX_PAYLOAD} bytes")
         payload = crypto.keystream(crypto.sha256(f"{seed}/payload".encode()), payload_size)
     if not 1 <= len(payload) <= MAX_PAYLOAD:
         raise ConfigError(f"payload must hold between 1 and {MAX_PAYLOAD} bytes")
@@ -254,7 +253,7 @@ def config_from_file(path: str, seed: int | None = None) -> ScenarioConfig:
 
 
 def _rng(seed: int, role: str) -> random.Random:
-    # One stream per role (notary, seller, buyer); string seeding keeps each
+    # One stream per role that draws (notary, buyer); string seeding keeps each
     # stable across platforms.
     return random.Random(f"{seed}/{role}")
 
@@ -335,7 +334,6 @@ class World:
             terms=config,
             address=SELLER_ADDR,
             policy=config.seller_policy,
-            new_rng=functools.partial(_rng, config.seed, "seller"),
         )
         self.buyer = BuyerSession(
             terms=config,
@@ -343,7 +341,7 @@ class World:
             seller=SELLER,
             trusted_notaries={NOTARY_ID: NOTARY_KEYS.public},
             policy=config.buyer_policy,
-            new_rng=functools.partial(_rng, config.seed, "buyer"),
+            new_rng=lambda: _rng(config.seed, "buyer"),
         )
         if config.buyer_balance:  # the ledger funds positive amounts only
             self.ledger.fund(self.buyer.address, config.buyer_balance)

@@ -22,13 +22,13 @@ a buyer who never pays or underpays, a seller who withholds the key, claims
 with garbage, or ships corrupted goods. A buyer's abort names its
 `AbortReason`, so a peer's reason outside that vocabulary fails at decode.
 
-Sessions hold no random-number state. Each is given a function that builds
-its random stream (the harness seeds it from the scenario seed and the
-role), and every handler that needs randomness builds a fresh stream once
-per call. In any run the harness drives, a handler that draws runs at most
-once per session, so its values do not depend on the schedule. Nor do
-sessions keep the chain: it is an argument of every handler that touches
-it. So a checkpoint of a session is a shallow copy of its fields.
+Only the buyer draws: its v3 blind, once, in `on_offer`, from a fresh
+stream that a function it is given builds (the harness seeds it from the
+scenario seed and the role). A deviating seller edits the honest offer or
+witness in a fixed way and draws nothing. In any run the harness drives,
+`on_offer` acts at most once, so the blind does not depend on the schedule.
+Sessions hold neither random-number state nor the chain, which every handler
+that touches it takes as an argument, so a checkpoint copies fields shallowly.
 """
 from __future__ import annotations
 
@@ -74,8 +74,8 @@ class Terms:
 
 
 class SellerPolicy(Enum):
-    """How the seller plays. The sending deviations alter the genuine offer:
-    one bit of the ciphertext, or the commitment `h2` (`_mismatched_h2`)."""
+    """How the seller plays. Each deviation is a fixed edit of the honest offer
+    or witness: `_flip` on the ciphertext, `_mismatched_h2`, `_garbage_witness`."""
 
     HONEST = "honest"
     WITHHOLD_KEY = "withhold_key"
@@ -349,13 +349,11 @@ class SellerSession(_Session):
         terms: Terms,
         address: bytes,
         policy: SellerPolicy,
-        new_rng: RngFactory,
     ) -> None:
         self.package = package
         self.terms = terms
         self.address = address
         self.policy = policy
-        self.new_rng = new_rng
         self.state = SellerState.OFFER_SENT
         self.claim_attempted = False
         self.outcome = ""
@@ -369,10 +367,7 @@ class SellerSession(_Session):
         certificate = self.package.certificate
         ciphertext = self.package.ciphertext
         if self.policy is SellerPolicy.SEND_CORRUPT_CIPHERTEXT:
-            # Flip the low bit of byte 0, copying the body once.
-            body = ciphertext.body
-            flipped = b"".join((bytes((body[0] ^ 0x01,)), memoryview(body)[1:]))
-            ciphertext = Ciphertext(nonce=ciphertext.nonce, body=flipped)
+            ciphertext = Ciphertext(nonce=ciphertext.nonce, body=_flip(ciphertext.body))
         elif self.policy is SellerPolicy.SEND_MISMATCHED_H2:
             certificate = replace(certificate, h2=self._mismatched_h2())
         return Offer(certificate, ciphertext, self.terms.price)
@@ -471,16 +466,18 @@ class SellerSession(_Session):
         h2 = self.package.certificate.h2
         if isinstance(h2, GroupPower):
             return GroupPower(crypto.element_mul(h2.element, h2.element.params.generator))
-        return replace(h2, digest=bytes([h2.digest[0] ^ 0x01]) + h2.digest[1:])
+        return replace(h2, digest=_flip(h2.digest))
 
     def _garbage_witness(self, blind: Scalar | None) -> Witness:
-        """The honest witness for `blind` with a fresh `x` in place of the true one."""
+        """The honest witness for `blind` with `x` edited: v1 and v2 flip one bit
+        of the key, and v3 takes the next scalar in [1, q-1], wrapping q-1 to 1."""
         honest = self._honest_witness(blind)
-        rng = self.new_rng()
-        while True:
-            if isinstance(honest, ledger.Exponent):
-                x = crypto.draw_scalar(rng, honest.x.params)
-            else:
-                x = rng.randbytes(crypto.KEY_LEN)
-            if x != honest.x:
-                return replace(honest, x=x)
+        x = honest.x
+        if isinstance(x, Scalar):
+            return replace(honest, x=Scalar(x.value % (x.params.q - 1) + 1, x.params))
+        return replace(honest, x=_flip(x))
+
+
+def _flip(data: bytes) -> bytes:
+    """`data` with the low bit of byte 0 flipped, copied once."""
+    return b"".join((bytes((data[0] ^ 0x01,)), memoryview(data)[1:]))

@@ -156,9 +156,7 @@ def _forced_dlog_exchange(k: int, r: int):
     buyer_addr, seller_addr = address_for(b"b"), address_for(b"s")
     chain.fund(buyer_addr, 100)
     terms = Terms(Variant.V3, price=60, notary_fee=0, deadline_offset=100, group=TEST_GROUP)
-    seller = SellerSession(
-        package, terms, seller_addr, SellerPolicy.HONEST, lambda: random.Random(1)
-    )
+    seller = SellerSession(package, terms, seller_addr, SellerPolicy.HONEST)
     buyer = BuyerSession(
         terms,
         buyer_addr,

@@ -710,8 +710,9 @@ def test_checkpoint_step_restore_round_trip_at_every_node():
 
 @pytest.mark.parametrize("variant", ["v1", "v2", "v3"])
 def test_each_branch_draws_what_a_fresh_world_draws(monkeypatch, variant):
-    # Randomness drawn after a branch point (the garbage witness) must not
-    # depend on the branches explored before it.
+    # Each branch must end as a fresh world run down its path ends, whatever
+    # was explored before it. The garbage witness is a fixed edit and the
+    # buyer draws its blind once, so no branch depends on an earlier draw.
     config = make_config(
         variant,
         price=100,
@@ -731,7 +732,7 @@ def test_each_branch_draws_what_a_fresh_world_draws(monkeypatch, variant):
     oracle = enumerate_schedules(lambda: World(config, AcceptAnyWitnessLedger()), 12)
     expected = [_terminal(world) for world, _ in oracle]
     assert terminals == expected
-    # the claims publish the drawn witnesses, so the logs tell the draws apart
+    # the branches end in different logs, so the comparison tells them apart
     assert len({t[1] for t in expected}) > 1
 
 
@@ -1016,6 +1017,9 @@ def test_payload_bounded_by_the_offer_frame():
         make_config("v1", payload_size=MAX_PAYLOAD + 1)
     with pytest.raises(ConfigError):
         make_config("v1", payload=bytes(MAX_PAYLOAD + 1))
+    # The size is bounded even beside a payload that it does not size.
+    with pytest.raises(ConfigError, match="payload size must be between 1 and"):
+        make_config("v1", payload=b"\x00", payload_size=-1)
     assert len(make_config("v1", payload=bytes(MAX_PAYLOAD)).payload) == MAX_PAYLOAD
 
 
@@ -1350,7 +1354,11 @@ def test_cli_explore_clean(tmp_path, capsys):
 def test_cli_oversized_payload_exits_2(tmp_path, capsys):
     # The empty payload is the other bound; no check but the config's keeps
     # it from the notary.
-    for overrides in ({"payload_size": 9_000_000}, {"payload_hex": ""}):
+    for overrides in (
+        {"payload_size": 9_000_000},
+        {"payload_hex": ""},
+        {"payload_hex": "00", "payload_size": -1},
+    ):
         path = _write_config(tmp_path, **overrides)
         assert cli.main(["explore", "--config", path]) == 2
         assert "config error" in capsys.readouterr().err

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -87,7 +88,7 @@ def make_terms(variant, *, price=PRICE, fee=10, group=TEST_GROUP):
 def make_seller(variant, policy=SellerPolicy.HONEST, *, k=None, price=PRICE, fee=10):
     package = make_package(variant, k=k)
     terms = make_terms(variant, price=price, fee=fee)
-    return SellerSession(package, terms, SELLER_ADDR, policy, lambda: random.Random(3))
+    return SellerSession(package, terms, SELLER_ADDR, policy)
 
 
 def make_buyer(
@@ -200,7 +201,6 @@ def test_seller_witness_follows_its_certificate_not_its_terms():
         make_terms(Variant.V1),
         SELLER_ADDR,
         SellerPolicy.HONEST,
-        lambda: random.Random(3),
     )
     blind = Scalar(4, TEST_GROUP)
     c = crypto.element_pow(seller.package.certificate.h2.element, blind)
@@ -236,7 +236,7 @@ def make_modp2048_seller(policy=SellerPolicy.HONEST):
         group=MODP_2048,
     )
     terms = make_terms(Variant.V3, group=MODP_2048)
-    return SellerSession(package, terms, SELLER_ADDR, policy, lambda: random.Random(3))
+    return SellerSession(package, terms, SELLER_ADDR, policy)
 
 
 def test_buyer_rejects_unexpected_group_parameters():
@@ -508,17 +508,40 @@ def test_withhold_key_policy_never_claims():
 
 
 def test_wrong_witness_policy_is_rejected_by_the_chain():
-    seller = make_seller(Variant.V1, SellerPolicy.CLAIM_WRONG_WITNESS)
-    h2 = seller.package.certificate.h2.digest
-    chain, contract = _open_contract(HashLock(h2))
-    before = chain.snapshot()
-    seller.on_contract(ContractRef(contract.id, None), chain)
-    assert seller.claim_attempted
-    # The ledger's WrongWitness, as the seller records it.
-    assert seller.outcome == "claim rejected: the witness does not satisfy the condition"
-    assert seller.state is not SellerState.CLAIMED
-    assert chain.snapshot() == before
-    assert chain.get_contract(contract.id).state is ContractState.OPEN
+    wrong = SellerPolicy.CLAIM_WRONG_WITNESS
+    cases = [
+        (make_seller(variant, wrong), make_buyer(variant))
+        for variant in (Variant.V1, Variant.V2, Variant.V3)
+    ]
+    cases.append((make_modp2048_seller(wrong), make_buyer(Variant.V3, group=MODP_2048)))
+    # k * r = 1 * 10 = q - 1 on the test group, the scalar that wraps to 1.
+    cases.append((make_seller(Variant.V3, wrong, k=1), make_buyer(Variant.V3, r=10)))
+    for seller, buyer in cases:
+        chain = funded_chain()
+        (ref,) = buyer.on_offer(seller.start(), chain)
+        honest = seller._honest_witness(ref.r)
+        garbage = seller._garbage_witness(ref.r)
+        # The documented edit: the next scalar in [1, q-1], or the key with
+        # the low bit of byte 0 flipped.
+        if isinstance(honest, Exponent):
+            x = honest.x
+            edited = Scalar(x.value + 1 if x.value < x.params.q - 1 else 1, x.params)
+        else:
+            edited = bytes([honest.x[0] ^ 0x01]) + honest.x[1:]
+        assert garbage == replace(honest, x=edited)
+        assert seller._garbage_witness(ref.r) == garbage
+        before = chain.snapshot()
+        seller.on_contract(ref, chain)
+        assert seller.claim_attempted
+        # The ledger's WrongWitness, as the seller records it.
+        assert seller.outcome == "claim rejected: the witness does not satisfy the condition"
+        assert seller.state is not SellerState.CLAIMED
+        assert chain.snapshot() == before
+        assert chain.get_contract(ref.contract_id).state is ContractState.OPEN
+    assert (honest, garbage) == (
+        Exponent(Scalar(TEST_GROUP.q - 1, TEST_GROUP)),
+        Exponent(Scalar(1, TEST_GROUP)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -625,9 +648,7 @@ def test_decrypt_failure_marks_session_without_settling():
         ciphertext=ciphertext,
         certificate=Certificate(h1, h2, SELLER, NOTARY, sigma),
     )
-    seller = SellerSession(
-        package, make_terms(Variant.V1), SELLER_ADDR, SellerPolicy.HONEST, lambda: random.Random(3)
-    )
+    seller = SellerSession(package, make_terms(Variant.V1), SELLER_ADDR, SellerPolicy.HONEST)
     buyer = make_buyer(Variant.V1)
     chain = funded_chain()
     replies = buyer.on_offer(seller.start(), chain)

@@ -305,9 +305,7 @@ def test_full_dlog_exchange_over_the_in_process_net():
     seller_addr, buyer_addr = address_for(b"s"), address_for(b"b")
     chain.fund(buyer_addr, 100)
     terms = Terms(Variant.V3, price=60, notary_fee=0, deadline_offset=100, group=TEST_GROUP)
-    seller = SellerSession(
-        package, terms, seller_addr, SellerPolicy.HONEST, lambda: random.Random(52)
-    )
+    seller = SellerSession(package, terms, seller_addr, SellerPolicy.HONEST)
     buyer = BuyerSession(
         terms,
         buyer_addr,
