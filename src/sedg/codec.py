@@ -18,8 +18,8 @@ writer, turns it into JSON: bytes in data, lowercase hex in text.
   only a missing key falls back to a default, which no record but the
   scenario file declares, so a message or log line has one spelling;
 - a union of dataclasses carries one `"type"` key naming the member (its
-  `wire_tag`, or its class name in snake case); the candidates are the
-  annotation's members, so a decoder builds only a type the field allows;
+  class name in snake case); the candidates are the annotation's members,
+  so a decoder builds only a type the field allows;
 - a tuple is a list, and `X | None` is null or an `X`.
 
 Decoding raises `ValueError` on any other input, unknown keys and keys that
@@ -65,7 +65,7 @@ def decoder(tp: object) -> Decoder:
 
 def _tag(cls: type) -> str:
     """The `"type"` a union member travels under."""
-    return getattr(cls, "wire_tag", None) or re.sub(r"(?<!^)(?=[A-Z])", "_", cls.__name__).lower()
+    return re.sub(r"(?<!^)(?=[A-Z])", "_", cls.__name__).lower()
 
 
 def _a(cls: type) -> str:

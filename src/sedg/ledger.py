@@ -7,6 +7,10 @@ witnesses. Time is a logical tick counter advanced explicitly. A dlog
 lock opens only to an exponent of its own group: a scalar of another group
 that happens to be congruent is a wrong witness.
 
+Every refusal is a `LedgerError` whose message names the rule it breaks.
+Only `UnknownContract` and `InsufficientFunds`, which a session catches,
+have a class of their own.
+
 The log is written as JSON lines, one event per line, in the format `codec`
 derives from `LedgerEvent`: a union of one record per kind of event, each
 holding `seq`, `tick` and exactly its own fields, none with a default. A
@@ -45,34 +49,6 @@ class UnknownContract(LedgerError):
 
 
 class InsufficientFunds(LedgerError):
-    pass
-
-
-class PastDeadline(LedgerError):
-    pass
-
-
-class WrongWitness(LedgerError):
-    pass
-
-
-class Expired(LedgerError):
-    pass
-
-
-class AlreadySettled(LedgerError):
-    pass
-
-
-class VariantMismatch(LedgerError):
-    pass
-
-
-class NotExpired(LedgerError):
-    pass
-
-
-class NotPayer(LedgerError):
     pass
 
 
@@ -293,7 +269,7 @@ class Ledger:
         if isinstance(condition, NotaryHashLock) and not 0 <= condition.fee <= amount:
             raise LedgerError("notary fee must be within the contract amount")
         if deadline <= self._tick:
-            raise PastDeadline(f"deadline {deadline} is not after tick {self._tick}")
+            raise LedgerError(f"deadline {deadline} is not after tick {self._tick}")
         if self.get_balance(payer) < amount:
             raise InsufficientFunds(f"balance {self.get_balance(payer)} < {amount}")
 
@@ -326,13 +302,13 @@ class Ledger:
         contract = self.get_contract(contract_id)
         self._ensure_open(contract)
         if self._tick > contract.deadline:
-            raise Expired(f"tick {self._tick} past deadline {contract.deadline}")
+            raise LedgerError(f"tick {self._tick} past deadline {contract.deadline}")
         if type(witness) is not contract.condition.witness_type:
-            raise VariantMismatch(
+            raise LedgerError(
                 f"{type(witness).__name__} cannot open {type(contract.condition).__name__}"
             )
         if not self._condition_holds(contract.condition, witness):
-            raise WrongWitness("the witness does not satisfy the condition")
+            raise LedgerError("the witness does not satisfy the condition")
         return contract
 
     def claim(self, contract_id: int, witness: Witness) -> Claimed:
@@ -354,9 +330,9 @@ class Ledger:
         contract = self.get_contract(contract_id)
         self._ensure_open(contract)
         if self._tick <= contract.deadline:
-            raise NotExpired(f"tick {self._tick} not past deadline {contract.deadline}")
+            raise LedgerError(f"tick {self._tick} not past deadline {contract.deadline}")
         if caller != contract.payer:
-            raise NotPayer("only the payer may reclaim an expired escrow")
+            raise LedgerError("only the payer may reclaim an expired escrow")
 
         self._contracts[contract_id] = replace(contract, state=ContractState.REFUNDED)
         self._balances[contract.payer] = self.get_balance(contract.payer) + contract.amount
@@ -379,7 +355,7 @@ class Ledger:
 
     def _ensure_open(self, contract: EscrowContract) -> None:
         if contract.state is not ContractState.OPEN:
-            raise AlreadySettled(f"contract {contract.id} is {contract.state.value}")
+            raise LedgerError(f"contract {contract.id} is {contract.state.value}")
 
     def _append(self, record: type, **fields) -> LedgerEvent:
         event = record(seq=len(self._events), tick=self._tick, **fields)

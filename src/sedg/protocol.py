@@ -35,7 +35,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, ClassVar, Mapping, Union
+from typing import Callable, Mapping, Union
 
 from . import cert, codec, crypto, ledger
 from .cert import (
@@ -144,13 +144,11 @@ class ContractRef:
 
 
 @dataclass(frozen=True)
-class AbortMessage:
-    wire_tag: ClassVar[str] = "abort"
-
+class Abort:
     reason: AbortReason
 
 
-ProtocolMessage = Union[Offer, ContractRef, AbortMessage]
+ProtocolMessage = Union[Offer, ContractRef, Abort]
 
 
 message_to_obj = codec.encoder(ProtocolMessage)
@@ -306,9 +304,9 @@ class BuyerSession(_Session):
     def on_timer(self, chain: Ledger) -> None:
         """Ask the chain for the escrow back while the contract is still published.
 
-        The ledger alone decides whether the refund is due: before the
-        deadline it raises NotExpired, after a claim AlreadySettled, and a
-        rejected refund changes nothing.
+        The ledger alone decides whether the refund is due: it refuses one
+        before the deadline or after a claim, and a refused refund changes
+        nothing.
         """
         if self.state is not BuyerState.CONTRACT_PUBLISHED:
             return
@@ -321,7 +319,7 @@ class BuyerSession(_Session):
     def _abort(self, reason: AbortReason) -> list[ProtocolMessage]:
         self.state = BuyerState.ABORTED
         self.abort_reason = reason
-        return [AbortMessage(reason)]
+        return [Abort(reason)]
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +374,7 @@ class SellerSession(_Session):
         """Act on the buyer's contract reference or abort; the seller never replies."""
         if isinstance(message, ContractRef):
             self.on_contract(message, chain)
-        elif isinstance(message, AbortMessage) and not self.terminal:
+        elif isinstance(message, Abort) and not self.terminal:
             self.state = SellerState.EXPIRED
             self.outcome = f"counterparty aborted: {message.reason.value}"
         return []

@@ -266,7 +266,7 @@ def test_acceptance_6_binding():
     assert rejected == 300
 
     # 100 wrong-witness claims, each leaving the chain bit-identical
-    from sedg.ledger import HashLock, Preimage, WrongWitness
+    from sedg.ledger import HashLock, LedgerError, Preimage
 
     key = rng.randbytes(32)
     chain = Ledger()
@@ -280,7 +280,7 @@ def test_acceptance_6_binding():
         wrong = rng.randbytes(32)
         if wrong == key:
             continue
-        with pytest.raises(WrongWitness):
+        with pytest.raises(LedgerError, match=r"^the witness does not satisfy the condition$"):
             chain.claim(contract_id, Preimage(wrong))
         assert chain.snapshot() == before
     assert chain.get_contract(contract_id).state is ContractState.OPEN

@@ -461,7 +461,7 @@ def test_double_settlement_ledger_fixture_allows_the_bug():
     cid = chain.publish_contract(payer, payee, 60, HashLock(crypto.sha256(key)), deadline=10)
     chain.claim(cid, Preimage(key))
     chain.advance_time(11)
-    chain.refund(cid, payer)  # a correct ledger would raise AlreadySettled
+    chain.refund(cid, payer)  # a correct ledger would refuse: "contract 1 is claimed"
     assert chain.get_balance(payer) == 100
     assert chain.get_balance(payee) == 60
 

@@ -39,7 +39,7 @@ from sedg.ledger import (
     address_for,
 )
 from sedg.protocol import (
-    AbortMessage,
+    Abort,
     AbortReason,
     BuyerPolicy,
     BuyerSession,
@@ -134,7 +134,7 @@ def test_corrupt_ciphertext_offer_aborts_with_mismatch():
     seller = make_seller(Variant.V1, SellerPolicy.SEND_CORRUPT_CIPHERTEXT)
     buyer = make_buyer(Variant.V1)
     replies = buyer.on_offer(seller.start(), funded_chain())
-    assert replies == [AbortMessage(AbortReason.CIPHERTEXT_MISMATCH)]
+    assert replies == [Abort(AbortReason.CIPHERTEXT_MISMATCH)]
     assert buyer.abort_reason is AbortReason.CIPHERTEXT_MISMATCH
     assert buyer.state is BuyerState.ABORTED
 
@@ -168,7 +168,7 @@ def test_mismatched_h2_offer_aborts_with_bad_signature():
         assert offer.certificate.h2 != seller.package.certificate.h2
         assert seller.start() == offer
         replies = buyer.on_offer(received, funded_chain())
-        assert replies == [AbortMessage(AbortReason.BAD_SIGNATURE)]
+        assert replies == [Abort(AbortReason.BAD_SIGNATURE)]
         assert buyer.abort_reason is AbortReason.BAD_SIGNATURE
 
 
@@ -284,7 +284,7 @@ def test_aborting_buyer_never_touches_the_chain(reason, make_pair):
     seller, buyer = make_pair()
     chain = funded_chain()
     before = chain.snapshot()
-    assert buyer.on_offer(seller.start(), chain) == [AbortMessage(reason)]
+    assert buyer.on_offer(seller.start(), chain) == [Abort(reason)]
     assert chain.snapshot() == before
     assert buyer.abort_reason is reason
 
@@ -295,7 +295,7 @@ def test_underfunded_buyer_aborts_without_a_contract(variant):
     buyer = make_buyer(variant)
     chain = funded_chain(PRICE - 1)
     replies = buyer.on_offer(seller.start(), chain)
-    abort = AbortMessage(AbortReason.INSUFFICIENT_FUNDS)
+    abort = Abort(AbortReason.INSUFFICIENT_FUNDS)
     # The blind travels only with a contract reference, so none leaves here.
     assert replies == [abort]
     assert chain.get_balance(BUYER_ADDR) == PRICE - 1
@@ -533,7 +533,7 @@ def test_wrong_witness_policy_is_rejected_by_the_chain():
         before = chain.snapshot()
         seller.on_contract(ref, chain)
         assert seller.claim_attempted
-        # The ledger's WrongWitness, as the seller records it.
+        # The ledger's refusal, as the seller records it.
         assert seller.outcome == "claim rejected: the witness does not satisfy the condition"
         assert seller.state is not SellerState.CLAIMED
         assert chain.snapshot() == before
@@ -581,7 +581,7 @@ def test_buyer_recovers_scalar_key_v3():
 
 def test_on_timer_boundaries():
     # The ledger alone decides when the refund is due: at and before the
-    # deadline it says NotExpired, and the attempt changes nothing.
+    # deadline it refuses one, and the attempt changes nothing.
     seller = make_seller(Variant.V1)
     buyer = make_buyer(Variant.V1)
     chain = funded_chain()
@@ -622,7 +622,7 @@ def test_on_timer_after_a_refund_asks_for_no_second_refund():
 def test_on_timer_ignores_settled_contracts():
     _, buyer, chain, event = _settled_exchange(Variant.V1)
     chain.advance_time(500)
-    # Claimed but not yet read: the ledger says AlreadySettled.
+    # Claimed but not yet read: the ledger refuses the refund.
     before = chain.snapshot()
     buyer.on_timer(chain)
     assert chain.snapshot() == before
@@ -668,7 +668,7 @@ def test_decrypt_failure_marks_session_without_settling():
 _SELLER_MESSAGES = {
     "ContractRef": ContractRef(1, None),
     "ContractRefWithBlind": ContractRef(1, Scalar(4, TEST_GROUP)),
-    "AbortMessage": AbortMessage(AbortReason.PRICE_MISMATCH),
+    "AbortMessage": Abort(AbortReason.PRICE_MISMATCH),
 }
 
 
@@ -714,11 +714,11 @@ def test_seller_ignores_an_offer(variant):
 def test_seller_lapses_on_an_abort_through_on_message():
     seller = make_seller(Variant.V1)
     chain = funded_chain()
-    assert seller.on_message(AbortMessage(AbortReason.PRICE_MISMATCH), chain) == []
+    assert seller.on_message(Abort(AbortReason.PRICE_MISMATCH), chain) == []
     assert seller.state is SellerState.EXPIRED
     assert seller.outcome == "counterparty aborted: price_mismatch"
     # A later abort does not overwrite the first.
-    seller.on_message(AbortMessage(AbortReason.BAD_SIGNATURE), chain)
+    seller.on_message(Abort(AbortReason.BAD_SIGNATURE), chain)
     assert seller.outcome == "counterparty aborted: price_mismatch"
 
 
@@ -741,7 +741,7 @@ def test_small_message_json_round_trips():
         assert message_from_obj(message_to_obj(ref)) == ref
     with pytest.raises(ValueError, match="^a ContractRef needs 'r'$"):
         message_from_obj({"type": "contract_ref", "contract_id": 7})
-    abort = AbortMessage(reason=AbortReason.PRICE_MISMATCH)
+    abort = Abort(reason=AbortReason.PRICE_MISMATCH)
     assert message_from_obj(message_to_obj(abort)) == abort
     with pytest.raises(ValueError):
         message_from_obj({"type": "mystery"})
@@ -752,7 +752,7 @@ def test_abort_with_an_unknown_reason_fails_at_decode():
     # seller's outcome unchecked.
     with pytest.raises(ValueError, match="^reason: 'bogus' is not an AbortReason$"):
         message_from_obj({"type": "abort", "reason": "bogus"})
-    assert message_to_obj(AbortMessage(AbortReason.GROUP_MISMATCH)) == {
+    assert message_to_obj(Abort(AbortReason.GROUP_MISMATCH)) == {
         "type": "abort",
         "reason": "group_mismatch",
     }
@@ -965,7 +965,7 @@ def test_dumps_writes_bytes_as_lowercase_hex_and_nothing_else_new():
             ContractRef(3, Scalar(5, TEST_GROUP)),
             '{"type":"contract_ref","contract_id":3,"r":{"group":"test","value":5}}',
         ),
-        (AbortMessage(AbortReason.BAD_SIGNATURE), '{"type":"abort","reason":"bad_signature"}'),
+        (Abort(AbortReason.BAD_SIGNATURE), '{"type":"abort","reason":"bad_signature"}'),
     ],
     ids=["offer", "contract_ref", "contract_ref_with_blind", "abort"],
 )
