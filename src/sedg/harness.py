@@ -253,8 +253,8 @@ def config_from_file(path: str, seed: int | None = None) -> ScenarioConfig:
 
 
 def _rng(seed: int, role: str) -> random.Random:
-    # One stream per role that draws (notary, buyer); string seeding keeps each
-    # stable across platforms.
+    # The world draws for the parties, one stream per role: the notary's key and
+    # nonce, the buyer's v3 blind. String seeding keeps each stable across platforms.
     return random.Random(f"{seed}/{role}")
 
 
@@ -321,6 +321,12 @@ class World:
         self.config = config
         self.ledger = chain if chain is not None else Ledger()
 
+        terms = Terms(
+            config.variant, config.price, config.notary_fee, config.deadline_offset, config.group
+        )
+        blind = None
+        if config.variant is Variant.V3:
+            blind = crypto.draw_scalar(_rng(config.seed, "buyer"), config.group)
         self.seller = SellerSession(
             package=notarize(
                 NOTARY_KEYS,
@@ -331,17 +337,17 @@ class World:
                 _rng(config.seed, "notary"),
                 group=config.group,
             ),
-            terms=config,
+            terms=terms,
             address=SELLER_ADDR,
             policy=config.seller_policy,
         )
         self.buyer = BuyerSession(
-            terms=config,
+            terms=terms,
             address=BUYER_ADDR,
             seller=SELLER,
             trusted_notaries={NOTARY_ID: NOTARY_KEYS.public},
             policy=config.buyer_policy,
-            new_rng=lambda: _rng(config.seed, "buyer"),
+            blind=blind,
         )
         if config.buyer_balance:  # the ledger funds positive amounts only
             self.ledger.fund(self.buyer.address, config.buyer_balance)

@@ -22,20 +22,18 @@ a buyer who never pays or underpays, a seller who withholds the key, claims
 with garbage, or ships corrupted goods. A buyer's abort names its
 `AbortReason`, so a peer's reason outside that vocabulary fails at decode.
 
-Only the buyer draws: its v3 blind, once, in `on_offer`, from a fresh
-stream that a function it is given builds (the harness seeds it from the
-scenario seed and the role). A deviating seller edits the honest offer or
-witness in a fixed way and draws nothing. In any run the harness drives,
-`on_offer` acts at most once, so the blind does not depend on the schedule.
-Sessions hold neither random-number state nor the chain, which every handler
-that touches it takes as an argument, so a checkpoint copies fields shallowly.
+No session draws. Each is handed what its party holds: both the agreed
+terms, the seller its certificate package and the buyer its v3 blind, which
+the harness draws from the scenario seed. A deviating seller edits the honest
+offer or witness in a fixed way. Sessions hold neither random-number state
+nor the chain, which every handler that touches it takes as an argument, so
+a checkpoint copies fields shallowly.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Mapping, Union
+from typing import Mapping, Union
 
 from . import cert, codec, crypto, ledger
 from .cert import (
@@ -169,9 +167,6 @@ class BuyerState(Enum):
     ABORTED = "aborted"
 
 
-RngFactory = Callable[[], random.Random]
-
-
 class _Session:
     """Checkpointing shared by both sessions.
 
@@ -197,18 +192,17 @@ class BuyerSession(_Session):
         seller: PartyId,
         trusted_notaries: Mapping[bytes, bytes],
         policy: BuyerPolicy,
-        new_rng: RngFactory,
+        blind: Scalar | None,
     ) -> None:
         self.terms = terms
         self.address = address
         self.seller = seller
         self.trusted_notaries = trusted_notaries
         self.policy = policy
-        self.new_rng = new_rng
+        self.blind = blind
         self.state = BuyerState.INIT
         self.offer: Offer | None = None
         self.contract_id: int | None = None
-        self.blind: Scalar | None = None
         self.plaintext: bytes | None = None
         self.decrypt_failed = False
         self.abort_reason: AbortReason | None = None
@@ -255,7 +249,6 @@ class BuyerSession(_Session):
         elif isinstance(h2, HashOfKeyAndNotary):
             condition = NotaryHashLock(h2=h2.digest, fee=terms.notary_fee)
         else:
-            self.blind = crypto.draw_scalar(self.new_rng(), terms.group)
             condition = DlogLock(c=crypto.element_pow(h2.element, self.blind))
 
         try:

@@ -15,7 +15,7 @@ from hypothesis.stateful import run_state_machine_as_test
 from helpers import ScriptedRng, brute_force_inverse, signed, signing_keys, slow_pow
 from sedg import crypto
 from sedg.cert import AbortReason, PartyId, Variant, notarize, verify_certificate
-from sedg.crypto import TEST_GROUP, Scalar, scalar_draw_len
+from sedg.crypto import TEST_GROUP, Scalar
 from sedg.harness import (
     World,
     demo,
@@ -163,7 +163,7 @@ def _forced_dlog_exchange(k: int, r: int):
         seller_id,
         {b"n": notary_keys.public},
         BuyerPolicy.HONEST,
-        lambda: ScriptedRng([(r - 1).to_bytes(scalar_draw_len(TEST_GROUP), "big")]),
+        Scalar(r, TEST_GROUP),
     )
     (ref,) = buyer.on_offer(seller.start(), chain)
     assert ref.r.value == r

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import typing
@@ -61,6 +62,7 @@ from sedg.protocol import (
     ProtocolMessage,
     SellerPolicy,
     SellerState,
+    Terms,
     message_to_obj,
 )
 
@@ -240,6 +242,26 @@ def test_worlds_of_any_seed_share_the_one_notary_key():
         first.seller.package.certificate, registry, harness.SELLER, first.seller.package.ciphertext
     )
     assert rejection is None
+
+
+@pytest.mark.parametrize(
+    "variant, group_name",
+    [("v1", "test"), ("v2", "test"), ("v3", "test"), ("v3", "modp2048")],
+)
+def test_a_worlds_sessions_hold_only_values_their_party_knows(variant, group_name):
+    # Sessions are handed values, not ways to draw them, and hold the agreed
+    # terms, not the world's config with its seed, policies and payload.
+    config = make_config(variant, price=100, group_name=group_name, seed=7)
+    world = World(config)
+    for session in (world.buyer, world.seller):
+        for name, value in vars(session).items():
+            assert not callable(value) and not isinstance(value, random.Random), name
+        assert type(session.terms) is Terms
+    blind = world.buyer.blind
+    if variant == "v3":
+        assert blind == crypto.draw_scalar(random.Random(f"{config.seed}/buyer"), config.group)
+    else:
+        assert blind is None
 
 
 def test_building_a_world_loads_no_signing_key(monkeypatch):
@@ -712,7 +734,8 @@ def test_checkpoint_step_restore_round_trip_at_every_node():
 def test_each_branch_draws_what_a_fresh_world_draws(monkeypatch, variant):
     # Each branch must end as a fresh world run down its path ends, whatever
     # was explored before it. The garbage witness is a fixed edit and the
-    # buyer draws its blind once, so no branch depends on an earlier draw.
+    # World hands the buyer its blind when it is built, so no session draws
+    # and no branch depends on an earlier draw.
     config = make_config(
         variant,
         price=100,

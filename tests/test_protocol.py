@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import functools
 import json
 import os
 import random
@@ -24,7 +23,7 @@ from sedg.cert import (
     notarize,
     signing_payload,
 )
-from sedg.crypto import MODP_2048, TEST_GROUP, Scalar, scalar_draw_len
+from sedg.crypto import MODP_2048, TEST_GROUP, Scalar
 from sedg.ledger import (
     Claimed,
     ContractPublished,
@@ -94,14 +93,11 @@ def make_seller(variant, policy=SellerPolicy.HONEST, *, k=None, price=PRICE, fee
 def make_buyer(
     variant, policy=BuyerPolicy.HONEST, *, r=None, price=PRICE, fee=10, group=TEST_GROUP
 ):
-    if r is not None:
-        # raw % (q-1) + 1 == r  <=>  raw == r-1 for r-1 < q-1
-        raw = (r - 1).to_bytes(scalar_draw_len(TEST_GROUP), "big")
-        new_rng = functools.partial(ScriptedRng, [raw])
-    else:
-        new_rng = functools.partial(random.Random, 4)
+    blind = None
+    if variant is Variant.V3:
+        blind = Scalar(r, group) if r is not None else crypto.draw_scalar(random.Random(4), group)
     terms = make_terms(variant, price=price, fee=fee, group=group)
-    return BuyerSession(terms, BUYER_ADDR, SELLER, REGISTRY, policy, new_rng)
+    return BuyerSession(terms, BUYER_ADDR, SELLER, REGISTRY, policy, blind)
 
 
 def funded_chain(balance=200):

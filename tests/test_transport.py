@@ -276,7 +276,7 @@ def test_full_dlog_exchange_over_the_in_process_net():
     # The complete off-chain conversation of a blinded exchange, with every
     # message encoded, framed and delivered by the net; no harness involved.
     from sedg.cert import PartyId, Variant, notarize
-    from sedg.crypto import TEST_GROUP
+    from sedg.crypto import TEST_GROUP, draw_scalar
     from sedg.ledger import Ledger, address_for
     from sedg.protocol import (
         BuyerPolicy,
@@ -312,7 +312,7 @@ def test_full_dlog_exchange_over_the_in_process_net():
         seller_id,
         {b"n": notary_keys.public},
         BuyerPolicy.HONEST,
-        lambda: random.Random(53),
+        draw_scalar(random.Random(53), TEST_GROUP),
     )
 
     net = InProcessNet()
