@@ -18,10 +18,10 @@ from .cert import (
 from .crypto import GROUPS, GroupParams, SigningKeyPair
 from .harness import (
     ConfigError,
-    DepthExceeded,
     ExplorationResult,
     ScenarioConfig,
     ScenarioReport,
+    ScheduleError,
     World,
     config_from_dict,
     config_from_file,
@@ -45,10 +45,10 @@ __all__ = [
     "GroupParams",
     "SigningKeyPair",
     "ConfigError",
-    "DepthExceeded",
     "ExplorationResult",
     "ScenarioConfig",
     "ScenarioReport",
+    "ScheduleError",
     "World",
     "config_from_dict",
     "config_from_file",

@@ -104,7 +104,7 @@ def main(argv: list[str] | None = None) -> int:
     except harness.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (harness.DepthExceeded, harness.ScheduleError) as exc:
+    except harness.ScheduleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,14 +13,16 @@ can race is a scheduling option: message deliveries, the buyer's ledger
 wake-up, timer firings, and the placement of expiry itself, which stays
 open while some open contract's deadline has not passed on the chain's
 clock. The world alone decides what woke the buyer: a `notify:buyer` wake
-carries the claim event the world found on the chain, for `on_claim`; a
-`timers` wake calls both parties' `on_timer`, and the ledger decides
-whether the buyer's refund is due. The default schedule always picks the
-first option (FIFO delivery, expiry last); `drive` replays any other
-schedule given as option indices, and `World.step` raises ScheduleError
-for a choice that names no open option. The world records the path it
-took, each step's label in `trace` and its option index in `choices`, and
-`restore` cuts both back; `drive` and `explore` read that one record.
+carries a claim event the world found on the chain, on a contract the
+buyer's address paid into, for `on_claim`; a `timers` wake calls both
+parties' `on_timer`, and the ledger decides whether the buyer's refund is
+due. The default schedule always picks the first option (FIFO delivery,
+expiry last); `drive` replays any other schedule given as option indices,
+and `World.step` raises ScheduleError for a choice that names no open
+option. The world records the path it took, each step's label in `trace`
+and its option index in `choices`, and `restore` cuts both back; `drive`
+and `explore` read that one record. Of a session the world reads only its
+constants and its `state` record, whose `status` the report prints.
 
 `explore` checks every ordering up to a depth bound and evaluates the
 fairness invariants at every terminal state, in one pass over the event
@@ -28,8 +30,8 @@ log. It builds one world, walks the schedule tree depth-first, and
 checkpoints the world at each branch point to restore it before the next
 alternative, so every tree node executes once and the notary certifies
 once per exploration. Checkpoints are shallow: ledger records are
-immutable, sessions hold neither random-number state nor the ledger, and
-the ledger keeps the log's encoded lines, so each layer copies only a few
+immutable, a session's checkpoint is its frozen state record, and the
+ledger keeps the log's encoded lines, so each layer copies only a few
 small containers. A world builds its action list once per node and drops
 it on every step and restore.
 """
@@ -54,12 +56,13 @@ from .ledger import (
     write_event_log,
 )
 from .protocol import (
+    Aborted,
     BuyerPolicy,
     BuyerSession,
-    BuyerState,
     ScenarioReport,
     SellerPolicy,
     SellerSession,
+    Settled,
     Terms,
 )
 
@@ -104,12 +107,9 @@ class ConfigError(Exception):
     pass
 
 
-class DepthExceeded(Exception):
-    pass
-
-
 class ScheduleError(Exception):
-    """A schedule names an option that is not open, or outlasts its run."""
+    """A schedule names an option that is not open or outlasts its run, or a
+    run outlasts its step or depth bound."""
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +390,8 @@ class World:
         return (
             self.ledger.checkpoint(),
             self.net.checkpoint(),
-            [party.session.checkpoint() for party in self.parties.values()],
+            self.seller.state,
+            self.buyer.state,
             list(self.pending_wakes),
             len(self.trace),
             self._cursor,
@@ -398,11 +399,9 @@ class World:
 
     def restore(self, saved: tuple) -> None:
         """Return to a checkpoint; one checkpoint can be restored many times."""
-        chain, net, sessions, wakes, trace_len, self._cursor = saved
+        chain, net, self.seller.state, self.buyer.state, wakes, trace_len, self._cursor = saved
         self.ledger.restore(chain)
         self.net.restore(net)
-        for party, session in zip(self.parties.values(), sessions):
-            party.session.restore(session)
         self.pending_wakes = list(wakes)
         del self.trace[trace_len:]
         del self.choices[trace_len:]
@@ -455,8 +454,9 @@ class World:
         events = self.ledger.read_events(self._cursor)
         self._cursor += len(events)
         for event in events:
-            if type(event) is Claimed and event.contract_id == self.buyer.contract_id:
-                self.pending_wakes.append(("notify:buyer", event))
+            if type(event) is Claimed:
+                if self.ledger.get_contract(event.contract_id).payer == self.buyer.address:
+                    self.pending_wakes.append(("notify:buyer", event))
 
     # -- reporting ------------------------------------------------------------
 
@@ -492,9 +492,9 @@ class World:
         return ScenarioReport(
             variant=self.config.variant.value,
             seed=self.config.seed,
-            seller_state=self.seller.state.value,
-            buyer_state=self.buyer.state.value,
-            buyer_has_plaintext=self.buyer.state is BuyerState.SETTLED,
+            seller_state=self.seller.state.status,
+            buyer_state=self.buyer.state.status,
+            buyer_has_plaintext=isinstance(self.buyer.state, Settled),
             seller_paid=facts.seller_paid,
             notary_paid=facts.notary_paid,
             buyer_refunded=facts.buyer_refunded,
@@ -523,7 +523,8 @@ def drive(world: World, schedule: Sequence[int] = ()) -> list[int]:
     The schedule, like the `_MAX_RUN_STEPS` bound, counts from the world's
     first step; returns every choice the world took. Raises ScheduleError if
     the schedule picks an option that is not open (`World.step` judges each
-    choice) or has choices left when the run ends.
+    choice) or has choices left when the run ends, and if the run takes
+    `_MAX_RUN_STEPS` choices without ending.
     """
     while True:
         taken = len(world.choices)
@@ -535,7 +536,7 @@ def drive(world: World, schedule: Sequence[int] = ()) -> list[int]:
                 )
             return list(world.choices)
         if taken >= _MAX_RUN_STEPS:
-            raise DepthExceeded(f"run exceeded {_MAX_RUN_STEPS} scheduling choices")
+            raise ScheduleError(f"run exceeded {_MAX_RUN_STEPS} scheduling choices")
         world.step(schedule[taken] if taken < len(schedule) else 0)
 
 
@@ -583,7 +584,7 @@ def fairness_violations(world: World) -> list[tuple[str, str]]:
     facts = world._read_log()
     seller_paid, notary_paid = facts.seller_paid, facts.notary_paid
     out: list[tuple[str, str]] = []
-    has_plaintext = world.buyer.state is BuyerState.SETTLED
+    has_plaintext = isinstance(world.buyer.state, Settled)
     if has_plaintext != seller_paid:
         out.append(
             ("atomicity", f"buyer_has_plaintext={has_plaintext} but seller_paid={seller_paid}")
@@ -605,7 +606,7 @@ def fairness_violations(world: World) -> list[tuple[str, str]]:
                 detail = f"seller claimed contract {cid} crediting it {credited} != {due}"
                 out.append(("honest-seller-no-loss", detail))
 
-    if world.buyer.state is BuyerState.ABORTED and facts.buyer_contracts:
+    if isinstance(world.buyer.state, Aborted) and facts.buyer_contracts:
         detail = f"aborted buyer published {len(facts.buyer_contracts)} contract(s)"
         out.append(("abort-before-pay", detail))
 
@@ -634,7 +635,7 @@ def explore(
     takes a checkpoint, and restores it before each alternative, so every
     tree node executes exactly once. Returns every invariant
     violation with the schedule that produced it; an empty violation list
-    means every terminal state was fair. Raises DepthExceeded if any run
+    means every terminal state was fair. Raises ScheduleError if any run
     needs more than `depth` choices.
     """
     world = World(config, chain_factory() if chain_factory else None)
@@ -646,7 +647,7 @@ def explore(
         count = len(world.options())
         if count:
             if len(world.choices) >= depth:
-                raise DepthExceeded(f"a run exceeded the depth bound of {depth}")
+                raise ScheduleError(f"a run exceeded the depth bound of {depth}")
             if count > 1:
                 branches.append((world.checkpoint(), list(range(1, count))))
             index = 0
@@ -727,6 +728,6 @@ def demo(variant: Variant | str, printer: Callable[[str], None] = print) -> Scen
     )
     printer(
         f"result: buyer decrypted payload matches the original: "
-        f"{world.buyer.plaintext == config.payload}"
+        f"{world.buyer.state == Settled(config.payload)}"
     )
     return report

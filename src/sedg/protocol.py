@@ -25,15 +25,17 @@ with garbage, or ships corrupted goods. A buyer's abort names its
 No session draws. Each is handed what its party holds: both the agreed
 terms, the seller its certificate package and the buyer its v3 blind, which
 the harness draws from the scenario seed. A deviating seller edits the honest
-offer or witness in a fixed way. Sessions hold neither random-number state
-nor the chain, which every handler that touches it takes as an argument, so
-a checkpoint copies fields shallowly.
+offer or witness in a fixed way. Besides those constants a session holds one
+`state`, a frozen record per state that holds only the fields valid in it and
+names the `status` a report prints. A handler replaces the record, and no
+session holds the chain, which every handler that touches it is handed, so a
+session's checkpoint is its state record.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Mapping, Union
+from typing import ClassVar, Mapping, Union
 
 from . import cert, codec, crypto, ledger
 from .cert import (
@@ -73,7 +75,7 @@ class Terms:
 
 class SellerPolicy(Enum):
     """How the seller plays. Each deviation is a fixed edit of the honest offer
-    or witness: `_flip` on the ciphertext, `_mismatched_h2`, `_garbage_witness`."""
+    or witness: `_flip` on the ciphertext's nonce, `_mismatched_h2`, `_garbage_witness`."""
 
     HONEST = "honest"
     WITHHOLD_KEY = "withhold_key"
@@ -158,32 +160,51 @@ message_from_obj = codec.decoder(ProtocolMessage)
 # Buyer session
 # ---------------------------------------------------------------------------
 
-class BuyerState(Enum):
-    INIT = "init"
-    VERIFIED = "verified"
-    CONTRACT_PUBLISHED = "contract_published"
-    SETTLED = "settled"
-    REFUNDED = "refunded"
-    ABORTED = "aborted"
+@dataclass(frozen=True)
+class Init:
+    status: ClassVar[str] = "init"
 
 
-class _Session:
-    """Checkpointing shared by both sessions.
-
-    Handlers rebind fields and never mutate a field's value in place, and
-    no field holds random-number state or the chain, so a shallow copy of
-    the fields is a full checkpoint.
-    """
-
-    def checkpoint(self) -> dict:
-        return dict(vars(self))
-
-    def restore(self, saved: dict) -> None:
-        vars(self).update(saved)
+@dataclass(frozen=True)
+class Verified:
+    status: ClassVar[str] = "verified"
 
 
-class BuyerSession(_Session):
+@dataclass(frozen=True)
+class Published:
+    status: ClassVar[str] = "contract_published"
+    offer: Offer
+    contract_id: int
+
+
+@dataclass(frozen=True)
+class Settled:
+    status: ClassVar[str] = "settled"
+    plaintext: bytes
+
+
+@dataclass(frozen=True)
+class DecryptFailed:
+    """Paid, but the claim's witness did not decrypt the offer; final."""
+
+    status: ClassVar[str] = "contract_published"
+
+
+@dataclass(frozen=True)
+class Reimbursed:
+    status: ClassVar[str] = "refunded"
+
+
+@dataclass(frozen=True)
+class Aborted:
+    status: ClassVar[str] = "aborted"
+    reason: AbortReason
+
+
+class BuyerSession:
     """The paying side: verify the offer, escrow the price, recover the key."""
+
+    state: Init | Verified | Published | Settled | DecryptFailed | Reimbursed | Aborted
 
     def __init__(
         self,
@@ -200,12 +221,15 @@ class BuyerSession(_Session):
         self.trusted_notaries = trusted_notaries
         self.policy = policy
         self.blind = blind
-        self.state = BuyerState.INIT
-        self.offer: Offer | None = None
-        self.contract_id: int | None = None
-        self.plaintext: bytes | None = None
-        self.decrypt_failed = False
-        self.abort_reason: AbortReason | None = None
+        self.state = Init()
+
+    @property
+    def abort_reason(self) -> AbortReason | None:
+        return self.state.reason if isinstance(self.state, Aborted) else None
+
+    @property
+    def decrypt_failed(self) -> bool:
+        return isinstance(self.state, DecryptFailed)
 
     def on_offer(self, offer: Offer, chain: Ledger) -> list[ProtocolMessage]:
         """Verify and, unless policy or verification says otherwise, escrow the price.
@@ -214,9 +238,8 @@ class BuyerSession(_Session):
         for a dlog offer, or the abort. So the blind leaves the buyer only
         with a contract on the chain.
         """
-        if self.state is not BuyerState.INIT:
+        if not isinstance(self.state, Init):
             return []
-        self.offer = offer
         certificate = offer.certificate
         h2 = certificate.h2
 
@@ -232,7 +255,7 @@ class BuyerSession(_Session):
             return self._abort(rejection)
         if certificate.group not in (None, terms.group):
             return self._abort(AbortReason.GROUP_MISMATCH)
-        self.state = BuyerState.VERIFIED
+        self.state = Verified()
 
         if self.policy is BuyerPolicy.NEVER_PUBLISH_CONTRACT:
             return []
@@ -252,7 +275,7 @@ class BuyerSession(_Session):
             condition = DlogLock(c=crypto.element_pow(h2.element, self.blind))
 
         try:
-            self.contract_id = chain.publish_contract(
+            contract_id = chain.publish_contract(
                 payer=self.address,
                 payee=address_for(certificate.seller_id.id),
                 amount=amount,
@@ -261,8 +284,8 @@ class BuyerSession(_Session):
             )
         except ledger.InsufficientFunds:
             return self._abort(AbortReason.INSUFFICIENT_FUNDS)
-        self.state = BuyerState.CONTRACT_PUBLISHED
-        return [ContractRef(self.contract_id, self.blind)]
+        self.state = Published(offer, contract_id)
+        return [ContractRef(contract_id, self.blind)]
 
     def on_message(self, message: ProtocolMessage, chain: Ledger) -> list[ProtocolMessage]:
         """Answer an offer; the buyer takes no other message."""
@@ -272,13 +295,13 @@ class BuyerSession(_Session):
         """Recover the key from the witness of the claim on this buyer's contract.
 
         The caller hands over the chain's `Claimed` event for the contract this
-        session published. A failed authenticated decrypt marks the session
-        rather than raising: the funds are already gone, which is exactly what
-        the fairness report needs to surface. Unreachable when the notary was
-        honest, since the ledger only accepts witnesses that open the
-        committed key.
+        session published. A failed authenticated decrypt ends the session in
+        `DecryptFailed` rather than raising: the funds are already gone, which
+        is exactly what the fairness report needs to surface. Unreachable when
+        the notary was honest, since the ledger only accepts witnesses that
+        open the committed key.
         """
-        if self.state is not BuyerState.CONTRACT_PUBLISHED:
+        if not isinstance(self.state, Published):
             return None
         witness = event.witness
         if isinstance(witness, ledger.Exponent):
@@ -287,12 +310,12 @@ class BuyerSession(_Session):
         else:
             key = witness.x
         try:
-            self.plaintext = crypto.decrypt(key, self.offer.ciphertext)
+            plaintext = crypto.decrypt(key, self.state.offer.ciphertext)
         except (crypto.AuthenticationFailure, ValueError):
-            self.decrypt_failed = True
+            self.state = DecryptFailed()
             return None
-        self.state = BuyerState.SETTLED
-        return self.plaintext
+        self.state = Settled(plaintext)
+        return plaintext
 
     def on_timer(self, chain: Ledger) -> None:
         """Ask the chain for the escrow back while the contract is still published.
@@ -301,17 +324,16 @@ class BuyerSession(_Session):
         before the deadline or after a claim, and a refused refund changes
         nothing.
         """
-        if self.state is not BuyerState.CONTRACT_PUBLISHED:
+        if not isinstance(self.state, Published):
             return
         try:
-            chain.refund(self.contract_id, self.address)
+            chain.refund(self.state.contract_id, self.address)
         except ledger.LedgerError:
             return
-        self.state = BuyerState.REFUNDED
+        self.state = Reimbursed()
 
     def _abort(self, reason: AbortReason) -> list[ProtocolMessage]:
-        self.state = BuyerState.ABORTED
-        self.abort_reason = reason
+        self.state = Aborted(reason)
         return [Abort(reason)]
 
 
@@ -319,20 +341,41 @@ class BuyerSession(_Session):
 # Seller session
 # ---------------------------------------------------------------------------
 
-class SellerState(Enum):
-    """The states a seller's run can end in; it is done once it leaves OFFER_SENT."""
+@dataclass(frozen=True)
+class Waiting:
+    """No claim sent: nothing tried yet, the key withheld, or a contract declined."""
 
-    OFFER_SENT = "offer_sent"
-    CLAIMED = "claimed"
-    EXPIRED = "expired"
+    status: ClassVar[str] = "offer_sent"
+    outcome: str
+
+
+@dataclass(frozen=True)
+class Refused:
+    """The chain refused the seller's one claim; no later reference is acted on."""
+
+    status: ClassVar[str] = "offer_sent"
+    outcome: str
+
+
+@dataclass(frozen=True)
+class Paid:
+    status: ClassVar[str] = "claimed"
+
+
+@dataclass(frozen=True)
+class Expired:
+    status: ClassVar[str] = "expired"
+    outcome: str
 
 
 class ContractMismatch(Exception):
     """The published contract does not pay the agreed terms; decline to claim."""
 
 
-class SellerSession(_Session):
+class SellerSession:
     """The selling side: make the offer, then claim by publishing the witness."""
+
+    state: Waiting | Refused | Paid | Expired
 
     def __init__(
         self,
@@ -345,20 +388,18 @@ class SellerSession(_Session):
         self.terms = terms
         self.address = address
         self.policy = policy
-        self.state = SellerState.OFFER_SENT
-        self.claim_attempted = False
-        self.outcome = ""
+        self.state = Waiting("")
 
     @property
-    def terminal(self) -> bool:
-        return self.state is not SellerState.OFFER_SENT
+    def outcome(self) -> str:
+        return "" if isinstance(self.state, Paid) else self.state.outcome
 
     def start(self) -> Offer:
         """Produce the offer, faithful or corrupted according to policy."""
         certificate = self.package.certificate
         ciphertext = self.package.ciphertext
         if self.policy is SellerPolicy.SEND_CORRUPT_CIPHERTEXT:
-            ciphertext = Ciphertext(nonce=ciphertext.nonce, body=_flip(ciphertext.body))
+            ciphertext = Ciphertext(nonce=_flip(ciphertext.nonce), body=ciphertext.body)
         elif self.policy is SellerPolicy.SEND_MISMATCHED_H2:
             certificate = replace(certificate, h2=self._mismatched_h2())
         return Offer(certificate, ciphertext, self.terms.price)
@@ -367,9 +408,8 @@ class SellerSession(_Session):
         """Act on the buyer's contract reference or abort; the seller never replies."""
         if isinstance(message, ContractRef):
             self.on_contract(message, chain)
-        elif isinstance(message, Abort) and not self.terminal:
-            self.state = SellerState.EXPIRED
-            self.outcome = f"counterparty aborted: {message.reason.value}"
+        elif isinstance(message, Abort) and isinstance(self.state, (Waiting, Refused)):
+            self.state = Expired(f"counterparty aborted: {message.reason.value}")
         return []
 
     def on_contract(self, ref: ContractRef, chain: Ledger) -> None:
@@ -381,10 +421,10 @@ class SellerSession(_Session):
             chain.get_contract(ref.contract_id)
         except ledger.UnknownContract:
             return
-        if self.terminal or self.claim_attempted:
+        if not isinstance(self.state, Waiting):
             return
         if self.policy is SellerPolicy.WITHHOLD_KEY:
-            self.outcome = "withheld the key"
+            self.state = Waiting("withheld the key")
             return
         try:
             if self.policy is SellerPolicy.CLAIM_WRONG_WITNESS:
@@ -392,21 +432,18 @@ class SellerSession(_Session):
             else:
                 witness = self.build_witness(chain, ref.contract_id, ref.r)
         except ContractMismatch as exc:
-            self.outcome = f"declined: {exc}"
+            self.state = Waiting(f"declined: {exc}")
             return
-        self.claim_attempted = True
         try:
             chain.claim(ref.contract_id, witness)
         except ledger.LedgerError as exc:
-            self.outcome = f"claim rejected: {exc}"
+            self.state = Refused(f"claim rejected: {exc}")
             return
-        self.state = SellerState.CLAIMED
+        self.state = Paid()
 
     def on_timer(self) -> None:
-        if not self.terminal:
-            self.state = SellerState.EXPIRED
-            if not self.outcome:
-                self.outcome = "deadline passed without settlement"
+        if isinstance(self.state, (Waiting, Refused)):
+            self.state = Expired(self.state.outcome or "deadline passed without settlement")
 
     def build_witness(
         self, chain: Ledger, contract_id: int, blind: Scalar | None = None
@@ -470,5 +507,5 @@ class SellerSession(_Session):
 
 
 def _flip(data: bytes) -> bytes:
-    """`data` with the low bit of byte 0 flipped, copied once."""
-    return b"".join((bytes((data[0] ^ 0x01,)), memoryview(data)[1:]))
+    """`data` with the low bit of byte 0 flipped."""
+    return bytes((data[0] ^ 0x01,)) + data[1:]

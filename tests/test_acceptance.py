@@ -37,6 +37,7 @@ from sedg.protocol import (
     BuyerSession,
     SellerPolicy,
     SellerSession,
+    Settled,
     Terms,
 )
 from test_harness import parameter_boundaries, variants_explore_alike
@@ -63,7 +64,7 @@ def test_acceptance_1_happy_paths():
         config = demo_config(variant)
         world = World(config)
         drive(world)
-        assert world.buyer.plaintext == config.payload
+        assert world.buyer.state == Settled(config.payload)
 
         if variant == "v2":
             assert report.balances["seller"] == config.price - config.notary_fee

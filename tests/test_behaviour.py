@@ -81,9 +81,9 @@ def _line(key, config, chain_factory) -> str:
         "run": {
             "trace": world.trace,
             "events_sha256": hashlib.sha256(events.encode()).hexdigest(),
-            "seller_state": world.seller.state.value,
+            "seller_state": world.seller.state.status,
             "seller_outcome": world.seller.outcome,
-            "buyer_state": world.buyer.state.value,
+            "buyer_state": world.buyer.state.status,
             "abort_reason": abort.value if abort else None,
             "decrypt_failed": world.buyer.decrypt_failed,
             "report": dataclasses.asdict(world.report()),

@@ -478,6 +478,13 @@ def test_openssl_powers_of_g_match_builtin_pow(exponent):
     assert MODP_2048._generator_power(exponent) == signed(pow(g, exponent % q, p), p)
 
 
+def test_der_length_takes_the_long_form_from_128_bytes():
+    # X.690: a length below 128 is one byte; from 128 on, 0x80 | the count
+    # of length bytes comes first.
+    assert crypto._der(0x02, bytes(127)) == bytes((0x02, 127)) + bytes(127)
+    assert crypto._der(0x02, bytes(128)) == bytes((0x02, 0x81, 0x80)) + bytes(128)
+
+
 def _refuse_der(data, password):
     raise AssertionError("this group's powers of g must not reach OpenSSL")
 

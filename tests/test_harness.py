@@ -29,7 +29,6 @@ from sedg.harness import (
     MAX_DEADLINE_OFFSET,
     MAX_PAYLOAD,
     ConfigError,
-    DepthExceeded,
     ExplorationResult,
     ScenarioConfig,
     ScheduleError,
@@ -54,14 +53,20 @@ from sedg.ledger import (
     event_to_json,
 )
 from sedg.protocol import (
+    Aborted,
+    AbortReason,
     BuyerPolicy,
     BuyerSession,
-    BuyerState,
     ContractRef,
+    Expired,
     Offer,
+    Paid,
     ProtocolMessage,
+    Published,
+    Reimbursed,
     SellerPolicy,
-    SellerState,
+    SellerSession,
+    Settled,
     Terms,
     message_to_obj,
 )
@@ -106,8 +111,7 @@ def test_v3_settles_on_both_groups():
         config = make_config("v3", price=60, buyer_balance=100, group_name=group, seed=3)
         world = World(config)
         drive(world)
-        assert world.buyer.state is BuyerState.SETTLED
-        assert world.buyer.plaintext == config.payload
+        assert world.buyer.state == Settled(config.payload)
 
 
 def test_plaintext_soundness():
@@ -115,7 +119,7 @@ def test_plaintext_soundness():
     world = World(config)
     drive(world)
     assert world.report().buyer_has_plaintext
-    assert world.buyer.plaintext == b"exact bytes"
+    assert world.buyer.state == Settled(b"exact bytes")
 
 
 def test_corrupt_seller_aborts_before_any_payment():
@@ -124,7 +128,7 @@ def test_corrupt_seller_aborts_before_any_payment():
     )
     world = World(config)
     drive(world)
-    assert world.buyer.state is BuyerState.ABORTED
+    assert world.buyer.state == Aborted(AbortReason.CIPHERTEXT_MISMATCH)
     assert world.report().abort_reason == "ciphertext_mismatch"
     assert type(world.ledger.read_events(0)[-1]) is not ContractPublished
     assert world.report().balances["buyer"] == 100
@@ -134,7 +138,7 @@ def test_underfunded_buyer_aborts_without_losing_anything():
     config = make_config("v1", price=60, buyer_balance=10, seed=13)
     world = World(config)
     drive(world)
-    assert world.buyer.state is BuyerState.ABORTED
+    assert world.buyer.state == Aborted(AbortReason.INSUFFICIENT_FUNDS)
     assert world.report().abort_reason == "insufficient_funds"
     assert world.report().balances["buyer"] == 10
     assert fairness_violations(world) == []
@@ -170,8 +174,8 @@ def test_v3_seller_declines_a_reference_without_a_usable_blind(monkeypatch, r, r
         "expire",
         "timers",
     ]
+    assert world.seller.state == Expired(f"declined: {reason}")
     assert world.seller.outcome == f"declined: {reason}"
-    assert world.seller.state is SellerState.EXPIRED
     assert chain.calls == {"refund": 1}
     report = world.report()
     assert report.buyer_refunded and not report.seller_paid
@@ -185,8 +189,8 @@ def test_a_blind_in_a_v1_or_v2_reference_is_ignored(monkeypatch, variant):
     config = make_config(variant, price=60, buyer_balance=100, seed=42)
     world = World(config)
     drive(world)
-    assert world.seller.state is SellerState.CLAIMED
-    assert world.buyer.plaintext == config.payload
+    assert world.seller.state == Paid()
+    assert world.buyer.state == Settled(config.payload)
     assert fairness_violations(world) == []
 
 
@@ -196,8 +200,8 @@ def test_adversarial_schedule_expiry_before_claim():
     config = make_config("v1", price=60, buyer_balance=100, seed=42)
     world = World(config)
     drive(world, [0, 1])
-    assert world.buyer.state is BuyerState.REFUNDED
-    assert world.seller.state is SellerState.EXPIRED
+    assert world.buyer.state == Reimbursed()
+    assert world.seller.state == Expired("declined: tick 101 past deadline 100")
     assert world.ledger.get_balance(harness.BUYER_ADDR) == 100
     assert fairness_violations(world) == []
 
@@ -224,8 +228,7 @@ def test_claim_wake_hands_the_buyer_the_event_the_world_found(monkeypatch):
     monkeypatch.setattr(Ledger, "read_events", counting)
     world.step(0)
     assert len(reads) == 1
-    assert world.buyer.state is BuyerState.SETTLED
-    assert world.buyer.plaintext == world.config.payload
+    assert world.buyer.state == Settled(world.config.payload)
     assert world.options() == []
 
 
@@ -352,7 +355,7 @@ def enumerate_schedules(make_sim, depth):
     The stateless oracle for `explore`: it builds a fresh simulation (anything
     with `options()` and `step(index)`) per schedule and replays the prefix.
     Each yielded simulation has been run to quiescence along its schedule.
-    Raises DepthExceeded if any run needs more choices than the bound.
+    Raises ScheduleError if any run needs more choices than the bound.
     """
     stack = [()]
     while stack:
@@ -364,7 +367,7 @@ def enumerate_schedules(make_sim, depth):
             if not opts:
                 break
             if len(counts) >= depth:
-                raise DepthExceeded(f"a run exceeded the depth bound of {depth}")
+                raise ScheduleError(f"a run exceeded the depth bound of {depth}")
             index = prefix[len(counts)] if len(counts) < len(prefix) else 0
             counts.append(len(opts))
             schedule.append(index)
@@ -410,14 +413,22 @@ def test_explorer_enumerates_exact_interleaving_count(counts):
 
 
 def test_explorer_depth_bound_raises():
-    with pytest.raises(DepthExceeded):
+    with pytest.raises(ScheduleError):
         list(enumerate_schedules(lambda: ToyChannels((5,)), depth=3))
 
 
 def test_explore_depth_exceeded_on_real_scenario():
     config = make_config("v1", price=60, buyer_balance=100, seed=1)
-    with pytest.raises(DepthExceeded):
+    with pytest.raises(ScheduleError):
         explore(config, depth=2)
+
+
+def test_explore_depth_bound_allows_exactly_depth_choices():
+    # `depth=N` means at most N choices: this tree's longest run takes 4.
+    config = make_config("v2", price=100, buyer_balance=150, seed=7)
+    assert explore(config, depth=4).max_depth == 4
+    with pytest.raises(ScheduleError, match="^a run exceeded the depth bound of 3$"):
+        explore(config, depth=3)
 
 
 def test_explore_honest_pair_is_clean():
@@ -506,7 +517,7 @@ def test_chain_that_drops_the_notary_fee_breaks_the_notary_split():
     config = make_config("v2", price=100, buyer_balance=150, notary_fee=10, seed=7)
     world = World(config, FeeDroppingLedger())
     drive(world)
-    assert world.buyer.state is BuyerState.SETTLED
+    assert world.buyer.state == Settled(config.payload)
     assert world.ledger.get_balance(harness.SELLER_ADDR) == 100
     # The seller is overpaid, not harmed: the one violation is the split.
     violations = dict(fairness_violations(world))
@@ -518,8 +529,8 @@ def test_chain_that_drops_the_notary_fee_breaks_the_notary_split():
 def test_buyer_aborted_after_publishing_breaks_abort_before_pay():
     world = World(make_config("v1", price=60, buyer_balance=100, seed=8))
     world.step(0)  # the offer: the buyer verifies it and escrows the price
-    assert world.buyer.state is BuyerState.CONTRACT_PUBLISHED
-    world.buyer.state = BuyerState.ABORTED
+    assert isinstance(world.buyer.state, Published)
+    world.buyer.state = Aborted(AbortReason.PRICE_MISMATCH)
     drive(world)
     violations = dict(fairness_violations(world))
     assert violations["abort-before-pay"] == "aborted buyer published 1 contract(s)"
@@ -595,6 +606,37 @@ def _grid_configs():
                 seller_policy=seller_policy,
                 buyer_policy=buyer_policy,
             )
+
+
+_SESSION_CONSTANTS = {
+    BuyerSession: {"terms", "address", "seller", "trusted_notaries", "policy", "blind"},
+    SellerSession: {"package", "terms", "address", "policy"},
+}
+
+
+def test_each_session_holds_its_constants_and_one_frozen_state(monkeypatch):
+    # At every node of the grid's trees a session holds what it was built
+    # with, unchanged, and one `state`: a frozen, hashable record.
+    built = {}
+    step = World.step
+
+    def checked_step(world, index):
+        step(world, index)
+        for session in (world.buyer, world.seller):
+            fields = dict(vars(session))
+            state = fields.pop("state")
+            assert fields.keys() == _SESSION_CONSTANTS[type(session)]
+            assert fields == built.setdefault(session, fields)
+            assert dataclasses.is_dataclass(state)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(state, "status", None)
+            hash(state)
+        checked.append(index)
+
+    checked = []
+    monkeypatch.setattr(World, "step", checked_step)
+    nodes = sum(explore(config, depth=12).nodes_executed for config in _grid_configs())
+    assert len(checked) == nodes > 0
 
 
 def _oracle(config, chain_factory=None, depth=12):
@@ -800,8 +842,12 @@ def test_drive_bounds_a_run_that_never_quiesces(monkeypatch, tmp_path, capsys):
         assert next(taken) < 4 * 128, "drive ran past its step bound"
 
     monkeypatch.setattr(World, "_actions", lambda world: [("idle", idle)])
-    with pytest.raises(DepthExceeded, match="run exceeded 128 scheduling choices"):
-        drive(World(make_config("v1", seed=42)))
+    world = World(make_config("v1", seed=42))
+    with pytest.raises(ScheduleError, match="^run exceeded 128 scheduling choices$"):
+        drive(world)
+    # The bound is exact: 128 steps ran, and the 129th was refused.
+    assert world.choices == [0] * 128
+    assert next(taken) == 128
     assert cli.main(["run", "--config", _write_config(tmp_path)]) == 2
     assert capsys.readouterr().err == "error: run exceeded 128 scheduling choices\n"
 
@@ -1033,6 +1079,25 @@ def test_config_validation_errors():
     assert make_config("v1", deadline_offset=MAX_DEADLINE_OFFSET).deadline_offset == 2**63 - 1
     with pytest.raises(ConfigError):
         make_config("v1", seller_policy="bribe_the_notary")
+
+
+def test_config_upper_bounds_are_exact():
+    # Each maximum is accepted, and one past it is a ConfigError.
+    top = 10**4300 - 1
+    assert make_config("v1", price=top).price == top
+    assert make_config("v1", buyer_balance=top).buyer_balance == top
+    for seed in (top, -top):
+        assert make_config("v1", seed=seed).seed == seed
+    assert len(make_config("v1", payload_size=MAX_PAYLOAD).payload) == MAX_PAYLOAD
+    for past in (
+        {"price": top + 1},
+        {"buyer_balance": top + 1},
+        {"seed": top + 1},
+        {"seed": -top - 1},
+        {"payload_size": MAX_PAYLOAD + 1},
+    ):
+        with pytest.raises(ConfigError):
+            make_config("v1", **past)
 
 
 def test_payload_bounded_by_the_offer_frame():

@@ -39,16 +39,25 @@ from sedg.ledger import (
 )
 from sedg.protocol import (
     Abort,
+    Aborted,
     AbortReason,
     BuyerPolicy,
     BuyerSession,
-    BuyerState,
     ContractMismatch,
     ContractRef,
+    DecryptFailed,
+    Expired,
+    Init,
+    Paid,
+    Published,
+    Refused,
+    Reimbursed,
     SellerPolicy,
     SellerSession,
-    SellerState,
+    Settled,
     Terms,
+    Verified,
+    Waiting,
     message_from_obj,
     message_to_obj,
 )
@@ -114,16 +123,16 @@ def test_honest_offer_passes_buyer_verification():
     seller = make_seller(Variant.V1)
     buyer = make_buyer(Variant.V1)
     offer = seller.start()
-    assert seller.state is SellerState.OFFER_SENT
+    assert seller.state == Waiting("")
     chain = funded_chain()
-    assert buyer.on_offer(offer, chain) == [ContractRef(buyer.contract_id, None)]
-    contract = chain.get_contract(buyer.contract_id)
+    assert buyer.on_offer(offer, chain) == [ContractRef(1, None)]
+    assert buyer.state == Published(offer, 1)
+    contract = chain.get_contract(1)
     assert contract.condition == HashLock(h2=offer.certificate.h2.digest)
     assert contract.amount == PRICE
     assert contract.deadline == 100
     assert contract.payee == SELLER_ADDR
     assert contract.payer == BUYER_ADDR
-    assert buyer.state is BuyerState.CONTRACT_PUBLISHED
 
 
 def test_corrupt_ciphertext_offer_aborts_with_mismatch():
@@ -131,19 +140,20 @@ def test_corrupt_ciphertext_offer_aborts_with_mismatch():
     buyer = make_buyer(Variant.V1)
     replies = buyer.on_offer(seller.start(), funded_chain())
     assert replies == [Abort(AbortReason.CIPHERTEXT_MISMATCH)]
-    assert buyer.abort_reason is AbortReason.CIPHERTEXT_MISMATCH
-    assert buyer.state is BuyerState.ABORTED
+    assert buyer.state == Aborted(AbortReason.CIPHERTEXT_MISMATCH)
 
 
 def test_corrupt_ciphertext_offer_flips_byte_zero_only():
+    # The edit is to byte 0 of the nonce, so the offer shares the notarized
+    # body instead of copying it.
     seller = make_seller(Variant.V1, SellerPolicy.SEND_CORRUPT_CIPHERTEXT)
     packaged = seller.package.ciphertext
     before = packaged.encoded()
     sent = seller.start().ciphertext
-    assert sent.nonce == packaged.nonce
-    assert len(sent.body) == len(packaged.body)
-    assert [i for i, (a, b) in enumerate(zip(sent.body, packaged.body)) if a != b] == [0]
-    assert sent.body[0] == packaged.body[0] ^ 0x01
+    assert sent.body is packaged.body
+    assert len(sent.nonce) == len(packaged.nonce)
+    assert [i for i, (a, b) in enumerate(zip(sent.nonce, packaged.nonce)) if a != b] == [0]
+    assert sent.nonce[0] == packaged.nonce[0] ^ 0x01
     # The seller keeps the notarized ciphertext as it was.
     assert seller.package.ciphertext is packaged
     assert packaged.encoded() == before
@@ -165,7 +175,7 @@ def test_mismatched_h2_offer_aborts_with_bad_signature():
         assert seller.start() == offer
         replies = buyer.on_offer(received, funded_chain())
         assert replies == [Abort(AbortReason.BAD_SIGNATURE)]
-        assert buyer.abort_reason is AbortReason.BAD_SIGNATURE
+        assert buyer.state == Aborted(AbortReason.BAD_SIGNATURE)
 
 
 def test_honest_v3_offer_carries_group_parameters():
@@ -179,14 +189,14 @@ def test_price_mismatch_aborts():
     seller = make_seller(Variant.V1, price=PRICE + 1)
     buyer = make_buyer(Variant.V1)
     buyer.on_offer(seller.start(), funded_chain())
-    assert buyer.abort_reason is AbortReason.PRICE_MISMATCH
+    assert buyer.state == Aborted(AbortReason.PRICE_MISMATCH)
 
 
 def test_variant_mismatch_aborts():
     seller = make_seller(Variant.V2)
     buyer = make_buyer(Variant.V1)
     buyer.on_offer(seller.start(), funded_chain())
-    assert buyer.abort_reason is AbortReason.VARIANT_MISMATCH
+    assert buyer.state == Aborted(AbortReason.VARIANT_MISMATCH)
 
 
 def test_seller_witness_follows_its_certificate_not_its_terms():
@@ -217,7 +227,7 @@ def test_buyer_rejects_variant_downgrade():
     # What the commitment says is what a dlog buyer checks, and refuses.
     buyer = make_buyer(Variant.V3)
     buyer.on_offer(message_from_obj(honest), funded_chain())
-    assert buyer.abort_reason is AbortReason.VARIANT_MISMATCH
+    assert buyer.state == Aborted(AbortReason.VARIANT_MISMATCH)
 
 
 def make_modp2048_seller(policy=SellerPolicy.HONEST):
@@ -240,7 +250,7 @@ def test_buyer_rejects_unexpected_group_parameters():
     seller = make_modp2048_seller()
     buyer = make_buyer(Variant.V3)  # configured for the test group
     buyer.on_offer(seller.start(), funded_chain())
-    assert buyer.abort_reason is AbortReason.GROUP_MISMATCH
+    assert buyer.state == Aborted(AbortReason.GROUP_MISMATCH)
 
 
 REFUSED_OFFERS = [
@@ -282,7 +292,7 @@ def test_aborting_buyer_never_touches_the_chain(reason, make_pair):
     before = chain.snapshot()
     assert buyer.on_offer(seller.start(), chain) == [Abort(reason)]
     assert chain.snapshot() == before
-    assert buyer.abort_reason is reason
+    assert buyer.state == Aborted(reason)
 
 
 @pytest.mark.parametrize("variant", [Variant.V1, Variant.V3], ids=["v1", "v3"])
@@ -296,8 +306,7 @@ def test_underfunded_buyer_aborts_without_a_contract(variant):
     assert replies == [abort]
     assert chain.get_balance(BUYER_ADDR) == PRICE - 1
     assert not [e for e in chain.read_events(0) if type(e) is ContractPublished]
-    assert buyer.contract_id is None
-    assert buyer.state is BuyerState.ABORTED
+    assert buyer.state == Aborted(AbortReason.INSUFFICIENT_FUNDS)
 
 
 def test_seller_declines_blind_from_wrong_group():
@@ -313,13 +322,14 @@ def test_v3_buyer_blinds_the_commitment():
     seller = make_seller(Variant.V3, k=3)
     buyer = make_buyer(Variant.V3, r=4)
     chain = funded_chain()
-    replies = buyer.on_offer(seller.start(), chain)
-    assert replies == [ContractRef(buyer.contract_id, Scalar(4, TEST_GROUP))]
+    offer = seller.start()
+    replies = buyer.on_offer(offer, chain)
+    assert replies == [ContractRef(1, Scalar(4, TEST_GROUP))]
     assert buyer.blind.value == 4
-    condition = chain.get_contract(buyer.contract_id).condition
+    condition = chain.get_contract(1).condition
     assert isinstance(condition, DlogLock)
     assert condition.c.value == 2
-    assert buyer.state is BuyerState.CONTRACT_PUBLISHED
+    assert buyer.state == Published(offer, 1)
 
 
 def test_never_publish_policy_stops_after_verification():
@@ -329,7 +339,7 @@ def test_never_publish_policy_stops_after_verification():
     before = chain.snapshot()
     assert buyer.on_offer(seller.start(), chain) == []
     assert chain.snapshot() == before
-    assert buyer.state is BuyerState.VERIFIED
+    assert buyer.state == Verified()
 
 
 def test_underpriced_policy_halves_the_amount():
@@ -337,7 +347,7 @@ def test_underpriced_policy_halves_the_amount():
     buyer = make_buyer(Variant.V1, BuyerPolicy.PUBLISH_UNDERPRICED_CONTRACT)
     chain = funded_chain()
     buyer.on_offer(seller.start(), chain)
-    assert chain.get_contract(buyer.contract_id).amount == PRICE // 2
+    assert chain.get_contract(buyer.state.contract_id).amount == PRICE // 2
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +432,7 @@ def test_v2_seller_declines_a_contract_that_skims_the_split(fee):
     before = chain.snapshot()
     seller.on_contract(ContractRef(contract.id, None), chain)
     assert chain.snapshot() == before
-    assert not seller.claim_attempted
+    assert seller.state == Waiting("declined: contract does not pay the agreed split")
 
 
 def _v2_lock(key):
@@ -449,7 +459,7 @@ def test_seller_declines_a_lock_of_another_variant(variant, lock):
     before = chain.snapshot()
     seller.on_contract(ContractRef(contract.id, blind), chain)
     assert chain.snapshot() == before
-    assert seller.outcome == "declined: contract does not pay the agreed split"
+    assert seller.state == Waiting("declined: contract does not pay the agreed split")
 
 
 def test_seller_claims_once_at_most():
@@ -457,7 +467,7 @@ def test_seller_claims_once_at_most():
     h2 = seller.package.certificate.h2.digest
     chain, contract = _open_contract(HashLock(h2))
     seller.on_contract(ContractRef(contract.id, None), chain)
-    assert seller.state is SellerState.CLAIMED
+    assert seller.state == Paid()
     seller.on_contract(ContractRef(contract.id, None), chain)
     claims = [e for e in chain.read_events(0) if type(e) is Claimed]
     assert [e.contract_id for e in claims] == [contract.id]
@@ -466,7 +476,7 @@ def test_seller_claims_once_at_most():
 @pytest.mark.parametrize("variant", list(Variant))
 def test_a_repeated_reference_after_a_rejected_claim_claims_no_more(variant):
     # The chain would refuse a second garbage claim too; the seller must not
-    # ask. Only `claim_attempted` stops it, so this pins that guard.
+    # ask. Only the `Refused` state stops it, so this pins that guard.
     seller = make_seller(variant, SellerPolicy.CLAIM_WRONG_WITNESS)
     buyer = make_buyer(variant)
     chain = CountingLedger()
@@ -474,22 +484,40 @@ def test_a_repeated_reference_after_a_rejected_claim_claims_no_more(variant):
     (ref,) = buyer.on_offer(seller.start(), chain)
     seller.on_message(ref, chain)
     assert chain.calls["claim"] == 1
-    outcome = seller.outcome
-    assert outcome.startswith("claim rejected: ")
+    refused = Refused("claim rejected: the witness does not satisfy the condition")
+    assert seller.state == refused
     seller.on_message(ref, chain)
     assert chain.calls["claim"] == 1
-    assert seller.outcome == outcome
-    assert seller.state is SellerState.OFFER_SENT
+    assert seller.state == refused
+
+
+def test_a_reference_after_a_decline_is_still_acted_on():
+    # A decline sends no claim, so the seller stays `Waiting` and claims on a
+    # later reference to a contract that pays; a refused claim would not.
+    seller = make_seller(Variant.V1)
+    lock = HashLock(seller.package.certificate.h2.digest)
+    chain = CountingLedger()
+    chain.fund(BUYER_ADDR, 200)
+    underpaid = chain.publish_contract(BUYER_ADDR, SELLER_ADDR, PRICE - 1, lock, 100)
+    fair = chain.publish_contract(BUYER_ADDR, SELLER_ADDR, PRICE, lock, 100)
+    declined = Waiting("declined: contract does not pay the agreed split")
+    for _ in range(2):
+        seller.on_message(ContractRef(underpaid, None), chain)
+        assert seller.state == declined
+    assert chain.calls["claim"] == 0
+    seller.on_message(ContractRef(fair, None), chain)
+    assert seller.state == Paid()
+    assert [e.contract_id for e in chain.read_events(0) if type(e) is Claimed] == [fair]
 
 
 def test_seller_ignores_an_unknown_contract():
     seller = make_seller(Variant.V1)
     seller.start()
     chain = funded_chain()
-    before, session = chain.snapshot(), seller.checkpoint()
+    before = chain.snapshot()
     seller.on_contract(ContractRef(7, None), chain)
     assert chain.snapshot() == before
-    assert seller.checkpoint() == session
+    assert seller.state == Waiting("")
 
 
 def test_withhold_key_policy_never_claims():
@@ -499,8 +527,7 @@ def test_withhold_key_policy_never_claims():
     before = chain.snapshot()
     seller.on_contract(ContractRef(contract.id, None), chain)
     assert chain.snapshot() == before
-    assert not seller.claim_attempted
-    assert seller.outcome == "withheld the key"
+    assert seller.state == Waiting("withheld the key")
 
 
 def test_wrong_witness_policy_is_rejected_by_the_chain():
@@ -528,10 +555,8 @@ def test_wrong_witness_policy_is_rejected_by_the_chain():
         assert seller._garbage_witness(ref.r) == garbage
         before = chain.snapshot()
         seller.on_contract(ref, chain)
-        assert seller.claim_attempted
         # The ledger's refusal, as the seller records it.
-        assert seller.outcome == "claim rejected: the witness does not satisfy the condition"
-        assert seller.state is not SellerState.CLAIMED
+        assert seller.state == Refused("claim rejected: the witness does not satisfy the condition")
         assert chain.snapshot() == before
         assert chain.get_contract(ref.contract_id).state is ContractState.OPEN
     assert (honest, garbage) == (
@@ -558,7 +583,7 @@ def _settled_exchange(variant, *, k=None, r=None):
 def test_buyer_recovers_plaintext_v1():
     _, buyer, _, event = _settled_exchange(Variant.V1)
     assert buyer.on_claim(event) == PAYLOAD
-    assert buyer.state is BuyerState.SETTLED
+    assert buyer.state == Settled(PAYLOAD)
 
 
 def test_buyer_recovers_plaintext_v2():
@@ -581,19 +606,20 @@ def test_on_timer_boundaries():
     seller = make_seller(Variant.V1)
     buyer = make_buyer(Variant.V1)
     chain = funded_chain()
-    buyer.on_offer(seller.start(), chain)
-    cid = buyer.contract_id
+    offer = seller.start()
+    buyer.on_offer(offer, chain)
+    cid = buyer.state.contract_id
     deadline = chain.get_contract(cid).deadline
     for tick in (deadline - 1, deadline):
         chain.advance_time(tick - chain.current_tick)
         before = chain.snapshot()
         buyer.on_timer(chain)
         assert chain.snapshot() == before
-        assert buyer.state is BuyerState.CONTRACT_PUBLISHED
+        assert buyer.state == Published(offer, cid)
         assert chain.get_balance(BUYER_ADDR) == 200 - PRICE
     chain.advance_time(1)
     buyer.on_timer(chain)
-    assert buyer.state is BuyerState.REFUNDED
+    assert buyer.state == Reimbursed()
     assert chain.get_contract(cid).state is ContractState.REFUNDED
     assert chain.get_balance(BUYER_ADDR) == 200
 
@@ -606,33 +632,37 @@ def test_on_timer_after_a_refund_asks_for_no_second_refund():
     buyer.on_offer(seller.start(), chain)
     chain.advance_time(101)
     buyer.on_timer(chain)
-    assert buyer.state is BuyerState.REFUNDED
+    assert buyer.state == Reimbursed()
     assert chain.calls["refund"] == 1
     before = chain.snapshot()
     buyer.on_timer(chain)
     assert chain.calls["refund"] == 1
     assert chain.snapshot() == before
-    assert buyer.state is BuyerState.REFUNDED
+    assert buyer.state == Reimbursed()
 
 
 def test_on_timer_ignores_settled_contracts():
     _, buyer, chain, event = _settled_exchange(Variant.V1)
+    published = buyer.state
     chain.advance_time(500)
     # Claimed but not yet read: the ledger refuses the refund.
     before = chain.snapshot()
     buyer.on_timer(chain)
     assert chain.snapshot() == before
-    assert buyer.state is BuyerState.CONTRACT_PUBLISHED
+    assert buyer.state == published
     buyer.on_claim(event)
-    assert buyer.state is BuyerState.SETTLED
+    assert buyer.state == Settled(PAYLOAD)
     buyer.on_timer(chain)
     assert chain.snapshot() == before
-    assert buyer.state is BuyerState.SETTLED
+    assert buyer.state == Settled(PAYLOAD)
 
 
-def test_decrypt_failure_marks_session_without_settling():
-    # A dishonest notary commits to one key but encrypts under another; the
-    # ledger still pays the seller, and the buyer is left with noise.
+def _decrypt_failure(chain):
+    """A buyer left in `DecryptFailed`, the claim event, and the key it lacked.
+
+    A dishonest notary commits to one key but encrypts under another; the
+    ledger still pays the seller, and the buyer is left with noise.
+    """
     rng = random.Random(9)
     committed, actual, nonce = rng.randbytes(32), rng.randbytes(32), rng.randbytes(12)
     ciphertext = crypto.encrypt(actual, PAYLOAD, nonce)
@@ -646,15 +676,34 @@ def test_decrypt_failure_marks_session_without_settling():
     )
     seller = SellerSession(package, make_terms(Variant.V1), SELLER_ADDR, SellerPolicy.HONEST)
     buyer = make_buyer(Variant.V1)
-    chain = funded_chain()
+    chain.fund(BUYER_ADDR, 200)
     replies = buyer.on_offer(seller.start(), chain)
-    assert replies == [ContractRef(buyer.contract_id, None)]  # the certificate itself verifies
+    assert replies == [ContractRef(1, None)]  # the certificate itself verifies
     assert seller.on_message(replies[0], chain) == []
-    assert seller.state is SellerState.CLAIMED
+    assert seller.state == Paid()
     event = chain.read_events(0)[-1]
     assert buyer.on_claim(event) is None
+    return buyer, event, actual
+
+
+def test_decrypt_failure_marks_session_without_settling():
+    buyer, _, _ = _decrypt_failure(Ledger())
+    assert buyer.state == DecryptFailed()
     assert buyer.decrypt_failed
-    assert buyer.state is not BuyerState.SETTLED
+    assert buyer.state.status == "contract_published"
+
+
+def test_decrypt_failed_is_final():
+    # Neither a second claim wake, even one whose witness would decrypt, nor
+    # a timer moves the buyer on or asks the chain for anything.
+    chain = CountingLedger()
+    buyer, event, actual = _decrypt_failure(chain)
+    chain.advance_time(500)
+    calls, before = dict(chain.calls), chain.snapshot()
+    assert buyer.on_claim(replace(event, witness=Preimage(actual))) is None
+    buyer.on_timer(chain)
+    assert buyer.state == DecryptFailed()
+    assert chain.calls == calls and chain.snapshot() == before
 
 
 # ---------------------------------------------------------------------------
@@ -674,11 +723,12 @@ def test_buyer_ignores_a_message_for_the_seller(message, offered):
     seller = make_seller(Variant.V3)
     buyer = make_buyer(Variant.V3)
     chain = funded_chain()
+    offer = seller.start()
     if offered:
-        buyer.on_offer(seller.start(), chain)
-    session, before = buyer.checkpoint(), chain.snapshot()
+        buyer.on_offer(offer, chain)
+    before = chain.snapshot()
     assert buyer.on_message(message, chain) == []
-    assert buyer.checkpoint() == session
+    assert buyer.state == (Published(offer, 1) if offered else Init())
     assert chain.snapshot() == before
 
 
@@ -690,9 +740,8 @@ def test_a_buyer_that_has_published_ignores_the_offer_again(variant):
     chain = funded_chain()
     offer = seller.start()
     buyer.on_offer(offer, chain)
-    session = buyer.checkpoint()
     assert buyer.on_offer(offer, chain) == []
-    assert buyer.checkpoint() == session
+    assert buyer.state == Published(offer, 1)
     assert len(chain.read_events(0)) == 2  # the funding and the one contract
 
 
@@ -701,9 +750,9 @@ def test_seller_ignores_an_offer(variant):
     seller = make_seller(variant)
     chain = funded_chain()
     offer = seller.start()
-    session, before = seller.checkpoint(), chain.snapshot()
+    before = chain.snapshot()
     assert seller.on_message(offer, chain) == []
-    assert seller.checkpoint() == session
+    assert seller.state == Waiting("")
     assert chain.snapshot() == before
 
 
@@ -711,11 +760,11 @@ def test_seller_lapses_on_an_abort_through_on_message():
     seller = make_seller(Variant.V1)
     chain = funded_chain()
     assert seller.on_message(Abort(AbortReason.PRICE_MISMATCH), chain) == []
-    assert seller.state is SellerState.EXPIRED
+    assert seller.state == Expired("counterparty aborted: price_mismatch")
     assert seller.outcome == "counterparty aborted: price_mismatch"
     # A later abort does not overwrite the first.
     seller.on_message(Abort(AbortReason.BAD_SIGNATURE), chain)
-    assert seller.outcome == "counterparty aborted: price_mismatch"
+    assert seller.state == Expired("counterparty aborted: price_mismatch")
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from sedg.crypto import MODP_2048, TEST_GROUP, DomainError
 from sedg.harness import World, make_config, run_scenario
 from sedg.ledger import Condition, Witness
 from sedg.protocol import (
+    Aborted,
     AbortReason,
     SellerPolicy,
     message_from_obj,
@@ -302,5 +303,5 @@ def test_buyer_still_aborts_on_a_named_group_it_was_not_configured_for():
     buyer.terms = dataclasses.replace(buyer.terms, group=TEST_GROUP)
     chain = ledger.Ledger()
     buyer.on_offer(message_from_obj(wire), chain)
-    assert buyer.abort_reason is AbortReason.GROUP_MISMATCH
+    assert buyer.state == Aborted(AbortReason.GROUP_MISMATCH)
     assert chain.snapshot() == ledger.Ledger().snapshot()
