@@ -10,7 +10,6 @@ can produce.
 from .cert import (
     Certificate,
     CertificatePackage,
-    PartyId,
     Variant,
     notarize,
     verify_certificate,
@@ -37,7 +36,6 @@ from .protocol import BuyerPolicy, BuyerSession, SellerPolicy, SellerSession, Te
 __all__ = [
     "Certificate",
     "CertificatePackage",
-    "PartyId",
     "Variant",
     "notarize",
     "verify_certificate",

@@ -4,9 +4,10 @@ The scenario config bounds the seller's payload. The notary encrypts it
 under a fresh key, commits to ciphertext and key, signs the commitments
 together with the seller identity, and hands the whole package to the
 seller. Buyers later verify such certificates against a static registry of
-trusted notary keys, looked up by the notary's id: a `PartyId` is its id
-alone and carries no key. One enum names every reason a buyer refuses an
-offer, the certificate's among them.
+trusted notary keys, looked up by the notary's id. A party is its id, bytes
+that carry no key; a certificate holds both ids it carries to 1 to 64 bytes
+(`MAX_ID_LEN`). One enum names every reason a buyer refuses an offer, the
+certificate's among them.
 
 A certificate carries nothing that can be derived: its variant and, for the
 dlog variant, its group both follow from the commitment `h2`. The seller
@@ -22,6 +23,8 @@ from typing import ClassVar, Mapping, Union
 from . import crypto
 from .crypto import Ciphertext, GroupElement, GroupParams, SigningKeyPair
 
+MAX_ID_LEN = 64
+
 
 class Variant(Enum):
     """The three exchange flavours: hash lock, notary-split lock, dlog lock."""
@@ -29,19 +32,6 @@ class Variant(Enum):
     V1 = "v1"
     V2 = "v2"
     V3 = "v3"
-
-
-@dataclass(frozen=True)
-class PartyId:
-    """Opaque identity handle; a verifier looks up a signer's key by this id."""
-
-    id: bytes
-
-    def __post_init__(self) -> None:
-        if not self.id:
-            raise ValueError("party id must be nonempty")
-        if len(self.id) > 64:
-            raise ValueError("party id longer than 64 bytes")
 
 
 # ---------------------------------------------------------------------------
@@ -92,9 +82,14 @@ class Certificate:
 
     h1: bytes
     h2: Commitment2
-    seller_id: PartyId
-    notary_id: PartyId
+    seller_id: bytes
+    notary_id: bytes
     sigma: bytes
+
+    def __post_init__(self) -> None:
+        for name in ("seller_id", "notary_id"):
+            if not 1 <= len(getattr(self, name)) <= MAX_ID_LEN:
+                raise ValueError(f"{name} must hold 1 to {MAX_ID_LEN} bytes")
 
     @property
     def variant(self) -> Variant:
@@ -115,14 +110,14 @@ class CertificatePackage:
     certificate: Certificate
 
 
-def signing_payload(h1: bytes, h2: Commitment2, seller_id: PartyId) -> bytes:
+def signing_payload(h1: bytes, h2: Commitment2, seller_id: bytes) -> bytes:
     """The exact byte string the notary signs.
 
     The variant tag, which `h2`'s type names, keeps a certificate issued for
     one flavour from being replayed under another.
     """
     return crypto.canonical_encode(
-        [h2.variant.value.encode("ascii"), h1, encode_commitment(h2), seller_id.id]
+        [h2.variant.value.encode("ascii"), h1, encode_commitment(h2), seller_id]
     )
 
 
@@ -132,9 +127,9 @@ def signing_payload(h1: bytes, h2: Commitment2, seller_id: PartyId) -> bytes:
 
 def notarize(
     notary_keys: SigningKeyPair,
-    notary_id: PartyId,
+    notary_id: bytes,
     payload: bytes,
-    seller: PartyId,
+    seller: bytes,
     variant: Variant,
     rng: random.Random,
     *,
@@ -165,7 +160,7 @@ def notarize(
             h2 = HashOfKey(crypto.sha256(key))
         else:
             h2 = HashOfKeyAndNotary(
-                crypto.sha256(crypto.canonical_encode([key, notary_id.id]))
+                crypto.sha256(crypto.canonical_encode([key, notary_id]))
             )
 
     nonce = rng.randbytes(crypto.NONCE_LEN)
@@ -202,7 +197,7 @@ class AbortReason(Enum):
 def verify_certificate(
     cert: Certificate,
     trusted_notaries: Mapping[bytes, bytes],
-    claimed_seller: PartyId,
+    claimed_seller: bytes,
     ciphertext: Ciphertext,
 ) -> AbortReason | None:
     """Check notary trust, signature, ciphertext binding, and seller identity.
@@ -210,7 +205,7 @@ def verify_certificate(
     Never raises; returns None for a valid certificate, else the first
     failure's reason in that order.
     """
-    public = trusted_notaries.get(cert.notary_id.id)
+    public = trusted_notaries.get(cert.notary_id)
     if public is None:
         return AbortReason.UNKNOWN_NOTARY
     payload = signing_payload(cert.h1, cert.h2, cert.seller_id)
@@ -218,6 +213,6 @@ def verify_certificate(
         return AbortReason.BAD_SIGNATURE
     if ciphertext.digest() != cert.h1:
         return AbortReason.CIPHERTEXT_MISMATCH
-    if cert.seller_id.id != claimed_seller.id:
+    if cert.seller_id != claimed_seller:
         return AbortReason.SELLER_MISMATCH
     return None

@@ -49,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     explore = sub.add_parser("explore", help="exhaustively explore schedules")
     explore.add_argument("--config", required=True, help="path to a scenario JSON file")
-    explore.add_argument("--depth", type=int, default=12, help="scheduling-choice bound")
+    explore.add_argument("--depth", type=int, default=harness.DEPTH, help="scheduling-choice bound")
     explore.add_argument("--json", action="store_true", help="print one JSON object")
 
     demo = sub.add_parser("demo", help="narrated happy-path walkthrough")

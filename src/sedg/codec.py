@@ -9,7 +9,7 @@ writer, turns it into JSON: bytes in data, lowercase hex in text.
   decoder takes bytes as they are or that hex (what parsed text holds),
   rejecting any other spelling; a string stays a string;
 - ints are JSON integers, and a bool or a float is rejected;
-- an enum travels by its value, and a `PartyId` by its id bytes;
+- an enum travels by its value;
 - a `GroupElement` or `Scalar` is `{"group": name, "value": int}`; decoding
   looks the name up with `group_by_name` and builds the value through its
   checking constructor, so a peer never picks the group, and an element
@@ -23,8 +23,9 @@ writer, turns it into JSON: bytes in data, lowercase hex in text.
 - a tuple is a list, and `X | None` is null or an `X`.
 
 Decoding raises `ValueError` on any other input, unknown keys and keys that
-are not strings included.
-Each type's encoder and decoder are built once, on first use.
+are not strings included; a record's own constructor may refuse a value too.
+Each type's encoder and decoder are built once, on first use. The codec
+imports from `crypto` alone: a party id is plain bytes.
 """
 from __future__ import annotations
 
@@ -39,7 +40,6 @@ import typing
 from typing import Any, Callable
 
 from . import crypto
-from .cert import PartyId
 from .crypto import GroupElement, Scalar
 
 Encoder = Callable[[Any], Any]
@@ -152,8 +152,6 @@ def _codec(tp: object) -> tuple[Encoder, Decoder]:
         return _same, _PLAIN[tp]
     if tp is bytes:
         return _same, _decode_bytes
-    if tp is PartyId:
-        return (lambda party: party.id), (lambda obj: PartyId(_decode_bytes(obj)))
     if tp in (GroupElement, Scalar):
         return _encode_group_value, _group_value_decoder(tp)
     if isinstance(tp, type) and issubclass(tp, enum.Enum):

@@ -12,17 +12,19 @@ buyer's one reply. The world owns what no party controls. Everything that
 can race is a scheduling option: message deliveries, the buyer's ledger
 wake-up, timer firings, and the placement of expiry itself, which stays
 open while some open contract's deadline has not passed on the chain's
-clock. The world alone decides what woke the buyer: a `notify:buyer` wake
-carries a claim event the world found on the chain, on a contract the
-buyer's address paid into, for `on_claim`; a `timers` wake calls both
-parties' `on_timer`, and the ledger decides whether the buyer's refund is
-due. The default schedule always picks the first option (FIFO delivery,
-expiry last); `drive` replays any other schedule given as option indices,
-and `World.step` raises ScheduleError for a choice that names no open
-option. The world records the path it took, each step's label in `trace`
-and its option index in `choices`, and `restore` cuts both back; `drive`
-and `explore` read that one record. Of a session the world reads only its
-constants and its `state` record, whose `status` the report prints.
+clock, and moves the clock just past the earliest such deadline. A pending
+wake is what the world found to wake the buyer: a claim event on a contract
+the buyer's address paid into (`notify:buyer`, for `on_claim`), or None
+(`timers`, which calls both parties' `on_timer`; the ledger decides whether
+the buyer's refund is due). The default schedule always picks the first
+option (FIFO delivery, expiry last); `drive` replays any other schedule
+given as option indices, and `World.step` raises ScheduleError for a choice
+that names no open option. The world records the path it took, each step's
+label in `trace` and its option index in `choices`, and `restore` cuts both
+back; `drive` and `explore` read that one record, and refuse a run past
+`DEPTH` choices, or past the depth `explore` is given. Of a session the
+world reads only its constants and its `state` record, which names the
+`status` the report prints.
 
 `explore` checks every ordering up to a depth bound and evaluates the
 fairness invariants at every terminal state, in one pass over the event
@@ -44,7 +46,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 from . import cert, codec, crypto, protocol, transport
-from .cert import PartyId, Variant, notarize
+from .cert import Variant, notarize
 from .crypto import GROUPS, SigningKeyPair
 from .ledger import (
     Claimed,
@@ -66,7 +68,8 @@ from .protocol import (
     Terms,
 )
 
-_MAX_RUN_STEPS = 128
+# The most scheduling choices one run may take; a single-buyer run takes at most 4.
+DEPTH = 12
 
 # The offer carries the ciphertext raw, as an attachment, in one frame.
 # This bounds everything else in that frame: envelope, ids, signature, a
@@ -96,10 +99,7 @@ BUYER_ID = b"buyer-1"
 NOTARY_KEYS = SigningKeyPair.from_seed(
     crypto.sha256(crypto.canonical_encode([b"sedg-notary-key", NOTARY_ID]))
 )
-NOTARY = PartyId(NOTARY_ID)
-SELLER = PartyId(SELLER_ID)
 NOTARY_ADDR = address_for(NOTARY_ID)
-SELLER_ADDR = address_for(SELLER_ID)
 BUYER_ADDR = address_for(BUYER_ID)
 
 
@@ -330,21 +330,20 @@ class World:
         self.seller = SellerSession(
             package=notarize(
                 NOTARY_KEYS,
-                NOTARY,
+                NOTARY_ID,
                 config.payload,
-                SELLER,
+                SELLER_ID,
                 config.variant,
                 _rng(config.seed, "notary"),
                 group=config.group,
             ),
             terms=terms,
-            address=SELLER_ADDR,
             policy=config.seller_policy,
         )
         self.buyer = BuyerSession(
             terms=terms,
             address=BUYER_ADDR,
-            seller=SELLER,
+            seller=SELLER_ID,
             trusted_notaries={NOTARY_ID: NOTARY_KEYS.public},
             policy=config.buyer_policy,
             blind=blind,
@@ -357,8 +356,8 @@ class World:
             SELLER_ID: Party("seller", self.seller, self.net.endpoint(SELLER_ID)),
             BUYER_ID: Party("buyer", self.buyer, self.net.endpoint(BUYER_ID)),
         }
-        # (label, the claim event for a notify:buyer wake or None for timers)
-        self.pending_wakes: list[tuple[str, Claimed | None]] = []
+        # The claim event of a notify:buyer wake, or None for timers.
+        self.pending_wakes: list[Claimed | None] = []
         self.trace: list[str] = []
         self.choices: list[int] = []
         self._cursor = len(self.ledger.read_events(0))
@@ -421,7 +420,8 @@ class World:
                 f"{self.parties[env.sender].role}->{self.parties[env.recipient].role}"
             )
             actions.append((label, lambda i=i: self._deliver(i)))
-        for j, (label, _) in enumerate(self.pending_wakes):
+        for j, claim in enumerate(self.pending_wakes):
+            label = "timers" if claim is None else "notify:buyer"
             actions.append((label, lambda j=j: self._fire_wake(j)))
         if any(c.deadline >= self.ledger.current_tick for c in self.ledger.open_contracts()):
             actions.append(("expire", self._expire))
@@ -438,7 +438,7 @@ class World:
             party.endpoint.send(envelope.sender, protocol.message_to_obj(reply))
 
     def _fire_wake(self, index: int) -> None:
-        _, claim = self.pending_wakes.pop(index)
+        claim = self.pending_wakes.pop(index)
         if claim is not None:
             self.buyer.on_claim(claim)
         else:
@@ -446,9 +446,10 @@ class World:
             self.seller.on_timer()
 
     def _expire(self) -> None:
-        target = max(c.deadline for c in self.ledger.open_contracts()) + 1
-        self.ledger.advance_time(target - self.ledger.current_tick)
-        self.pending_wakes.append(("timers", None))
+        tick = self.ledger.current_tick
+        target = min(c.deadline for c in self.ledger.open_contracts() if c.deadline >= tick) + 1
+        self.ledger.advance_time(target - tick)
+        self.pending_wakes.append(None)
 
     def _scan_chain(self) -> None:
         events = self.ledger.read_events(self._cursor)
@@ -456,7 +457,7 @@ class World:
         for event in events:
             if type(event) is Claimed:
                 if self.ledger.get_contract(event.contract_id).payer == self.buyer.address:
-                    self.pending_wakes.append(("notify:buyer", event))
+                    self.pending_wakes.append(event)
 
     # -- reporting ------------------------------------------------------------
 
@@ -520,11 +521,11 @@ class World:
 def drive(world: World, schedule: Sequence[int] = ()) -> list[int]:
     """Run to quiescence, following the schedule then always choosing 0.
 
-    The schedule, like the `_MAX_RUN_STEPS` bound, counts from the world's
-    first step; returns every choice the world took. Raises ScheduleError if
-    the schedule picks an option that is not open (`World.step` judges each
+    The schedule, like the `DEPTH` bound, counts from the world's first
+    step; returns every choice the world took. Raises ScheduleError if the
+    schedule picks an option that is not open (`World.step` judges each
     choice) or has choices left when the run ends, and if the run takes
-    `_MAX_RUN_STEPS` choices without ending.
+    `DEPTH` choices without ending.
     """
     while True:
         taken = len(world.choices)
@@ -535,8 +536,8 @@ def drive(world: World, schedule: Sequence[int] = ()) -> list[int]:
                     f"{len(schedule)} choices"
                 )
             return list(world.choices)
-        if taken >= _MAX_RUN_STEPS:
-            raise ScheduleError(f"run exceeded {_MAX_RUN_STEPS} scheduling choices")
+        if taken >= DEPTH:
+            raise ScheduleError(f"a run exceeded the depth bound of {DEPTH}")
         world.step(schedule[taken] if taken < len(schedule) else 0)
 
 
@@ -624,7 +625,7 @@ def fairness_violations(world: World) -> list[tuple[str, str]]:
 
 def explore(
     config: ScenarioConfig,
-    depth: int = 12,
+    depth: int = DEPTH,
     chain_factory: Callable[[], Ledger] | None = None,
 ) -> ExplorationResult:
     """Exhaustively explore delivery orderings and expiry placement.

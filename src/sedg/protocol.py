@@ -46,7 +46,6 @@ from .cert import (
     GroupPower,
     HashOfKey,
     HashOfKeyAndNotary,
-    PartyId,
     Variant,
 )
 from .crypto import Ciphertext, GroupParams, Scalar
@@ -210,7 +209,7 @@ class BuyerSession:
         self,
         terms: Terms,
         address: bytes,
-        seller: PartyId,
+        seller: bytes,
         trusted_notaries: Mapping[bytes, bytes],
         policy: BuyerPolicy,
         blind: Scalar | None,
@@ -277,7 +276,7 @@ class BuyerSession:
         try:
             contract_id = chain.publish_contract(
                 payer=self.address,
-                payee=address_for(certificate.seller_id.id),
+                payee=address_for(certificate.seller_id),
                 amount=amount,
                 condition=condition,
                 deadline=chain.current_tick + terms.deadline_offset,
@@ -381,12 +380,11 @@ class SellerSession:
         self,
         package: CertificatePackage,
         terms: Terms,
-        address: bytes,
         policy: SellerPolicy,
     ) -> None:
         self.package = package
         self.terms = terms
-        self.address = address
+        self.address = address_for(package.certificate.seller_id)
         self.policy = policy
         self.state = Waiting("")
 
@@ -476,7 +474,7 @@ class SellerSession:
         if certificate.variant is Variant.V1:
             return ledger.Preimage(self.package.key)
         if certificate.variant is Variant.V2:
-            return ledger.PreimageWithNotary(self.package.key, certificate.notary_id.id)
+            return ledger.PreimageWithNotary(self.package.key, certificate.notary_id)
         if blind is None:
             raise ContractMismatch("the contract reference carries no blinding scalar")
         group = certificate.group

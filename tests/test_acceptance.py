@@ -14,7 +14,7 @@ from hypothesis.stateful import run_state_machine_as_test
 
 from helpers import ScriptedRng, brute_force_inverse, signed, signing_keys, slow_pow
 from sedg import crypto
-from sedg.cert import AbortReason, PartyId, Variant, notarize, verify_certificate
+from sedg.cert import AbortReason, Variant, notarize, verify_certificate
 from sedg.crypto import TEST_GROUP, Scalar
 from sedg.harness import (
     World,
@@ -141,8 +141,8 @@ def test_acceptance_3_exhaustive_blinding_algebra():
 def _forced_dlog_exchange(k: int, r: int):
     """Full seller/buyer exchange on the tiny group with forced k and r."""
     notary_keys = signing_keys(0)
-    notary_id = PartyId(b"n")
-    seller_id = PartyId(b"s")
+    notary_id = b"n"
+    seller_id = b"s"
     payload = b"forced exchange payload"
     package = notarize(
         notary_keys,
@@ -154,10 +154,10 @@ def _forced_dlog_exchange(k: int, r: int):
         group=TEST_GROUP,
     )
     chain = Ledger()
-    buyer_addr, seller_addr = address_for(b"b"), address_for(b"s")
+    buyer_addr = address_for(b"b")
     chain.fund(buyer_addr, 100)
     terms = Terms(Variant.V3, price=60, notary_fee=0, deadline_offset=100, group=TEST_GROUP)
-    seller = SellerSession(package, terms, seller_addr, SellerPolicy.HONEST)
+    seller = SellerSession(package, terms, SellerPolicy.HONEST)
     buyer = BuyerSession(
         terms,
         buyer_addr,
@@ -213,9 +213,9 @@ def test_acceptance_5_ledger_property_tests():
 
 def test_acceptance_6_binding():
     notary_keys = signing_keys(60)
-    notary_id = PartyId(b"notary-1")
-    seller_id = PartyId(b"seller-1")
-    registry = {notary_id.id: notary_keys.public}
+    notary_id = b"notary-1"
+    seller_id = b"seller-1"
+    registry = {notary_id: notary_keys.public}
     rng = random.Random(61)
 
     rejected = 0
@@ -256,7 +256,7 @@ def test_acceptance_6_binding():
                     digest[rng.randrange(32)] ^= 1 << rng.randrange(8)
                     cert = dataclasses.replace(cert, h2=type(cert.h2)(bytes(digest)))
             else:
-                cert = dataclasses.replace(cert, seller_id=PartyId(b"mallory"))
+                cert = dataclasses.replace(cert, seller_id=b"mallory")
             verdict = verify_certificate(cert, registry, seller_id, ciphertext)
             # Only the ciphertext is outside the signed string.
             expected = (

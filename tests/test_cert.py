@@ -14,7 +14,6 @@ from sedg.cert import (
     GroupPower,
     HashOfKey,
     HashOfKeyAndNotary,
-    PartyId,
     Variant,
     notarize,
     verify_certificate,
@@ -28,17 +27,18 @@ from sedg.ledger import (
     Preimage,
     PreimageWithNotary,
 )
+from sedg.protocol import Offer, message_from_obj, message_to_obj
 
 
 @pytest.fixture
 def notary():
     keys = signing_keys(100)
-    return keys, PartyId(b"notary-1")
+    return keys, b"notary-1"
 
 
 @pytest.fixture
 def seller():
-    return PartyId(b"seller-1")
+    return b"seller-1"
 
 
 def _notarize(notary, seller, variant, rng=None, payload=b"hello", group=None):
@@ -77,7 +77,7 @@ def test_v2_commitments_separate_across_notaries(seller):
     digests = set()
     for i in range(10):
         keys = signing_keys(200 + i)
-        notary_id = PartyId(b"notary-%d" % i)
+        notary_id = b"notary-%d" % i
         package = notarize(
             keys,
             notary_id,
@@ -150,7 +150,7 @@ def test_commitment_opens(notary, seller):
 
 def _registry(notary):
     keys, notary_id = notary
-    return {notary_id.id: keys.public}
+    return {notary_id: keys.public}
 
 
 @pytest.mark.parametrize("variant", list(Variant))
@@ -178,8 +178,7 @@ def test_verify_flipped_ciphertext_bit(notary, seller):
 def test_verify_unknown_notary(notary, seller):
     # Same certificate re-signed by a key absent from the registry.
     rogue = signing_keys(400)
-    rogue_id = PartyId(b"rogue")
-    package = notarize(rogue, rogue_id, b"hello", seller, Variant.V1, random.Random(0))
+    package = notarize(rogue, b"rogue", b"hello", seller, Variant.V1, random.Random(0))
     verdict = verify_certificate(
         package.certificate, _registry(notary), seller, package.ciphertext
     )
@@ -189,7 +188,7 @@ def test_verify_unknown_notary(notary, seller):
 def test_verify_seller_mismatch(notary, seller):
     package = _notarize(notary, seller, Variant.V1)
     verdict = verify_certificate(
-        package.certificate, _registry(notary), PartyId(b"someone-else"), package.ciphertext
+        package.certificate, _registry(notary), b"someone-else", package.ciphertext
     )
     assert verdict is AbortReason.SELLER_MISMATCH
 
@@ -237,7 +236,7 @@ def test_binding_each_field_mutation_fails(notary, seller, variant):
     # seller id
     assert (
         verify_certificate(
-            dataclasses.replace(cert, seller_id=PartyId(b"mallory")),
+            dataclasses.replace(cert, seller_id=b"mallory"),
             registry,
             seller,
             package.ciphertext,
@@ -269,15 +268,27 @@ def test_certificate_json_round_trip(notary, seller, variant):
     assert recovered.h1 == cert.h1
     assert recovered.h2 == cert.h2
     assert recovered.sigma == cert.sigma
-    assert recovered.seller_id.id == cert.seller_id.id
-    assert recovered.notary_id.id == cert.notary_id.id
+    assert recovered.seller_id == cert.seller_id
+    assert recovered.notary_id == cert.notary_id
     assert recovered.group == cert.group
     # round-tripped certificates still verify
     assert verify_certificate(recovered, _registry(notary), seller, package.ciphertext) is None
 
 
-def test_party_id_invariants():
-    with pytest.raises(ValueError):
-        PartyId(b"")
-    with pytest.raises(ValueError):
-        PartyId(b"x" * 65)
+@pytest.mark.parametrize("field", ["seller_id", "notary_id"])
+def test_certificate_bounds_both_ids_at_decode(notary, seller, field):
+    # The certificate is the one record that carries ids across the wire, so
+    # it refuses an empty id and one longer than 64 bytes when an offer decodes.
+    package = _notarize(notary, seller, Variant.V1)
+    offer = message_to_obj(Offer(package.certificate, package.ciphertext, 60))
+
+    def decode(party_id):
+        offer["certificate"][field] = party_id.hex()
+        return message_from_obj(json.loads(codec.dumps(offer)))
+
+    for size in (1, 64):
+        assert getattr(decode(bytes(size)).certificate, field) == bytes(size)
+    for size in (0, 65):
+        with pytest.raises(ValueError) as excinfo:
+            decode(bytes(size))
+        assert str(excinfo.value) == f"certificate: {field} must hold 1 to 64 bytes"

@@ -23,7 +23,7 @@ from helpers import (
 )
 import sedg
 from sedg import cli, codec, crypto, harness, transport
-from sedg.cert import Certificate, GroupPower, PartyId, verify_certificate
+from sedg.cert import Certificate, GroupPower, verify_certificate
 from sedg.crypto import MODP_2048, TEST_GROUP, Scalar
 from sedg.harness import (
     MAX_DEADLINE_OFFSET,
@@ -48,8 +48,10 @@ from sedg.ledger import (
     Claimed,
     ContractPublished,
     ContractState,
+    HashLock,
     Ledger,
     LedgerEvent,
+    address_for,
     event_to_json,
 )
 from sedg.protocol import (
@@ -206,6 +208,24 @@ def test_adversarial_schedule_expiry_before_claim():
     assert fairness_violations(world) == []
 
 
+def test_expire_stops_at_the_earliest_deadline_not_yet_passed():
+    # A foreign contract with deadline 99 is open beside the buyer's, whose
+    # deadline is 100: one expiry passes the first deadline, and the second
+    # deadline, not yet passed, keeps expiry open for another.
+    chain = Ledger()
+    chain.fund(b"foreign", 5)
+    chain.publish_contract(b"foreign", b"payee", 5, HashLock(bytes(32)), deadline=99)
+    world = World(make_config("v1", price=60, buyer_balance=100, seed=42), chain)
+    world.step(0)  # the offer: the buyer escrows the price
+    assert world.ledger.get_contract(2).deadline == 100
+    world.step(world.options().index("expire"))
+    assert world.ledger.current_tick == 100
+    assert "expire" in world.options()
+    world.step(world.options().index("expire"))
+    assert world.ledger.current_tick == 101
+    assert "expire" not in world.options()
+
+
 def test_claim_wake_hands_the_buyer_the_event_the_world_found(monkeypatch):
     # The world scans the chain once per step; the buyer does not re-read it.
     world = World(make_config("v1", price=60, buyer_balance=100, seed=42))
@@ -215,8 +235,7 @@ def test_claim_wake_hands_the_buyer_the_event_the_world_found(monkeypatch):
     assert type(claim) is Claimed
     assert world.options() == ["notify:buyer"]
     assert len(world.pending_wakes) == 1
-    label, event = world.pending_wakes[0]
-    assert label == "notify:buyer" and event is claim
+    assert world.pending_wakes[0] is claim
 
     reads = []
     read_events = Ledger.read_events
@@ -241,8 +260,9 @@ def test_worlds_of_any_seed_share_the_one_notary_key():
     assert first.buyer.trusted_notaries == registry
     assert first.seller.package.certificate.notary_id == second.seller.package.certificate.notary_id
     assert first.seller.package.certificate != second.seller.package.certificate
+    package = first.seller.package
     rejection = verify_certificate(
-        first.seller.package.certificate, registry, harness.SELLER, first.seller.package.ciphertext
+        package.certificate, registry, harness.SELLER_ID, package.ciphertext
     )
     assert rejection is None
 
@@ -485,7 +505,7 @@ def test_broken_condition_evaluation_is_detected():
 def test_double_settlement_ledger_fixture_allows_the_bug():
     # Demonstrate the fixture really does double-settle at the ledger level.
     from sedg import crypto
-    from sedg.ledger import HashLock, Preimage, address_for
+    from sedg.ledger import Preimage
 
     key = b"\x07" * 32
     chain = DoubleSettleLedger()
@@ -518,7 +538,7 @@ def test_chain_that_drops_the_notary_fee_breaks_the_notary_split():
     world = World(config, FeeDroppingLedger())
     drive(world)
     assert world.buyer.state == Settled(config.payload)
-    assert world.ledger.get_balance(harness.SELLER_ADDR) == 100
+    assert world.ledger.get_balance(address_for(harness.SELLER_ID)) == 100
     # The seller is overpaid, not harmed: the one violation is the split.
     violations = dict(fairness_violations(world))
     assert violations == {"notary-split": "notary_paid=False but seller_paid=True"}
@@ -546,10 +566,10 @@ def test_fee_skimming_claim_is_an_honest_seller_loss():
     chain = world.ledger
     lock = NotaryHashLock(h2=world.seller.package.certificate.h2.digest, fee=99)
     cid = chain.publish_contract(
-        harness.BUYER_ADDR, harness.SELLER_ADDR, 100, lock, deadline=100
+        harness.BUYER_ADDR, address_for(harness.SELLER_ID), 100, lock, deadline=100
     )
     chain.claim(cid, PreimageWithNotary(world.seller.package.key, harness.NOTARY_ID))
-    assert chain.get_balance(harness.SELLER_ADDR) == 1
+    assert chain.get_balance(address_for(harness.SELLER_ID)) == 1
     assert chain.get_balance(harness.NOTARY_ADDR) == 99
     violations = dict(fairness_violations(world))
     assert violations["honest-seller-no-loss"] == (
@@ -836,20 +856,21 @@ def test_drive_rejects_unusable_schedules():
 def test_drive_bounds_a_run_that_never_quiesces(monkeypatch, tmp_path, capsys):
     # Every world offers one option forever. The option fails past four
     # times the bound, so a drive without its bound fails instead of hanging.
+    # The bound is explore's default depth, with explore's message.
     taken = itertools.count()
 
     def idle():
-        assert next(taken) < 4 * 128, "drive ran past its step bound"
+        assert next(taken) < 4 * 12, "drive ran past its step bound"
 
     monkeypatch.setattr(World, "_actions", lambda world: [("idle", idle)])
     world = World(make_config("v1", seed=42))
-    with pytest.raises(ScheduleError, match="^run exceeded 128 scheduling choices$"):
+    with pytest.raises(ScheduleError, match="^a run exceeded the depth bound of 12$"):
         drive(world)
-    # The bound is exact: 128 steps ran, and the 129th was refused.
-    assert world.choices == [0] * 128
-    assert next(taken) == 128
+    # The bound is exact: 12 steps ran, and the 13th was refused.
+    assert world.choices == [0] * 12
+    assert next(taken) == 12
     assert cli.main(["run", "--config", _write_config(tmp_path)]) == 2
-    assert capsys.readouterr().err == "error: run exceeded 128 scheduling choices\n"
+    assert capsys.readouterr().err == "error: a run exceeded the depth bound of 12\n"
 
 
 def test_step_refuses_a_closed_option_naming_its_position():
@@ -1119,8 +1140,8 @@ def test_largest_payload_offer_fits_one_frame():
         certificate=Certificate(
             h1=bytes(32),
             h2=GroupPower(crypto.GroupElement(group.q, group)),
-            seller_id=PartyId(bytes(64)),
-            notary_id=PartyId(bytes(64)),
+            seller_id=bytes(64),
+            notary_id=bytes(64),
             sigma=bytes(64),
         ),
         ciphertext=crypto.Ciphertext(

@@ -18,7 +18,6 @@ from sedg.cert import (
     CertificatePackage,
     GroupPower,
     HashOfKey,
-    PartyId,
     Variant,
     notarize,
     signing_payload,
@@ -63,10 +62,10 @@ from sedg.protocol import (
 )
 
 NOTARY_KEYS = signing_keys(1)
-NOTARY = PartyId(b"notary-1")
-SELLER = PartyId(b"seller-1")
-REGISTRY = {NOTARY.id: NOTARY_KEYS.public}
-SELLER_ADDR = address_for(SELLER.id)
+NOTARY = b"notary-1"
+SELLER = b"seller-1"
+REGISTRY = {NOTARY: NOTARY_KEYS.public}
+SELLER_ADDR = address_for(SELLER)
 BUYER_ADDR = address_for(b"buyer-1")
 PAYLOAD = b"the goods"
 PRICE = 60
@@ -96,7 +95,7 @@ def make_terms(variant, *, price=PRICE, fee=10, group=TEST_GROUP):
 def make_seller(variant, policy=SellerPolicy.HONEST, *, k=None, price=PRICE, fee=10):
     package = make_package(variant, k=k)
     terms = make_terms(variant, price=price, fee=fee)
-    return SellerSession(package, terms, SELLER_ADDR, policy)
+    return SellerSession(package, terms, policy)
 
 
 def make_buyer(
@@ -199,13 +198,25 @@ def test_variant_mismatch_aborts():
     assert buyer.state == Aborted(AbortReason.VARIANT_MISMATCH)
 
 
+def test_seller_is_paid_into_the_account_of_the_id_its_certificate_names():
+    package = notarize(NOTARY_KEYS, NOTARY, PAYLOAD, b"other", Variant.V1, random.Random(2))
+    terms = make_terms(Variant.V1)
+    seller = SellerSession(package, terms, SellerPolicy.HONEST)
+    buyer = BuyerSession(terms, BUYER_ADDR, b"other", REGISTRY, BuyerPolicy.HONEST, None)
+    chain = funded_chain()
+    (ref,) = buyer.on_offer(seller.start(), chain)
+    seller.on_message(ref, chain)
+    assert seller.state == Paid()
+    assert chain.get_balance(address_for(b"other")) == PRICE
+    assert chain.get_balance(SELLER_ADDR) == 0
+
+
 def test_seller_witness_follows_its_certificate_not_its_terms():
     # The seller dispatches on the certificate the notary signed, so v1 terms
     # beside a v3 package still build the exponent that opens the dlog lock.
     seller = SellerSession(
         make_package(Variant.V3, k=3),
         make_terms(Variant.V1),
-        SELLER_ADDR,
         SellerPolicy.HONEST,
     )
     blind = Scalar(4, TEST_GROUP)
@@ -242,7 +253,7 @@ def make_modp2048_seller(policy=SellerPolicy.HONEST):
         group=MODP_2048,
     )
     terms = make_terms(Variant.V3, group=MODP_2048)
-    return SellerSession(package, terms, SELLER_ADDR, policy)
+    return SellerSession(package, terms, policy)
 
 
 def test_buyer_rejects_unexpected_group_parameters():
@@ -375,7 +386,7 @@ def test_build_witness_v2():
     h2 = seller.package.certificate.h2.digest
     chain, contract = _open_contract(NotaryHashLock(h2=h2, fee=10))
     witness = seller.build_witness(chain, contract.id)
-    assert witness == PreimageWithNotary(seller.package.key, NOTARY.id)
+    assert witness == PreimageWithNotary(seller.package.key, NOTARY)
     chain.claim(contract.id, witness)
 
 
@@ -436,7 +447,7 @@ def test_v2_seller_declines_a_contract_that_skims_the_split(fee):
 
 
 def _v2_lock(key):
-    return NotaryHashLock(crypto.sha256(crypto.canonical_encode([key, NOTARY.id])), fee=0)
+    return NotaryHashLock(crypto.sha256(crypto.canonical_encode([key, NOTARY])), fee=0)
 
 
 def _v1_lock(key):
@@ -674,7 +685,7 @@ def _decrypt_failure(chain):
         ciphertext=ciphertext,
         certificate=Certificate(h1, h2, SELLER, NOTARY, sigma),
     )
-    seller = SellerSession(package, make_terms(Variant.V1), SELLER_ADDR, SellerPolicy.HONEST)
+    seller = SellerSession(package, make_terms(Variant.V1), SellerPolicy.HONEST)
     buyer = make_buyer(Variant.V1)
     chain.fund(BUYER_ADDR, 200)
     replies = buyer.on_offer(seller.start(), chain)

@@ -275,7 +275,7 @@ def test_oversized_send_rejected_in_process():
 def test_full_dlog_exchange_over_the_in_process_net():
     # The complete off-chain conversation of a blinded exchange, with every
     # message encoded, framed and delivered by the net; no harness involved.
-    from sedg.cert import PartyId, Variant, notarize
+    from sedg.cert import Variant, notarize
     from sedg.crypto import TEST_GROUP, draw_scalar
     from sedg.ledger import Ledger, address_for
     from sedg.protocol import (
@@ -289,8 +289,8 @@ def test_full_dlog_exchange_over_the_in_process_net():
     )
 
     notary_keys = signing_keys(50)
-    notary_id = PartyId(b"n")
-    seller_id = PartyId(b"s")
+    notary_id = b"n"
+    seller_id = b"s"
     payload = b"socket-delivered goods"
     package = notarize(
         notary_keys,
@@ -305,7 +305,7 @@ def test_full_dlog_exchange_over_the_in_process_net():
     seller_addr, buyer_addr = address_for(b"s"), address_for(b"b")
     chain.fund(buyer_addr, 100)
     terms = Terms(Variant.V3, price=60, notary_fee=0, deadline_offset=100, group=TEST_GROUP)
-    seller = SellerSession(package, terms, seller_addr, SellerPolicy.HONEST)
+    seller = SellerSession(package, terms, SellerPolicy.HONEST)
     buyer = BuyerSession(
         terms,
         buyer_addr,

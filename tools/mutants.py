@@ -1,28 +1,37 @@
-"""Delete each guard of the package, one at a time, and run tier 1 against it.
+"""Mutate the package one edit at a time, and run tier 1 against each mutant.
 
     python tools/mutants.py
 
-A guard is an `if` with no `else` whose body is one `raise` or `return`.
-For every guard in `src/sedg`, the tool copies `src` and `tests` into a
-temporary directory, deletes that one guard there, and runs the suite with
-`-x` in a child process. The child gets a timeout and an address-space cap,
-which it sets on itself, so a mutant that loops or allocates without bound
-stops instead of taking the machine with it. Mutants run at most one per
+Two kinds of edit make the mutants of `src/sedg`:
+
+- a guard, an `if` with no `else` whose body is one `raise` or `return`, is
+  deleted;
+- a boundary, one operator of a comparison (chained ones included), is
+  swapped: `<` with `<=` and `>` with `>=`, so an off-by-one limit shows.
+
+For every mutant the tool copies `src` and `tests` into a temporary
+directory, makes that one edit there, and runs the suite with `-x` in a
+child process. The child gets a timeout and an address-space cap, which it
+sets on itself, so a mutant that loops or allocates without bound stops
+instead of taking the machine with it. Mutants run at most one per
 core. Each one is:
 
 - killed: the suite fails;
-- survived: the suite passes, so no test needs the guard;
+- survived: the suite passes, so no test needs the guard or that boundary;
 - hung: the suite runs past the timeout.
 
 `tools/mutants.txt` lists the survivors and hangs that are accepted, one a
 line as `<outcome> <mutant> -- <reason>`, where `<mutant>` is what this tool
-prints: `<path>:<function>: if <condition>`. The tool exits 1 on an outcome
-the list lacks, and on a listed mutant that is now killed or gone, so the
-list cannot go stale. It exits 2 if the suite fails with no mutant at all.
+prints: `<path>:<function>: if <condition>` for a guard and
+`<path>:<function>: <comparison> -> <mutated comparison>` for a boundary.
+The tool exits 1 on an outcome the list lacks, and on a listed mutant that
+is now killed or gone, so the list cannot go stale. It exits 2 if the suite
+fails with no mutant at all.
 """
 from __future__ import annotations
 
 import ast
+import io
 import os
 import shutil
 import signal
@@ -30,6 +39,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tokenize
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -51,8 +61,14 @@ CHILD = (
 )
 
 
-def guards(tree: ast.Module) -> list[tuple[str, ast.If]]:
-    """(function, node) of each guard in `tree`, in source order."""
+# Each boundary operator, as a token and as an AST node, and its swap.
+SWAPPED_TOKEN = {"<": "<=", "<=": "<", ">": ">=", ">=": ">"}
+SWAPPED_OP = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt}
+
+
+def scoped_nodes(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """(function, node) of each node in `tree` but a def or class, in source
+    order, where the function is the innermost def or class around it."""
     found = []
 
     def visit(node: ast.AST, scope: str) -> None:
@@ -60,39 +76,76 @@ def guards(tree: ast.Module) -> list[tuple[str, ast.If]]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{scope}.{child.name}" if scope else child.name)
                 continue
-            if (
-                isinstance(child, ast.If)
-                and not child.orelse
-                and len(child.body) == 1
-                and isinstance(child.body[0], (ast.Raise, ast.Return))
-            ):
-                found.append((scope or "<module>", child))
+            found.append((scope or "<module>", child))
             visit(child, scope)
 
     visit(tree, "")
     return found
 
 
+def is_guard(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.If)
+        and not node.orelse
+        and len(node.body) == 1
+        and isinstance(node.body[0], (ast.Raise, ast.Return))
+    )
+
+
+def boundary_tokens(source: str) -> dict[tuple[int, int], tokenize.TokenInfo]:
+    """Each `<`, `<=`, `>` or `>=` token of `source`, keyed by its row and its
+    column in UTF-8 bytes, as `ast` counts columns."""
+    lines = source.splitlines(keepends=True)
+    found = {}
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type == tokenize.OP and token.string in SWAPPED_TOKEN:
+            row, col = token.start
+            found[row, len(lines[row - 1][:col].encode("utf-8"))] = token
+    return found
+
+
 def mutants() -> list[tuple[str, str, str]]:
-    """(name, path, mutated source) for each guard of the package."""
+    """(name, path, mutated source) for each guard and each boundary of the package."""
     result = []
     for path in sorted((ROOT / PACKAGE).rglob("*.py")):
         rel = path.relative_to(ROOT).as_posix()
         source = path.read_text(encoding="utf-8")
         lines = source.splitlines(keepends=True)
+        tokens = boundary_tokens(source)
         seen: Counter[str] = Counter()
-        for scope, node in guards(ast.parse(source, rel)):
-            name = f"{rel}:{scope}: if {ast.unparse(node.test)}"
+
+        def add(name: str, mutated: list[str]) -> None:
             seen[name] += 1
             if seen[name] > 1:
                 name += f" ({seen[name]})"
-            first = lines[node.lineno - 1]
-            indent = first[: len(first) - len(first.lstrip())]
-            # An `elif` goes with its lines; an `if` leaves a `pass` behind,
-            # in case it was the only statement of its block.
-            stub = "\n" if first.lstrip().startswith("elif") else f"{indent}pass\n"
-            mutated = lines[: node.lineno - 1] + [stub] + lines[node.end_lineno :]
             result.append((name, rel, "".join(mutated)))
+
+        for scope, node in scoped_nodes(ast.parse(source, rel)):
+            if is_guard(node):
+                first = lines[node.lineno - 1]
+                indent = first[: len(first) - len(first.lstrip())]
+                # An `elif` goes with its lines; an `if` leaves a `pass` behind,
+                # in case it was the only statement of its block.
+                stub = "\n" if first.lstrip().startswith("elif") else f"{indent}pass\n"
+                mutated = lines[: node.lineno - 1] + [stub] + lines[node.end_lineno :]
+                add(f"{rel}:{scope}: if {ast.unparse(node.test)}", mutated)
+            if not isinstance(node, ast.Compare):
+                continue
+            operands = [node.left, *node.comparators]
+            for i, op in enumerate(node.ops):
+                if type(op) not in SWAPPED_OP:
+                    continue
+                # The operator's one token lies between its two operands.
+                start = (operands[i].end_lineno, operands[i].end_col_offset)
+                end = (operands[i + 1].lineno, operands[i + 1].col_offset)
+                (token,) = [tokens[at] for at in tokens if start <= at < end]
+                (row, col), (_, end_col) = token.start, token.end
+                mutated = [*lines]
+                line = lines[row - 1]
+                mutated[row - 1] = line[:col] + SWAPPED_TOKEN[token.string] + line[end_col:]
+                after = ast.Compare(node.left, [*node.ops], node.comparators)
+                after.ops[i] = SWAPPED_OP[type(op)]()
+                add(f"{rel}:{scope}: {ast.unparse(node)} -> {ast.unparse(after)}", mutated)
     return result
 
 
@@ -168,7 +221,7 @@ def main() -> int:
     ]
     counts = Counter(results.values())
     print(
-        f"{len(results)} guards: {counts['killed']} killed, {counts['survived']} survived, "
+        f"{len(results)} mutants: {counts['killed']} killed, {counts['survived']} survived, "
         f"{counts['hung']} hung (timeout {timeout:.0f} s) in {time.monotonic() - started:.0f} s"
     )
     for problem in problems:
