@@ -30,7 +30,7 @@ from .harness import (
     make_config,
     run_scenario,
 )
-from .ledger import Ledger, address_for
+from .ledger import Ledger
 from .protocol import BuyerPolicy, BuyerSession, SellerPolicy, SellerSession, Terms
 
 __all__ = [
@@ -56,7 +56,6 @@ __all__ = [
     "make_config",
     "run_scenario",
     "Ledger",
-    "address_for",
     "BuyerPolicy",
     "BuyerSession",
     "SellerPolicy",

@@ -14,7 +14,7 @@ wake-up, timer firings, and the placement of expiry itself, which stays
 open while some open contract's deadline has not passed on the chain's
 clock, and moves the clock just past the earliest such deadline. A pending
 wake is what the world found to wake the buyer: a claim event on a contract
-the buyer's address paid into (`notify:buyer`, for `on_claim`), or None
+the buyer paid into (`notify:buyer`, for `on_claim`), or None
 (`timers`, which calls both parties' `on_timer`; the ledger decides whether
 the buyer's refund is due). The default schedule always picks the first
 option (FIFO delivery, expiry last); `drive` replays any other schedule
@@ -54,7 +54,6 @@ from .ledger import (
     Funded,
     Ledger,
     Refunded,
-    address_for,
     write_event_log,
 )
 from .protocol import (
@@ -99,8 +98,6 @@ BUYER_ID = b"buyer-1"
 NOTARY_KEYS = SigningKeyPair.from_seed(
     crypto.sha256(crypto.canonical_encode([b"sedg-notary-key", NOTARY_ID]))
 )
-NOTARY_ADDR = address_for(NOTARY_ID)
-BUYER_ADDR = address_for(BUYER_ID)
 
 
 class ConfigError(Exception):
@@ -342,14 +339,14 @@ class World:
         )
         self.buyer = BuyerSession(
             terms=terms,
-            address=BUYER_ADDR,
+            party_id=BUYER_ID,
             seller=SELLER_ID,
             trusted_notaries={NOTARY_ID: NOTARY_KEYS.public},
             policy=config.buyer_policy,
             blind=blind,
         )
         if config.buyer_balance:  # the ledger funds positive amounts only
-            self.ledger.fund(self.buyer.address, config.buyer_balance)
+            self.ledger.fund(self.buyer.party_id, config.buyer_balance)
 
         self.net = transport.InProcessNet()
         self.parties = {
@@ -456,7 +453,7 @@ class World:
         self._cursor += len(events)
         for event in events:
             if type(event) is Claimed:
-                if self.ledger.get_contract(event.contract_id).payer == self.buyer.address:
+                if self.ledger.get_contract(event.contract_id).payer == self.buyer.party_id:
                     self.pending_wakes.append(event)
 
     # -- reporting ------------------------------------------------------------
@@ -471,7 +468,7 @@ class World:
             if kind is Funded:
                 facts.funded += e.amount
             elif kind is ContractPublished:
-                if e.payer == self.buyer.address:
+                if e.payer == self.buyer.party_id:
                     facts.buyer_contracts.append(e.contract_id)
             elif kind is Refunded:
                 facts.settlements[e.contract_id] = facts.settlements.get(e.contract_id, 0) + 1
@@ -479,12 +476,12 @@ class World:
                     facts.buyer_refunded = True
             elif kind is Claimed:
                 facts.settlements[e.contract_id] = facts.settlements.get(e.contract_id, 0) + 1
-                to_seller = [p.amount for p in e.payouts if p.to == self.seller.address]
+                to_seller = [p.amount for p in e.payouts if p.to == self.seller.party_id]
                 if to_seller:
                     facts.seller_claims.append((e.contract_id, sum(to_seller)))
                     facts.seller_paid = facts.seller_paid or any(to_seller)
                 for p in e.payouts:
-                    if p.to == NOTARY_ADDR:
+                    if p.to == NOTARY_ID:
                         facts.notary_paid = facts.notary_paid or p.amount > 0
         return facts
 
@@ -504,9 +501,9 @@ class World:
                 self.buyer.abort_reason.value if self.buyer.abort_reason else None
             ),
             balances={
-                "buyer": self.ledger.get_balance(self.buyer.address),
-                "seller": self.ledger.get_balance(self.seller.address),
-                "notary": self.ledger.get_balance(NOTARY_ADDR),
+                "buyer": self.ledger.get_balance(self.buyer.party_id),
+                "seller": self.ledger.get_balance(self.seller.party_id),
+                "notary": self.ledger.get_balance(NOTARY_ID),
             },
             price=self.config.price,
             event_count=facts.event_count,
@@ -594,7 +591,7 @@ def fairness_violations(world: World) -> list[tuple[str, str]]:
         out.append(("notary-split", f"notary_paid={notary_paid} but seller_paid={seller_paid}"))
 
     if config.buyer_policy is BuyerPolicy.HONEST:
-        balance = world.ledger.get_balance(world.buyer.address)
+        balance = world.ledger.get_balance(world.buyer.party_id)
         expected = config.buyer_balance - config.price if has_plaintext else config.buyer_balance
         if balance != expected:
             detail = f"buyer balance {balance}, expected {expected} (plaintext={has_plaintext})"

@@ -35,11 +35,6 @@ from . import codec, crypto
 from .crypto import GroupElement, GroupParams, Scalar
 
 
-def address_for(party_id: bytes) -> bytes:
-    """Deterministic account address for a party identity."""
-    return crypto.sha256(crypto.canonical_encode([b"sedg-address", party_id]))
-
-
 class LedgerError(Exception):
     pass
 
@@ -92,7 +87,7 @@ class HashLock:
 class NotaryHashLock:
     """Pay payee and notary together on (x, n) with sha256(encode([x, n])) = h2.
 
-    The fee goes to `address_for(n)`: h2 binds the notary, so no field names it.
+    The fee goes to the notary's account `n`: h2 binds it, so no field names it.
     """
 
     witness_type: ClassVar[type] = PreimageWithNotary
@@ -209,7 +204,7 @@ def claim_payouts(contract: EscrowContract, witness: Witness) -> tuple[Payout, .
     if isinstance(condition, NotaryHashLock):
         return (
             Payout(to=contract.payee, amount=contract.amount - condition.fee),
-            Payout(to=address_for(witness.notary_id), amount=condition.fee),
+            Payout(to=witness.notary_id, amount=condition.fee),
         )
     return (Payout(to=contract.payee, amount=contract.amount),)
 

@@ -22,14 +22,14 @@ a buyer who never pays or underpays, a seller who withholds the key, claims
 with garbage, or ships corrupted goods. A buyer's abort names its
 `AbortReason`, so a peer's reason outside that vocabulary fails at decode.
 
-No session draws. Each is handed what its party holds: both the agreed
-terms, the seller its certificate package and the buyer its v3 blind, which
-the harness draws from the scenario seed. A deviating seller edits the honest
-offer or witness in a fixed way. Besides those constants a session holds one
-`state`, a frozen record per state that holds only the fields valid in it and
-names the `status` a report prints. A handler replaces the record, and no
-session holds the chain, which every handler that touches it is handed, so a
-session's checkpoint is its state record.
+No session draws. Each is handed what its party holds: both the agreed terms,
+the seller its certificate package and the buyer its id and v3 blind, which
+the harness draws from the scenario seed. A party's account on the chain is
+its id, and the seller's is the one its certificate names. Besides those
+constants a session holds one `state`, a frozen record per state that holds
+only the fields valid in it and names the `status` a report prints. A handler
+replaces the record, and no session holds the chain, which every handler that
+touches it is handed, so a session's checkpoint is its state record.
 """
 from __future__ import annotations
 
@@ -57,7 +57,6 @@ from .ledger import (
     Ledger,
     NotaryHashLock,
     Witness,
-    address_for,
 )
 
 
@@ -208,14 +207,14 @@ class BuyerSession:
     def __init__(
         self,
         terms: Terms,
-        address: bytes,
+        party_id: bytes,
         seller: bytes,
         trusted_notaries: Mapping[bytes, bytes],
         policy: BuyerPolicy,
         blind: Scalar | None,
     ) -> None:
         self.terms = terms
-        self.address = address
+        self.party_id = party_id
         self.seller = seller
         self.trusted_notaries = trusted_notaries
         self.policy = policy
@@ -275,8 +274,8 @@ class BuyerSession:
 
         try:
             contract_id = chain.publish_contract(
-                payer=self.address,
-                payee=address_for(certificate.seller_id),
+                payer=self.party_id,
+                payee=certificate.seller_id,
                 amount=amount,
                 condition=condition,
                 deadline=chain.current_tick + terms.deadline_offset,
@@ -326,7 +325,7 @@ class BuyerSession:
         if not isinstance(self.state, Published):
             return
         try:
-            chain.refund(self.state.contract_id, self.address)
+            chain.refund(self.state.contract_id, self.party_id)
         except ledger.LedgerError:
             return
         self.state = Reimbursed()
@@ -384,7 +383,7 @@ class SellerSession:
     ) -> None:
         self.package = package
         self.terms = terms
-        self.address = address_for(package.certificate.seller_id)
+        self.party_id = package.certificate.seller_id
         self.policy = policy
         self.state = Waiting("")
 
@@ -453,11 +452,11 @@ class SellerSession:
         witness names) and `chain.check_claim` accepts the witness.
         """
         witness = self._honest_witness(blind)
-        agreed = (ledger.Payout(self.address, self.terms.price),)
+        agreed = (ledger.Payout(self.party_id, self.terms.price),)
         if self.package.certificate.variant is Variant.V2:
             agreed = (
-                ledger.Payout(self.address, self.terms.price - self.terms.notary_fee),
-                ledger.Payout(address_for(witness.notary_id), self.terms.notary_fee),
+                ledger.Payout(self.party_id, self.terms.price - self.terms.notary_fee),
+                ledger.Payout(witness.notary_id, self.terms.notary_fee),
             )
         try:
             # Compared first, so a contract that underpays costs no exponentiation.

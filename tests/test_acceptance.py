@@ -28,7 +28,6 @@ from sedg.harness import (
 from sedg.ledger import (
     ContractState,
     Ledger,
-    address_for,
     event_to_json,
     replay,
 )
@@ -154,13 +153,13 @@ def _forced_dlog_exchange(k: int, r: int):
         group=TEST_GROUP,
     )
     chain = Ledger()
-    buyer_addr = address_for(b"b")
-    chain.fund(buyer_addr, 100)
+    buyer_id = b"b"
+    chain.fund(buyer_id, 100)
     terms = Terms(Variant.V3, price=60, notary_fee=0, deadline_offset=100, group=TEST_GROUP)
     seller = SellerSession(package, terms, SellerPolicy.HONEST)
     buyer = BuyerSession(
         terms,
-        buyer_addr,
+        buyer_id,
         seller_id,
         {b"n": notary_keys.public},
         BuyerPolicy.HONEST,
@@ -271,7 +270,7 @@ def test_acceptance_6_binding():
 
     key = rng.randbytes(32)
     chain = Ledger()
-    payer, payee = address_for(b"p"), address_for(b"q")
+    payer, payee = b"p", b"q"
     chain.fund(payer, 100)
     contract_id = chain.publish_contract(
         payer, payee, 60, HashLock(crypto.sha256(key)), deadline=1000
@@ -333,7 +332,7 @@ def test_acceptance_8_claims_beyond_the_grid(monkeypatch):
     elapsed = time.monotonic() - started
     _ok(
         8,
-        f"v1, v2 and v3 reach the same terminals in {cells} cells; "
+        f"v1, v2, v3 and v3 on modp2048 reach the same terminals in {cells} cells; "
         f"{explored} boundary configs ({nodes} nodes) without a violation and "
         f"{refused} refused as declared; the ledger alone keeps its invariants over "
         f"{LEDGER_MACHINE_SETTINGS.max_examples} runs of up to "

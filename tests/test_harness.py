@@ -48,10 +48,11 @@ from sedg.ledger import (
     Claimed,
     ContractPublished,
     ContractState,
+    Funded,
     HashLock,
     Ledger,
     LedgerEvent,
-    address_for,
+    event_from_json,
     event_to_json,
 )
 from sedg.protocol import (
@@ -106,6 +107,20 @@ def test_v2_fee_split():
     report = run_scenario(config)
     assert report.balances == {"buyer": 50, "seller": 90, "notary": 10}
     assert report.notary_paid and report.seller_paid
+
+
+def test_each_account_on_the_chain_is_its_partys_id(tmp_path):
+    # The chain names each party by the id the certificate and the witness
+    # carry: a v2 log funds, escrows and pays those ids, and no hash of them.
+    config = make_config("v2", price=100, buyer_balance=150, notary_fee=10, seed=7)
+    log = tmp_path / "events.jsonl"
+    run_scenario(config, log_path=str(log))
+    funded, published, claimed = map(event_from_json, log.read_text().splitlines())
+    assert type(funded) is Funded and funded.account == harness.BUYER_ID
+    assert type(published) is ContractPublished
+    assert (published.payer, published.payee) == (harness.BUYER_ID, harness.SELLER_ID)
+    assert type(claimed) is Claimed and claimed.witness.notary_id == harness.NOTARY_ID
+    assert [p.to for p in claimed.payouts] == [harness.SELLER_ID, claimed.witness.notary_id]
 
 
 def test_v3_settles_on_both_groups():
@@ -204,7 +219,7 @@ def test_adversarial_schedule_expiry_before_claim():
     drive(world, [0, 1])
     assert world.buyer.state == Reimbursed()
     assert world.seller.state == Expired("declined: tick 101 past deadline 100")
-    assert world.ledger.get_balance(harness.BUYER_ADDR) == 100
+    assert world.ledger.get_balance(harness.BUYER_ID) == 100
     assert fairness_violations(world) == []
 
 
@@ -509,7 +524,7 @@ def test_double_settlement_ledger_fixture_allows_the_bug():
 
     key = b"\x07" * 32
     chain = DoubleSettleLedger()
-    payer, payee = address_for(b"p"), address_for(b"q")
+    payer, payee = b"p", b"q"
     chain.fund(payer, 100)
     cid = chain.publish_contract(payer, payee, 60, HashLock(crypto.sha256(key)), deadline=10)
     chain.claim(cid, Preimage(key))
@@ -527,7 +542,7 @@ def test_double_settlement_is_detected():
     chain = world.ledger
     chain._contracts[1] = dataclasses.replace(chain._contracts[1], state=ContractState.OPEN)
     chain.advance_time(500)
-    chain.refund(1, harness.BUYER_ADDR)
+    chain.refund(1, harness.BUYER_ID)
     props = {p for p, _ in fairness_violations(world)}
     assert "single-settlement" in props
     assert "conservation" in props
@@ -538,7 +553,7 @@ def test_chain_that_drops_the_notary_fee_breaks_the_notary_split():
     world = World(config, FeeDroppingLedger())
     drive(world)
     assert world.buyer.state == Settled(config.payload)
-    assert world.ledger.get_balance(address_for(harness.SELLER_ID)) == 100
+    assert world.ledger.get_balance(harness.SELLER_ID) == 100
     # The seller is overpaid, not harmed: the one violation is the split.
     violations = dict(fairness_violations(world))
     assert violations == {"notary-split": "notary_paid=False but seller_paid=True"}
@@ -566,11 +581,11 @@ def test_fee_skimming_claim_is_an_honest_seller_loss():
     chain = world.ledger
     lock = NotaryHashLock(h2=world.seller.package.certificate.h2.digest, fee=99)
     cid = chain.publish_contract(
-        harness.BUYER_ADDR, address_for(harness.SELLER_ID), 100, lock, deadline=100
+        harness.BUYER_ID, harness.SELLER_ID, 100, lock, deadline=100
     )
     chain.claim(cid, PreimageWithNotary(world.seller.package.key, harness.NOTARY_ID))
-    assert chain.get_balance(address_for(harness.SELLER_ID)) == 1
-    assert chain.get_balance(harness.NOTARY_ADDR) == 99
+    assert chain.get_balance(harness.SELLER_ID) == 1
+    assert chain.get_balance(harness.NOTARY_ID) == 99
     violations = dict(fairness_violations(world))
     assert violations["honest-seller-no-loss"] == (
         f"seller claimed contract {cid} crediting it 1 != 90"
@@ -629,8 +644,8 @@ def _grid_configs():
 
 
 _SESSION_CONSTANTS = {
-    BuyerSession: {"terms", "address", "seller", "trusted_notaries", "policy", "blind"},
-    SellerSession: {"package", "terms", "address", "policy"},
+    BuyerSession: {"terms", "party_id", "seller", "trusted_notaries", "policy", "blind"},
+    SellerSession: {"package", "terms", "party_id", "policy"},
 }
 
 
@@ -990,9 +1005,10 @@ def _explored_terminals(config, monkeypatch):
 
 
 def variants_explore_alike(monkeypatch) -> int:
-    """The variant picks the commitment, the lock and the witness, not the
-    message flow: in every cell of seller policy x buyer policy x balance
-    150 or 40, v1, v2 and v3 reach the same terminals. Returns the cells."""
+    """The variant and the group pick the commitment, the lock and the
+    witness, not the message flow: in every cell of seller policy x buyer
+    policy x balance 150 or 40, v1, v2, v3 and v3 on `modp2048` reach the
+    same terminals. Returns the cells."""
     cells = list(itertools.product(SellerPolicy, BuyerPolicy, (150, 40)))
     for seller_policy, buyer_policy, balance in cells:
         reached = [
@@ -1001,16 +1017,19 @@ def variants_explore_alike(monkeypatch) -> int:
                     variant,
                     price=100,
                     buyer_balance=balance,
+                    group_name=group_name,
                     seller_policy=seller_policy,
                     buyer_policy=buyer_policy,
                     seed=7,
                 ),
                 monkeypatch,
             )
-            for variant in ("v1", "v2", "v3")
+            for variant, group_name in (
+                ("v1", "test"), ("v2", "test"), ("v3", "test"), ("v3", "modp2048")
+            )
         ]
         cell = f"{seller_policy.value} x {buyer_policy.value} at balance {balance}"
-        assert reached[0] == reached[1] == reached[2], cell
+        assert reached[0] == reached[1] == reached[2] == reached[3], cell
     return len(cells)
 
 

@@ -34,15 +34,14 @@ from sedg.ledger import (
     Refunded,
     TimeAdvanced,
     UnknownContract,
-    address_for,
     event_from_json,
     event_to_json,
     replay,
 )
 
-A = address_for(b"payer")
-B = address_for(b"payee")
-N = address_for(b"notary-1")
+A = b"payer"
+B = b"payee"
+N = b"notary-1"
 
 KEY = random.Random(0).randbytes(32)
 
@@ -63,7 +62,7 @@ def test_fund_basics():
 
 
 def test_get_balance_unknown_address_is_zero():
-    assert Ledger().get_balance(address_for(b"nobody")) == 0
+    assert Ledger().get_balance(b"nobody") == 0
 
 
 def test_publish_moves_funds_into_escrow():
@@ -178,7 +177,7 @@ def test_notary_split_pays_the_fee_to_the_notary_the_witness_names():
     chain.fund(A, 100)
     cid = chain.publish_contract(A, B, 100, condition, deadline=100)
     event = chain.claim(cid, PreimageWithNotary(KEY, b"notary-2"))
-    notary_2 = address_for(b"notary-2")
+    notary_2 = b"notary-2"
     assert [(p.to, p.amount) for p in event.payouts] == [(B, 93), (notary_2, 7)]
     assert chain.get_balance(notary_2) == 7
     assert chain.get_balance(N) == 0
@@ -339,7 +338,7 @@ def run_random_ops(seed: int, ops: int = 20) -> None:
     """
     rng = random.Random(seed)
     chain = Ledger()
-    accounts = [address_for(b"acct-%d" % i) for i in range(4)]
+    accounts = [b"acct-%d" % i for i in range(4)]
     funded = 0
 
     for _ in range(ops):

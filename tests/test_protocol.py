@@ -34,7 +34,6 @@ from sedg.ledger import (
     NotaryHashLock,
     Preimage,
     PreimageWithNotary,
-    address_for,
 )
 from sedg.protocol import (
     Abort,
@@ -65,8 +64,7 @@ NOTARY_KEYS = signing_keys(1)
 NOTARY = b"notary-1"
 SELLER = b"seller-1"
 REGISTRY = {NOTARY: NOTARY_KEYS.public}
-SELLER_ADDR = address_for(SELLER)
-BUYER_ADDR = address_for(b"buyer-1")
+BUYER = b"buyer-1"
 PAYLOAD = b"the goods"
 PRICE = 60
 
@@ -105,12 +103,12 @@ def make_buyer(
     if variant is Variant.V3:
         blind = Scalar(r, group) if r is not None else crypto.draw_scalar(random.Random(4), group)
     terms = make_terms(variant, price=price, fee=fee, group=group)
-    return BuyerSession(terms, BUYER_ADDR, SELLER, REGISTRY, policy, blind)
+    return BuyerSession(terms, BUYER, SELLER, REGISTRY, policy, blind)
 
 
 def funded_chain(balance=200):
     chain = Ledger()
-    chain.fund(BUYER_ADDR, balance)
+    chain.fund(BUYER, balance)
     return chain
 
 
@@ -130,8 +128,8 @@ def test_honest_offer_passes_buyer_verification():
     assert contract.condition == HashLock(h2=offer.certificate.h2.digest)
     assert contract.amount == PRICE
     assert contract.deadline == 100
-    assert contract.payee == SELLER_ADDR
-    assert contract.payer == BUYER_ADDR
+    assert contract.payee == SELLER
+    assert contract.payer == BUYER
 
 
 def test_corrupt_ciphertext_offer_aborts_with_mismatch():
@@ -202,13 +200,13 @@ def test_seller_is_paid_into_the_account_of_the_id_its_certificate_names():
     package = notarize(NOTARY_KEYS, NOTARY, PAYLOAD, b"other", Variant.V1, random.Random(2))
     terms = make_terms(Variant.V1)
     seller = SellerSession(package, terms, SellerPolicy.HONEST)
-    buyer = BuyerSession(terms, BUYER_ADDR, b"other", REGISTRY, BuyerPolicy.HONEST, None)
+    buyer = BuyerSession(terms, BUYER, b"other", REGISTRY, BuyerPolicy.HONEST, None)
     chain = funded_chain()
     (ref,) = buyer.on_offer(seller.start(), chain)
     seller.on_message(ref, chain)
     assert seller.state == Paid()
-    assert chain.get_balance(address_for(b"other")) == PRICE
-    assert chain.get_balance(SELLER_ADDR) == 0
+    assert chain.get_balance(b"other") == PRICE
+    assert chain.get_balance(SELLER) == 0
 
 
 def test_seller_witness_follows_its_certificate_not_its_terms():
@@ -315,7 +313,7 @@ def test_underfunded_buyer_aborts_without_a_contract(variant):
     abort = Abort(AbortReason.INSUFFICIENT_FUNDS)
     # The blind travels only with a contract reference, so none leaves here.
     assert replies == [abort]
-    assert chain.get_balance(BUYER_ADDR) == PRICE - 1
+    assert chain.get_balance(BUYER) == PRICE - 1
     assert not [e for e in chain.read_events(0) if type(e) is ContractPublished]
     assert buyer.state == Aborted(AbortReason.INSUFFICIENT_FUNDS)
 
@@ -365,9 +363,9 @@ def test_underpriced_policy_halves_the_amount():
 # Witness construction
 # ---------------------------------------------------------------------------
 
-def _open_contract(condition, amount=PRICE, payee=SELLER_ADDR, deadline=100):
+def _open_contract(condition, amount=PRICE, payee=SELLER, deadline=100):
     chain = funded_chain()
-    cid = chain.publish_contract(BUYER_ADDR, payee, amount, condition, deadline)
+    cid = chain.publish_contract(BUYER, payee, amount, condition, deadline)
     return chain, chain.get_contract(cid)
 
 
@@ -411,7 +409,7 @@ def test_build_witness_rejects_underpayment():
 def test_build_witness_rejects_wrong_payee():
     seller = make_seller(Variant.V1)
     h2 = seller.package.certificate.h2.digest
-    chain, contract = _open_contract(HashLock(h2), payee=address_for(b"mallory"))
+    chain, contract = _open_contract(HashLock(h2), payee=b"mallory")
     with pytest.raises(ContractMismatch):
         seller.build_witness(chain, contract.id)
 
@@ -491,7 +489,7 @@ def test_a_repeated_reference_after_a_rejected_claim_claims_no_more(variant):
     seller = make_seller(variant, SellerPolicy.CLAIM_WRONG_WITNESS)
     buyer = make_buyer(variant)
     chain = CountingLedger()
-    chain.fund(BUYER_ADDR, 200)
+    chain.fund(BUYER, 200)
     (ref,) = buyer.on_offer(seller.start(), chain)
     seller.on_message(ref, chain)
     assert chain.calls["claim"] == 1
@@ -508,9 +506,9 @@ def test_a_reference_after_a_decline_is_still_acted_on():
     seller = make_seller(Variant.V1)
     lock = HashLock(seller.package.certificate.h2.digest)
     chain = CountingLedger()
-    chain.fund(BUYER_ADDR, 200)
-    underpaid = chain.publish_contract(BUYER_ADDR, SELLER_ADDR, PRICE - 1, lock, 100)
-    fair = chain.publish_contract(BUYER_ADDR, SELLER_ADDR, PRICE, lock, 100)
+    chain.fund(BUYER, 200)
+    underpaid = chain.publish_contract(BUYER, SELLER, PRICE - 1, lock, 100)
+    fair = chain.publish_contract(BUYER, SELLER, PRICE, lock, 100)
     declined = Waiting("declined: contract does not pay the agreed split")
     for _ in range(2):
         seller.on_message(ContractRef(underpaid, None), chain)
@@ -627,19 +625,19 @@ def test_on_timer_boundaries():
         buyer.on_timer(chain)
         assert chain.snapshot() == before
         assert buyer.state == Published(offer, cid)
-        assert chain.get_balance(BUYER_ADDR) == 200 - PRICE
+        assert chain.get_balance(BUYER) == 200 - PRICE
     chain.advance_time(1)
     buyer.on_timer(chain)
     assert buyer.state == Reimbursed()
     assert chain.get_contract(cid).state is ContractState.REFUNDED
-    assert chain.get_balance(BUYER_ADDR) == 200
+    assert chain.get_balance(BUYER) == 200
 
 
 def test_on_timer_after_a_refund_asks_for_no_second_refund():
     seller = make_seller(Variant.V1)
     buyer = make_buyer(Variant.V1)
     chain = CountingLedger()
-    chain.fund(BUYER_ADDR, 200)
+    chain.fund(BUYER, 200)
     buyer.on_offer(seller.start(), chain)
     chain.advance_time(101)
     buyer.on_timer(chain)
@@ -687,7 +685,7 @@ def _decrypt_failure(chain):
     )
     seller = SellerSession(package, make_terms(Variant.V1), SellerPolicy.HONEST)
     buyer = make_buyer(Variant.V1)
-    chain.fund(BUYER_ADDR, 200)
+    chain.fund(BUYER, 200)
     replies = buyer.on_offer(seller.start(), chain)
     assert replies == [ContractRef(1, None)]  # the certificate itself verifies
     assert seller.on_message(replies[0], chain) == []

@@ -277,7 +277,7 @@ def test_full_dlog_exchange_over_the_in_process_net():
     # message encoded, framed and delivered by the net; no harness involved.
     from sedg.cert import Variant, notarize
     from sedg.crypto import TEST_GROUP, draw_scalar
-    from sedg.ledger import Ledger, address_for
+    from sedg.ledger import Ledger
     from sedg.protocol import (
         BuyerPolicy,
         BuyerSession,
@@ -302,13 +302,13 @@ def test_full_dlog_exchange_over_the_in_process_net():
         group=TEST_GROUP,
     )
     chain = Ledger()
-    seller_addr, buyer_addr = address_for(b"s"), address_for(b"b")
-    chain.fund(buyer_addr, 100)
+    buyer_id = b"b"
+    chain.fund(buyer_id, 100)
     terms = Terms(Variant.V3, price=60, notary_fee=0, deadline_offset=100, group=TEST_GROUP)
     seller = SellerSession(package, terms, SellerPolicy.HONEST)
     buyer = BuyerSession(
         terms,
-        buyer_addr,
+        buyer_id,
         seller_id,
         {b"n": notary_keys.public},
         BuyerPolicy.HONEST,
@@ -330,4 +330,4 @@ def test_full_dlog_exchange_over_the_in_process_net():
     event = chain.read_events(0)[-1]
 
     assert buyer.on_claim(event) == payload
-    assert chain.get_balance(seller_addr) == 60
+    assert chain.get_balance(seller_id) == 60
