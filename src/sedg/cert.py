@@ -138,23 +138,18 @@ def notarize(
     """Full setup phase: encrypt the payload under a fresh key, commit, sign.
 
     The caller bounds the payload (`harness.make_config` does). For the
-    dlog variant the key is resampled until its derived exponent is nonzero,
-    and the payload is encrypted under a key derived from that exponent (the
-    buyer only ever learns the exponent).
+    dlog variant the payload is encrypted under a key derived from the
+    exponent k = `scalar_from_key(key)`, which is all the buyer ever learns.
     """
     h2: Commitment2
+    key = rng.randbytes(crypto.KEY_LEN)
     if variant is Variant.V3:
         if group is None:
             raise ValueError("the dlog variant requires group parameters")
-        while True:
-            key = rng.randbytes(crypto.KEY_LEN)
-            exponent = crypto.scalar_from_key(key, group)
-            if exponent is not None:
-                break
+        exponent = crypto.scalar_from_key(key, group)
         enc_key = crypto.symmetric_key_for_scalar(exponent)
         h2 = GroupPower(crypto.power_of_g(exponent))
     else:
-        key = rng.randbytes(crypto.KEY_LEN)
         enc_key = key
         if variant is Variant.V1:
             h2 = HashOfKey(crypto.sha256(key))

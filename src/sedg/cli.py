@@ -6,8 +6,8 @@
     sedg demo --protocol v1|v2|v3
 
 Exit codes: 0 success / no violations, 1 violations found, 2 config error
-or other bad input (an unusable schedule, an unwritable --out) or a stdout
-that its reader closed early.
+or other bad input (an unusable schedule, a --depth below 1, an unwritable
+--out) or a stdout that its reader closed early.
 """
 from __future__ import annotations
 
@@ -26,6 +26,17 @@ def _schedule(text: str) -> tuple[int, ...]:
         return tuple(int(part) for part in text.split(",")) if text else ()
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated index list: {text!r}")
+
+
+def _depth(text: str) -> int:
+    """Parse a depth bound, which allows at least one choice."""
+    try:
+        depth = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if depth < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {depth}")
+    return depth
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -49,7 +60,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     explore = sub.add_parser("explore", help="exhaustively explore schedules")
     explore.add_argument("--config", required=True, help="path to a scenario JSON file")
-    explore.add_argument("--depth", type=int, default=harness.DEPTH, help="scheduling-choice bound")
+    explore.add_argument(
+        "--depth", type=_depth, default=harness.DEPTH, help="scheduling-choice bound, at least 1"
+    )
     explore.add_argument("--json", action="store_true", help="print one JSON object")
 
     demo = sub.add_parser("demo", help="narrated happy-path walkthrough")

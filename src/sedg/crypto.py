@@ -12,7 +12,8 @@ binding rejects a cipher key that is not 32 bytes with a `ValueError`;
 `scalar_from_key`, which hands its key to no cipher, checks its own.
 
 A group element is a signed quadratic residue, an integer in [1, q], so
-membership is a range check (see `GroupParams`).
+membership is a range check (see `GroupParams`). An integer becomes a
+scalar one way, `scalar_from_int`, which never yields zero: no draw retries.
 
 Elements and scalars carry their group, so arithmetic takes it from its
 operands: `power_of_g(x)` is g^x in x's group, and `element_pow(base, x)`,
@@ -96,8 +97,8 @@ def canonical_encode(parts: Sequence[bytes]) -> bytes:
 class Ciphertext:
     """AEAD output: 12-byte nonce plus body (payload and a 16-byte tag).
 
-    The nonce travels with the body so a single hash over ``encoded()``
-    commits to everything a holder of the key needs to decrypt.
+    The nonce travels with the body so the one hash `digest` takes over
+    both commits to everything a holder of the key needs to decrypt.
     """
 
     nonce: bytes
@@ -109,11 +110,8 @@ class Ciphertext:
         if len(self.body) < TAG_LEN:
             raise ValueError("ciphertext body shorter than the authentication tag")
 
-    def encoded(self) -> bytes:
-        return self.nonce + self.body
-
     def digest(self) -> bytes:
-        """`sha256(self.encoded())`, hashed in place: the nonce, then the body."""
+        """SHA-256 of the nonce followed by the body, hashed in place."""
         h = _SHA256.copy()
         h.update(self.nonce)
         h.update(self.body)
@@ -381,17 +379,16 @@ def _same_group(a: GroupElement | Scalar, b: GroupElement | Scalar) -> None:
         raise DomainError("operands belong to different groups")
 
 
-def scalar_from_key(key: bytes, params: GroupParams) -> Scalar | None:
-    """The key's 32 bytes as a big-endian integer reduced mod q.
+def scalar_from_int(n: int, params: GroupParams) -> Scalar:
+    """The scalar n mod (q-1) + 1 (FIPS 186-4, B.4.1), which is never zero."""
+    return Scalar(value=n % (params.q - 1) + 1, params=params)
 
-    Returns None when the reduction lands on zero; the caller resamples.
-    """
+
+def scalar_from_key(key: bytes, params: GroupParams) -> Scalar:
+    """The key's 32 bytes as a big-endian integer, mapped by `scalar_from_int`."""
     if len(key) != KEY_LEN:
         raise ValueError(f"key must be {KEY_LEN} bytes")
-    value = int.from_bytes(key, "big") % params.q
-    if value == 0:
-        return None
-    return Scalar(value=value, params=params)
+    return scalar_from_int(int.from_bytes(key, "big"), params)
 
 
 def symmetric_key_for_scalar(exponent: Scalar) -> bytes:
@@ -410,8 +407,7 @@ def scalar_draw_len(params: GroupParams) -> int:
 
 def draw_scalar(rng: random.Random, params: GroupParams) -> Scalar:
     """Near-uniform scalar in [1, q-1] from the supplied randomness source."""
-    raw = int.from_bytes(rng.randbytes(scalar_draw_len(params)), "big")
-    return Scalar(value=raw % (params.q - 1) + 1, params=params)
+    return scalar_from_int(int.from_bytes(rng.randbytes(scalar_draw_len(params)), "big"), params)
 
 
 # Tiny group for exhaustive tests: every exponent pair can be enumerated.

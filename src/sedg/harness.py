@@ -357,7 +357,6 @@ class World:
         self.pending_wakes: list[Claimed | None] = []
         self.trace: list[str] = []
         self.choices: list[int] = []
-        self._cursor = len(self.ledger.read_events(0))
         self._action_cache: list[tuple[str, Callable[[], None]]] | None = None
 
         offer = protocol.message_to_obj(self.seller.start())
@@ -376,10 +375,11 @@ class World:
             )
         label, action = actions[index]
         self._action_cache = None
+        seen = self.ledger.event_count
         action()
         self.trace.append(label)
         self.choices.append(index)
-        self._scan_chain()
+        self._scan_chain(seen)
 
     def checkpoint(self) -> tuple:
         """Capture everything a step can change, layer by layer."""
@@ -390,12 +390,11 @@ class World:
             self.buyer.state,
             list(self.pending_wakes),
             len(self.trace),
-            self._cursor,
         )
 
     def restore(self, saved: tuple) -> None:
         """Return to a checkpoint; one checkpoint can be restored many times."""
-        chain, net, self.seller.state, self.buyer.state, wakes, trace_len, self._cursor = saved
+        chain, net, self.seller.state, self.buyer.state, wakes, trace_len = saved
         self.ledger.restore(chain)
         self.net.restore(net)
         self.pending_wakes = list(wakes)
@@ -448,10 +447,9 @@ class World:
         self.ledger.advance_time(target - tick)
         self.pending_wakes.append(None)
 
-    def _scan_chain(self) -> None:
-        events = self.ledger.read_events(self._cursor)
-        self._cursor += len(events)
-        for event in events:
+    def _scan_chain(self, seen: int) -> None:
+        """Queue a buyer wake for each claim on its contracts past the first `seen` events."""
+        for event in self.ledger.read_events(seen):
             if type(event) is Claimed:
                 if self.ledger.get_contract(event.contract_id).payer == self.buyer.party_id:
                     self.pending_wakes.append(event)

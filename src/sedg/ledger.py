@@ -227,6 +227,11 @@ class Ledger:
     def current_tick(self) -> int:
         return self._tick
 
+    @property
+    def event_count(self) -> int:
+        """The log's length, the seq of the next event; costs no `read_events` copy."""
+        return len(self._events)
+
     def get_balance(self, account: bytes) -> int:
         return self._balances.get(account, 0)
 
@@ -426,7 +431,7 @@ def replay(lines: Iterable[str]) -> Ledger:
             event = event_from_json(logged)
         except (ValueError, RecursionError) as exc:
             raise LedgerError(f"log line {number} cannot be decoded: {exc}") from exc
-        before = len(ledger._events)
+        before = ledger.event_count
         kind = type(event)
         try:
             if kind is Funded:

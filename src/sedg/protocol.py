@@ -499,7 +499,7 @@ class SellerSession:
         honest = self._honest_witness(blind)
         x = honest.x
         if isinstance(x, Scalar):
-            return replace(honest, x=Scalar(x.value % (x.params.q - 1) + 1, x.params))
+            return replace(honest, x=crypto.scalar_from_int(x.value, x.params))
         return replace(honest, x=_flip(x))
 
 

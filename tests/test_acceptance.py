@@ -138,7 +138,10 @@ def test_acceptance_3_exhaustive_blinding_algebra():
 # ---------------------------------------------------------------------------
 
 def _forced_dlog_exchange(k: int, r: int):
-    """Full seller/buyer exchange on the tiny group with forced k and r."""
+    """Full seller/buyer exchange on the tiny group with forced k and r.
+
+    The notary's exponent is its key mod (q-1) + 1, so key k-1 forces k.
+    """
     notary_keys = signing_keys(0)
     notary_id = b"n"
     seller_id = b"s"
@@ -149,7 +152,7 @@ def _forced_dlog_exchange(k: int, r: int):
         payload,
         seller_id,
         Variant.V3,
-        ScriptedRng([k.to_bytes(32, "big"), bytes(12)]),
+        ScriptedRng([(k - 1).to_bytes(32, "big"), bytes(12)]),
         group=TEST_GROUP,
     )
     chain = Ledger()

@@ -53,7 +53,7 @@ def _notarize(notary, seller, variant, rng=None, payload=b"hello", group=None):
 def test_notarize_v1_postconditions(notary, seller):
     package = _notarize(notary, seller, Variant.V1)
     cert = package.certificate
-    assert crypto.sha256(package.ciphertext.encoded()) == cert.h1
+    assert crypto.sha256(package.ciphertext.nonce + package.ciphertext.body) == cert.h1
     assert isinstance(cert.h2, HashOfKey)
     assert cert.h2.digest == crypto.sha256(package.key)
     assert crypto.decrypt(package.key, package.ciphertext) == b"hello"
@@ -91,26 +91,31 @@ def test_v2_commitments_separate_across_notaries(seller):
 
 
 def test_notarize_v3_forced_scalar(notary, seller):
-    # Forcing k = 3 via the rng: h2 must be g^3 = 8 in the test group.
-    forced = ScriptedRng([(3).to_bytes(32, "big"), bytes(12)])
+    # Forcing k = 3 via the rng (key 2, as k = key mod 10 + 1): h2 must be
+    # g^3 = 8 in the test group.
+    forced = ScriptedRng([(2).to_bytes(32, "big"), bytes(12)])
     package = _notarize(notary, seller, Variant.V3, rng=forced)
     cert = package.certificate
     assert isinstance(cert.h2, GroupPower)
     assert cert.h2.element.value == 8
     assert cert.group == TEST_GROUP
     assert TEST_GROUP.contains(cert.h2.element.value)
-    assert crypto.sha256(package.ciphertext.encoded()) == cert.h1
+    assert crypto.sha256(package.ciphertext.nonce + package.ciphertext.body) == cert.h1
     exponent = crypto.scalar_from_key(package.key, TEST_GROUP)
     assert DlogLock(cert.h2.element).opens(Exponent(exponent))
 
 
-def test_notarize_v3_resamples_zero_scalar(notary, seller):
-    # First key reduces to 0 mod 11 and must be discarded.
-    zero_key = (22).to_bytes(32, "big")
-    good_key = (3).to_bytes(32, "big")
-    forced = ScriptedRng([zero_key, good_key, bytes(12)])
+def test_notarize_v3_draws_its_key_once(notary, seller):
+    # 22 = 0 mod 11, yet the key stands: k = 22 mod 10 + 1 = 3, and the
+    # notary draws the key and the nonce, nothing more.
+    key = (22).to_bytes(32, "big")
+    forced = ScriptedRng([key, bytes(12)])
     package = _notarize(notary, seller, Variant.V3, rng=forced)
-    assert package.key == good_key
+    assert package.key == key
+    assert package.ciphertext.nonce == bytes(12)
+    assert crypto.scalar_from_key(package.key, TEST_GROUP).value == 3
+    assert package.certificate.h2.element.value == 8  # g^3
+    assert forced.getstate() == random.Random(0).getstate()  # no fallback draw
 
 
 def test_notarize_v3_requires_a_group(notary, seller):

@@ -33,6 +33,7 @@ from sedg.crypto import (
     encrypt,
     power_of_g,
     scalar_draw_len,
+    scalar_from_int,
     scalar_from_key,
     scalar_inv,
     scalar_mul,
@@ -163,7 +164,7 @@ def test_tamper_rejection_sampled_bit_positions():
     message = random.Random(6).randbytes(256)
     ciphertext = encrypt(key, message, nonce)
     rng = random.Random(7)
-    encoded = ciphertext.encoded()
+    encoded = ciphertext.nonce + ciphertext.body
     for _ in range(120):
         bit = rng.randrange(len(encoded) * 8)
         mutated = bytearray(encoded)
@@ -177,13 +178,13 @@ def test_tamper_rejection_sampled_bit_positions():
 @given(st.binary(min_size=12, max_size=12), st.binary(min_size=16, max_size=2048))
 def test_ciphertext_digest_is_the_hash_of_its_encoding(nonce, body):
     ciphertext = Ciphertext(nonce=nonce, body=body)
-    assert ciphertext.digest() == crypto.sha256(ciphertext.encoded())
+    assert ciphertext.digest() == crypto.sha256(ciphertext.nonce + ciphertext.body)
 
 
 def test_ciphertext_digest_streams_a_bulk_body():
     body = random.Random(9).randbytes((1 << 16) + 1000)
     ciphertext = Ciphertext(nonce=bytes(range(12)), body=body)
-    assert ciphertext.digest() == crypto.sha256(ciphertext.encoded())
+    assert ciphertext.digest() == crypto.sha256(ciphertext.nonce + ciphertext.body)
 
 
 @settings(max_examples=50, deadline=None)
@@ -580,14 +581,27 @@ def _run_fresh(code):
 # Scalars from keys, KDF, scalar drawing
 # ---------------------------------------------------------------------------
 
+def test_scalar_from_int_on_the_test_group():
+    # q = 11: every integer lands in [1, 10], and none of them on zero.
+    for n in range(3 * TEST_GROUP.q + 1):
+        assert scalar_from_int(n, TEST_GROUP) == Scalar(n % 10 + 1, TEST_GROUP)
+
+
 def test_scalar_from_key_reduces_big_endian():
-    key = (25).to_bytes(32, "big")  # 25 mod 11 = 3
-    assert scalar_from_key(key, TEST_GROUP).value == 3
+    key = (25).to_bytes(32, "big")  # 25 mod 10 + 1 = 6
+    assert scalar_from_key(key, TEST_GROUP).value == 6
 
 
-def test_scalar_from_key_zero_is_resample_signal():
-    key = (22).to_bytes(32, "big")  # 22 mod 11 = 0
-    assert scalar_from_key(key, TEST_GROUP) is None
+def test_scalar_from_key_maps_a_zero_residue_to_a_scalar():
+    # 22 = 0 mod 11, yet the key maps onto [1, q-1] like any other.
+    key = (22).to_bytes(32, "big")  # 22 mod 10 + 1 = 3
+    assert scalar_from_key(key, TEST_GROUP) == Scalar(3, TEST_GROUP)
+
+
+def test_scalar_from_key_on_modp2048_is_the_key_plus_one():
+    # A 32-byte key is below 2^256 < q - 1, so the reduction leaves it alone.
+    for key, value in ((0, 1), (1, 2), (2**256 - 1, 2**256)):
+        assert scalar_from_key(key.to_bytes(32, "big"), MODP_2048).value == value
 
 
 def test_scalar_from_key_takes_only_a_32_byte_key():

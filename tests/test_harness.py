@@ -783,7 +783,6 @@ def _world_state(world):
         list(world.pending_wakes),
         list(world.trace),
         list(world.choices),
-        world._cursor,
     )
 
 
@@ -1374,7 +1373,7 @@ DEMO_OUTPUT = {
     "v3": (
         "== v3 exchange (blinded dlog lock) ==\n"
         "setup: notary encrypted 32 payload bytes and signed the commitments\n"
-        "setup: h1 = 8d2ad02af521f9d9…, h2 = g^k = 1993cb7f0649e49c…\n"
+        "setup: h1 = c69c36e0a5996936…, h2 = g^k = 664f2dfc19279272…\n"
         "setup: buyer funded with 100 tokens\n"
         "step: seller -> buyer: offer (signature, ciphertext, key commitment); "
         "buyer verifies and escrows the price\n"
@@ -1549,6 +1548,21 @@ def test_cli_malformed_schedule_is_a_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["run", "--config", path, "--schedule", "a,b"])
     assert exc.value.code == 2
+
+
+def test_cli_depth_below_one_is_a_usage_error(tmp_path, capsys):
+    # The parser refuses a bound that allows no choice before anything runs.
+    path = _write_config(tmp_path)
+    for depth in ("0", "-1", "x"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["explore", "--config", path, "--depth", depth])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --depth: " in err
+        assert "depth bound" not in err
+    # Depth 1 parses, and the run then needs more than one choice.
+    assert cli.main(["explore", "--config", path, "--depth", "1"]) == 2
+    assert capsys.readouterr().err == "error: a run exceeded the depth bound of 1\n"
 
 
 def test_cli_explore_json(tmp_path, capsys):

@@ -71,7 +71,8 @@ PRICE = 60
 
 def make_package(variant, *, k=None, payload=PAYLOAD):
     if k is not None:
-        rng = ScriptedRng([k.to_bytes(32, "big"), bytes(12)])
+        # The notary's exponent is its key mod (q-1) + 1, so key k-1 gives k.
+        rng = ScriptedRng([(k - 1).to_bytes(32, "big"), bytes(12)])
     else:
         rng = random.Random(2)
     group = TEST_GROUP if variant is Variant.V3 else None
@@ -145,7 +146,7 @@ def test_corrupt_ciphertext_offer_flips_byte_zero_only():
     # body instead of copying it.
     seller = make_seller(Variant.V1, SellerPolicy.SEND_CORRUPT_CIPHERTEXT)
     packaged = seller.package.ciphertext
-    before = packaged.encoded()
+    before = packaged.nonce + packaged.body
     sent = seller.start().ciphertext
     assert sent.body is packaged.body
     assert len(sent.nonce) == len(packaged.nonce)
@@ -153,7 +154,7 @@ def test_corrupt_ciphertext_offer_flips_byte_zero_only():
     assert sent.nonce[0] == packaged.nonce[0] ^ 0x01
     # The seller keeps the notarized ciphertext as it was.
     assert seller.package.ciphertext is packaged
-    assert packaged.encoded() == before
+    assert packaged.nonce + packaged.body == before
 
 
 def test_mismatched_h2_offer_aborts_with_bad_signature():
@@ -675,7 +676,7 @@ def _decrypt_failure(chain):
     rng = random.Random(9)
     committed, actual, nonce = rng.randbytes(32), rng.randbytes(32), rng.randbytes(12)
     ciphertext = crypto.encrypt(actual, PAYLOAD, nonce)
-    h1 = crypto.sha256(ciphertext.encoded())
+    h1 = crypto.sha256(ciphertext.nonce + ciphertext.body)
     h2 = HashOfKey(crypto.sha256(committed))
     sigma = crypto.sign(NOTARY_KEYS, signing_payload(h1, h2, SELLER))
     package = CertificatePackage(
@@ -1007,12 +1008,12 @@ def test_dumps_writes_bytes_as_lowercase_hex_and_nothing_else_new():
     [
         (
             make_seller(Variant.V3).start(),
-            '{"type":"offer","certificate":{"h1":"239d44c22ed77a4e5f83bd8491afdd2a99677509ec117'
-            'aa6e21c4bbd8bcc2ddd","h2":{"type":"group_power","element":{"group":"test","value"'
-            ':10}},"seller_id":"73656c6c65722d31","notary_id":"6e6f746172792d31","sigma":"336af'
-            'bbe1add1c40366985913e9dfe0144dec87f92c1cd1aa620131a758045a06957e8459ed6dcab2fe9ad6'
-            '1b68b2a1b005617f261629dbdac87cd16823b5307"},"ciphertext":{"nonce":"2441e3d5441049'
-            '2b788768bc","body":"33030be91f7a8f206a249d1f3944fa7dc23e19d503b93d7f7d"},"price":60}',
+            '{"type":"offer","certificate":{"h1":"5267b86902926225b9f98d542745aec9e7d96d029516b'
+            'ac5f3b806f09440d335","h2":{"type":"group_power","element":{"group":"test","value"'
+            ':2}},"seller_id":"73656c6c65722d31","notary_id":"6e6f746172792d31","sigma":"3ada47'
+            'b3318f6fb4330334bf82edff45400daba94013e10bbab5dd0b7c31bbfc68a071d4839503798c08a3a0'
+            '759cbec41638efe8b750de7423baca6e7a1edf0c"},"ciphertext":{"nonce":"2441e3d54410492'
+            'b788768bc","body":"89ca1ac6845245b1453f824b666c5a173ffe31ec8edef5fe02"},"price":60}',
         ),
         (ContractRef(3, None), '{"type":"contract_ref","contract_id":3,"r":null}'),
         (
