@@ -6,25 +6,28 @@ is fixed per process; each world still has its certificate notarized with
 that key, and its buyer verifies the certificate against its registry.
 The world holds its parties by id, each a role name, session and endpoint.
 It routes by id: a delivered message goes to the recipient's `on_message`,
-which picks its own handler and acts on the ledger, and each reply goes
-back to the sender. At most one message is in flight: the offer, then the
-buyer's one reply. The world owns what no party controls. Everything that
-can race is a scheduling option: message deliveries, the buyer's ledger
-wake-up, timer firings, and the placement of expiry itself, which stays
-open while some open contract's deadline has not passed on the chain's
-clock, and moves the clock just past the earliest such deadline. A pending
-wake is what the world found to wake the buyer: a claim event on a contract
-the buyer paid into (`notify:buyer`, for `on_claim`), or None
-(`timers`, which calls both parties' `on_timer`; the ledger decides whether
-the buyer's refund is due). The default schedule always picks the first
-option (FIFO delivery, expiry last); `drive` replays any other schedule
-given as option indices, and `World.step` raises ScheduleError for a choice
-that names no open option. The world records the path it took, each step's
-label in `trace` and its option index in `choices`, and `restore` cuts both
-back; `drive` and `explore` read that one record, and refuse a run past
-`DEPTH` choices, or past the depth `explore` is given. Of a session the
-world reads only its constants and its `state` record, which names the
-`status` the report prints.
+which picks its own handler, and each reply goes back to the sender. The
+world alone calls the ledger: it hands a session the facts it reads (the
+tick, and the contract a reference names), makes the chain requests the
+session returns, and hands each answer back in the same step. At most one
+message is in flight: the offer, then the buyer's one reply. The world
+owns what no party controls. Everything that can race is a scheduling
+option: message deliveries, the buyer's ledger wake-up, timer firings, and
+the placement of expiry itself, which stays open while some open
+contract's deadline has not passed on the chain's clock, and moves the
+clock just past the earliest such deadline. A pending wake is what the
+world found to wake the buyer: a claim event on a contract the buyer paid
+into (`notify:buyer`, for `on_claim`), or None (`timers`, which calls both
+parties' `on_timer`; the ledger decides whether the buyer's refund is due).
+The default schedule always picks the first option (FIFO delivery, expiry
+last); `drive` replays any other schedule given as option indices, and
+`World.step` raises ScheduleError for a choice that names no open option.
+The world records the path it took, each step's label in `trace` and its
+option index in `choices`, and `restore` cuts both back; `drive` and
+`explore` read that one record, and refuse a run past `DEPTH` choices, or
+past the depth `explore` is given. Of a session the world reads only its
+constants and its `state` record, which names the `status` the report
+prints.
 
 `explore` checks every ordering up to a depth bound and evaluates the
 fairness invariants at every terminal state, in one pass over the event
@@ -49,10 +52,14 @@ from . import cert, codec, crypto, protocol, transport
 from .cert import Variant, notarize
 from .crypto import GROUPS, SigningKeyPair
 from .ledger import (
+    Claim,
     Claimed,
     ContractPublished,
     Funded,
     Ledger,
+    LedgerError,
+    Publish,
+    Refund,
     Refunded,
     write_event_log,
 )
@@ -60,6 +67,9 @@ from .protocol import (
     Aborted,
     BuyerPolicy,
     BuyerSession,
+    ContractRef,
+    Output,
+    ProtocolMessage,
     ScenarioReport,
     SellerPolicy,
     SellerSession,
@@ -430,7 +440,11 @@ class World:
         envelope = self.net.deliver(index)
         party = self.parties[envelope.recipient]
         message = protocol.message_from_obj(party.endpoint.recv().body)
-        for reply in party.session.on_message(message, self.ledger):
+        contract = None
+        if type(message) is ContractRef:
+            contract = self.ledger.find_contract(message.contract_id)
+        outputs = party.session.on_message(message, self.ledger.current_tick, contract)
+        for reply in self._apply(party.session, outputs):
             party.endpoint.send(envelope.sender, protocol.message_to_obj(reply))
 
     def _fire_wake(self, index: int) -> None:
@@ -438,8 +452,42 @@ class World:
         if claim is not None:
             self.buyer.on_claim(claim)
         else:
-            self.buyer.on_timer(self.ledger)
+            self._apply(self.buyer, self.buyer.on_timer())
             self.seller.on_timer()
+
+    def _apply(
+        self, session: BuyerSession | SellerSession, outputs: list[Output]
+    ) -> list[ProtocolMessage]:
+        """Make the session's chain requests in order, handing each answer back.
+
+        The answer is the event the request appended, or the LedgerError the
+        chain refused it with; no other code catches a refusal. Returns the
+        messages to send: the session's own and those its answers produced.
+        """
+        messages: list[ProtocolMessage] = []
+        chain = self.ledger
+        for output in outputs:
+            kind = type(output)
+            if kind not in (Publish, Claim, Refund):
+                messages.append(output)
+                continue
+            seen = chain.event_count
+            try:
+                if kind is Publish:
+                    chain.publish_contract(
+                        output.payer, output.payee, output.amount, output.condition,
+                        output.deadline,
+                    )
+                elif kind is Claim:
+                    chain.claim(output.contract_id, output.witness)
+                else:
+                    chain.refund(output.contract_id, output.caller)
+            except LedgerError as exc:
+                answer = exc
+            else:
+                (answer,) = chain.read_events(seen)
+            messages += self._apply(session, session.on_answer(answer))
+        return messages
 
     def _expire(self) -> None:
         tick = self.ledger.current_tick

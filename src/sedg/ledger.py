@@ -7,9 +7,12 @@ witnesses. Time is a logical tick counter advanced explicitly. A dlog
 lock opens only to an exponent of its own group: a scalar of another group
 that happens to be congruent is a wrong witness.
 
-Every refusal is a `LedgerError` whose message names the rule it breaks.
-Only `UnknownContract` and `InsufficientFunds`, which a session catches,
-have a class of their own.
+Every refusal is a `LedgerError` whose message names the rule it breaks;
+none has a class of its own. Sessions never call the ledger: they return
+requests (`Publish`, `Claim`, `Refund`), each one operation's arguments,
+and the harness makes the call and hands back the event or the refusal.
+The claim rule is `claim_refusal`, a pure function of contract, witness
+and tick, so a seller judges a claim by the rule the chain applies.
 
 The log is written as JSON lines, one event per line, in the format `codec`
 derives from `LedgerEvent`: a union of one record per kind of event, each
@@ -29,21 +32,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import ClassVar, Iterable, Union
+from typing import Callable, ClassVar, Iterable, Union
 
 from . import codec, crypto
 from .crypto import GroupElement, GroupParams, Scalar
 
 
 class LedgerError(Exception):
-    pass
-
-
-class UnknownContract(LedgerError):
-    pass
-
-
-class InsufficientFunds(LedgerError):
     pass
 
 
@@ -193,6 +188,40 @@ class TimeAdvanced(_Event):
 LedgerEvent = Union[Funded, ContractPublished, Claimed, Refunded, TimeAdvanced]
 
 
+# ---------------------------------------------------------------------------
+# Requests: one operation and its arguments, as a party asks it of the chain
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Publish:
+    """`Ledger.publish_contract`'s arguments; answered with `ContractPublished`."""
+
+    payer: bytes
+    payee: bytes
+    amount: int
+    condition: Condition
+    deadline: int
+
+
+@dataclass(frozen=True)
+class Claim:
+    """`Ledger.claim`'s arguments; answered with `Claimed`."""
+
+    contract_id: int
+    witness: Witness
+
+
+@dataclass(frozen=True)
+class Refund:
+    """`Ledger.refund`'s arguments; answered with `Refunded`."""
+
+    contract_id: int
+    caller: bytes
+
+
+ChainRequest = Union[Publish, Claim, Refund]
+
+
 def claim_payouts(contract: EscrowContract, witness: Witness) -> tuple[Payout, ...]:
     """Who a claim on the contract with this witness credits, and how much.
 
@@ -207,6 +236,30 @@ def claim_payouts(contract: EscrowContract, witness: Witness) -> tuple[Payout, .
             Payout(to=witness.notary_id, amount=condition.fee),
         )
     return (Payout(to=contract.payee, amount=contract.amount),)
+
+
+def claim_refusal(
+    contract: EscrowContract,
+    witness: Witness,
+    tick: int,
+    holds: Callable[[Condition, Witness], bool] = lambda c, w: c.opens(w),
+) -> str | None:
+    """The claim rule: why a claim with `witness` on `contract` at `tick` fails,
+    or None if it settles.
+
+    `holds` tests the condition; `Ledger.check_claim` passes its own, the
+    seam a faulty chain overrides.
+    """
+    if contract.state is not ContractState.OPEN:
+        return f"contract {contract.id} is {contract.state.value}"
+    if tick > contract.deadline:
+        return f"tick {tick} past deadline {contract.deadline}"
+    condition = contract.condition
+    if type(witness) is not condition.witness_type:
+        return f"{type(witness).__name__} cannot open {type(condition).__name__}"
+    if not holds(condition, witness):
+        return "the witness does not satisfy the condition"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +288,13 @@ class Ledger:
     def get_balance(self, account: bytes) -> int:
         return self._balances.get(account, 0)
 
+    def find_contract(self, contract_id: int) -> EscrowContract | None:
+        return self._contracts.get(contract_id)
+
     def get_contract(self, contract_id: int) -> EscrowContract:
         contract = self._contracts.get(contract_id)
         if contract is None:
-            raise UnknownContract(f"no contract {contract_id}")
+            raise LedgerError(f"no contract {contract_id}")
         return contract
 
     def open_contracts(self) -> list[EscrowContract]:
@@ -271,7 +327,7 @@ class Ledger:
         if deadline <= self._tick:
             raise LedgerError(f"deadline {deadline} is not after tick {self._tick}")
         if self.get_balance(payer) < amount:
-            raise InsufficientFunds(f"balance {self.get_balance(payer)} < {amount}")
+            raise LedgerError(f"balance {self.get_balance(payer)} < {amount}")
 
         contract_id = len(self._contracts) + 1  # contracts are never removed
         self._balances[payer] -= amount
@@ -295,20 +351,11 @@ class Ledger:
         return contract_id
 
     def check_claim(self, contract_id: int, witness: Witness) -> EscrowContract:
-        """The claim rule: the contract `claim` would settle, or its LedgerError.
-
-        Changes nothing, so a seller can ask before it reveals its key.
-        """
+        """The contract `claim` would settle, or the LedgerError `claim_refusal` names."""
         contract = self.get_contract(contract_id)
-        self._ensure_open(contract)
-        if self._tick > contract.deadline:
-            raise LedgerError(f"tick {self._tick} past deadline {contract.deadline}")
-        if type(witness) is not contract.condition.witness_type:
-            raise LedgerError(
-                f"{type(witness).__name__} cannot open {type(contract.condition).__name__}"
-            )
-        if not self._condition_holds(contract.condition, witness):
-            raise LedgerError("the witness does not satisfy the condition")
+        refusal = claim_refusal(contract, witness, self._tick, self._condition_holds)
+        if refusal is not None:
+            raise LedgerError(refusal)
         return contract
 
     def claim(self, contract_id: int, witness: Witness) -> Claimed:
@@ -349,7 +396,9 @@ class Ledger:
         return self._tick
 
     # Seams kept narrow on purpose: test fixtures override these to model a
-    # faulty chain and prove the violation detector actually fires.
+    # faulty chain and prove the violation detector actually fires. A claim
+    # tests its condition through the first, and a refund its contract
+    # through the second.
     def _condition_holds(self, condition: Condition, witness: Witness) -> bool:
         return condition.opens(witness)
 

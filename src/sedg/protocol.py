@@ -1,21 +1,22 @@
 """Seller and buyer state machines for the transaction phase.
 
-Sessions act on the chain they are handed: each handler consumes one
-message or wake-up, performs its own ledger operations (the buyer publishes
-and refunds, the seller claims), and returns the messages to send. The
-buyer answers an offer with one message: its contract reference, which for
-v3 carries the blinding scalar, or its abort. So the seller claims on the
-one message it receives, from that reference alone, and never waits for a
-second or keeps the reference. Each session's `on_message` picks the
-handler for a peer's message and ignores a type it does not take. The
-harness owns what neither party controls: delivery order, wake-ups and
-expiry. It decides what woke the buyer:
-`on_claim` gets the claim event the harness found on the chain, and
-`on_timer` asks the ledger for a refund, which the ledger grants only past
-the deadline. So the same session code runs under the deterministic
-scenario runner and under exhaustive adversarial scheduling. The seller
-builds the witness its certificate names, as the buyer picks its lock from
-the offer's `h2`; from its terms the seller reads only price and fee.
+Sessions do no I/O. A handler takes one message or wake-up and the facts it
+reads, the tick and for the seller the contract a reference names, and
+returns the messages to send and its party's chain requests
+(`ledger.Publish`, `Claim`, `Refund`); the harness makes each and hands the
+answer, an event or a refusal, back through `on_answer`. The buyer answers
+an offer with one message: its contract reference, which for v3 carries the
+blinding scalar, or its abort. So the seller claims on the one message it
+receives, from that reference alone, and never waits for a second or keeps
+the reference. Each session's `on_message` picks the handler for a peer's
+message and ignores a type it does not take. The harness owns what neither
+party controls: delivery order, wake-ups and expiry. It decides what woke
+the buyer: `on_claim` gets the claim event the harness found on the chain,
+and `on_timer` asks for a refund, which the chain grants only past the
+deadline. So the same session code runs under the deterministic scenario
+runner and under exhaustive adversarial scheduling. The seller builds the
+witness its certificate names, as the buyer picks its lock from the offer's
+`h2`; from its terms the seller reads only price and fee.
 
 Deviation policies model the classic failure modes of an unprotected trade:
 a buyer who never pays or underpays, a seller who withholds the key, claims
@@ -28,8 +29,7 @@ the harness draws from the scenario seed. A party's account on the chain is
 its id, and the seller's is the one its certificate names. Besides those
 constants a session holds one `state`, a frozen record per state that holds
 only the fields valid in it and names the `status` a report prints. A handler
-replaces the record, and no session holds the chain, which every handler that
-touches it is handed, so a session's checkpoint is its state record.
+replaces the record, so a session's checkpoint is its state record.
 """
 from __future__ import annotations
 
@@ -53,8 +53,9 @@ from .ledger import (
     Claimed,
     Condition,
     DlogLock,
+    EscrowContract,
     HashLock,
-    Ledger,
+    LedgerEvent,
     NotaryHashLock,
     Witness,
 )
@@ -154,6 +155,10 @@ message_to_obj = codec.encoder(ProtocolMessage)
 message_from_obj = codec.decoder(ProtocolMessage)
 
 
+# What a handler returns: messages for the peer and requests for the chain.
+Output = Union[ProtocolMessage, ledger.ChainRequest]
+
+
 # ---------------------------------------------------------------------------
 # Buyer session
 # ---------------------------------------------------------------------------
@@ -166,6 +171,7 @@ class Init:
 @dataclass(frozen=True)
 class Verified:
     status: ClassVar[str] = "verified"
+    offer: Offer
 
 
 @dataclass(frozen=True)
@@ -229,12 +235,11 @@ class BuyerSession:
     def decrypt_failed(self) -> bool:
         return isinstance(self.state, DecryptFailed)
 
-    def on_offer(self, offer: Offer, chain: Ledger) -> list[ProtocolMessage]:
-        """Verify and, unless policy or verification says otherwise, escrow the price.
+    def on_offer(self, offer: Offer, tick: int) -> list[Output]:
+        """Verify and, unless policy or verification says otherwise, ask to escrow the price.
 
-        Returns the one reply: the contract reference, carrying the blind
-        for a dlog offer, or the abort. So the blind leaves the buyer only
-        with a contract on the chain.
+        Returns the abort, or the escrow's `Publish`, whose answer becomes
+        the one reply.
         """
         if not isinstance(self.state, Init):
             return []
@@ -253,7 +258,7 @@ class BuyerSession:
             return self._abort(rejection)
         if certificate.group not in (None, terms.group):
             return self._abort(AbortReason.GROUP_MISMATCH)
-        self.state = Verified()
+        self.state = Verified(offer)
 
         if self.policy is BuyerPolicy.NEVER_PUBLISH_CONTRACT:
             return []
@@ -271,23 +276,31 @@ class BuyerSession:
             condition = NotaryHashLock(h2=h2.digest, fee=terms.notary_fee)
         else:
             condition = DlogLock(c=crypto.element_pow(h2.element, self.blind))
+        deadline = tick + terms.deadline_offset
+        return [ledger.Publish(self.party_id, certificate.seller_id, amount, condition, deadline)]
 
-        try:
-            contract_id = chain.publish_contract(
-                payer=self.party_id,
-                payee=certificate.seller_id,
-                amount=amount,
-                condition=condition,
-                deadline=chain.current_tick + terms.deadline_offset,
-            )
-        except ledger.InsufficientFunds:
-            return self._abort(AbortReason.INSUFFICIENT_FUNDS)
-        self.state = Published(offer, contract_id)
-        return [ContractRef(contract_id, self.blind)]
-
-    def on_message(self, message: ProtocolMessage, chain: Ledger) -> list[ProtocolMessage]:
+    def on_message(
+        self, message: ProtocolMessage, tick: int, contract: EscrowContract | None = None
+    ) -> list[Output]:
         """Answer an offer; the buyer takes no other message."""
-        return self.on_offer(message, chain) if isinstance(message, Offer) else []
+        return self.on_offer(message, tick) if isinstance(message, Offer) else []
+
+    def on_answer(self, answer: LedgerEvent | Exception) -> list[Output]:
+        """Take the chain's answer to this buyer's request: an event or a refusal.
+
+        A published escrow is announced by the contract reference, so the v3
+        blind leaves the buyer only with a contract on the chain. A refused
+        one aborts: under terms `harness.make_config` accepts, only a short
+        balance refuses it.
+        """
+        if isinstance(self.state, Verified):
+            if not isinstance(answer, ledger.ContractPublished):
+                return self._abort(AbortReason.INSUFFICIENT_FUNDS)
+            self.state = Published(self.state.offer, answer.contract_id)
+            return [ContractRef(answer.contract_id, self.blind)]
+        if isinstance(self.state, Published) and isinstance(answer, ledger.Refunded):
+            self.state = Reimbursed()
+        return []
 
     def on_claim(self, event: Claimed) -> bytes | None:
         """Recover the key from the witness of the claim on this buyer's contract.
@@ -315,22 +328,17 @@ class BuyerSession:
         self.state = Settled(plaintext)
         return plaintext
 
-    def on_timer(self, chain: Ledger) -> None:
-        """Ask the chain for the escrow back while the contract is still published.
+    def on_timer(self) -> list[Output]:
+        """Ask for the escrow back while the contract is still published.
 
-        The ledger alone decides whether the refund is due: it refuses one
-        before the deadline or after a claim, and a refused refund changes
-        nothing.
+        The chain alone decides whether the refund is due: it refuses one
+        before the deadline or after a claim, and a refusal changes nothing.
         """
         if not isinstance(self.state, Published):
-            return
-        try:
-            chain.refund(self.state.contract_id, self.party_id)
-        except ledger.LedgerError:
-            return
-        self.state = Reimbursed()
+            return []
+        return [ledger.Refund(self.state.contract_id, self.party_id)]
 
-    def _abort(self, reason: AbortReason) -> list[ProtocolMessage]:
+    def _abort(self, reason: AbortReason) -> list[Output]:
         self.state = Aborted(reason)
         return [Abort(reason)]
 
@@ -366,10 +374,6 @@ class Expired:
     outcome: str
 
 
-class ContractMismatch(Exception):
-    """The published contract does not pay the agreed terms; decline to claim."""
-
-
 class SellerSession:
     """The selling side: make the offer, then claim by publishing the witness."""
 
@@ -401,84 +405,88 @@ class SellerSession:
             certificate = replace(certificate, h2=self._mismatched_h2())
         return Offer(certificate, ciphertext, self.terms.price)
 
-    def on_message(self, message: ProtocolMessage, chain: Ledger) -> list[ProtocolMessage]:
-        """Act on the buyer's contract reference or abort; the seller never replies."""
+    def on_message(
+        self, message: ProtocolMessage, tick: int, contract: EscrowContract | None = None
+    ) -> list[Output]:
+        """Act on the buyer's contract reference, given the contract it names,
+        or on its abort; the seller never replies."""
         if isinstance(message, ContractRef):
-            self.on_contract(message, chain)
-        elif isinstance(message, Abort) and isinstance(self.state, (Waiting, Refused)):
+            return self.on_contract(message, contract, tick)
+        if isinstance(message, Abort) and isinstance(self.state, (Waiting, Refused)):
             self.state = Expired(f"counterparty aborted: {message.reason.value}")
         return []
 
-    def on_contract(self, ref: ContractRef, chain: Ledger) -> None:
-        """Claim the referenced contract, deciding on the chain's state at delivery.
+    def on_contract(
+        self, ref: ContractRef, contract: EscrowContract | None, tick: int
+    ) -> list[Output]:
+        """Claim the referenced contract, deciding on its record at `tick`.
 
         Only a v3 witness uses the reference's blind; the seller keeps neither.
         """
-        try:
-            chain.get_contract(ref.contract_id)
-        except ledger.UnknownContract:
-            return
+        if contract is None:
+            return []
         if not isinstance(self.state, Waiting):
-            return
+            return []
         if self.policy is SellerPolicy.WITHHOLD_KEY:
             self.state = Waiting("withheld the key")
-            return
-        try:
-            if self.policy is SellerPolicy.CLAIM_WRONG_WITNESS:
-                witness = self._garbage_witness(ref.r)
-            else:
-                witness = self.build_witness(chain, ref.contract_id, ref.r)
-        except ContractMismatch as exc:
-            self.state = Waiting(f"declined: {exc}")
-            return
-        try:
-            chain.claim(ref.contract_id, witness)
-        except ledger.LedgerError as exc:
-            self.state = Refused(f"claim rejected: {exc}")
-            return
-        self.state = Paid()
+            return []
+        if self.policy is SellerPolicy.CLAIM_WRONG_WITNESS:
+            witness = self._garbage_witness(ref.r)
+        else:
+            witness = self.build_witness(contract, tick, ref.r)
+        if isinstance(witness, str):
+            self.state = Waiting(f"declined: {witness}")
+            return []
+        return [ledger.Claim(ref.contract_id, witness)]
+
+    def on_answer(self, answer: LedgerEvent | Exception) -> list[Output]:
+        """Take the chain's answer to this seller's one claim: paid, or refused for good."""
+        if not isinstance(self.state, Waiting):
+            return []
+        claimed = isinstance(answer, Claimed)
+        self.state = Paid() if claimed else Refused(f"claim rejected: {answer}")
+        return []
 
     def on_timer(self) -> None:
         if isinstance(self.state, (Waiting, Refused)):
             self.state = Expired(self.state.outcome or "deadline passed without settlement")
 
     def build_witness(
-        self, chain: Ledger, contract_id: int, blind: Scalar | None = None
-    ) -> Witness:
-        """The honest witness, once the chain shows a claim on the contract would pay.
+        self, contract: EscrowContract, tick: int, blind: Scalar | None = None
+    ) -> Witness | str:
+        """The honest witness, if a claim with it on `contract` at `tick` would pay.
 
-        Raises ContractMismatch unless a claim with the witness pays the agreed
-        split (for v2, the price less the fee, and the fee to the notary the
-        witness names) and `chain.check_claim` accepts the witness.
+        Otherwise the reason to decline: a claim with the witness must pay
+        the agreed split (for v2, the price less the fee, and the fee to the
+        notary the witness names), and `ledger.claim_refusal` must accept it.
         """
         witness = self._honest_witness(blind)
+        if isinstance(witness, str):
+            return witness
         agreed = (ledger.Payout(self.party_id, self.terms.price),)
         if self.package.certificate.variant is Variant.V2:
             agreed = (
                 ledger.Payout(self.party_id, self.terms.price - self.terms.notary_fee),
                 ledger.Payout(witness.notary_id, self.terms.notary_fee),
             )
-        try:
-            # Compared first, so a contract that underpays costs no exponentiation.
-            if ledger.claim_payouts(chain.get_contract(contract_id), witness) != agreed:
-                raise ContractMismatch("contract does not pay the agreed split")
-            chain.check_claim(contract_id, witness)
-        except ledger.LedgerError as exc:
-            raise ContractMismatch(str(exc)) from exc
-        return witness
+        # Compared first, so a contract that underpays costs no exponentiation.
+        if ledger.claim_payouts(contract, witness) != agreed:
+            return "contract does not pay the agreed split"
+        return ledger.claim_refusal(contract, witness, tick) or witness
 
-    def _honest_witness(self, blind: Scalar | None) -> Witness:
-        """The witness that opens the certificate's commitment (v3: blinded by `blind`)."""
+    def _honest_witness(self, blind: Scalar | None) -> Witness | str:
+        """The witness that opens the certificate's commitment (v3: blinded by
+        `blind`), or the reason no blind can be used."""
         certificate = self.package.certificate
         if certificate.variant is Variant.V1:
             return ledger.Preimage(self.package.key)
         if certificate.variant is Variant.V2:
             return ledger.PreimageWithNotary(self.package.key, certificate.notary_id)
         if blind is None:
-            raise ContractMismatch("the contract reference carries no blinding scalar")
+            return "the contract reference carries no blinding scalar"
         group = certificate.group
         if blind.params != group:
-            raise ContractMismatch("blinding scalar from a different group")
+            return "blinding scalar from a different group"
         exponent = crypto.scalar_from_key(self.package.key, group)
         # h2 = g^k and g has order q, so the buyer's h2^r is g^(k*r mod q) = g^x.
         return ledger.Exponent(crypto.scalar_mul(exponent, blind))
@@ -493,10 +501,12 @@ class SellerSession:
             return GroupPower(crypto.element_mul(h2.element, h2.element.params.generator))
         return replace(h2, digest=_flip(h2.digest))
 
-    def _garbage_witness(self, blind: Scalar | None) -> Witness:
+    def _garbage_witness(self, blind: Scalar | None) -> Witness | str:
         """The honest witness for `blind` with `x` edited: v1 and v2 flip one bit
         of the key, and v3 takes the next scalar in [1, q-1], wrapping q-1 to 1."""
         honest = self._honest_witness(blind)
+        if isinstance(honest, str):
+            return honest
         x = honest.x
         if isinstance(x, Scalar):
             return replace(honest, x=crypto.scalar_from_int(x.value, x.params))

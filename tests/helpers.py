@@ -6,7 +6,7 @@ from collections import Counter
 from dataclasses import replace
 
 from sedg.crypto import SEED_LEN, SigningKeyPair
-from sedg.ledger import Ledger, NotaryHashLock
+from sedg.ledger import Claim, Ledger, LedgerError, NotaryHashLock, Publish
 
 
 class ScriptedRng(random.Random):
@@ -68,7 +68,7 @@ class AcceptAnyWitnessLedger(Ledger):
 
 
 class DoubleSettleLedger(Ledger):
-    """Faulty chain that forgets a contract was already settled."""
+    """Faulty chain that refunds a contract already settled."""
 
     def _ensure_open(self, contract):
         pass
@@ -103,3 +103,30 @@ class CountingLedger(Ledger):
     def refund(self, contract_id, caller):
         self.calls["refund"] += 1
         return super().refund(contract_id, caller)
+
+
+def transition(session, state, handler: str, *args):
+    """One row of a session's table: put `session` in `state`, call `handler`
+    with `args`, and return (the state after, the outputs)."""
+    session.state = state
+    outputs = getattr(session, handler)(*args)
+    return session.state, outputs
+
+
+def answer(chain: Ledger, request):
+    """Make a session's chain request on `chain`, as the harness does, and
+    return its answer: the event it appended, or the LedgerError refusing it."""
+    seen = chain.event_count
+    try:
+        if isinstance(request, Publish):
+            chain.publish_contract(
+                request.payer, request.payee, request.amount, request.condition, request.deadline
+            )
+        elif isinstance(request, Claim):
+            chain.claim(request.contract_id, request.witness)
+        else:
+            chain.refund(request.contract_id, request.caller)
+    except LedgerError as exc:
+        return exc
+    (event,) = chain.read_events(seen)
+    return event

@@ -12,7 +12,7 @@ import time
 import pytest
 from hypothesis.stateful import run_state_machine_as_test
 
-from helpers import ScriptedRng, brute_force_inverse, signed, signing_keys, slow_pow
+from helpers import ScriptedRng, answer, brute_force_inverse, signed, signing_keys, slow_pow
 from sedg import crypto
 from sedg.cert import AbortReason, Variant, notarize, verify_certificate
 from sedg.crypto import TEST_GROUP, Scalar
@@ -168,10 +168,12 @@ def _forced_dlog_exchange(k: int, r: int):
         BuyerPolicy.HONEST,
         Scalar(r, TEST_GROUP),
     )
-    (ref,) = buyer.on_offer(seller.start(), chain)
+    (publish,) = buyer.on_offer(seller.start(), chain.current_tick)
+    (ref,) = buyer.on_answer(answer(chain, publish))
     assert ref.r.value == r
-    seller.on_contract(ref, chain)
-    event = chain.read_events(0)[-1]
+    (claim,) = seller.on_contract(ref, chain.find_contract(ref.contract_id), chain.current_tick)
+    event = answer(chain, claim)
+    assert seller.on_answer(event) == []
     assert buyer.on_claim(event) == payload
     return chain.get_contract(ref.contract_id).condition.c.value, event.witness.x.value
 

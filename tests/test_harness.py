@@ -163,13 +163,12 @@ def test_underfunded_buyer_aborts_without_losing_anything():
 
 def _buyer_sending_blind(monkeypatch, r):
     """Make every buyer's contract reference carry `r` in place of its own blind."""
-    on_offer = BuyerSession.on_offer
+    on_answer = BuyerSession.on_answer
 
-    def with_r(self, offer, chain):
-        (ref,) = on_offer(self, offer, chain)
-        return [dataclasses.replace(ref, r=r)]
+    def with_r(self, answer):
+        return [dataclasses.replace(ref, r=r) for ref in on_answer(self, answer)]
 
-    monkeypatch.setattr(BuyerSession, "on_offer", with_r)
+    monkeypatch.setattr(BuyerSession, "on_answer", with_r)
 
 
 @pytest.mark.parametrize(

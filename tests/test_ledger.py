@@ -24,7 +24,6 @@ from sedg.ledger import (
     ContractState,
     DlogLock,
     HashLock,
-    InsufficientFunds,
     Ledger,
     LedgerError,
     NotaryHashLock,
@@ -33,7 +32,6 @@ from sedg.ledger import (
     Exponent,
     Refunded,
     TimeAdvanced,
-    UnknownContract,
     event_from_json,
     event_to_json,
     replay,
@@ -79,7 +77,7 @@ def test_publish_insufficient_funds_is_a_no_op():
     chain = Ledger()
     chain.fund(A, 10)
     before = chain.snapshot()
-    with pytest.raises(InsufficientFunds, match=r"^balance 10 < 60$"):
+    with pytest.raises(LedgerError, match=r"^balance 10 < 60$"):
         chain.publish_contract(A, B, 60, _hash_lock(), deadline=100)
     assert chain.snapshot() == before
 
@@ -290,11 +288,11 @@ def test_refund_restores_payer_balance():
 
 def test_unknown_contract():
     chain = Ledger()
-    with pytest.raises(UnknownContract, match=r"^no contract 99$"):
+    with pytest.raises(LedgerError, match=r"^no contract 99$"):
         chain.claim(99, Preimage(KEY))
-    with pytest.raises(UnknownContract, match=r"^no contract 99$"):
+    with pytest.raises(LedgerError, match=r"^no contract 99$"):
         chain.refund(99, A)
-    with pytest.raises(UnknownContract, match=r"^no contract 99$"):
+    with pytest.raises(LedgerError, match=r"^no contract 99$"):
         chain.get_contract(99)
 
 

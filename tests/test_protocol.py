@@ -1,8 +1,20 @@
+"""Session tests, written as tables.
+
+Sessions do no I/O, so each row puts a session in a state, feeds it one
+input and the facts it reads (the tick, and for the seller the contract a
+reference names), and pins the state it ends in and its outputs: the
+messages it sends and the chain requests it makes. Where a row needs the
+chain's answer, `helpers.answer` makes the request on a ledger, as the
+harness does.
+"""
 from __future__ import annotations
 
+import ast
+import inspect
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -11,8 +23,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import CountingLedger, ScriptedRng, signing_keys
-from sedg import codec, crypto
+from helpers import ScriptedRng, answer, signing_keys, transition
+from sedg import codec, crypto, protocol
 from sedg.cert import (
     Certificate,
     CertificatePackage,
@@ -24,16 +36,22 @@ from sedg.cert import (
 )
 from sedg.crypto import MODP_2048, TEST_GROUP, Scalar
 from sedg.ledger import (
+    Claim,
     Claimed,
     ContractPublished,
     ContractState,
     DlogLock,
+    EscrowContract,
     Exponent,
     HashLock,
     Ledger,
+    LedgerError,
     NotaryHashLock,
     Preimage,
     PreimageWithNotary,
+    Publish,
+    Refund,
+    Refunded,
 )
 from sedg.protocol import (
     Abort,
@@ -41,7 +59,6 @@ from sedg.protocol import (
     AbortReason,
     BuyerPolicy,
     BuyerSession,
-    ContractMismatch,
     ContractRef,
     DecryptFailed,
     Expired,
@@ -113,6 +130,58 @@ def funded_chain(balance=200):
     return chain
 
 
+def published(request: Publish, contract_id: int = 1) -> ContractPublished:
+    """The chain's answer to `request`, had it published contract `contract_id`."""
+    return ContractPublished(
+        seq=1,
+        tick=0,
+        contract_id=contract_id,
+        amount=request.amount,
+        payer=request.payer,
+        payee=request.payee,
+        deadline=request.deadline,
+        condition=request.condition,
+    )
+
+
+def exchange(seller, buyer, chain):
+    """Play the offer, the escrow and the claim as the harness does, and
+    return the seller's claim request, or None if it made none."""
+    tick = chain.current_tick
+    for publish in buyer.on_offer(seller.start(), tick):
+        for ref in buyer.on_answer(answer(chain, publish)):
+            contract = chain.find_contract(ref.contract_id)
+            for claim in seller.on_message(ref, tick, contract):
+                assert seller.on_answer(answer(chain, claim)) == []
+                return claim
+    return None
+
+
+# ---------------------------------------------------------------------------
+# The sessions name no chain
+# ---------------------------------------------------------------------------
+
+def test_protocol_names_no_ledger_and_no_session_method_takes_a_chain():
+    tree = ast.parse(inspect.getsource(protocol))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert not names & {"Ledger", "LedgerError", "UnknownContract"}
+    for cls in (BuyerSession, SellerSession):
+        for name, method in vars(cls).items():
+            if name.startswith("_") or not callable(method):
+                continue
+            for param in inspect.signature(method).parameters.values():
+                words = re.findall(r"\w+", str(param.annotation))
+                assert param.name not in ("chain", "ledger"), f"{cls.__name__}.{name}"
+                assert "Ledger" not in words, f"{cls.__name__}.{name}"
+
+
 # ---------------------------------------------------------------------------
 # Offers
 # ---------------------------------------------------------------------------
@@ -122,21 +191,29 @@ def test_honest_offer_passes_buyer_verification():
     buyer = make_buyer(Variant.V1)
     offer = seller.start()
     assert seller.state == Waiting("")
-    chain = funded_chain()
-    assert buyer.on_offer(offer, chain) == [ContractRef(1, None)]
-    assert buyer.state == Published(offer, 1)
-    contract = chain.get_contract(1)
-    assert contract.condition == HashLock(h2=offer.certificate.h2.digest)
-    assert contract.amount == PRICE
-    assert contract.deadline == 100
-    assert contract.payee == SELLER
-    assert contract.payer == BUYER
+    lock = HashLock(h2=offer.certificate.h2.digest)
+    # The contract: the price, payable to the seller, locked until tick 100.
+    publish = Publish(payer=BUYER, payee=SELLER, amount=PRICE, condition=lock, deadline=100)
+    rows = [
+        (Init(), "on_offer", (offer, 0), Verified(offer), [publish]),
+        (Verified(offer), "on_answer", (published(publish),),
+         Published(offer, 1), [ContractRef(1, None)]),
+    ]
+    for state, handler, args, after, outputs in rows:
+        assert transition(buyer, state, handler, *args) == (after, outputs)
+
+
+def test_the_deadline_counts_from_the_tick_the_offer_arrives():
+    seller = make_seller(Variant.V1)
+    buyer = make_buyer(Variant.V1)
+    (publish,) = buyer.on_offer(seller.start(), 7)
+    assert publish.deadline == 107
 
 
 def test_corrupt_ciphertext_offer_aborts_with_mismatch():
     seller = make_seller(Variant.V1, SellerPolicy.SEND_CORRUPT_CIPHERTEXT)
     buyer = make_buyer(Variant.V1)
-    replies = buyer.on_offer(seller.start(), funded_chain())
+    replies = buyer.on_offer(seller.start(), 0)
     assert replies == [Abort(AbortReason.CIPHERTEXT_MISMATCH)]
     assert buyer.state == Aborted(AbortReason.CIPHERTEXT_MISMATCH)
 
@@ -171,7 +248,7 @@ def test_mismatched_h2_offer_aborts_with_bad_signature():
         assert received == offer
         assert offer.certificate.h2 != seller.package.certificate.h2
         assert seller.start() == offer
-        replies = buyer.on_offer(received, funded_chain())
+        replies = buyer.on_offer(received, 0)
         assert replies == [Abort(AbortReason.BAD_SIGNATURE)]
         assert buyer.state == Aborted(AbortReason.BAD_SIGNATURE)
 
@@ -186,14 +263,14 @@ def test_honest_v3_offer_carries_group_parameters():
 def test_price_mismatch_aborts():
     seller = make_seller(Variant.V1, price=PRICE + 1)
     buyer = make_buyer(Variant.V1)
-    buyer.on_offer(seller.start(), funded_chain())
+    buyer.on_offer(seller.start(), 0)
     assert buyer.state == Aborted(AbortReason.PRICE_MISMATCH)
 
 
 def test_variant_mismatch_aborts():
     seller = make_seller(Variant.V2)
     buyer = make_buyer(Variant.V1)
-    buyer.on_offer(seller.start(), funded_chain())
+    buyer.on_offer(seller.start(), 0)
     assert buyer.state == Aborted(AbortReason.VARIANT_MISMATCH)
 
 
@@ -203,8 +280,7 @@ def test_seller_is_paid_into_the_account_of_the_id_its_certificate_names():
     seller = SellerSession(package, terms, SellerPolicy.HONEST)
     buyer = BuyerSession(terms, BUYER, b"other", REGISTRY, BuyerPolicy.HONEST, None)
     chain = funded_chain()
-    (ref,) = buyer.on_offer(seller.start(), chain)
-    seller.on_message(ref, chain)
+    exchange(seller, buyer, chain)
     assert seller.state == Paid()
     assert chain.get_balance(b"other") == PRICE
     assert chain.get_balance(SELLER) == 0
@@ -221,7 +297,7 @@ def test_seller_witness_follows_its_certificate_not_its_terms():
     blind = Scalar(4, TEST_GROUP)
     c = crypto.element_pow(seller.package.certificate.h2.element, blind)
     chain, contract = _open_contract(DlogLock(c))
-    witness = seller.build_witness(chain, contract.id, blind)
+    witness = seller.build_witness(contract, chain.current_tick, blind)
     assert witness == Exponent(Scalar(1, TEST_GROUP))
     chain.claim(contract.id, witness)
 
@@ -236,7 +312,7 @@ def test_buyer_rejects_variant_downgrade():
         message_from_obj({**honest, "certificate": {**honest["certificate"], "variant": "v3"}})
     # What the commitment says is what a dlog buyer checks, and refuses.
     buyer = make_buyer(Variant.V3)
-    buyer.on_offer(message_from_obj(honest), funded_chain())
+    buyer.on_offer(message_from_obj(honest), 0)
     assert buyer.state == Aborted(AbortReason.VARIANT_MISMATCH)
 
 
@@ -259,7 +335,7 @@ def test_buyer_rejects_unexpected_group_parameters():
     # A validly signed offer over a group the buyer is not configured for.
     seller = make_modp2048_seller()
     buyer = make_buyer(Variant.V3)  # configured for the test group
-    buyer.on_offer(seller.start(), funded_chain())
+    buyer.on_offer(seller.start(), 0)
     assert buyer.state == Aborted(AbortReason.GROUP_MISMATCH)
 
 
@@ -297,12 +373,12 @@ REFUSED_OFFERS = [
 
 @pytest.mark.parametrize("reason, make_pair", REFUSED_OFFERS)
 def test_aborting_buyer_never_touches_the_chain(reason, make_pair):
+    # The abort is the one output: no request reaches the chain.
     seller, buyer = make_pair()
-    chain = funded_chain()
-    before = chain.snapshot()
-    assert buyer.on_offer(seller.start(), chain) == [Abort(reason)]
-    assert chain.snapshot() == before
-    assert buyer.state == Aborted(reason)
+    assert transition(buyer, Init(), "on_offer", seller.start(), 0) == (
+        Aborted(reason),
+        [Abort(reason)],
+    )
 
 
 @pytest.mark.parametrize("variant", [Variant.V1, Variant.V3], ids=["v1", "v3"])
@@ -310,59 +386,91 @@ def test_underfunded_buyer_aborts_without_a_contract(variant):
     seller = make_seller(variant)
     buyer = make_buyer(variant)
     chain = funded_chain(PRICE - 1)
-    replies = buyer.on_offer(seller.start(), chain)
+    offer = seller.start()
+    (publish,) = buyer.on_offer(offer, chain.current_tick)
+    refusal = answer(chain, publish)
+    assert isinstance(refusal, LedgerError)
     abort = Abort(AbortReason.INSUFFICIENT_FUNDS)
     # The blind travels only with a contract reference, so none leaves here.
-    assert replies == [abort]
+    assert transition(buyer, Verified(offer), "on_answer", refusal) == (
+        Aborted(AbortReason.INSUFFICIENT_FUNDS),
+        [abort],
+    )
     assert chain.get_balance(BUYER) == PRICE - 1
     assert not [e for e in chain.read_events(0) if type(e) is ContractPublished]
-    assert buyer.state == Aborted(AbortReason.INSUFFICIENT_FUNDS)
 
 
 def test_seller_declines_blind_from_wrong_group():
     seller = make_seller(Variant.V3, k=3)
     c = crypto.element_pow(seller.package.certificate.h2.element, Scalar(4, TEST_GROUP))
-    chain, contract = _open_contract(DlogLock(c))
-    with pytest.raises(ContractMismatch):
-        seller.build_witness(chain, contract.id, blind=Scalar(4, MODP_2048))
+    contract = _contract(DlogLock(c))
+    declined = seller.build_witness(contract, 0, blind=Scalar(4, MODP_2048))
+    assert declined == "blinding scalar from a different group"
 
 
 def test_v3_buyer_blinds_the_commitment():
     # h2 = g^3 = 8 and forced r = 4 gives c = 8^4 mod 23 = 2.
     seller = make_seller(Variant.V3, k=3)
     buyer = make_buyer(Variant.V3, r=4)
-    chain = funded_chain()
     offer = seller.start()
-    replies = buyer.on_offer(offer, chain)
-    assert replies == [ContractRef(1, Scalar(4, TEST_GROUP))]
+    (publish,) = buyer.on_offer(offer, 0)
     assert buyer.blind.value == 4
-    condition = chain.get_contract(1).condition
+    condition = publish.condition
     assert isinstance(condition, DlogLock)
     assert condition.c.value == 2
-    assert buyer.state == Published(offer, 1)
+    assert transition(buyer, Verified(offer), "on_answer", published(publish)) == (
+        Published(offer, 1),
+        [ContractRef(1, Scalar(4, TEST_GROUP))],
+    )
 
 
 def test_never_publish_policy_stops_after_verification():
     seller = make_seller(Variant.V1)
     buyer = make_buyer(Variant.V1, BuyerPolicy.NEVER_PUBLISH_CONTRACT)
-    chain = funded_chain()
-    before = chain.snapshot()
-    assert buyer.on_offer(seller.start(), chain) == []
-    assert chain.snapshot() == before
-    assert buyer.state == Verified()
+    offer = seller.start()
+    assert transition(buyer, Init(), "on_offer", offer, 0) == (Verified(offer), [])
 
 
 def test_underpriced_policy_halves_the_amount():
     seller = make_seller(Variant.V1)
     buyer = make_buyer(Variant.V1, BuyerPolicy.PUBLISH_UNDERPRICED_CONTRACT)
-    chain = funded_chain()
-    buyer.on_offer(seller.start(), chain)
-    assert chain.get_contract(buyer.state.contract_id).amount == PRICE // 2
+    (publish,) = buyer.on_offer(seller.start(), 0)
+    assert publish.amount == PRICE // 2
+
+
+def test_buyer_answers_by_its_state():
+    # Only a verified buyer waits for its escrow, and only a published one
+    # for its refund; a refused refund, or any other answer, changes nothing.
+    offer = make_seller(Variant.V1).start()
+    buyer = make_buyer(Variant.V1)
+    publish = Publish(BUYER, SELLER, PRICE, HashLock(offer.certificate.h2.digest), 100)
+    refunded = Refunded(seq=3, tick=101, contract_id=1)
+    refusal = LedgerError("tick 100 not past deadline 100")
+    short = LedgerError("balance 59 < 60")
+    rows = [
+        (Verified(offer), published(publish), Published(offer, 1), [ContractRef(1, None)]),
+        (Verified(offer), short, Aborted(AbortReason.INSUFFICIENT_FUNDS),
+         [Abort(AbortReason.INSUFFICIENT_FUNDS)]),
+        (Published(offer, 1), refunded, Reimbursed(), []),
+        (Published(offer, 1), refusal, Published(offer, 1), []),
+        (Published(offer, 1), published(publish), Published(offer, 1), []),
+        (Init(), published(publish), Init(), []),
+        (Reimbursed(), refunded, Reimbursed(), []),
+        (Settled(PAYLOAD), refunded, Settled(PAYLOAD), []),
+        (Aborted(AbortReason.PRICE_MISMATCH), refunded, Aborted(AbortReason.PRICE_MISMATCH), []),
+    ]
+    for state, given_answer, after, outputs in rows:
+        assert transition(buyer, state, "on_answer", given_answer) == (after, outputs), state
 
 
 # ---------------------------------------------------------------------------
 # Witness construction
 # ---------------------------------------------------------------------------
+
+def _contract(condition, amount=PRICE, payee=SELLER, deadline=100, cid=1):
+    """The chain's record of an open contract from the buyer."""
+    return EscrowContract(cid, BUYER, payee, amount, condition, deadline)
+
 
 def _open_contract(condition, amount=PRICE, payee=SELLER, deadline=100):
     chain = funded_chain()
@@ -374,7 +482,7 @@ def test_build_witness_v1():
     seller = make_seller(Variant.V1)
     h2 = seller.package.certificate.h2.digest
     chain, contract = _open_contract(HashLock(h2))
-    witness = seller.build_witness(chain, contract.id)
+    witness = seller.build_witness(contract, chain.current_tick)
     assert witness == Preimage(seller.package.key)
     assert crypto.sha256(witness.x) == h2
     chain.claim(contract.id, witness)
@@ -384,7 +492,7 @@ def test_build_witness_v2():
     seller = make_seller(Variant.V2)
     h2 = seller.package.certificate.h2.digest
     chain, contract = _open_contract(NotaryHashLock(h2=h2, fee=10))
-    witness = seller.build_witness(chain, contract.id)
+    witness = seller.build_witness(contract, chain.current_tick)
     assert witness == PreimageWithNotary(seller.package.key, NOTARY)
     chain.claim(contract.id, witness)
 
@@ -394,7 +502,7 @@ def test_build_witness_v3_forced_values():
     seller = make_seller(Variant.V3, k=3)
     c = crypto.element_pow(seller.package.certificate.h2.element, Scalar(4, TEST_GROUP))
     chain, contract = _open_contract(DlogLock(c))
-    witness = seller.build_witness(chain, contract.id, blind=Scalar(4, TEST_GROUP))
+    witness = seller.build_witness(contract, chain.current_tick, blind=Scalar(4, TEST_GROUP))
     assert witness.x.value == 1
     chain.claim(contract.id, witness)
 
@@ -402,32 +510,44 @@ def test_build_witness_v3_forced_values():
 def test_build_witness_rejects_underpayment():
     seller = make_seller(Variant.V1)
     h2 = seller.package.certificate.h2.digest
-    chain, contract = _open_contract(HashLock(h2), amount=PRICE - 1)
-    with pytest.raises(ContractMismatch):
-        seller.build_witness(chain, contract.id)
+    contract = _contract(HashLock(h2), amount=PRICE - 1)
+    assert seller.build_witness(contract, 0) == "contract does not pay the agreed split"
 
 
 def test_build_witness_rejects_wrong_payee():
     seller = make_seller(Variant.V1)
     h2 = seller.package.certificate.h2.digest
-    chain, contract = _open_contract(HashLock(h2), payee=b"mallory")
-    with pytest.raises(ContractMismatch):
-        seller.build_witness(chain, contract.id)
+    contract = _contract(HashLock(h2), payee=b"mallory")
+    assert seller.build_witness(contract, 0) == "contract does not pay the agreed split"
 
 
 def test_build_witness_rejects_foreign_commitment():
     seller = make_seller(Variant.V1)
-    chain, contract = _open_contract(HashLock(crypto.sha256(b"not ours")))
-    with pytest.raises(ContractMismatch):
-        seller.build_witness(chain, contract.id)
+    contract = _contract(HashLock(crypto.sha256(b"not ours")))
+    assert seller.build_witness(contract, 0) == "the witness does not satisfy the condition"
 
 
 def test_build_witness_rejects_misblinded_condition():
     seller = make_seller(Variant.V3, k=3)
     wrong_c = crypto.power_of_g(Scalar(7, TEST_GROUP))
-    chain, contract = _open_contract(DlogLock(wrong_c))
-    with pytest.raises(ContractMismatch):
-        seller.build_witness(chain, contract.id, blind=Scalar(4, TEST_GROUP))
+    contract = _contract(DlogLock(wrong_c))
+    declined = seller.build_witness(contract, 0, blind=Scalar(4, TEST_GROUP))
+    assert declined == "the witness does not satisfy the condition"
+
+
+def test_build_witness_judges_by_the_chain_claim_rule():
+    # The seller declines what the chain would refuse, with the chain's words.
+    seller = make_seller(Variant.V1)
+    lock = HashLock(seller.package.certificate.h2.digest)
+    key = Preimage(seller.package.key)
+    rows = [
+        (_contract(lock), 100, key),
+        (_contract(lock), 101, "tick 101 past deadline 100"),
+        (replace(_contract(lock), state=ContractState.CLAIMED), 0, "contract 1 is claimed"),
+        (replace(_contract(lock), state=ContractState.REFUNDED), 101, "contract 1 is refunded"),
+    ]
+    for contract, tick, built in rows:
+        assert seller.build_witness(contract, tick) == built, (contract.state, tick)
 
 
 @pytest.mark.parametrize("fee", [PRICE - 1], ids=["fee_inflated"])
@@ -436,13 +556,14 @@ def test_v2_seller_declines_a_contract_that_skims_the_split(fee):
     # claim would not pay the seller price - fee and the notary its fee.
     seller = make_seller(Variant.V2)
     h2 = seller.package.certificate.h2.digest
-    chain, contract = _open_contract(NotaryHashLock(h2=h2, fee=fee))
-    with pytest.raises(ContractMismatch):
-        seller.build_witness(chain, contract.id)
-    before = chain.snapshot()
-    seller.on_contract(ContractRef(contract.id, None), chain)
-    assert chain.snapshot() == before
-    assert seller.state == Waiting("declined: contract does not pay the agreed split")
+    contract = _contract(NotaryHashLock(h2=h2, fee=fee))
+    declined = "contract does not pay the agreed split"
+    assert seller.build_witness(contract, 0) == declined
+    ref = ContractRef(contract.id, None)
+    assert transition(seller, Waiting(""), "on_contract", ref, contract, 0) == (
+        Waiting(f"declined: {declined}"),
+        [],
+    )
 
 
 def _v2_lock(key):
@@ -463,24 +584,30 @@ def test_seller_declines_a_lock_of_another_variant(variant, lock):
     # decline a witness that cannot open the lock, not trip over it.
     seller = make_seller(variant, k=3)
     blind = Scalar(4, TEST_GROUP)
-    chain, contract = _open_contract(lock(seller.package.key))
-    with pytest.raises(ContractMismatch, match="agreed split"):
-        seller.build_witness(chain, contract.id, blind)
-    before = chain.snapshot()
-    seller.on_contract(ContractRef(contract.id, blind), chain)
-    assert chain.snapshot() == before
-    assert seller.state == Waiting("declined: contract does not pay the agreed split")
+    contract = _contract(lock(seller.package.key))
+    assert seller.build_witness(contract, 0, blind) == "contract does not pay the agreed split"
+    ref = ContractRef(contract.id, blind)
+    assert transition(seller, Waiting(""), "on_contract", ref, contract, 0) == (
+        Waiting("declined: contract does not pay the agreed split"),
+        [],
+    )
 
 
 def test_seller_claims_once_at_most():
     seller = make_seller(Variant.V1)
     h2 = seller.package.certificate.h2.digest
     chain, contract = _open_contract(HashLock(h2))
-    seller.on_contract(ContractRef(contract.id, None), chain)
-    assert seller.state == Paid()
-    seller.on_contract(ContractRef(contract.id, None), chain)
-    claims = [e for e in chain.read_events(0) if type(e) is Claimed]
-    assert [e.contract_id for e in claims] == [contract.id]
+    ref = ContractRef(contract.id, None)
+    claim = Claim(contract.id, Preimage(seller.package.key))
+    claimed = answer(chain, claim)
+    assert type(claimed) is Claimed
+    rows = [
+        (Waiting(""), "on_contract", (ref, contract, 0), Waiting(""), [claim]),
+        (Waiting(""), "on_answer", (claimed,), Paid(), []),
+        (Paid(), "on_contract", (ref, contract, 0), Paid(), []),
+    ]
+    for state, handler, args, after, outputs in rows:
+        assert transition(seller, state, handler, *args) == (after, outputs), handler
 
 
 @pytest.mark.parametrize("variant", list(Variant))
@@ -489,16 +616,16 @@ def test_a_repeated_reference_after_a_rejected_claim_claims_no_more(variant):
     # ask. Only the `Refused` state stops it, so this pins that guard.
     seller = make_seller(variant, SellerPolicy.CLAIM_WRONG_WITNESS)
     buyer = make_buyer(variant)
-    chain = CountingLedger()
-    chain.fund(BUYER, 200)
-    (ref,) = buyer.on_offer(seller.start(), chain)
-    seller.on_message(ref, chain)
-    assert chain.calls["claim"] == 1
+    chain = funded_chain()
+    (publish,) = buyer.on_offer(seller.start(), 0)
+    (ref,) = buyer.on_answer(answer(chain, publish))
+    contract = chain.find_contract(ref.contract_id)
+    (claim,) = seller.on_message(ref, 0, contract)
+    assert type(claim) is Claim
+    assert seller.on_answer(answer(chain, claim)) == []
     refused = Refused("claim rejected: the witness does not satisfy the condition")
     assert seller.state == refused
-    seller.on_message(ref, chain)
-    assert chain.calls["claim"] == 1
-    assert seller.state == refused
+    assert transition(seller, refused, "on_message", ref, 0, contract) == (refused, [])
 
 
 def test_a_reference_after_a_decline_is_still_acted_on():
@@ -506,38 +633,58 @@ def test_a_reference_after_a_decline_is_still_acted_on():
     # later reference to a contract that pays; a refused claim would not.
     seller = make_seller(Variant.V1)
     lock = HashLock(seller.package.certificate.h2.digest)
-    chain = CountingLedger()
-    chain.fund(BUYER, 200)
-    underpaid = chain.publish_contract(BUYER, SELLER, PRICE - 1, lock, 100)
-    fair = chain.publish_contract(BUYER, SELLER, PRICE, lock, 100)
+    chain = funded_chain()
+    underpaid = chain.get_contract(chain.publish_contract(BUYER, SELLER, PRICE - 1, lock, 100))
+    fair = chain.get_contract(chain.publish_contract(BUYER, SELLER, PRICE, lock, 100))
     declined = Waiting("declined: contract does not pay the agreed split")
     for _ in range(2):
-        seller.on_message(ContractRef(underpaid, None), chain)
+        assert seller.on_message(ContractRef(underpaid.id, None), 0, underpaid) == []
         assert seller.state == declined
-    assert chain.calls["claim"] == 0
-    seller.on_message(ContractRef(fair, None), chain)
+    (claim,) = seller.on_message(ContractRef(fair.id, None), 0, fair)
+    assert claim == Claim(fair.id, Preimage(seller.package.key))
+    assert seller.on_answer(answer(chain, claim)) == []
     assert seller.state == Paid()
-    assert [e.contract_id for e in chain.read_events(0) if type(e) is Claimed] == [fair]
+    assert [e.contract_id for e in chain.read_events(0) if type(e) is Claimed] == [fair.id]
 
 
 def test_seller_ignores_an_unknown_contract():
+    # The chain holds no contract 7, so the seller is handed None for it.
     seller = make_seller(Variant.V1)
     seller.start()
-    chain = funded_chain()
-    before = chain.snapshot()
-    seller.on_contract(ContractRef(7, None), chain)
-    assert chain.snapshot() == before
-    assert seller.state == Waiting("")
+    ref = ContractRef(7, None)
+    assert transition(seller, Waiting(""), "on_contract", ref, None, 0) == (Waiting(""), [])
 
 
 def test_withhold_key_policy_never_claims():
     seller = make_seller(Variant.V1, SellerPolicy.WITHHOLD_KEY)
     h2 = seller.package.certificate.h2.digest
-    chain, contract = _open_contract(HashLock(h2))
-    before = chain.snapshot()
-    seller.on_contract(ContractRef(contract.id, None), chain)
-    assert chain.snapshot() == before
-    assert seller.state == Waiting("withheld the key")
+    contract = _contract(HashLock(h2))
+    ref = ContractRef(contract.id, None)
+    assert transition(seller, Waiting(""), "on_contract", ref, contract, 0) == (
+        Waiting("withheld the key"),
+        [],
+    )
+
+
+def test_seller_answers_only_while_its_claim_is_pending():
+    # The chain's answer settles the one claim a waiting seller made; in any
+    # other state the seller made none, and ignores it.
+    seller = make_seller(Variant.V1)
+    key = Preimage(seller.package.key)
+    claimed = Claimed(seq=2, tick=0, contract_id=1, witness=key, payouts=())
+    refusal = LedgerError("the witness does not satisfy the condition")
+    rows = [
+        (Waiting(""), claimed, Paid()),
+        (Waiting("declined: contract does not pay the agreed split"), claimed, Paid()),
+        (Waiting(""), refusal,
+         Refused("claim rejected: the witness does not satisfy the condition")),
+        (Paid(), refusal, Paid()),
+        (Refused("claim rejected: x"), claimed, Refused("claim rejected: x")),
+        (Expired("deadline passed without settlement"), claimed,
+         Expired("deadline passed without settlement")),
+    ]
+    for state, given_answer, after in rows:
+        assert transition(seller, state, "on_answer", given_answer) == (after, []), state
 
 
 def test_wrong_witness_policy_is_rejected_by_the_chain():
@@ -551,7 +698,8 @@ def test_wrong_witness_policy_is_rejected_by_the_chain():
     cases.append((make_seller(Variant.V3, wrong, k=1), make_buyer(Variant.V3, r=10)))
     for seller, buyer in cases:
         chain = funded_chain()
-        (ref,) = buyer.on_offer(seller.start(), chain)
+        (publish,) = buyer.on_offer(seller.start(), 0)
+        (ref,) = buyer.on_answer(answer(chain, publish))
         honest = seller._honest_witness(ref.r)
         garbage = seller._garbage_witness(ref.r)
         # The documented edit: the next scalar in [1, q-1], or the key with
@@ -563,8 +711,10 @@ def test_wrong_witness_policy_is_rejected_by_the_chain():
             edited = bytes([honest.x[0] ^ 0x01]) + honest.x[1:]
         assert garbage == replace(honest, x=edited)
         assert seller._garbage_witness(ref.r) == garbage
+        contract = chain.find_contract(ref.contract_id)
+        assert seller.on_contract(ref, contract, 0) == [Claim(ref.contract_id, garbage)]
         before = chain.snapshot()
-        seller.on_contract(ref, chain)
+        assert seller.on_answer(answer(chain, Claim(ref.contract_id, garbage))) == []
         # The ledger's refusal, as the seller records it.
         assert seller.state == Refused("claim rejected: the witness does not satisfy the condition")
         assert chain.snapshot() == before
@@ -572,6 +722,18 @@ def test_wrong_witness_policy_is_rejected_by_the_chain():
     assert (honest, garbage) == (
         Exponent(Scalar(TEST_GROUP.q - 1, TEST_GROUP)),
         Exponent(Scalar(1, TEST_GROUP)),
+    )
+
+
+def test_wrong_witness_seller_declines_a_reference_without_a_blind():
+    # A garbage witness is an edit of the honest one, so with no blind to
+    # build that from, the seller declines as an honest one does.
+    seller = make_seller(Variant.V3, SellerPolicy.CLAIM_WRONG_WITNESS, k=3)
+    contract = _contract(DlogLock(crypto.power_of_g(Scalar(1, TEST_GROUP))))
+    ref = ContractRef(contract.id, None)
+    assert transition(seller, Waiting(""), "on_contract", ref, contract, 0) == (
+        Waiting("declined: the contract reference carries no blinding scalar"),
+        [],
     )
 
 
@@ -583,8 +745,7 @@ def _settled_exchange(variant, *, k=None, r=None):
     seller = make_seller(variant, k=k)
     buyer = make_buyer(variant, r=r)
     chain = funded_chain()
-    for reply in buyer.on_offer(seller.start(), chain):
-        assert seller.on_message(reply, chain) == []
+    assert type(exchange(seller, buyer, chain)) is Claim
     event = chain.read_events(0)[-1]
     assert type(event) is Claimed
     return seller, buyer, chain, event
@@ -617,53 +778,59 @@ def test_on_timer_boundaries():
     buyer = make_buyer(Variant.V1)
     chain = funded_chain()
     offer = seller.start()
-    buyer.on_offer(offer, chain)
+    (publish,) = buyer.on_offer(offer, chain.current_tick)
+    buyer.on_answer(answer(chain, publish))
     cid = buyer.state.contract_id
+    refund = Refund(cid, BUYER)
     deadline = chain.get_contract(cid).deadline
     for tick in (deadline - 1, deadline):
         chain.advance_time(tick - chain.current_tick)
         before = chain.snapshot()
-        buyer.on_timer(chain)
+        assert buyer.on_timer() == [refund]
+        refusal = answer(chain, refund)
+        assert transition(buyer, Published(offer, cid), "on_answer", refusal) == (
+            Published(offer, cid),
+            [],
+        )
         assert chain.snapshot() == before
-        assert buyer.state == Published(offer, cid)
         assert chain.get_balance(BUYER) == 200 - PRICE
     chain.advance_time(1)
-    buyer.on_timer(chain)
+    assert buyer.on_timer() == [refund]
+    assert buyer.on_answer(answer(chain, refund)) == []
     assert buyer.state == Reimbursed()
     assert chain.get_contract(cid).state is ContractState.REFUNDED
     assert chain.get_balance(BUYER) == 200
 
 
 def test_on_timer_after_a_refund_asks_for_no_second_refund():
-    seller = make_seller(Variant.V1)
+    offer = make_seller(Variant.V1).start()
     buyer = make_buyer(Variant.V1)
-    chain = CountingLedger()
-    chain.fund(BUYER, 200)
-    buyer.on_offer(seller.start(), chain)
-    chain.advance_time(101)
-    buyer.on_timer(chain)
-    assert buyer.state == Reimbursed()
-    assert chain.calls["refund"] == 1
-    before = chain.snapshot()
-    buyer.on_timer(chain)
-    assert chain.calls["refund"] == 1
-    assert chain.snapshot() == before
-    assert buyer.state == Reimbursed()
+    rows = [
+        (Published(offer, 1), [Refund(1, BUYER)]),
+        # After a refund, the buyer asks for no second one.
+        (Reimbursed(), []),
+        (Init(), []),
+        (Verified(offer), []),
+        (Settled(PAYLOAD), []),
+        (Aborted(AbortReason.PRICE_MISMATCH), []),
+    ]
+    for state, outputs in rows:
+        assert transition(buyer, state, "on_timer") == (state, outputs), state
 
 
 def test_on_timer_ignores_settled_contracts():
     _, buyer, chain, event = _settled_exchange(Variant.V1)
-    published = buyer.state
+    published_state = buyer.state
     chain.advance_time(500)
     # Claimed but not yet read: the ledger refuses the refund.
     before = chain.snapshot()
-    buyer.on_timer(chain)
+    (refund,) = buyer.on_timer()
+    assert buyer.on_answer(answer(chain, refund)) == []
     assert chain.snapshot() == before
-    assert buyer.state == published
+    assert buyer.state == published_state
     buyer.on_claim(event)
     assert buyer.state == Settled(PAYLOAD)
-    buyer.on_timer(chain)
-    assert chain.snapshot() == before
+    assert buyer.on_timer() == []
     assert buyer.state == Settled(PAYLOAD)
 
 
@@ -687,9 +854,11 @@ def _decrypt_failure(chain):
     seller = SellerSession(package, make_terms(Variant.V1), SellerPolicy.HONEST)
     buyer = make_buyer(Variant.V1)
     chain.fund(BUYER, 200)
-    replies = buyer.on_offer(seller.start(), chain)
+    (publish,) = buyer.on_offer(seller.start(), chain.current_tick)
+    replies = buyer.on_answer(answer(chain, publish))
     assert replies == [ContractRef(1, None)]  # the certificate itself verifies
-    assert seller.on_message(replies[0], chain) == []
+    (claim,) = seller.on_message(replies[0], chain.current_tick, chain.find_contract(1))
+    assert seller.on_answer(answer(chain, claim)) == []
     assert seller.state == Paid()
     event = chain.read_events(0)[-1]
     assert buyer.on_claim(event) is None
@@ -706,14 +875,10 @@ def test_decrypt_failure_marks_session_without_settling():
 def test_decrypt_failed_is_final():
     # Neither a second claim wake, even one whose witness would decrypt, nor
     # a timer moves the buyer on or asks the chain for anything.
-    chain = CountingLedger()
-    buyer, event, actual = _decrypt_failure(chain)
-    chain.advance_time(500)
-    calls, before = dict(chain.calls), chain.snapshot()
+    buyer, event, actual = _decrypt_failure(Ledger())
     assert buyer.on_claim(replace(event, witness=Preimage(actual))) is None
-    buyer.on_timer(chain)
+    assert buyer.on_timer() == []
     assert buyer.state == DecryptFailed()
-    assert chain.calls == calls and chain.snapshot() == before
 
 
 # ---------------------------------------------------------------------------
@@ -732,14 +897,9 @@ _SELLER_MESSAGES = {
 def test_buyer_ignores_a_message_for_the_seller(message, offered):
     seller = make_seller(Variant.V3)
     buyer = make_buyer(Variant.V3)
-    chain = funded_chain()
     offer = seller.start()
-    if offered:
-        buyer.on_offer(offer, chain)
-    before = chain.snapshot()
-    assert buyer.on_message(message, chain) == []
-    assert buyer.state == (Published(offer, 1) if offered else Init())
-    assert chain.snapshot() == before
+    state = Published(offer, 1) if offered else Init()
+    assert transition(buyer, state, "on_message", message, 0, None) == (state, [])
 
 
 @pytest.mark.parametrize("variant", list(Variant))
@@ -747,33 +907,25 @@ def test_a_buyer_that_has_published_ignores_the_offer_again(variant):
     # A duplicated offer must not escrow the price a second time.
     seller = make_seller(variant)
     buyer = make_buyer(variant)
-    chain = funded_chain()
     offer = seller.start()
-    buyer.on_offer(offer, chain)
-    assert buyer.on_offer(offer, chain) == []
-    assert buyer.state == Published(offer, 1)
-    assert len(chain.read_events(0)) == 2  # the funding and the one contract
+    for state in (Verified(offer), Published(offer, 1)):
+        assert transition(buyer, state, "on_offer", offer, 0) == (state, [])
 
 
 @pytest.mark.parametrize("variant", list(Variant))
 def test_seller_ignores_an_offer(variant):
     seller = make_seller(variant)
-    chain = funded_chain()
     offer = seller.start()
-    before = chain.snapshot()
-    assert seller.on_message(offer, chain) == []
-    assert seller.state == Waiting("")
-    assert chain.snapshot() == before
+    assert transition(seller, Waiting(""), "on_message", offer, 0, None) == (Waiting(""), [])
 
 
 def test_seller_lapses_on_an_abort_through_on_message():
     seller = make_seller(Variant.V1)
-    chain = funded_chain()
-    assert seller.on_message(Abort(AbortReason.PRICE_MISMATCH), chain) == []
+    assert seller.on_message(Abort(AbortReason.PRICE_MISMATCH), 0) == []
     assert seller.state == Expired("counterparty aborted: price_mismatch")
     assert seller.outcome == "counterparty aborted: price_mismatch"
     # A later abort does not overwrite the first.
-    seller.on_message(Abort(AbortReason.BAD_SIGNATURE), chain)
+    seller.on_message(Abort(AbortReason.BAD_SIGNATURE), 0)
     assert seller.state == Expired("counterparty aborted: price_mismatch")
 
 

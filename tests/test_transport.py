@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import signing_keys
+from helpers import answer, signing_keys
 from sedg import codec
 from sedg.transport import (
     MAX_FRAME,
@@ -320,14 +320,16 @@ def test_full_dlog_exchange_over_the_in_process_net():
     seller_ep.send(b"b", message_to_obj(seller.start()))
     net.deliver(0)
     offer = message_from_obj(buyer_ep.recv().body)
-    (reply,) = buyer.on_offer(offer, chain)
+    (publish,) = buyer.on_offer(offer, chain.current_tick)
+    (reply,) = buyer.on_answer(answer(chain, publish))
     buyer_ep.send(b"s", message_to_obj(reply))
 
     net.deliver(0)
     ref = message_from_obj(seller_ep.recv().body)
     assert ref.r == buyer.blind
-    seller.on_contract(ref, chain)
-    event = chain.read_events(0)[-1]
+    (claim,) = seller.on_contract(ref, chain.find_contract(ref.contract_id), chain.current_tick)
+    event = answer(chain, claim)
+    assert seller.on_answer(event) == []
 
     assert buyer.on_claim(event) == payload
     assert chain.get_balance(seller_id) == 60
