@@ -39,7 +39,7 @@ from sedg.protocol import (
     Settled,
     Terms,
 )
-from test_harness import parameter_boundaries, variants_explore_alike
+from test_harness import parameter_boundaries, secrets_net, variants_explore_alike
 from test_ledger import LEDGER_MACHINE_SETTINGS, LedgerMachine, run_random_ops
 
 
@@ -333,13 +333,16 @@ def test_acceptance_8_claims_beyond_the_grid(monkeypatch):
     started = time.monotonic()
     cells = variants_explore_alike(monkeypatch)
     explored, refused, nodes = parameter_boundaries()
+    pairs, secret_configs, secret_nodes = secrets_net()
     run_state_machine_as_test(LedgerMachine, settings=LEDGER_MACHINE_SETTINGS)
     elapsed = time.monotonic() - started
     _ok(
         8,
         f"v1, v2, v3 and v3 on modp2048 reach the same terminals in {cells} cells; "
         f"{explored} boundary configs ({nodes} nodes) without a violation and "
-        f"{refused} refused as declared; the ledger alone keeps its invariants over "
+        f"{refused} refused as declared; all {pairs} v3 secret pairs (k, r) on the "
+        f"test group in {secret_configs} configs ({secret_nodes} nodes) without a "
+        f"violation; the ledger alone keeps its invariants over "
         f"{LEDGER_MACHINE_SETTINGS.max_examples} runs of up to "
         f"{LEDGER_MACHINE_SETTINGS.stateful_step_count} calls, {elapsed:.1f}s",
     )

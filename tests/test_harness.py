@@ -1079,6 +1079,64 @@ def parameter_boundaries() -> tuple[int, int, int]:
     return explored, refused, nodes
 
 
+SECRET_SEEDS = range(792)
+
+
+def secrets_net() -> tuple[int, int, int]:
+    """Every pair (k, r) of notary exponent and buyer blind on `test` (q = 11),
+    each from a seed of its own among `SECRET_SEEDS`, explored under every
+    policy pair at balance 150 and 40 on the honest chain: no invariant
+    fires, and the honest exchange settles. Acceptance 4 checks x = k*r and
+    c = g^x for every pair; this net checks every schedule. Returns (pairs, configs explored, nodes). Run by
+    `test_acceptance_8_claims_beyond_the_grid`; about 2 s on two cores."""
+    q = TEST_GROUP.q
+    seeds: dict[tuple[int, int], int] = {}
+    for seed in SECRET_SEEDS:
+        world = World(make_config("v3", price=100, buyer_balance=150, seed=seed))
+        k = crypto.scalar_from_key(world.seller.package.key, TEST_GROUP).value
+        seeds.setdefault((k, world.buyer.blind.value), seed)
+    # Every pair, so the seed range cannot silently stop covering one.
+    assert sorted(seeds) == [(k, r) for k in range(1, q) for r in range(1, q)]
+    # The boundaries: the largest exponent, the largest blind, and the pairs
+    # whose claimed x = k*r mod q is 1, so that the lock is c = g.
+    boundaries = {
+        "k = q-1": {pair for pair in seeds if pair[0] == q - 1},
+        "r = q-1": {pair for pair in seeds if pair[1] == q - 1},
+        "x = 1": {pair for pair in seeds if pair[0] * pair[1] % q == 1},
+    }
+    assert {name: len(pairs) for name, pairs in boundaries.items()} == dict.fromkeys(
+        boundaries, q - 1
+    )
+    explored = nodes = 0
+    for (k, r), seed in sorted(seeds.items()):
+        named = [name for name, pairs in boundaries.items() if (k, r) in pairs]
+        for seller_policy, buyer_policy, balance in itertools.product(
+            SellerPolicy, BuyerPolicy, (150, 40)
+        ):
+            config = make_config(
+                "v3",
+                price=100,
+                buyer_balance=balance,
+                seller_policy=seller_policy,
+                buyer_policy=buyer_policy,
+                seed=seed,
+            )
+            result = explore(config)
+            cell = (
+                f"k={k} r={r} x={k * r % q} {named} seed {seed}: "
+                f"{seller_policy.value} x {buyer_policy.value} at balance {balance}"
+            )
+            assert result.violations == [], f"{cell}: {result.violations[:3]}"
+            explored += 1
+            nodes += result.nodes_executed
+        # What no invariant sees yet: that the honest exchange trades at all.
+        honest = make_config("v3", price=100, buyer_balance=150, seed=seed)
+        world = World(honest)
+        drive(world)
+        assert world.buyer.state == Settled(honest.payload), f"k={k} r={r} seed {seed}"
+    return len(seeds), explored, nodes
+
+
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------

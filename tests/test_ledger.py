@@ -115,6 +115,15 @@ def test_publish_accepts_a_notary_fee_of_the_whole_amount():
     assert chain.get_balance(A) == 40
 
 
+def test_publish_accepts_a_notary_fee_of_zero():
+    # The other end of the fee's range: a split lock that pays the notary nothing.
+    chain = Ledger()
+    chain.fund(A, 100)
+    cid = chain.publish_contract(A, B, 60, _split_lock(0), deadline=100)
+    assert chain.get_contract(cid).condition.fee == 0
+    assert chain.get_balance(A) == 40
+
+
 def test_publish_deadline_boundary():
     chain = Ledger()
     chain.fund(A, 100)

@@ -9,15 +9,26 @@ Two kinds of edit make the mutants of `src/sedg`:
 - a boundary, one operator of a comparison (chained ones included), is
   swapped: `<` with `<=` and `>` with `>=`, so an off-by-one limit shows.
 
+The tool first runs the unmutated suite twice: once plainly, which must
+pass and whose time sets the timeout, and once under `sys.settrace`, which
+records the package lines each test runs and how long it takes. Before each
+traced test it clears the caches a test can warm (`codec`'s
+`functools.cache` entries and each group's `_dh_key_head`), so a test
+records the lines behind them itself. Lines run outside any test, at import
+or collection, count as reached by every test, and so does every line for a
+test that starts a process, whose lines no tracer sees.
+
 For every mutant the tool copies `src` and `tests` into a temporary
-directory, makes that one edit there, and runs the suite with `-x` in a
-child process. The child gets a timeout and an address-space cap, which it
-sets on itself, so a mutant that loops or allocates without bound stops
-instead of taking the machine with it. Mutants run at most one per
+directory, makes that one edit there, and runs the tests that reach the
+edited line, fastest first, with `-x`, in a child process. A mutant that no
+test reaches is not run. The child gets a timeout and an address-space cap,
+which it sets on itself, so a mutant that loops or allocates without bound
+stops instead of taking the machine with it. Mutants run at most one per
 core. Each one is:
 
 - killed: the suite fails;
-- survived: the suite passes, so no test needs the guard or that boundary;
+- survived: the suite passes, or no test reaches the mutant, so no test
+  needs the guard or that boundary;
 - hung: the suite runs past the timeout.
 
 `tools/mutants.txt` lists the survivors and hangs that are accepted, one a
@@ -32,6 +43,7 @@ from __future__ import annotations
 
 import ast
 import io
+import json
 import os
 import shutil
 import signal
@@ -43,6 +55,7 @@ import tokenize
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import Callable
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = "src/sedg"
@@ -51,14 +64,89 @@ ACCEPTED = ROOT / "tools" / "mutants.txt"
 # is room enough for it and stops a mutant that allocates without bound.
 ADDRESS_SPACE = 1 << 30
 # The hypothesis seed is fixed, so a mutant's outcome does not vary by run.
+# The child runs the tests that `SEDG_MUTANT_TESTS` names, a JSON file of
+# node ids, in that order; without it, the whole suite.
 CHILD = (
     "import resource, sys\n"
     f"resource.setrlimit(resource.RLIMIT_AS, ({ADDRESS_SPACE}, {ADDRESS_SPACE}))\n"
     "import pytest\n"
     "sys.exit(pytest.main(\n"
-    "    ['-q', '-x', '-p', 'no:cacheprovider', '--hypothesis-seed=0', 'tests']\n"
+    "    ['-q', '-x', '-p', 'no:cacheprovider', '--hypothesis-seed=0', '-p', 'mutant_plugin',"
+    " 'tests']\n"
     "))\n"
 )
+# The child's plugin: it keeps the named tests in the named order, or runs
+# every test if one of them is not collected. Traced with `SEDG_MUTANT_TRACE`,
+# it records, as JSON in that file, the package lines run outside any test
+# and, per test, the lines it ran, its time and whether it started a process.
+PLUGIN = """\
+import functools, json, os, subprocess, sys, threading, time
+
+import pytest
+
+SELECT = os.environ.get("SEDG_MUTANT_TESTS")
+TRACE = os.environ.get("SEDG_MUTANT_TRACE")
+PACKAGE = os.path.join(os.getcwd(), "src", "sedg") + os.sep
+
+
+def pytest_collection_modifyitems(session, config, items):
+    if not SELECT:
+        return
+    with open(SELECT, encoding="utf-8") as fh:
+        order = {nodeid: i for i, nodeid in enumerate(json.load(fh))}
+    chosen = [item for item in items if item.nodeid in order]
+    chosen.sort(key=lambda item: order[item.nodeid])
+    if len(chosen) == len(order):
+        config.hook.pytest_deselected(items=[item for item in items if item.nodeid not in order])
+        items[:] = chosen
+
+
+if TRACE:
+    outside = set()
+    tests = {}
+    into = [outside]
+    spawns = [False]
+
+    def _line(frame, event, arg):
+        if event == "line":
+            into[0].add((frame.f_code.co_filename[len(PACKAGE):], frame.f_lineno))
+        return _line
+
+    def _call(frame, event, arg):
+        return _line if frame.f_code.co_filename.startswith(PACKAGE) else None
+
+    _popen_init = subprocess.Popen.__init__
+
+    @functools.wraps(_popen_init)
+    def _spawning(self, *args, **kwargs):
+        spawns[0] = True
+        return _popen_init(self, *args, **kwargs)
+
+    subprocess.Popen.__init__ = _spawning
+    sys.settrace(_call)
+    threading.settrace(_call)
+
+    @pytest.hookimpl(wrapper=True)
+    def pytest_runtest_protocol(item, nextitem):
+        from sedg import codec, crypto
+
+        codec._codec.cache_clear()
+        codec._dataclass_codec.cache_clear()
+        for group in crypto.GROUPS.values():
+            vars(group).pop("_dh_key_head", None)
+        into[0], spawns[0] = set(), False
+        started = time.perf_counter()
+        try:
+            return (yield)
+        finally:
+            tests[item.nodeid] = (sorted(into[0]), time.perf_counter() - started, spawns[0])
+            into[0] = outside
+
+    def pytest_sessionfinish(session, exitstatus):
+        sys.settrace(None)
+        with open(TRACE, "w", encoding="utf-8") as fh:
+            json.dump({"outside": sorted(outside), "tests": tests}, fh)
+"""
 
 
 # Each boundary operator, as a token and as an AST node, and its swap.
@@ -104,21 +192,25 @@ def boundary_tokens(source: str) -> dict[tuple[int, int], tokenize.TokenInfo]:
     return found
 
 
-def mutants() -> list[tuple[str, str, str]]:
-    """(name, path, mutated source) for each guard and each boundary of the package."""
+def mutants() -> list[tuple[str, str, str, set[tuple[str, int]]]]:
+    """(name, path, mutated source, lines) for each guard and each boundary of
+    the package, where `lines` are the (file in the package, line) that a
+    test runs whenever it runs the guard's test or the comparison."""
     result = []
     for path in sorted((ROOT / PACKAGE).rglob("*.py")):
         rel = path.relative_to(ROOT).as_posix()
+        module = path.relative_to(ROOT / PACKAGE).as_posix()
         source = path.read_text(encoding="utf-8")
         lines = source.splitlines(keepends=True)
         tokens = boundary_tokens(source)
         seen: Counter[str] = Counter()
 
-        def add(name: str, mutated: list[str]) -> None:
+        def add(name: str, mutated: list[str], node: ast.AST) -> None:
             seen[name] += 1
             if seen[name] > 1:
                 name += f" ({seen[name]})"
-            result.append((name, rel, "".join(mutated)))
+            rows = range(node.lineno, node.end_lineno + 1)
+            result.append((name, rel, "".join(mutated), {(module, row) for row in rows}))
 
         for scope, node in scoped_nodes(ast.parse(source, rel)):
             if is_guard(node):
@@ -128,7 +220,7 @@ def mutants() -> list[tuple[str, str, str]]:
                 # in case it was the only statement of its block.
                 stub = "\n" if first.lstrip().startswith("elif") else f"{indent}pass\n"
                 mutated = lines[: node.lineno - 1] + [stub] + lines[node.end_lineno :]
-                add(f"{rel}:{scope}: if {ast.unparse(node.test)}", mutated)
+                add(f"{rel}:{scope}: if {ast.unparse(node.test)}", mutated, node.test)
             if not isinstance(node, ast.Compare):
                 continue
             operands = [node.left, *node.comparators]
@@ -145,22 +237,37 @@ def mutants() -> list[tuple[str, str, str]]:
                 mutated[row - 1] = line[:col] + SWAPPED_TOKEN[token.string] + line[end_col:]
                 after = ast.Compare(node.left, [*node.ops], node.comparators)
                 after.ops[i] = SWAPPED_OP[type(op)]()
-                add(f"{rel}:{scope}: {ast.unparse(node)} -> {ast.unparse(after)}", mutated)
+                add(f"{rel}:{scope}: {ast.unparse(node)} -> {ast.unparse(after)}", mutated, node)
     return result
 
 
-def run_suite(mutation: tuple[str, str] | None, timeout: float) -> str:
-    """'killed', 'survived' or 'hung': the suite's outcome with `mutation`
-    (a path and its mutated source) applied in a fresh copy."""
+def run_suite(
+    mutation: tuple[str, str] | None,
+    timeout: float,
+    tests: list[str] | None = None,
+    trace: Path | None = None,
+) -> str:
+    """'killed', 'survived' or 'hung': the outcome of `tests` (node ids, run
+    in that order; all by default) with `mutation` (a path and its mutated
+    source) applied in a fresh copy. With `trace`, the child records there
+    what each test runs."""
     with tempfile.TemporaryDirectory(prefix="sedg-mutant-") as tmp:
         for part in ("src", "tests"):
             shutil.copytree(
                 ROOT / part, Path(tmp, part), ignore=shutil.ignore_patterns("__pycache__")
             )
         shutil.copy(ROOT / "pyproject.toml", tmp)
+        Path(tmp, "mutant_plugin.py").write_text(PLUGIN, encoding="utf-8")
         if mutation:
             Path(tmp, mutation[0]).write_text(mutation[1], encoding="utf-8")
         env = {**os.environ, "PYTHONPATH": str(Path(tmp, "src")), "PYTHONDONTWRITEBYTECODE": "1"}
+        env.pop("SEDG_MUTANT_TESTS", None)
+        env.pop("SEDG_MUTANT_TRACE", None)
+        if tests is not None:
+            Path(tmp, "selected.json").write_text(json.dumps(tests), encoding="utf-8")
+            env["SEDG_MUTANT_TESTS"] = str(Path(tmp, "selected.json"))
+        if trace is not None:
+            env["SEDG_MUTANT_TRACE"] = str(trace)
         child = subprocess.Popen(
             [sys.executable, "-c", CHILD],
             cwd=tmp,
@@ -176,6 +283,29 @@ def run_suite(mutation: tuple[str, str] | None, timeout: float) -> str:
             child.wait()
             return "hung"
     return "survived" if code == 0 else "killed"
+
+
+def reaching_tests(timeout: float) -> Callable[[set[tuple[str, int]]], list[str]] | None:
+    """Trace the unmutated suite, and return the map from a mutant's lines to
+    the tests that reach them, fastest first; None if the traced suite fails."""
+    with tempfile.TemporaryDirectory(prefix="sedg-trace-") as tmp:
+        trace = Path(tmp, "trace.json")
+        if run_suite(None, timeout, trace=trace) != "survived":
+            return None
+        record = json.loads(trace.read_text(encoding="utf-8"))
+    outside = {tuple(line) for line in record["outside"]}
+    ran = {
+        test: (None if spawns else {tuple(line) for line in lines}, seconds)
+        for test, (lines, seconds, spawns) in record["tests"].items()
+    }
+    fastest = sorted(ran, key=lambda test: ran[test][1])
+
+    def reaching(lines: set[tuple[str, int]]) -> list[str]:
+        if lines & outside:
+            return fastest
+        return [test for test in fastest if ran[test][0] is None or lines & ran[test][0]]
+
+    return reaching
 
 
 def accepted() -> dict[str, str]:
@@ -202,13 +332,22 @@ def main() -> int:
         return 2
     # Room for a mutant that fails late while another one shares the cores.
     timeout = 60 + 3 * (time.monotonic() - started)
+    reaching = reaching_tests(timeout=600)
+    if reaching is None:
+        print("the suite fails under the tracer; fix it before gating on mutants")
+        return 2
+
+    def outcome(mutant: tuple[str, str, str, set[tuple[str, int]]]) -> str:
+        _, path, source, lines = mutant
+        tests = reaching(lines)
+        return run_suite((path, source), timeout, tests) if tests else "survived"
+
     found = mutants()
     with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
-        outcomes = pool.map(lambda m: run_suite(m[1:], timeout), found)
         results = {}
-        for (name, _, _), outcome in zip(found, outcomes):
-            print(f"{outcome:8} {name}", flush=True)
-            results[name] = outcome
+        for (name, *_), result in zip(found, pool.map(outcome, found)):
+            print(f"{result:8} {name}", flush=True)
+            results[name] = result
 
     problems = [
         f"{outcome} but not listed: {name}"
