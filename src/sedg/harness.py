@@ -52,12 +52,14 @@ from . import cert, codec, crypto, protocol, transport
 from .cert import Variant, notarize
 from .crypto import GROUPS, SigningKeyPair
 from .ledger import (
+    ChainRequest,
     Claim,
     Claimed,
     ContractPublished,
     Funded,
     Ledger,
     LedgerError,
+    LedgerEvent,
     Publish,
     Refund,
     Refunded,
@@ -321,6 +323,26 @@ class Party(NamedTuple):
     endpoint: transport.MailboxEndpoint
 
 
+def make_request(chain: Ledger, request: ChainRequest) -> LedgerEvent | LedgerError:
+    """Make a session's chain request by the `Ledger` call it names, and return
+    the answer: the event the call appended, or the LedgerError it refused
+    the request with. No other code catches a refusal."""
+    seen = chain.event_count
+    try:
+        if type(request) is Publish:
+            chain.publish_contract(
+                request.payer, request.payee, request.amount, request.condition, request.deadline
+            )
+        elif type(request) is Claim:
+            chain.claim(request.contract_id, request.witness)
+        else:
+            chain.refund(request.contract_id, request.caller)
+    except LedgerError as exc:
+        return exc
+    (event,) = chain.read_events(seen)
+    return event
+
+
 class World:
     """One scenario instance: ledger, net, parties, and the pending-event set."""
 
@@ -458,35 +480,16 @@ class World:
     def _apply(
         self, session: BuyerSession | SellerSession, outputs: list[Output]
     ) -> list[ProtocolMessage]:
-        """Make the session's chain requests in order, handing each answer back.
-
-        The answer is the event the request appended, or the LedgerError the
-        chain refused it with; no other code catches a refusal. Returns the
-        messages to send: the session's own and those its answers produced.
-        """
+        """Make the session's chain requests in order, handing each answer back
+        in the same step. Returns the messages to send: the session's own and
+        those its answers produced."""
         messages: list[ProtocolMessage] = []
-        chain = self.ledger
         for output in outputs:
-            kind = type(output)
-            if kind not in (Publish, Claim, Refund):
-                messages.append(output)
-                continue
-            seen = chain.event_count
-            try:
-                if kind is Publish:
-                    chain.publish_contract(
-                        output.payer, output.payee, output.amount, output.condition,
-                        output.deadline,
-                    )
-                elif kind is Claim:
-                    chain.claim(output.contract_id, output.witness)
-                else:
-                    chain.refund(output.contract_id, output.caller)
-            except LedgerError as exc:
-                answer = exc
+            if type(output) in (Publish, Claim, Refund):
+                answer = make_request(self.ledger, output)
+                messages += self._apply(session, session.on_answer(answer))
             else:
-                (answer,) = chain.read_events(seen)
-            messages += self._apply(session, session.on_answer(answer))
+                messages.append(output)
         return messages
 
     def _expire(self) -> None:

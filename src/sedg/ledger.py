@@ -247,8 +247,8 @@ def claim_refusal(
     """The claim rule: why a claim with `witness` on `contract` at `tick` fails,
     or None if it settles.
 
-    `holds` tests the condition; `Ledger.check_claim` passes its own, the
-    seam a faulty chain overrides.
+    `holds` tests the condition; `Ledger.claim` passes its own, the seam a
+    faulty chain overrides.
     """
     if contract.state is not ContractState.OPEN:
         return f"contract {contract.id} is {contract.state.value}"
@@ -350,22 +350,17 @@ class Ledger:
         )
         return contract_id
 
-    def check_claim(self, contract_id: int, witness: Witness) -> EscrowContract:
-        """The contract `claim` would settle, or the LedgerError `claim_refusal` names."""
-        contract = self.get_contract(contract_id)
-        refusal = claim_refusal(contract, witness, self._tick, self._condition_holds)
-        if refusal is not None:
-            raise LedgerError(refusal)
-        return contract
-
     def claim(self, contract_id: int, witness: Witness) -> Claimed:
-        """Settle a contract by exhibiting a witness `check_claim` accepts.
+        """Settle a contract by exhibiting a witness `claim_refusal` accepts.
 
         The witness becomes public in the settlement event; for the
         notary-split variant, the payee and the notary the witness names are
         credited in the same atomic settlement.
         """
-        contract = self.check_claim(contract_id, witness)
+        contract = self.get_contract(contract_id)
+        refusal = claim_refusal(contract, witness, self._tick, self._condition_holds)
+        if refusal is not None:
+            raise LedgerError(refusal)
         payouts = claim_payouts(contract, witness)
         self._contracts[contract_id] = replace(contract, state=ContractState.CLAIMED)
         for payout in payouts:

@@ -6,7 +6,7 @@ from collections import Counter
 from dataclasses import replace
 
 from sedg.crypto import SEED_LEN, SigningKeyPair
-from sedg.ledger import Claim, Ledger, LedgerError, NotaryHashLock, Publish
+from sedg.ledger import Ledger, NotaryHashLock
 
 
 class ScriptedRng(random.Random):
@@ -112,21 +112,3 @@ def transition(session, state, handler: str, *args):
     outputs = getattr(session, handler)(*args)
     return session.state, outputs
 
-
-def answer(chain: Ledger, request):
-    """Make a session's chain request on `chain`, as the harness does, and
-    return its answer: the event it appended, or the LedgerError refusing it."""
-    seen = chain.event_count
-    try:
-        if isinstance(request, Publish):
-            chain.publish_contract(
-                request.payer, request.payee, request.amount, request.condition, request.deadline
-            )
-        elif isinstance(request, Claim):
-            chain.claim(request.contract_id, request.witness)
-        else:
-            chain.refund(request.contract_id, request.caller)
-    except LedgerError as exc:
-        return exc
-    (event,) = chain.read_events(seen)
-    return event

@@ -12,7 +12,7 @@ import time
 import pytest
 from hypothesis.stateful import run_state_machine_as_test
 
-from helpers import ScriptedRng, answer, brute_force_inverse, signed, signing_keys, slow_pow
+from helpers import ScriptedRng, brute_force_inverse, signed, signing_keys, slow_pow
 from sedg import crypto
 from sedg.cert import AbortReason, Variant, notarize, verify_certificate
 from sedg.crypto import TEST_GROUP, Scalar
@@ -23,6 +23,7 @@ from sedg.harness import (
     drive,
     explore,
     make_config,
+    make_request,
     run_scenario,
 )
 from sedg.ledger import (
@@ -169,10 +170,10 @@ def _forced_dlog_exchange(k: int, r: int):
         Scalar(r, TEST_GROUP),
     )
     (publish,) = buyer.on_offer(seller.start(), chain.current_tick)
-    (ref,) = buyer.on_answer(answer(chain, publish))
+    (ref,) = buyer.on_answer(make_request(chain, publish))
     assert ref.r.value == r
     (claim,) = seller.on_contract(ref, chain.find_contract(ref.contract_id), chain.current_tick)
-    event = answer(chain, claim)
+    event = make_request(chain, claim)
     assert seller.on_answer(event) == []
     assert buyer.on_claim(event) == payload
     return chain.get_contract(ref.contract_id).condition.c.value, event.witness.x.value

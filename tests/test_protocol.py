@@ -4,8 +4,8 @@ Sessions do no I/O, so each row puts a session in a state, feeds it one
 input and the facts it reads (the tick, and for the seller the contract a
 reference names), and pins the state it ends in and its outputs: the
 messages it sends and the chain requests it makes. Where a row needs the
-chain's answer, `helpers.answer` makes the request on a ledger, as the
-harness does.
+chain's answer, `harness.make_request` makes the request on a ledger, as
+the World does.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import ScriptedRng, answer, signing_keys, transition
+from helpers import ScriptedRng, signing_keys, transition
 from sedg import codec, crypto, protocol
 from sedg.cert import (
     Certificate,
@@ -35,6 +35,7 @@ from sedg.cert import (
     signing_payload,
 )
 from sedg.crypto import MODP_2048, TEST_GROUP, Scalar
+from sedg.harness import make_request
 from sedg.ledger import (
     Claim,
     Claimed,
@@ -149,10 +150,10 @@ def exchange(seller, buyer, chain):
     return the seller's claim request, or None if it made none."""
     tick = chain.current_tick
     for publish in buyer.on_offer(seller.start(), tick):
-        for ref in buyer.on_answer(answer(chain, publish)):
+        for ref in buyer.on_answer(make_request(chain, publish)):
             contract = chain.find_contract(ref.contract_id)
             for claim in seller.on_message(ref, tick, contract):
-                assert seller.on_answer(answer(chain, claim)) == []
+                assert seller.on_answer(make_request(chain, claim)) == []
                 return claim
     return None
 
@@ -388,7 +389,7 @@ def test_underfunded_buyer_aborts_without_a_contract(variant):
     chain = funded_chain(PRICE - 1)
     offer = seller.start()
     (publish,) = buyer.on_offer(offer, chain.current_tick)
-    refusal = answer(chain, publish)
+    refusal = make_request(chain, publish)
     assert isinstance(refusal, LedgerError)
     abort = Abort(AbortReason.INSUFFICIENT_FUNDS)
     # The blind travels only with a contract reference, so none leaves here.
@@ -599,7 +600,7 @@ def test_seller_claims_once_at_most():
     chain, contract = _open_contract(HashLock(h2))
     ref = ContractRef(contract.id, None)
     claim = Claim(contract.id, Preimage(seller.package.key))
-    claimed = answer(chain, claim)
+    claimed = make_request(chain, claim)
     assert type(claimed) is Claimed
     rows = [
         (Waiting(""), "on_contract", (ref, contract, 0), Waiting(""), [claim]),
@@ -618,11 +619,11 @@ def test_a_repeated_reference_after_a_rejected_claim_claims_no_more(variant):
     buyer = make_buyer(variant)
     chain = funded_chain()
     (publish,) = buyer.on_offer(seller.start(), 0)
-    (ref,) = buyer.on_answer(answer(chain, publish))
+    (ref,) = buyer.on_answer(make_request(chain, publish))
     contract = chain.find_contract(ref.contract_id)
     (claim,) = seller.on_message(ref, 0, contract)
     assert type(claim) is Claim
-    assert seller.on_answer(answer(chain, claim)) == []
+    assert seller.on_answer(make_request(chain, claim)) == []
     refused = Refused("claim rejected: the witness does not satisfy the condition")
     assert seller.state == refused
     assert transition(seller, refused, "on_message", ref, 0, contract) == (refused, [])
@@ -642,7 +643,7 @@ def test_a_reference_after_a_decline_is_still_acted_on():
         assert seller.state == declined
     (claim,) = seller.on_message(ContractRef(fair.id, None), 0, fair)
     assert claim == Claim(fair.id, Preimage(seller.package.key))
-    assert seller.on_answer(answer(chain, claim)) == []
+    assert seller.on_answer(make_request(chain, claim)) == []
     assert seller.state == Paid()
     assert [e.contract_id for e in chain.read_events(0) if type(e) is Claimed] == [fair.id]
 
@@ -699,7 +700,7 @@ def test_wrong_witness_policy_is_rejected_by_the_chain():
     for seller, buyer in cases:
         chain = funded_chain()
         (publish,) = buyer.on_offer(seller.start(), 0)
-        (ref,) = buyer.on_answer(answer(chain, publish))
+        (ref,) = buyer.on_answer(make_request(chain, publish))
         honest = seller._honest_witness(ref.r)
         garbage = seller._garbage_witness(ref.r)
         # The documented edit: the next scalar in [1, q-1], or the key with
@@ -714,7 +715,7 @@ def test_wrong_witness_policy_is_rejected_by_the_chain():
         contract = chain.find_contract(ref.contract_id)
         assert seller.on_contract(ref, contract, 0) == [Claim(ref.contract_id, garbage)]
         before = chain.snapshot()
-        assert seller.on_answer(answer(chain, Claim(ref.contract_id, garbage))) == []
+        assert seller.on_answer(make_request(chain, Claim(ref.contract_id, garbage))) == []
         # The ledger's refusal, as the seller records it.
         assert seller.state == Refused("claim rejected: the witness does not satisfy the condition")
         assert chain.snapshot() == before
@@ -779,7 +780,7 @@ def test_on_timer_boundaries():
     chain = funded_chain()
     offer = seller.start()
     (publish,) = buyer.on_offer(offer, chain.current_tick)
-    buyer.on_answer(answer(chain, publish))
+    buyer.on_answer(make_request(chain, publish))
     cid = buyer.state.contract_id
     refund = Refund(cid, BUYER)
     deadline = chain.get_contract(cid).deadline
@@ -787,7 +788,7 @@ def test_on_timer_boundaries():
         chain.advance_time(tick - chain.current_tick)
         before = chain.snapshot()
         assert buyer.on_timer() == [refund]
-        refusal = answer(chain, refund)
+        refusal = make_request(chain, refund)
         assert transition(buyer, Published(offer, cid), "on_answer", refusal) == (
             Published(offer, cid),
             [],
@@ -796,7 +797,7 @@ def test_on_timer_boundaries():
         assert chain.get_balance(BUYER) == 200 - PRICE
     chain.advance_time(1)
     assert buyer.on_timer() == [refund]
-    assert buyer.on_answer(answer(chain, refund)) == []
+    assert buyer.on_answer(make_request(chain, refund)) == []
     assert buyer.state == Reimbursed()
     assert chain.get_contract(cid).state is ContractState.REFUNDED
     assert chain.get_balance(BUYER) == 200
@@ -825,7 +826,7 @@ def test_on_timer_ignores_settled_contracts():
     # Claimed but not yet read: the ledger refuses the refund.
     before = chain.snapshot()
     (refund,) = buyer.on_timer()
-    assert buyer.on_answer(answer(chain, refund)) == []
+    assert buyer.on_answer(make_request(chain, refund)) == []
     assert chain.snapshot() == before
     assert buyer.state == published_state
     buyer.on_claim(event)
@@ -855,10 +856,10 @@ def _decrypt_failure(chain):
     buyer = make_buyer(Variant.V1)
     chain.fund(BUYER, 200)
     (publish,) = buyer.on_offer(seller.start(), chain.current_tick)
-    replies = buyer.on_answer(answer(chain, publish))
+    replies = buyer.on_answer(make_request(chain, publish))
     assert replies == [ContractRef(1, None)]  # the certificate itself verifies
     (claim,) = seller.on_message(replies[0], chain.current_tick, chain.find_contract(1))
-    assert seller.on_answer(answer(chain, claim)) == []
+    assert seller.on_answer(make_request(chain, claim)) == []
     assert seller.state == Paid()
     event = chain.read_events(0)[-1]
     assert buyer.on_claim(event) is None

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import answer, signing_keys
+from helpers import signing_keys
 from sedg import codec
+from sedg.harness import make_request
 from sedg.transport import (
     MAX_FRAME,
     Envelope,
@@ -321,14 +322,14 @@ def test_full_dlog_exchange_over_the_in_process_net():
     net.deliver(0)
     offer = message_from_obj(buyer_ep.recv().body)
     (publish,) = buyer.on_offer(offer, chain.current_tick)
-    (reply,) = buyer.on_answer(answer(chain, publish))
+    (reply,) = buyer.on_answer(make_request(chain, publish))
     buyer_ep.send(b"s", message_to_obj(reply))
 
     net.deliver(0)
     ref = message_from_obj(seller_ep.recv().body)
     assert ref.r == buyer.blind
     (claim,) = seller.on_contract(ref, chain.find_contract(ref.contract_id), chain.current_tick)
-    event = answer(chain, claim)
+    event = make_request(chain, claim)
     assert seller.on_answer(event) == []
 
     assert buyer.on_claim(event) == payload
