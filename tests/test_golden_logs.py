@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from sedg.harness import make_config, run_scenario
+from sedg import crypto
+from sedg.crypto import TEST_GROUP
+from sedg.harness import World, make_config, run_scenario
 from sedg.ledger import event_to_json, replay
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -21,7 +23,17 @@ def _golden(variant: str) -> Path:
 
 
 def _config(variant: str):
-    return make_config(variant, price=60, buyer_balance=100, group_name="test", seed=2019)
+    return make_config(variant, price=60, buyer_balance=100, group_name="test", seed=2022)
+
+
+def test_the_v3_golden_log_tells_the_notary_exponent_from_1():
+    # With k = 1, h2 = g and the claimed x is the buyer's blind r, so a
+    # seller witness that dropped k would write the same log; k = 2 and
+    # r = 9 put x = k*r mod 11 = 7 in the log, where such a witness puts 9.
+    world = World(_config("v3"))
+    assert crypto.scalar_from_key(world.seller.package.key, TEST_GROUP).value == 2
+    assert world.buyer.blind.value == 9
+    assert world.seller.package.certificate.h2.element != TEST_GROUP.generator
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
