@@ -35,9 +35,10 @@ log. It builds one world, walks the schedule tree depth-first, and
 checkpoints the world at each branch point to restore it before the next
 alternative, so every tree node executes once and the notary certifies
 once per exploration. Checkpoints are shallow: ledger records are
-immutable, a session's checkpoint is its frozen state record, and the
-ledger keeps the log's encoded lines, so each layer copies only a few
-small containers. A world builds its action list once per node and drops
+immutable, a session's checkpoint is its frozen state record, the ledger
+keeps the log's encoded lines, and the net's is its pending list alone,
+as a step receives what it delivers and no inbox holds an envelope
+between steps. A world builds its action list once per node and drops
 it on every step and restore.
 """
 from __future__ import annotations
@@ -417,7 +418,7 @@ class World:
         """Capture everything a step can change, layer by layer."""
         return (
             self.ledger.checkpoint(),
-            self.net.checkpoint(),
+            list(self.net.pending),
             self.seller.state,
             self.buyer.state,
             list(self.pending_wakes),
@@ -426,9 +427,9 @@ class World:
 
     def restore(self, saved: tuple) -> None:
         """Return to a checkpoint; one checkpoint can be restored many times."""
-        chain, net, self.seller.state, self.buyer.state, wakes, trace_len = saved
+        chain, pending, self.seller.state, self.buyer.state, wakes, trace_len = saved
         self.ledger.restore(chain)
-        self.net.restore(net)
+        self.net.pending = list(pending)
         self.pending_wakes = list(wakes)
         del self.trace[trace_len:]
         del self.choices[trace_len:]

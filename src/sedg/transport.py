@@ -4,9 +4,10 @@ The in-process net parks every sent envelope in a pending set and lets a
 scheduler choose delivery order; the network adversary reorders and delays
 but never forges, drops, or duplicates.
 
-Every send is framed as it would be on a stream, so a send above
-`MAX_FRAME` fails here as it would on a real link. A frame is a 4-byte
-big-endian unsigned length, then that many bytes of parts, each a 4-byte
+Every send is framed as it would be on a stream. The config bounds every
+frame: `harness.MAX_PAYLOAD` is derived from `MAX_FRAME` so that the
+largest offer, the largest message, fits one; a frame checks no size. A
+frame is a 4-byte big-endian unsigned length, then that many bytes of parts, each a 4-byte
 big-endian length and its bytes. The first part is the UTF-8 JSON of the
 envelope in the format `codec` derives from `Envelope`, with each bytes
 value in it replaced by its index among the attachments. The attachments
@@ -24,10 +25,6 @@ from dataclasses import dataclass
 from . import codec
 
 MAX_FRAME = 16 * 1024 * 1024
-
-
-class FrameTooLarge(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -56,10 +53,7 @@ def frame_encode(envelope: Envelope) -> bytes:
         _encode_envelope(envelope)
     )
     parts = [text.encode("utf-8"), *attachments]
-    size = 4 * len(parts) + sum(map(len, parts))
-    if size > MAX_FRAME:
-        raise FrameTooLarge(f"payload of {size} bytes exceeds {MAX_FRAME}")
-    chunks = [struct.pack(">I", size)]
+    chunks = [struct.pack(">I", 4 * len(parts) + sum(map(len, parts)))]
     for part in parts:
         chunks += (struct.pack(">I", len(part)), part)
     return b"".join(chunks)
@@ -85,18 +79,6 @@ class InProcessNet:
         self._inboxes.setdefault(envelope.recipient, []).append(envelope)
         return envelope
 
-    def checkpoint(self) -> tuple:
-        """Capture pending envelopes and inboxes for a later `restore`."""
-        return (
-            list(self.pending),
-            {party: list(inbox) for party, inbox in self._inboxes.items()},
-        )
-
-    def restore(self, saved: tuple) -> None:
-        pending, inboxes = saved
-        self.pending = list(pending)
-        self._inboxes = {party: list(inbox) for party, inbox in inboxes.items()}
-
 
 class MailboxEndpoint:
     """One party's handle on the in-process net."""
@@ -107,7 +89,7 @@ class MailboxEndpoint:
 
     def send(self, to: bytes, body: dict) -> Envelope:
         envelope = Envelope(sender=self.party, recipient=to, body=body)
-        frame_encode(envelope)  # enforces the frame size limit
+        frame_encode(envelope)  # framed as on a stream; the config bounds its size
         self._net.pending.append(envelope)
         return envelope
 

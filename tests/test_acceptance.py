@@ -343,7 +343,7 @@ def test_acceptance_8_claims_beyond_the_grid(monkeypatch):
         f"{explored} boundary configs ({nodes} nodes) without a violation and "
         f"{refused} refused as declared; all {pairs} v3 secret pairs (k, r) on the "
         f"test group in {secret_configs} configs ({secret_nodes} nodes) without a "
-        f"violation; the ledger alone keeps its invariants over "
+        f"violation, one sale's (c, x) alike for every k; the ledger alone keeps its invariants over "
         f"{LEDGER_MACHINE_SETTINGS.max_examples} runs of up to "
         f"{LEDGER_MACHINE_SETTINGS.stateful_step_count} calls, {elapsed:.1f}s",
     )

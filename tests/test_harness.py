@@ -22,7 +22,7 @@ from helpers import (
     FeeDroppingLedger,
 )
 import sedg
-from sedg import cli, codec, crypto, harness, transport
+from sedg import cli, codec, crypto, harness, protocol, transport
 from sedg.cert import Certificate, GroupPower, verify_certificate
 from sedg.crypto import MODP_2048, TEST_GROUP, Scalar
 from sedg.harness import (
@@ -627,14 +627,14 @@ def test_eager_refund_explores_as_the_honest_buyer(chain_factory):
 # The checkpointing explorer against the enumerator oracle
 # ---------------------------------------------------------------------------
 
-def _grid_configs():
+def _grid_configs(buyer_balance=150):
     """The acceptance-2 grid: 3 variants x 20 policy pairs on the test group."""
     for variant in ("v1", "v2", "v3"):
         for seller_policy, buyer_policy in itertools.product(SellerPolicy, BuyerPolicy):
             yield make_config(
                 variant,
                 price=100,
-                buyer_balance=150,
+                buyer_balance=buyer_balance,
                 notary_fee=10 if variant == "v2" else None,
                 seed=11,
                 seller_policy=seller_policy,
@@ -778,7 +778,8 @@ def _world_state(world):
         dict(vars(world.buyer)),
         world.options(),
         list(world.net.pending),
-        {party: list(inbox) for party, inbox in world.net._inboxes.items()},
+        # A restore leaves the inboxes alone: an emptied inbox is an absent one.
+        {party: list(inbox) for party, inbox in world.net._inboxes.items() if inbox},
         list(world.pending_wakes),
         list(world.trace),
         list(world.choices),
@@ -803,6 +804,62 @@ def test_checkpoint_step_restore_round_trip_at_every_node():
             _world_state(world)  # encodes the step's events and lists its options
             world.restore(saved)
             assert _world_state(world) == before, (prefix, index)
+
+
+def _explore_checking_inboxes(monkeypatch, configs) -> None:
+    """Explore each config, asserting after every step that no inbox holds an
+    envelope: a step receives what it delivers, which is why a checkpoint
+    holds the net's pending list alone."""
+    checked = []
+    step = World.step
+
+    def checked_step(world, index):
+        step(world, index)
+        held = {party: inbox for party, inbox in world.net._inboxes.items() if inbox}
+        assert not held, f"after {world.trace} an inbox holds {held}"
+        checked.append(index)
+
+    monkeypatch.setattr(World, "step", checked_step)
+    nodes = sum(explore(config, depth=12).nodes_executed for config in configs)
+    assert len(checked) == nodes > 0
+
+
+def test_no_inbox_holds_an_envelope_after_any_step(monkeypatch):
+    configs = [*_grid_configs(150), *_grid_configs(40)] + [
+        make_config(
+            "v3",
+            price=100,
+            buyer_balance=balance,
+            group_name="modp2048",
+            seed=11,
+            seller_policy=seller_policy,
+            buyer_policy=buyer_policy,
+        )
+        for seller_policy, buyer_policy, balance in itertools.product(
+            SellerPolicy, BuyerPolicy, (150, 40)
+        )
+    ]
+    assert len(configs) == 160
+    _explore_checking_inboxes(monkeypatch, configs)
+
+
+def test_the_inbox_check_sees_a_delivery_left_unreceived(monkeypatch):
+    # As `World._deliver`, but the message is read off the delivered
+    # envelope without `recv`, so the recipient's inbox keeps it.
+    def deliver_without_recv(world, index):
+        envelope = world.net.deliver(index)
+        party = world.parties[envelope.recipient]
+        message = protocol.message_from_obj(envelope.body)
+        contract = None
+        if type(message) is ContractRef:
+            contract = world.ledger.find_contract(message.contract_id)
+        outputs = party.session.on_message(message, world.ledger.current_tick, contract)
+        for reply in world._apply(party.session, outputs):
+            party.endpoint.send(envelope.sender, protocol.message_to_obj(reply))
+
+    monkeypatch.setattr(World, "_deliver", deliver_without_recv)
+    with pytest.raises(AssertionError, match=r"after \['deliver:offer:seller->buyer'\]"):
+        _explore_checking_inboxes(monkeypatch, [next(_grid_configs())])
 
 
 @pytest.mark.parametrize("variant", ["v1", "v2", "v3"])
@@ -1087,8 +1144,11 @@ def secrets_net() -> tuple[int, int, int]:
     each from a seed of its own among `SECRET_SEEDS`, explored under every
     policy pair at balance 150 and 40 on the honest chain: no invariant
     fires, and the honest exchange settles. Acceptance 4 checks x = k*r and
-    c = g^x for every pair; this net checks every schedule. Returns (pairs, configs explored, nodes). Run by
-    `test_acceptance_8_claims_beyond_the_grid`; about 2 s on two cores."""
+    c = g^x for every pair; this net checks every schedule, and one sale's
+    unlinkability: over the ten blinds, the honest runs put the same
+    multiset of (c, x) on the chain whatever k is. Returns (pairs, configs
+    explored, nodes). Run by `test_acceptance_8_claims_beyond_the_grid`;
+    about 2 s on two cores."""
     q = TEST_GROUP.q
     seeds: dict[tuple[int, int], int] = {}
     for seed in SECRET_SEEDS:
@@ -1108,6 +1168,7 @@ def secrets_net() -> tuple[int, int, int]:
         boundaries, q - 1
     )
     explored = nodes = 0
+    sales: dict[int, Counter] = {k: Counter() for k in range(1, q)}
     for (k, r), seed in sorted(seeds.items()):
         named = [name for name, pairs in boundaries.items() if (k, r) in pairs]
         for seller_policy, buyer_policy, balance in itertools.product(
@@ -1134,7 +1195,32 @@ def secrets_net() -> tuple[int, int, int]:
         world = World(honest)
         drive(world)
         assert world.buyer.state == Settled(honest.payload), f"k={k} r={r} seed {seed}"
+        sales[k][_lock_and_claim(world)] += 1
+    assert all(sale == sales[1] for sale in sales.values()), sales
     return len(seeds), explored, nodes
+
+
+def _lock_and_claim(world) -> tuple[int, int]:
+    """The (c, x) a settled v3 run put on the chain: its lock and its witness."""
+    events = world.ledger.read_events(0)
+    (published,) = [event for event in events if type(event) is ContractPublished]
+    (claimed,) = [event for event in events if type(event) is Claimed]
+    return published.condition.c.value, claimed.witness.x.value
+
+
+def test_honest_v3_on_modp2048_locks_and_claims_k_times_r():
+    p, q, g = MODP_2048.p, MODP_2048.q, MODP_2048.g
+    for seed in (0, 1, 2):
+        config = make_config(
+            "v3", group_name="modp2048", price=100, buyer_balance=150, seed=seed
+        )
+        world = World(config)
+        drive(world)
+        assert world.buyer.state == Settled(config.payload), seed
+        k = crypto.scalar_from_key(world.seller.package.key, MODP_2048).value
+        x = k * world.buyer.blind.value % q
+        power = pow(g, x, p)  # the lock is its signed residue, |g^x mod p|
+        assert _lock_and_claim(world) == (min(power, p - power), x), seed
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,7 @@ from hypothesis import strategies as st
 from helpers import signing_keys
 from sedg import codec
 from sedg.harness import make_request
-from sedg.transport import (
-    MAX_FRAME,
-    Envelope,
-    FrameTooLarge,
-    InProcessNet,
-    frame_encode,
-)
+from sedg.transport import Envelope, InProcessNet, frame_encode
 
 A, B = b"alice", b"bob"
 
@@ -168,44 +162,6 @@ def test_frame_with_bytes_matches_the_oracle(body):
     assert frame_encode(env) == _oracle_frame(env)
 
 
-def _assert_limit_is_exact(sized) -> None:
-    at_limit = sized(MAX_FRAME)
-    frame = frame_encode(at_limit)
-    assert len(frame) == MAX_FRAME + 4
-    assert frame == _oracle_frame(at_limit)
-    del frame, at_limit
-    with pytest.raises(FrameTooLarge):
-        frame_encode(sized(MAX_FRAME + 1))
-
-
-def test_frame_size_limit_is_exact():
-    # Through the JSON part alone.
-    base = len(frame_encode(_envelope({"data": [""]}))) - 4
-
-    def sized(size: int) -> Envelope:
-        return _envelope({"data": ["a" * (size - base)]})
-
-    _assert_limit_is_exact(sized)
-
-
-def test_frame_size_limit_is_exact_with_spliced_bytes():
-    # Through a bytes value spliced in as an attachment (the ciphertext's
-    # case), beside a string in the JSON part.
-    base = len(frame_encode(_envelope({"pad": "", "data": b""}))) - 4
-
-    def sized(size: int) -> Envelope:
-        pad = (size - base) % 2
-        return _envelope({"pad": "x" * pad, "data": bytes(size - base - pad)})
-
-    _assert_limit_is_exact(sized)
-
-
-def test_oversized_frame_rejected():
-    big = Envelope(sender=A, recipient=B, body={"data": "x" * (MAX_FRAME + 1)})
-    with pytest.raises(FrameTooLarge):
-        frame_encode(big)
-
-
 def test_frame_rejects_a_bytearray():
     # Only bytes are attachments; any other type JSON lacks is a TypeError,
     # as in `codec.dumps`.
@@ -263,14 +219,6 @@ def test_exactly_once_under_arbitrary_delivery_orders():
                 received.append(envelope)
         # no loss, no duplication, regardless of order
         assert sorted(received, key=lambda e: e.body["i"]) == sent
-
-
-def test_oversized_send_rejected_in_process():
-    net = InProcessNet()
-    alice = net.endpoint(A)
-    with pytest.raises(FrameTooLarge):
-        alice.send(B, {"data": "x" * (MAX_FRAME + 1)})
-    assert net.pending == []
 
 
 def test_full_dlog_exchange_over_the_in_process_net():
