@@ -2,12 +2,15 @@
 
     python tools/mutants.py
 
-Two kinds of edit make the mutants of `src/sedg`:
+Three kinds of edit make the mutants of `src/sedg`:
 
 - a guard, an `if` with no `else` whose body is one `raise` or `return`, is
   deleted;
 - a boundary, one operator of a comparison (chained ones included), is
-  swapped: `<` with `<=` and `>` with `>=`, so an off-by-one limit shows.
+  swapped: `<` with `<=` and `>` with `>=`, so an off-by-one limit shows;
+- a connective, the operator of one `and` or `or` expression (every one of
+  its keywords), is swapped for the other, so a condition that is too
+  strict or too loose shows.
 
 The tool first runs the unmutated suite twice: once plainly, which must
 pass and whose time sets the timeout, and once under `sys.settrace`, which
@@ -33,8 +36,9 @@ core. Each one is:
 
 `tools/mutants.txt` lists the survivors and hangs that are accepted, one a
 line as `<outcome> <mutant> -- <reason>`, where `<mutant>` is what this tool
-prints: `<path>:<function>: if <condition>` for a guard and
-`<path>:<function>: <comparison> -> <mutated comparison>` for a boundary.
+prints: `<path>:<function>: if <condition>` for a guard,
+`<path>:<function>: <comparison> -> <mutated comparison>` for a boundary and
+`<path>:<function>: <expr> -> <mutated expr>` for a connective.
 The tool exits 1 on an outcome the list lacks, and on a listed mutant that
 is now killed or gone, so the list cannot go stale. It exits 2 if the suite
 fails with no mutant at all.
@@ -149,9 +153,10 @@ if TRACE:
 """
 
 
-# Each boundary operator, as a token and as an AST node, and its swap.
-SWAPPED_TOKEN = {"<": "<=", "<=": "<", ">": ">=", ">=": ">"}
+# Each boundary operator and connective, as a token and as an AST node, and its swap.
+SWAPPED_TOKEN = {"<": "<=", "<=": "<", ">": ">=", ">=": ">", "and": "or", "or": "and"}
 SWAPPED_OP = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt}
+SWAPPED_BOOL = {ast.And: ast.Or, ast.Or: ast.And}
 
 
 def scoped_nodes(tree: ast.Module) -> list[tuple[str, ast.AST]]:
@@ -180,29 +185,30 @@ def is_guard(node: ast.AST) -> bool:
     )
 
 
-def boundary_tokens(source: str) -> dict[tuple[int, int], tokenize.TokenInfo]:
-    """Each `<`, `<=`, `>` or `>=` token of `source`, keyed by its row and its
-    column in UTF-8 bytes, as `ast` counts columns."""
+def operator_tokens(source: str) -> dict[tuple[int, int], tokenize.TokenInfo]:
+    """Each `<`, `<=`, `>`, `>=`, `and` or `or` token of `source`, keyed by its
+    row and its column in UTF-8 bytes, as `ast` counts columns."""
     lines = source.splitlines(keepends=True)
     found = {}
     for token in tokenize.generate_tokens(io.StringIO(source).readline):
-        if token.type == tokenize.OP and token.string in SWAPPED_TOKEN:
+        if token.type in (tokenize.OP, tokenize.NAME) and token.string in SWAPPED_TOKEN:
             row, col = token.start
             found[row, len(lines[row - 1][:col].encode("utf-8"))] = token
     return found
 
 
 def mutants() -> list[tuple[str, str, str, set[tuple[str, int]]]]:
-    """(name, path, mutated source, lines) for each guard and each boundary of
-    the package, where `lines` are the (file in the package, line) that a
-    test runs whenever it runs the guard's test or the comparison."""
+    """(name, path, mutated source, lines) for each guard, boundary and
+    connective of the package, where `lines` are the (file in the package,
+    line) that a test runs whenever it runs the guard's test or the
+    expression."""
     result = []
     for path in sorted((ROOT / PACKAGE).rglob("*.py")):
         rel = path.relative_to(ROOT).as_posix()
         module = path.relative_to(ROOT / PACKAGE).as_posix()
         source = path.read_text(encoding="utf-8")
         lines = source.splitlines(keepends=True)
-        tokens = boundary_tokens(source)
+        tokens = operator_tokens(source)
         seen: Counter[str] = Counter()
 
         def add(name: str, mutated: list[str], node: ast.AST) -> None:
@@ -221,24 +227,44 @@ def mutants() -> list[tuple[str, str, str, set[tuple[str, int]]]]:
                 stub = "\n" if first.lstrip().startswith("elif") else f"{indent}pass\n"
                 mutated = lines[: node.lineno - 1] + [stub] + lines[node.end_lineno :]
                 add(f"{rel}:{scope}: if {ast.unparse(node.test)}", mutated, node.test)
+            if isinstance(node, ast.BoolOp):
+                after = ast.BoolOp(SWAPPED_BOOL[type(node.op)](), node.values)
+                between = list(zip(node.values, node.values[1:]))
+                mutated = swap_tokens(lines, [token_between(tokens, *pair) for pair in between])
+                add(f"{rel}:{scope}: {ast.unparse(node)} -> {ast.unparse(after)}", mutated, node)
             if not isinstance(node, ast.Compare):
                 continue
             operands = [node.left, *node.comparators]
             for i, op in enumerate(node.ops):
                 if type(op) not in SWAPPED_OP:
                     continue
-                # The operator's one token lies between its two operands.
-                start = (operands[i].end_lineno, operands[i].end_col_offset)
-                end = (operands[i + 1].lineno, operands[i + 1].col_offset)
-                (token,) = [tokens[at] for at in tokens if start <= at < end]
-                (row, col), (_, end_col) = token.start, token.end
-                mutated = [*lines]
-                line = lines[row - 1]
-                mutated[row - 1] = line[:col] + SWAPPED_TOKEN[token.string] + line[end_col:]
+                token = token_between(tokens, operands[i], operands[i + 1])
                 after = ast.Compare(node.left, [*node.ops], node.comparators)
                 after.ops[i] = SWAPPED_OP[type(op)]()
+                mutated = swap_tokens(lines, [token])
                 add(f"{rel}:{scope}: {ast.unparse(node)} -> {ast.unparse(after)}", mutated, node)
     return result
+
+
+def token_between(
+    tokens: dict[tuple[int, int], tokenize.TokenInfo], left: ast.AST, right: ast.AST
+) -> tokenize.TokenInfo:
+    """The one operator token between two operands."""
+    start = (left.end_lineno, left.end_col_offset)
+    end = (right.lineno, right.col_offset)
+    (token,) = [tokens[at] for at in tokens if start <= at < end]
+    return token
+
+
+def swap_tokens(lines: list[str], swapped: list[tokenize.TokenInfo]) -> list[str]:
+    """`lines` with each token swapped, the last first, so that the columns
+    of the earlier ones on a line still hold."""
+    mutated = [*lines]
+    for token in sorted(swapped, key=lambda token: token.start, reverse=True):
+        (row, col), (_, end_col) = token.start, token.end
+        line = mutated[row - 1]
+        mutated[row - 1] = line[:col] + SWAPPED_TOKEN[token.string] + line[end_col:]
+    return mutated
 
 
 def run_suite(
